@@ -15,6 +15,7 @@ from .dms import (
     DMSpace,
     DmsDual,
     DualSpaceResult,
+    _extent_mask,
     classify,
     dual,
     dual_space,
@@ -227,7 +228,7 @@ def extent_isomorphism(d: DCA, result: DualSpaceResult | None = None) -> DcaMorp
     result = result or dual_space(d)
     algebra = dual(result.space)
     table = tuple(
-        algebra.mask_of_region[result.extent(a)] for a in d.base.elements()
+        algebra.mask_of_region[_extent_mask(result.points, a)] for a in d.base.elements()
     )
     return DcaMorphism(d, algebra.dca, table)
 

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from . import generate as gen
+from .boolean import atoms_of
 from .category import duality_roundtrip, validate_dca_morphism, validate_dms_morphism
 from .contact import CONTACT_AXIOMS, PRECONTACT_AXIOMS, contact_from_adjacency
 from .dca import (
@@ -46,17 +47,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _atoms(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 class CommandReport:
@@ -201,11 +191,12 @@ def _points_command(args) -> int:
     structure = clan_structure(obj)
     canonical = canonical_time_structure(obj, structure)
     report.info["ultrafilters"] = [[x] for x in obj.base.atoms()]
-    report.info["s_clans"] = [_atoms(s) for s in structure.s_clans]
-    report.info["t_clans"] = [_atoms(s) for s in structure.t_clans]
-    report.info["clusters"] = [_atoms(s) for s in structure.clusters]
+    report.info["s_clans"] = [list(atoms_of(s)) for s in structure.s_clans]
+    report.info["t_clans"] = [list(atoms_of(s)) for s in structure.t_clans]
+    report.info["clusters"] = [list(atoms_of(s)) for s in structure.clusters]
     report.info["gamma"] = [
-        {"t_clan": _atoms(s), "cluster": _atoms(c)} for s, c in sorted(structure.gamma.items())
+        {"t_clan": list(atoms_of(s)), "cluster": list(atoms_of(c))}
+        for s, c in sorted(structure.gamma.items())
     ]
     report.info["counts"] = {
         "ultrafilters": obj.base.atom_count,

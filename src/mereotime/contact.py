@@ -2,7 +2,9 @@
 
 A relation satisfying C1-C3 on a finite powerset algebra is determined by
 its restriction to atoms, so precontact algebras are stored in atom normal
-form: a set of ordered atom pairs.  Raw element-level relations are accepted
+form: a set of ordered atom pairs.  On that form C1-C3'' hold by
+construction and every other axiom is decided as one inclusion between atom
+relations (`inclusion_check`).  Raw element-level relations are accepted
 but validated against their normal form; non-monotone inputs are rejected
 with a C1/C2/C3 witness.
 """
@@ -82,6 +84,9 @@ class Relation:
     def is_equivalence(self) -> bool:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
+    def converse(self) -> "Relation":
+        return Relation(self.size, frozenset((y, x) for x, y in self.pairs))
+
     def compose(self, other: "Relation") -> "Relation":
         """Pairs (x,z) with an intermediate y: x self y and y other z."""
         if self.size != other.size:
@@ -159,7 +164,7 @@ class PrecontactAlgebra:
         """Normalize a raw element-level relation, rejecting non-monotone input."""
         table = frozenset((base.check(a), base.check(b)) for a, b in related_pairs)
         raw = lambda a, b: (a, b) in table
-        for check in relation_axiom_checks(base, raw, names=PRECONTACT_AXIOMS):
+        for check in relation_axiom_checks(base, raw):
             if not check.holds:
                 raise ValidationError(
                     f"element relation is not a precontact: {check.name} fails",
@@ -201,10 +206,6 @@ class PrecontactAlgebra:
     def require_ce(self) -> None:
         self.axiom_report.require(*CONTACT_AXIOMS, "CE")
 
-    @cached_property
-    def canonical(self) -> Relation:
-        return canonical_relation(self)
-
 
 def contact_from_adjacency(space: Relation) -> PrecontactAlgebra:
     """Precontact algebra over all subsets of an adjacency space."""
@@ -243,40 +244,35 @@ def _star_columns(base: FiniteBA, rows) -> list[int]:
     return cols
 
 
-@lru_cache(maxsize=None)
-def _meeting_table(base: FiniteBA) -> tuple[int, ...]:
-    """Bit b of entry a means a and b share an atom."""
-    out = []
-    for a in base.elements():
-        row = 0
-        for b in base.elements():
-            if a & b:
-                row |= 1 << b
-        out.append(row)
-    return tuple(out)
-
-
-def interpolation_check(base: FiniteBA, name, premise, left, right, rows=None) -> Check:
+def interpolation_check(base: FiniteBA, name, premise, left, right) -> Check:
     """Check: not premise(a,b) implies some c with not left(a,c), not right(c*,b).
 
     This is the shared shape of the Efremovich axiom, the compositional
-    axioms and the DCA interaction axioms.  `rows` may carry precomputed
-    element rows for the three relations, in that order.
+    axioms and the DCA interaction axioms, evaluated on every element pair.
     """
-    if rows is None:
-        rows = (
-            element_rows(base, premise),
-            element_rows(base, left),
-            element_rows(base, right),
-        )
-    premise_rows, left_rows, right_rows = rows
-    right_star_cols = _star_columns(base, right_rows)
+    premise_rows = element_rows(base, premise)
+    left_rows = element_rows(base, left)
+    right_star_cols = _star_columns(base, element_rows(base, right))
     everything = (1 << base.size) - 1
     for a in base.elements():
         for b in atoms_of(~premise_rows[a] & everything):
             if ~left_rows[a] & ~right_star_cols[b] & everything == 0:
                 return Check(name, False, witness=(a, b))
     return Check(name, True)
+
+
+def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
+    """Check left <= right on atom relations.
+
+    The witness is the smallest atom pair of `left` missing from `right`,
+    as singleton masks.  On atom-generated relations this decides C4
+    (R <= R^T), C5 (Id <= R), CE (R.R <= R) and the DCA interaction axioms.
+    """
+    missing = left.pairs - right.pairs
+    if not missing:
+        return Check(name, True)
+    x, y = min(missing)
+    return Check(name, False, witness=(1 << x, 1 << y))
 
 
 def _union_closure_defect(zero_set: int, members: list[int]):
@@ -288,140 +284,103 @@ def _union_closure_defect(zero_set: int, members: list[int]):
     return None
 
 
-def relation_axiom_checks(base: FiniteBA, rel, names=None, rows=None) -> list[Check]:
-    """Exhaustive decision of the precontact/contact axioms for `rel`.
+def relation_axiom_checks(base: FiniteBA, rel) -> list[Check]:
+    """Exhaustive decision of C1, C2, C3' and C3'' for a raw relation.
 
     `rel` is any boolean function of two element masks; each axiom is
     quantified over all elements (through packed element rows) and a failing
     check carries a witness.
     """
-    wanted = set(names) if names is not None else None
     out: list[Check] = []
-    if rows is None:
-        rows = element_rows(base, rel)
+    rows = element_rows(base, rel)
+    cols = _transpose_rows(base, rows)
     everything = (1 << base.size) - 1
 
-    def want(name):
-        return wanted is None or name in wanted
+    witness = None
+    if rows[0]:
+        witness = (0, next(atoms_of(rows[0])))
+    else:
+        bad = next((a for a in base.elements() if rows[a] & 1), None)
+        if bad is not None:
+            witness = (bad, 0)
+    out.append(Check("C1", witness is None, witness))
 
-    cols = _transpose_rows(base, rows) if want("C3''") or want("C4") else None
-
-    if want("C1"):
-        witness = None
-        if rows[0]:
-            witness = (0, next(atoms_of(rows[0])))
-        else:
-            bad = next((a for a in base.elements() if rows[a] & 1), None)
+    # Single-atom growth steps suffice: supersets are reached one atom at a
+    # time and the implications compose.
+    witness = None
+    for x in base.atoms():
+        bit = 1 << x
+        for a in base.elements():
+            if a & bit:
+                continue
+            stray = rows[a] & ~rows[a | bit]
+            if stray:
+                b = next(atoms_of(stray))
+                witness = (a, b, a | bit, b)
+                break
+            bad = next(
+                (
+                    b
+                    for b in atoms_of(rows[a])
+                    if not b & bit and not (rows[a] >> (b | bit)) & 1
+                ),
+                None,
+            )
             if bad is not None:
-                witness = (bad, 0)
-        out.append(Check("C1", witness is None, witness))
-    if want("C2"):
-        # Single-atom growth steps suffice: supersets are reached one atom
-        # at a time and the implications compose.
-        witness = None
-        for x in base.atoms():
-            bit = 1 << x
-            for a in base.elements():
-                if a & bit:
-                    continue
-                stray = rows[a] & ~rows[a | bit]
-                if stray:
-                    b = next(atoms_of(stray))
-                    witness = (a, b, a | bit, b)
-                    break
-                bad = next(
-                    (
-                        b
-                        for b in atoms_of(rows[a])
-                        if not b & bit and not (rows[a] >> (b | bit)) & 1
-                    ),
-                    None,
-                )
-                if bad is not None:
-                    witness = (a, bad, a, bad | bit)
-                    break
-            if witness:
+                witness = (a, bad, a, bad | bit)
                 break
-        out.append(Check("C2", witness is None, witness))
-    if want("C3'"):
-        witness = None
-        for a in base.elements():
-            zero_set = ~rows[a] & everything
-            defect = _union_closure_defect(zero_set, list(atoms_of(zero_set)))
-            if defect:
-                witness = (a, defect[0], defect[1])
-                break
-        out.append(Check("C3'", witness is None, witness))
-    if want("C3''"):
-        witness = None
-        for c in base.elements():
-            zero_set = ~cols[c] & everything
-            defect = _union_closure_defect(zero_set, list(atoms_of(zero_set)))
-            if defect:
-                witness = (defect[0], defect[1], c)
-                break
-        out.append(Check("C3''", witness is None, witness))
-    if want("C4"):
-        witness = None
-        for a in base.elements():
-            stray = rows[a] & ~cols[a]
-            if stray:
-                witness = (a, next(atoms_of(stray)))
-                break
-        out.append(Check("C4", witness is None, witness))
-    if want("C5"):
-        meeting = _meeting_table(base)
-        witness = None
-        for a in base.elements():
-            stray = meeting[a] & ~rows[a]
-            if stray:
-                witness = (a, next(atoms_of(stray)))
-                break
-        out.append(Check("C5", witness is None, witness))
-    if want("C5'"):
-        witness = next(
-            ((a,) for a in base.nonzero_elements() if not (rows[a] >> a) & 1), None
-        )
-        out.append(Check("C5'", witness is None, witness))
-    if want("CE"):
-        out.append(interpolation_check(base, "CE", rel, rel, rel, rows=(rows, rows, rows)))
+        if witness:
+            break
+    out.append(Check("C2", witness is None, witness))
+
+    witness = None
+    for a in base.elements():
+        zero_set = ~rows[a] & everything
+        defect = _union_closure_defect(zero_set, list(atoms_of(zero_set)))
+        if defect:
+            witness = (a, defect[0], defect[1])
+            break
+    out.append(Check("C3'", witness is None, witness))
+
+    witness = None
+    for c in base.elements():
+        zero_set = ~cols[c] & everything
+        defect = _union_closure_defect(zero_set, list(atoms_of(zero_set)))
+        if defect:
+            witness = (defect[0], defect[1], c)
+            break
+    out.append(Check("C3''", witness is None, witness))
     return out
 
 
 @lru_cache(maxsize=None)
 def check_axioms(algebra: PrecontactAlgebra) -> Report:
-    """Axiom report for C1, C2, C3', C3'', C4, C5, C5' and CE."""
+    """Axiom report for C1, C2, C3', C3'', C4, C5, C5' and CE.
+
+    The relation is in atom normal form, so C1-C3'' hold by construction
+    and the rest are decided as inclusions of atom relations.
+    """
+    r = algebra.relation
+    c5 = inclusion_check("C5", Relation.identity(r.size), r)
     report = Report(subject="precontact axioms")
+    report.extend([Check(name, True) for name in PRECONTACT_AXIOMS])
     report.extend(
-        relation_axiom_checks(
-            algebra.base,
-            algebra.related,
-            names=("C1", "C2", "C3'", "C3''", "C4", "C5", "C5'", "CE"),
-        )
+        [
+            inclusion_check("C4", r, r.converse()),
+            c5,
+            Check("C5'", c5.holds, c5.witness and c5.witness[:1]),
+            inclusion_check("CE", r.compose(r), r),
+        ]
     )
     return report
 
 
 def canonical_relation(algebra: PrecontactAlgebra) -> Relation:
-    """Atom pairs (x,y) such that every a containing x relates to every b containing y."""
-    return canonical_of(algebra.base, algebra.related)
+    """Atom pairs (x,y) such that every a containing x relates to every b containing y.
 
-
-def canonical_of(base: FiniteBA, rel) -> Relation:
-    n = base.atom_count
-    one = base.one
-    pairs = set()
-    for x in range(n):
-        for y in range(n):
-            rest_x = one ^ (1 << x)
-            rest_y = one ^ (1 << y)
-            if all(
-                rel((1 << x) | extra_a, (1 << y) | extra_b)
-                for extra_a in submasks(rest_x)
-                for extra_b in submasks(rest_y)
-            ):
-                pairs.add((x, y))
-    return Relation(n, frozenset(pairs))
+    In atom normal form these are exactly the stored pairs.
+    """
+    return algebra.relation
 
 
 def check_compositional(first: PrecontactAlgebra, second: PrecontactAlgebra) -> Report:

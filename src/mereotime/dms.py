@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .boolean import Filter, atoms_of
-from .contact import PrecontactAlgebra, clans
+from .contact import PrecontactAlgebra
 from .dca import (
     DCA,
+    _clique_supports,
     clan_structure,
     canonical_time_structure,
     validate_dca,
@@ -298,14 +299,6 @@ def rho(space: DMSpace, x: int) -> frozenset[int]:
     return space.trace(x)
 
 
-def _tclan_supports(d: DCA) -> set[int]:
-    return {c.support for c in clans(d.ct_algebra)}
-
-
-def _sclan_supports(d: DCA) -> set[int]:
-    return {c.support for c in clans(d.cs_algebra)}
-
-
 def _cluster_supports(d: DCA) -> set[int]:
     return {d.time_rel.rows[x] for x in d.base.atoms()}
 
@@ -448,8 +441,8 @@ def classify(space: DMSpace) -> Classification:
     realized_t = {traces[x] for x in space.points()}
     realized_s = {traces[x] for x in atoms_of(space.space_points)}
     realized_clusters = {traces[x] for x in atoms_of(space.time_points)}
-    missing_t = tuple(sorted(_tclan_supports(d) - realized_t))
-    missing_s = tuple(sorted(_sclan_supports(d) - realized_s))
+    missing_t = tuple(sorted(set(_clique_supports(d.ct_algebra)) - realized_t))
+    missing_s = tuple(sorted(set(_clique_supports(d.cs_algebra)) - realized_s))
     missing_clusters = tuple(sorted(_cluster_supports(d) - realized_clusters))
     return Classification(
         is_t0=not duplicates,
@@ -679,15 +672,6 @@ class DualSpaceResult:
     space: DMSpace
     points: tuple[int, ...]
 
-    def extent(self, a: int) -> int:
-        """Point mask of the t-clans containing the element."""
-        self.source.base.check(a)
-        out = 0
-        for i, support in enumerate(self.points):
-            if support & a:
-                out |= 1 << i
-        return out
-
     def point_of(self, support: int) -> int:
         return self.points.index(support)
 
@@ -715,6 +699,7 @@ def dual_space(d: DCA) -> DualSpaceResult:
 
 
 def _extent_mask(points, a: int) -> int:
+    """Point mask of the clans, given by their supports, that contain `a`."""
     out = 0
     for i, support in enumerate(points):
         if support & a:
@@ -728,7 +713,7 @@ def contact_clan_space(algebra: PrecontactAlgebra):
     Returns the topological space whose points are the clans, plus the map
     sending an element to the mask of clans containing it.
     """
-    supports = tuple(c.support for c in clans(algebra))
+    supports = _clique_supports(algebra)
     base = tuple(sorted({_extent_mask(supports, a) for a in algebra.base.elements()}))
     space = FiniteTopSpace(len(supports), base)
     return space, supports, lambda a: _extent_mask(supports, a)
@@ -757,7 +742,7 @@ def verify_representation_topo(d: DCA) -> Report:
     )
 
     algebra = dual(space)
-    image = {a: algebra.mask_of_region.get(result.extent(a)) for a in d.base.elements()}
+    image = {a: algebra.mask_of_region.get(_extent_mask(result.points, a)) for a in d.base.elements()}
     report.add("extents land in the dual algebra", all(v is not None for v in image.values()))
     if all(v is not None for v in image.values()):
         injective = len(set(image.values())) == d.base.size

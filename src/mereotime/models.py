@@ -17,7 +17,7 @@ from .contact import PrecontactAlgebra, Relation
 from .dca import DCA
 from .dms import DMSpace, FiniteTopSpace
 from .errors import SchemaError
-from .snapshot import DMST, TimeStructure, build_dmst
+from .snapshot import DMST, TimeStructure, build_dmst, is_full
 
 FORMAT_VERSION = 1
 KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
@@ -77,7 +77,7 @@ def encode(obj, claims=None) -> dict:
                 for c in obj.coordinates
             ],
         }
-        if len(obj.regions) == _full_size(obj):
+        if is_full(obj):
             payload["mode"] = "full"
         else:
             payload["mode"] = "custom"
@@ -115,17 +115,22 @@ def encode(obj, claims=None) -> dict:
     raise SchemaError(f"cannot encode {type(obj).__name__}")
 
 
-def _full_size(model: DMST) -> int:
-    size = 1
-    for c in model.coordinates:
-        size *= c.base.size
-    return size
-
-
 def _require(payload: dict, key: str):
     if key not in payload:
         raise SchemaError(f"missing field {key!r}")
     return payload[key]
+
+
+def _typed(value, expected: type, what: str):
+    """`value` if it has the JSON type `expected` (int, dict or list)."""
+    if isinstance(value, bool) or not isinstance(value, expected):
+        noun = {int: "an integer", dict: "an object", list: "an array"}[expected]
+        raise SchemaError(f"field {what!r} must be {noun}")
+    return value
+
+
+def _field(payload: dict, key: str, expected: type, where: str = ""):
+    return _typed(_require(payload, key), expected, where + key)
 
 
 def _int_pairs(raw, what: str) -> set[tuple[int, int]]:
@@ -160,16 +165,19 @@ def decode(payload: dict):
     extras: dict = {}
 
     if kind == "adjacency":
-        size = int(_require(payload, "point_count"))
+        size = _field(payload, "point_count", int)
         pairs = _int_pairs(_require(payload, "pairs"), "pairs")
-        extras["claims"] = payload.get("claims", ["precontact"])
+        claims = _typed(payload.get("claims", ["precontact"]), list, "claims")
+        if not all(isinstance(claim, str) for claim in claims):
+            raise SchemaError("field 'claims' must be an array of strings")
+        extras["claims"] = claims
         return kind, _checked(Relation, size, pairs), extras
     if kind == "time_structure":
-        size = int(_require(payload, "point_count"))
+        size = _field(payload, "point_count", int)
         prec = _int_pairs(_require(payload, "prec"), "prec")
         return kind, _checked(TimeStructure, size, prec), extras
     if kind == "dca":
-        n = int(_require(payload, "atom_count"))
+        n = _field(payload, "atom_count", int)
         try:
             obj = DCA.from_pairs(
                 n,
@@ -181,15 +189,15 @@ def decode(payload: dict):
             raise SchemaError(f"bad dca payload: {exc}") from exc
         return kind, obj, extras
     if kind == "dmst":
-        time_raw = _require(payload, "time")
+        time_raw = _field(payload, "time", dict)
         ts = _checked(
             TimeStructure,
-            int(_require(time_raw, "point_count")),
+            _field(time_raw, "point_count", int, "time."),
             _int_pairs(_require(time_raw, "prec"), "time.prec"),
         )
         coordinates = []
-        for coord in _require(payload, "coordinates"):
-            n = int(_require(coord, "atom_count"))
+        for i, coord in enumerate(_field(payload, "coordinates", list)):
+            n = _field(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", int, f"coordinates[{i}].")
             pairs = _int_pairs(_require(coord, "contact"), "contact")
             coordinates.append(
                 PrecontactAlgebra(FiniteBA(n), _checked(Relation, n, pairs))
@@ -198,8 +206,8 @@ def decode(payload: dict):
         regions = None
         if mode != "full":
             regions = [
-                tuple(_mask(x, "region coordinate") for x in region)
-                for region in _require(payload, "regions")
+                tuple(_mask(x, "region coordinate") for x in _typed(region, list, f"regions[{i}]"))
+                for i, region in enumerate(_field(payload, "regions", list))
             ]
         try:
             model = build_dmst(ts, coordinates, mode=mode, regions=regions)
@@ -207,9 +215,9 @@ def decode(payload: dict):
             raise SchemaError(f"bad dmst payload: {exc}") from exc
         return kind, model, extras
     if kind == "dms":
-        count = int(_require(payload, "point_count"))
-        base = tuple(sorted(_mask(b, "closed_base") for b in _require(payload, "closed_base")))
-        regions = tuple(sorted(_mask(a, "regions") for a in _require(payload, "regions")))
+        count = _field(payload, "point_count", int)
+        base = tuple(sorted(_mask(b, "closed_base") for b in _field(payload, "closed_base", list)))
+        regions = tuple(sorted(_mask(a, "regions") for a in _field(payload, "regions", list)))
         try:
             space = DMSpace(
                 FiniteTopSpace(count, base),

@@ -65,21 +65,6 @@ class Report:
                     missing=c.name,
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "holds": c.holds,
-                    **({"witness": plain(c.witness)} if c.witness is not None else {}),
-                    **({"note": c.note} if c.note is not None else {}),
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def plain(value):
     if isinstance(value, (list, tuple)):

@@ -1,7 +1,10 @@
 """Shared fixtures and slow reference oracles.
 
-The oracles re-state definitions as direct quantifier loops, independent of
-the packed-table implementations they check.
+The slow oracles re-state definitions as direct quantifier loops,
+independent of the packed-table implementations they check.  The
+element-level evaluators below them decide the same axioms by exhaustive
+evaluation on every element pair; the atom-level decisions of `contact` and
+`dca` are tested against them, verdict and witness.
 """
 
 from __future__ import annotations
@@ -10,8 +13,19 @@ import itertools
 
 import pytest
 
-from mereotime.boolean import FiniteBA
-from mereotime.contact import PrecontactAlgebra, Relation
+from mereotime.boolean import FiniteBA, atoms_of, submasks
+from mereotime.contact import (
+    CONTACT_AXIOMS,
+    PrecontactAlgebra,
+    Relation,
+    _transpose_rows,
+    element_rows,
+    interpolation_check,
+    relation_axiom_checks,
+)
+from mereotime.dca import canonical_standard_dca
+from mereotime.reporting import Check, Report
+from mereotime.snapshot import DCA_TIME_AXIOMS, check_time_axiom
 from mereotime import generate as gen
 
 
@@ -73,15 +87,18 @@ def slow_ce(base, rel):
 
 
 def slow_interpolation(base, premise, left, right):
-    for a in base.elements():
-        for b in base.elements():
-            if premise(a, b):
-                continue
-            if not any(
-                not left(a, c) and not right(base.one ^ c, b) for c in base.elements()
-            ):
-                return False
-    return True
+    return all(
+        slow_interpolation_at(base, premise, left, right, a, b)
+        for a in base.elements()
+        for b in base.elements()
+    )
+
+
+def slow_interpolation_at(base, premise, left, right, a, b):
+    """The interpolation axiom at one element pair."""
+    return premise(a, b) or any(
+        not left(a, c) and not right(base.one ^ c, b) for c in base.elements()
+    )
 
 
 def brute_clans(algebra: PrecontactAlgebra) -> list[int]:
@@ -114,6 +131,151 @@ def all_atom_relations(n):
     cells = list(itertools.product(range(n), repeat=2))
     for bits in range(1 << len(cells)):
         yield Relation(n, frozenset(c for i, c in enumerate(cells) if bits >> i & 1))
+
+
+# -- element-level evaluators ---------------------------------------------
+
+
+def element_axiom_checks(base, rel) -> list[Check]:
+    """C1, C2, C3', C3'', C4, C5, C5' and CE of `rel`, over all elements."""
+    out = relation_axiom_checks(base, rel)
+    rows = element_rows(base, rel)
+    cols = _transpose_rows(base, rows)
+    witness = next(
+        ((a, next(atoms_of(rows[a] & ~cols[a]))) for a in base.elements() if rows[a] & ~cols[a]),
+        None,
+    )
+    out.append(Check("C4", witness is None, witness))
+    witness = next(
+        ((a, b) for a in base.elements() for b in base.elements() if a & b and not rows[a] >> b & 1),
+        None,
+    )
+    out.append(Check("C5", witness is None, witness))
+    witness = next(((a,) for a in base.nonzero_elements() if not rows[a] >> a & 1), None)
+    out.append(Check("C5'", witness is None, witness))
+    out.append(interpolation_check(base, "CE", rel, rel, rel))
+    return out
+
+
+def element_canonical(base, rel) -> Relation:
+    """Atom pairs (x,y) such that every a containing x relates to every b containing y."""
+    n = base.atom_count
+    pairs = set()
+    for x in range(n):
+        for y in range(n):
+            if all(
+                rel((1 << x) | extra_a, (1 << y) | extra_b)
+                for extra_a in submasks(base.one ^ (1 << x))
+                for extra_b in submasks(base.one ^ (1 << y))
+            ):
+                pairs.add((x, y))
+    return Relation(n, frozenset(pairs))
+
+
+def element_validate_dca(d) -> Report:
+    """Every defining axiom of a dynamic contact algebra, over all elements."""
+    report = Report(subject="dynamic contact algebra")
+    base = d.base
+    for prefix, rel, names in (
+        ("Cs", d.space_contact, CONTACT_AXIOMS),
+        ("Ct", d.time_contact, CONTACT_AXIOMS),
+    ):
+        for check in element_axiom_checks(base, rel):
+            if check.name in names:
+                report.add(f"{prefix}:{check.name}", check.holds, check.witness)
+    witness = next(
+        (
+            (a, b)
+            for a in base.elements()
+            for b in base.elements()
+            if d.space_contact(a, b) and not d.time_contact(a, b)
+        ),
+        None,
+    )
+    report.add("Cs<=Ct", witness is None, witness)
+    cte = interpolation_check(base, "CtE", d.time_contact, d.time_contact, d.time_contact)
+    report.extend([cte])
+    for check in relation_axiom_checks(base, d.precedes):
+        report.add(f"B:{check.name}", check.holds, check.witness)
+    report.extend(
+        [
+            interpolation_check(base, "CtB", d.precedes, d.time_contact, d.precedes),
+            interpolation_check(base, "BCt", d.precedes, d.precedes, d.time_contact),
+        ]
+    )
+    return report
+
+
+def element_verify_embedding(d) -> Report:
+    """The snapshot representation of `d`, checked on every element pair."""
+    d.require_valid()
+    canonical = canonical_standard_dca(d)
+    model = canonical.model
+    base = d.base
+    h = {a: canonical.embed(a) for a in base.elements()}
+    pairs = list(itertools.product(base.elements(), repeat=2))
+
+    report = Report(subject="snapshot representation")
+    report.add("h(0)=0", h[0] == model.zero)
+    report.add("h(1)=1", h[base.one] == model.one)
+    witness = next(
+        (
+            (a, b)
+            for a, b in pairs
+            if h[a | b] != model.join(h[a], h[b]) or h[a & b] != model.meet(h[a], h[b])
+        ),
+        None,
+    )
+    report.add("h preserves join and meet", witness is None, witness)
+    witness = next((a for a in base.elements() if h[base.one ^ a] != model.compl(h[a])), None)
+    report.add("h preserves complement", witness is None, (witness,) if witness is not None else None)
+    witness = next(((a, b) for a, b in pairs if a != b and h[a] == h[b]), None)
+    report.add("h injective", witness is None, witness)
+
+    factors = canonical.factors
+
+    def middle_cs(a, b):
+        return any(f.algebra.related(f.project(a), f.project(b)) for f in factors)
+
+    def middle_ct(a, b):
+        return any(f.project(a) != 0 and f.project(b) != 0 for f in factors)
+
+    def middle_b(a, b):
+        return any(
+            factors[i].project(a) != 0 and factors[j].project(b) != 0
+            for (i, j) in canonical.time.structure.prec
+        )
+
+    for name, left_rel, middle, right_rel in (
+        ("Cs respected", d.space_contact, middle_cs, model.space_contact),
+        ("Ct respected", d.time_contact, middle_ct, model.time_contact),
+        ("B respected", d.precedes, middle_b, model.precedes),
+    ):
+        witness = next(
+            (
+                (a, b)
+                for a, b in pairs
+                if not (left_rel(a, b) == middle(a, b) == right_rel(h[a], h[b]))
+            ),
+            None,
+        )
+        report.add(name, witness is None, witness)
+    witness = next(
+        (
+            (a, b)
+            for a, b in pairs
+            if base.leq(a, b) != all(x & ~y == 0 for x, y in zip(h[a], h[b]))
+        ),
+        None,
+    )
+    report.add("order respected", witness is None, witness)
+    d_view, m_view = d.axiom_view(), model.axiom_view()
+    for cond in DCA_TIME_AXIOMS:
+        report.add(
+            f"time axiom {cond.region_axiom} preserved",
+            check_time_axiom(d_view, cond).holds == check_time_axiom(m_view, cond).holds,
+        )
+    return report
 
 
 # -- fixtures --------------------------------------------------------------

@@ -5,6 +5,7 @@ prints one pass/fail line with its runtime and asserts its budget.
 """
 
 import itertools
+import random
 import time
 
 import pytest
@@ -32,7 +33,13 @@ from mereotime.contact import (
     maximal_clans,
     satisfies_cluster_condition,
 )
-from mereotime.dca import from_contact_algebra, is_trivial, verify_embedding
+from mereotime.dca import (
+    clan_structure,
+    from_contact_algebra,
+    is_trivial,
+    validate_dca,
+    verify_embedding,
+)
 from mereotime.dms import (
     DMSpace,
     classify,
@@ -308,6 +315,16 @@ def test_criterion_9_factor_algebra_soundness(contact_sweep_3):
                     assert report[name].holds, (algebra.relation, selection, name)
                 factored += 1
     assert factored > 100
+    budget.done()
+
+
+def test_atom_level_decisions_at_eight_atoms():
+    budget = Budget("validate_dca and clan_structure, 8-atom trivial algebra", 2)
+    d = from_contact_algebra(gen.seeded_contact(random.Random(8), 8))
+    assert validate_dca(d).ok
+    structure = clan_structure(d)
+    assert len(structure.t_clans) == 2**8 - 1
+    assert len(structure.prec) == len(structure.t_clans) ** 2
     budget.done()
 
 

@@ -265,6 +265,42 @@ def test_schema_rejections(tmp_path, capsys):
         assert "error" in err
 
 
+def test_mistyped_fields_exit_two_naming_the_field(tmp_path, capsys):
+    cases = [
+        ({"kind": "time_structure", "format_version": 1, "point_count": "abc", "prec": []}, "point_count"),
+        ({"kind": "adjacency", "format_version": 1, "point_count": True, "pairs": []}, "point_count"),
+        ({"kind": "dca", "format_version": 1, "atom_count": 1.5, "space_contact": [],
+          "time_contact": [], "precedence": []}, "atom_count"),
+        ({"kind": "dmst", "format_version": 1, "time": [], "coordinates": []}, "time"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": "1", "prec": []},
+          "coordinates": []}, "time.point_count"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": 1, "prec": []},
+          "coordinates": "x"}, "coordinates"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": 1, "prec": []},
+          "coordinates": [7]}, "coordinates[0]"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": 1, "prec": []},
+          "coordinates": [{"atom_count": "1", "contact": []}]}, "coordinates[0].atom_count"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": 1, "prec": []},
+          "coordinates": [{"atom_count": 1, "contact": [[0, 0]]}], "mode": "custom", "regions": 5},
+         "regions"),
+        ({"kind": "dmst", "format_version": 1, "time": {"point_count": 1, "prec": []},
+          "coordinates": [{"atom_count": 1, "contact": [[0, 0]]}], "mode": "custom", "regions": [5]},
+         "regions[0]"),
+        ({"kind": "dms", "format_version": 1, "point_count": 1, "closed_base": 5, "space_points": [0],
+          "time_points": [0], "prec": [], "regions": [[0]]}, "closed_base"),
+        ({"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [],
+          "claims": "contact"}, "claims"),
+        ({"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [],
+          "claims": ["contact", 4]}, "claims"),
+    ]
+    for i, (payload, field) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(["check", path], capsys)
+        assert code == 2, payload
+        assert err.startswith("error:") and repr(field) in err, err
+
+
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):
     from mereotime.category import DcaMorphism
     from mereotime.contact import PrecontactAlgebra as PA

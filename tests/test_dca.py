@@ -25,6 +25,16 @@ from mereotime.dca import (
 from mereotime.errors import PreconditionError
 from mereotime.snapshot import TimeCondition, TimeStructure, build_dmst, check_time_axiom
 
+from conftest import (
+    all_atom_relations,
+    element_validate_dca,
+    element_verify_embedding,
+    slow_c4,
+    slow_c5,
+    slow_interpolation,
+    slow_interpolation_at,
+)
+
 X, Y, Z = 1, 2, 4
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 TWO_ATOM = PrecontactAlgebra.overlap(FiniteBA(2))
@@ -71,22 +81,101 @@ def test_inclusion_failure_witness():
 
 
 def test_validation_cross_checks_agree_on_invalid_inputs():
-    # even for broken structures the atom facts must mirror the axioms
+    # even for broken structures the atom decisions must match the axioms
     import random
 
     rng = random.Random(11)
     cells = list(itertools.product(range(2), repeat=2))
+    b = FiniteBA(2)
     for _ in range(60):
         pick = lambda: frozenset(c for c in cells if rng.random() < 0.6)
         d = DCA.from_pairs(2, pick(), pick(), pick())
         report = validate_dca(d)
-        for name in (
-            "fact1 matches Ct axioms",
-            "fact2 matches CtB",
-            "fact3 matches BCt",
-            "fact5 matches Cs<=Ct",
-        ):
-            assert report[name].holds
+        ct, prec = d.time_contact, d.precedes
+        assert report["Ct:C4"].holds == slow_c4(b, ct)
+        assert report["Ct:C5"].holds == slow_c5(b, ct)
+        assert report["CtE"].holds == slow_interpolation(b, ct, ct, ct)
+        assert report["CtB"].holds == slow_interpolation(b, prec, ct, prec)
+        assert report["BCt"].holds == slow_interpolation(b, prec, prec, ct)
+        assert report["fact1:Rt equivalence"].holds == d.time_rel.is_equivalence()
+        assert report["fact2:Rt.prec<=prec"].holds == report["CtB"].holds
+        assert report["fact3:prec.Rt<=prec"].holds == report["BCt"].holds
+        assert report["fact5:Rs<=Rt"].holds == report["Cs<=Ct"].holds
+
+
+def _dca_triples():
+    """All 4,096 relation triples on two atoms, then 1,000 seeded on three."""
+    import random
+
+    two = [frozenset(r.pairs) for r in all_atom_relations(2)]
+    yield from (DCA.from_pairs(2, *t) for t in itertools.product(two, repeat=3))
+    three = [frozenset(r.pairs) for r in all_atom_relations(3)]
+    rng = random.Random(4)
+    yield from (DCA.from_pairs(3, *rng.choices(three, k=3)) for _ in range(1000))
+
+
+def test_validate_dca_matches_element_oracle():
+    """Atom-level verdicts and witnesses equal the element-level ones."""
+    counted = 0
+    for d in _dca_triples():
+        report = validate_dca(d)
+        for check in element_validate_dca(d).checks:
+            assert (report[check.name].holds, report[check.name].witness) == (
+                check.holds,
+                check.witness,
+            ), (d, check)
+        rt, pr = d.time_rel, d.prec_rel
+        facts = {
+            "fact1:Rt equivalence": rt.is_equivalence(),
+            "fact2:Rt.prec<=prec": rt.compose(pr).subset_of(pr),
+            "fact3:prec.Rt<=prec": pr.compose(rt).subset_of(pr),
+            "fact4:Rt.prec.Rt<=prec": rt.compose(pr).compose(rt).subset_of(pr),
+            "fact5:Rs<=Rt": d.space_rel.subset_of(rt),
+        }
+        for name, holds in facts.items():
+            assert report[name].holds == holds, (d, name)
+        for check in report.failures():
+            assert _counterexample(d, check.name, *check.witness), (d, check)
+            counted += 1
+    assert counted > 0
+    validate_dca.cache_clear()
+
+
+# The axioms whose counterexamples also refute each atom fact.
+FACT_AXIOMS = {
+    "fact1:Rt equivalence": ("Ct:C4", "Ct:C5", "CtE"),
+    "fact2:Rt.prec<=prec": ("CtB",),
+    "fact3:prec.Rt<=prec": ("BCt",),
+    "fact5:Rs<=Rt": ("Cs<=Ct",),
+}
+
+
+def _counterexample(d, name, a, b) -> bool:
+    """Whether the element pair (a, b) refutes check `name` by its definition."""
+    cs, ct, prec = d.space_contact, d.time_contact, d.precedes
+    interpolation = {"CtE": (ct, ct, ct), "CtB": (prec, ct, prec), "BCt": (prec, prec, ct)}
+    if name in FACT_AXIOMS:
+        return any(_counterexample(d, axiom, a, b) for axiom in FACT_AXIOMS[name])
+    if name == "fact4:Rt.prec.Rt<=prec":
+        return not prec(a, b) and bool(d.time_rel.compose(d.prec_rel).compose(d.time_rel).forward_image(a) & b)
+    if name in interpolation:
+        return not slow_interpolation_at(d.base, *interpolation[name], a, b)
+    if name == "Cs<=Ct":
+        return cs(a, b) and not ct(a, b)
+    prefix, axiom = name.split(":")
+    rel = cs if prefix == "Cs" else ct
+    if axiom == "C4":
+        return rel(a, b) and not rel(b, a)
+    assert axiom == "C5", name
+    return bool(a & b) and not rel(a, b)
+
+
+def test_verify_embedding_matches_element_oracle(small_dca_corpus):
+    for d in small_dca_corpus:
+        expected = element_verify_embedding(d)
+        assert [(c.name, c.holds, c.witness) for c in verify_embedding(d).checks] == [
+            (c.name, c.holds, c.witness) for c in expected.checks
+        ]
 
 
 def test_clan_structure_of_trivial_dca():

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -8,6 +9,7 @@ from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
     DMSpace,
     FiniteTopSpace,
+    _extent_mask,
     canonical_filter,
     classify,
     contact_clan_space,
@@ -340,7 +342,7 @@ def test_extent_laws(small_dca_corpus):
         result = dual_space(d)
         space = result.space.space
         universe = space.universe
-        g = result.extent
+        g = partial(_extent_mask, result.points)
         assert g(0) == 0 and g(d.base.one) == universe
         for a in d.base.elements():
             assert space.is_regular_closed(g(a))
