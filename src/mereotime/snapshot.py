@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .contact import PrecontactAlgebra, Relation
-from .errors import MembershipError, PreconditionError, ValidationError
+from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
 from .reporting import Check
 from .boolean import atoms_of
 
@@ -47,6 +47,11 @@ DCA_TIME_AXIOMS = tuple(c for c in TimeCondition if c is not TimeCondition.IRR)
 FREE_VARIABLE_AXIOMS = frozenset(
     {TimeCondition.UP_DIR, TimeCondition.DOWN_DIR, TimeCondition.CIRC, TimeCondition.DENS}
 )
+# Most regions a full model may have.  Every command reading a full model
+# enumerates its regions, and `correspondence` grows about as their square:
+# 3-4 s at 1,024 regions and 53 s at 4,096 (one 10- or 12-atom coordinate,
+# Python 3.11 on a Xeon core).
+FULL_REGION_CAP = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -447,6 +452,13 @@ def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None)
     for c in coordinates:
         c.require_contact()
     if mode == "full":
+        size = _product_size(coordinates)
+        if size > FULL_REGION_CAP:
+            raise CapabilityError(
+                f"full model too large to enumerate: {size} regions, "
+                f"over the bound of {FULL_REGION_CAP}",
+                missing="small full model",
+            )
         universe = tuple(
             sorted(itertools.product(*(c.base.elements() for c in coordinates)))
         )

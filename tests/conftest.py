@@ -3,8 +3,8 @@
 The slow oracles re-state definitions as direct quantifier loops,
 independent of the packed-table implementations they check.  The
 element-level evaluators below them decide the same axioms by exhaustive
-evaluation on every element pair; the atom-level decisions of `contact` and
-`dca` are tested against them, verdict and witness.
+evaluation on every element pair; the atom-level decisions of `contact`,
+`dca` and `category` are tested against them, verdict and witness.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from mereotime.contact import (
     interpolation_check,
     relation_axiom_checks,
 )
-from mereotime.dca import canonical_standard_dca
+from mereotime.dca import canonical_standard_dca, standard_dca
 from mereotime.reporting import Check, Report
-from mereotime.snapshot import DCA_TIME_AXIOMS, check_time_axiom
+from mereotime.snapshot import DCA_TIME_AXIOMS, TimeStructure, build_dmst, check_time_axiom
 from mereotime import generate as gen
 
 
@@ -131,6 +131,19 @@ def all_atom_relations(n):
     cells = list(itertools.product(range(n), repeat=2))
     for bits in range(1 << len(cells)):
         yield Relation(n, frozenset(c for i, c in enumerate(cells) if bits >> i & 1))
+
+
+def path_snapshot_dca(sizes):
+    """Algebra of the full model over a chain of moments, one path-contact
+    coordinate of the given atom count per moment."""
+    coordinates = [
+        PrecontactAlgebra.from_atom_pairs(
+            FiniteBA(k), {(i, j) for i in range(k) for j in range(k) if abs(i - j) <= 1}
+        )
+        for k in sizes
+    ]
+    time = TimeStructure.of(len(sizes), {(i, i + 1) for i in range(len(sizes) - 1)})
+    return standard_dca(build_dmst(time, coordinates, mode="full"))
 
 
 # -- element-level evaluators ---------------------------------------------
@@ -276,6 +289,67 @@ def element_verify_embedding(d) -> Report:
             check_time_axiom(d_view, cond).holds == check_time_axiom(m_view, cond).holds,
         )
     return report
+
+
+def element_validate_dca_morphism(f) -> Report:
+    """Boolean homomorphism reflecting all three relations, over all element pairs."""
+    report = Report(subject="DCA morphism")
+    dom, cod = f.dom, f.cod
+    witness = next(
+        (
+            (a, b)
+            for a in dom.base.elements()
+            for b in dom.base.elements()
+            if f(a | b) != f(a) | f(b)
+        ),
+        None,
+    )
+    hom = witness is None and all(
+        f(dom.base.one ^ a) == cod.base.one ^ f(a) for a in dom.base.elements()
+    )
+    report.add("f1:Boolean homomorphism", hom, witness)
+    for name, dom_rel, cod_rel in (
+        ("f2:reflects Cs", dom.space_contact, cod.space_contact),
+        ("f3:reflects Ct", dom.time_contact, cod.time_contact),
+        ("f4:reflects B", dom.precedes, cod.precedes),
+    ):
+        witness = next(
+            (
+                (a, b)
+                for a in dom.base.elements()
+                for b in dom.base.elements()
+                if cod_rel(f(a), f(b)) and not dom_rel(a, b)
+            ),
+            None,
+        )
+        report.add(name, witness is None, witness)
+    return report
+
+
+def rc_law_failures(rc) -> list[tuple]:
+    """Boolean-algebra laws of an RC algebra that fail, with witnesses."""
+    carrier, index = rc.carrier, rc.index
+    for a in carrier:
+        if rc.compl(a) not in index:
+            return [("complement leaves the carrier", a)]
+        for b in carrier:
+            if a | b not in index or rc.meet(a, b) not in index:
+                return [("join or meet leaves the carrier", a, b)]
+    out = []
+    for a in carrier:
+        if rc.join(a, rc.compl(a)) != rc.one or rc.meet(a, rc.compl(a)) != rc.zero:
+            out.append(("complement laws fail", a))
+        if rc.meet(a, a) != a or rc.join(a, rc.zero) != a or rc.meet(a, rc.one) != a:
+            out.append(("identity laws fail", a))
+        for b in carrier:
+            if rc.meet(a, b) != rc.meet(b, a):
+                out.append(("meet not commutative", a, b))
+            if rc.join(a, rc.meet(a, b)) != a or rc.meet(a, rc.join(a, b)) != a:
+                out.append(("absorption fails", a, b))
+            for c in carrier:
+                if rc.meet(a, b | c) != rc.meet(a, b) | rc.meet(a, c):
+                    out.append(("distributivity fails", a, b, c))
+    return out
 
 
 # -- fixtures --------------------------------------------------------------

@@ -58,7 +58,7 @@ from mereotime.snapshot import (
     build_dmst,
     correspondence_check,
 )
-from conftest import brute_clans
+from conftest import brute_clans, path_snapshot_dca
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 
@@ -325,6 +325,17 @@ def test_atom_level_decisions_at_eight_atoms():
     structure = clan_structure(d)
     assert len(structure.t_clans) == 2**8 - 1
     assert len(structure.prec) == len(structure.t_clans) ** 2
+    budget.done()
+
+
+def test_duality_on_twenty_two_point_dual_space():
+    budget = Budget("dual space, S1-S8 and both round trips, (4,3) snapshot algebra", 1.5)
+    d = path_snapshot_dca((4, 3))
+    space = dual_space(d).space
+    assert space.space.point_count == 22
+    assert validate_dms(space).ok
+    assert duality_roundtrip(d).ok
+    assert duality_roundtrip(space).ok
     budget.done()
 
 

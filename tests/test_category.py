@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from conftest import element_validate_dca_morphism
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
 from mereotime.category import (
     DcaMorphism,
@@ -77,6 +80,30 @@ def test_morphism_breaking_space_reflection():
     assert report["f1:Boolean homomorphism"].holds
     assert not report["f2:reflects Cs"].holds
     assert report["f2:reflects Cs"].witness == (1, 2)
+
+
+def test_validate_dca_morphism_matches_element_oracle(small_dca_corpus):
+    # every table between 2-atom algebras, homomorphisms or not
+    two_atom = [d for d in small_dca_corpus if d.base.atom_count == 2]
+    assert len(two_atom) >= 2
+    join_failures = 0
+    for dom, cod in itertools.product(two_atom, repeat=2):
+        for table in itertools.product(cod.base.elements(), repeat=dom.base.size):
+            f = DcaMorphism(dom, cod, table)
+            fast, slow = validate_dca_morphism(f), element_validate_dca_morphism(f)
+            f1, slow_f1 = fast["f1:Boolean homomorphism"], slow["f1:Boolean homomorphism"]
+            assert f1.holds == slow_f1.holds, table
+            assert (f1.witness is None) == (slow_f1.witness is None), table
+            if f1.witness is None:
+                assert fast.checks == slow.checks, table
+                continue
+            join_failures += 1
+            a, b = f1.witness
+            assert f(a | b) != f(a) | f(b), table
+            assert [c.name for c in fast.checks] == [c.name for c in slow.checks]
+            for check in fast.checks[1:]:
+                assert not check.holds and check.witness == ("not evaluable",), table
+    assert join_failures > 0
 
 
 def test_permuted_copy_is_isomorphism():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import dual_space
 from mereotime.models import load_path, write_path
-from mereotime.snapshot import TimeStructure, build_dmst
+from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 
@@ -299,6 +300,25 @@ def test_mistyped_fields_exit_two_naming_the_field(tmp_path, capsys):
         code, _, err = run(["check", path], capsys)
         assert code == 2, payload
         assert err.startswith("error:") and repr(field) in err, err
+
+
+def test_oversized_full_model_exits_two_naming_the_bound(tmp_path, capsys):
+    payload = {
+        "kind": "dmst",
+        "format_version": 1,
+        "time": {"point_count": 1, "prec": [[0, 0]]},
+        "coordinates": [{"atom_count": 40, "contact": [[i, i] for i in range(40)]}],
+        "mode": "full",
+    }
+    path = tmp_path / "forty.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, _, err = run(["check", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    line = err.strip()
+    assert line.startswith("error:") and line != "error: bad dmst payload:"
+    assert str(2**40) in line and str(FULL_REGION_CAP) in line, line
 
 
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):

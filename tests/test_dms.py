@@ -1,8 +1,9 @@
-import itertools
 from functools import partial
 
 import pytest
 
+from conftest import path_snapshot_dca, rc_law_failures
+from mereotime import generate as gen
 from mereotime.boolean import FiniteBA
 from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import from_contact_algebra, standard_dca
@@ -47,24 +48,22 @@ def chain_dual():
 
 
 def brute_closed_family(space: FiniteTopSpace) -> set[int]:
-    """All intersections of unions of base members, by direct enumeration."""
-    base = list(space.closed_base)
-    unions = set()
-    for k in range(len(base) + 1):
-        for combo in itertools.combinations(base, k):
-            u = 0
-            for b in combo:
-                u |= b
-            unions.add(u)
+    """All intersections of unions of base members, by direct enumeration.
+
+    A point set is such an intersection iff it equals the intersection of
+    all unions of base members containing it (the universe when none does).
+    """
+    unions = {0}
+    for b in space.closed_base:
+        unions |= {u | b for u in unions}
     closed = set()
-    for k in range(1, len(unions) + 1):
-        for combo in itertools.combinations(sorted(unions), k):
-            c = space.universe
-            for u in combo:
-                c &= u
-            closed.add(c)
-    closed.add(space.universe)
-    closed.add(0)
+    for a in range(space.universe + 1):
+        hull = space.universe
+        for u in unions:
+            if a & ~u == 0:
+                hull &= u
+        if hull == a:
+            closed.add(a)
     return closed
 
 
@@ -84,15 +83,11 @@ def test_three_point_space_example():
     assert space.interior(P_MASK | Q_MASK) == P_MASK
 
 
+SMALL_BASES = ((0, 3, 6, 7), (1, 6), (5, 3), (0, 7), (1, 2, 4))
+
+
 def test_closure_matches_brute_force_on_small_spaces():
-    bases = [
-        (0, 3, 6, 7),
-        (1, 6),
-        (5, 3),
-        (0, 7),
-        (1, 2, 4),
-    ]
-    for base in bases:
+    for base in SMALL_BASES:
         space = FiniteTopSpace(3, base)
         family = brute_closed_family(space)
         assert set(space.closed_family) == family
@@ -118,6 +113,34 @@ def test_rc_algebra_law_validation_runs():
     rc = space.rc_algebra()
     assert rc.one == 7 and rc.zero == 0
     assert rc.meet(3, 6) == 0  # interior of {q} is empty
+
+
+def test_rc_algebra_laws_hold_on_every_space(small_dca_corpus):
+    # the hand-made spaces of this module and the dual spaces of the corpora
+    spaces = [
+        FiniteTopSpace(2, (0, 1, 2, 3)),
+        FiniteTopSpace(2, (0, 3)),
+        FiniteTopSpace(3, (0, P_MASK | Q_MASK, Q_MASK | R_MASK, 7)),
+        *(FiniteTopSpace(3, base) for base in SMALL_BASES),
+    ]
+    algebras = [*small_dca_corpus, *gen.trivial_dcas(3), path_snapshot_dca((3, 1)), path_snapshot_dca((3, 2))]
+    spaces.extend(dual_space(d).space.space for d in algebras)
+    for space in spaces:
+        assert rc_law_failures(space.rc_algebra()) == [], space
+
+
+def test_closed_family_and_regular_closed_match_brute_force():
+    algebras = [*gen.trivial_dcas(3), path_snapshot_dca((3, 1)), path_snapshot_dca((3, 2))]
+    sizes = set()
+    for d in algebras:
+        space = dual_space(d).space.space
+        sizes.add(space.point_count)
+        family = brute_closed_family(space)
+        assert space.closed_family == family, d
+        # the closures of the open sets, each closure taken point by point
+        expected = {space.closure(space.universe ^ c) for c in family}
+        assert space.regular_closed == tuple(sorted(expected)), d
+    assert max(sizes) >= 10
 
 
 def test_dual_space_of_trivial_dca():
