@@ -29,7 +29,6 @@ from .reporting import Check, Report
 from .snapshot import (
     DCA_TIME_AXIOMS,
     DMST,
-    AxiomView,
     TimeCondition,
     TimeStructure,
     build_dmst,
@@ -96,16 +95,6 @@ class DCA:
 
     def require_valid(self) -> None:
         self.report.require()
-
-    def axiom_view(self) -> AxiomView:
-        one = self.base.one
-        return AxiomView(
-            list(self.base.elements()),
-            star=lambda a: one ^ a,
-            is_nonzero=lambda a: a != 0,
-            time_contact=self.time_contact,
-            precedes=self.precedes,
-        )
 
     @cached_property
     def _members_cache(self) -> dict[int, int]:
@@ -186,10 +175,28 @@ class ClanStructure:
     t_clans: tuple[int, ...]
     clusters: tuple[int, ...]
     gamma: dict[int, int]
-    prec: frozenset[tuple[int, int]]
+    reach: tuple[int, ...]  # per t-clan: the atoms every atom of it precedes
+
+    @cached_property
+    def prec(self) -> frozenset[tuple[int, int]]:
+        """Clan precedence: every atom of the left clan precedes the right clan."""
+        return frozenset(
+            (left, right)
+            for left, reach in zip(self.t_clans, self.reach)
+            for right in self.t_clans
+            if right & ~reach == 0
+        )
 
     def cluster_index(self, support: int) -> int:
         return self.clusters.index(support)
+
+
+def _common_successors(d: DCA, support: int) -> int:
+    """The atoms that every atom of `support` precedes."""
+    reach = d.base.one
+    for x in atoms_of(support):
+        reach &= d.prec_rel.rows[x]
+    return reach
 
 
 def _clique_supports(algebra: PrecontactAlgebra) -> tuple[int, ...]:
@@ -201,7 +208,9 @@ def clan_structure(d: DCA) -> ClanStructure:
     """Enumerate s-clans, t-clans and clusters with gamma and clan precedence.
 
     Clan precedence is decided by its ultrafilter characterization: every
-    atom of the left clan precedes every atom of the right one.
+    atom of the left clan precedes every atom of the right one.  It is kept
+    as one row per t-clan (`reach`); the pairs are listed only on demand,
+    as they number the square of the t-clans.
     """
     d.require_valid()
     s_clans = _clique_supports(d.cs_algebra)
@@ -215,13 +224,8 @@ def clan_structure(d: DCA) -> ClanStructure:
             raise ValidationError("t-clan escapes its time equivalence class", witness=(support,))
         gamma[support] = enclosing
 
-    prec_pairs = set()
-    for left in t_clans:
-        reach = d.base.one
-        for x in atoms_of(left):
-            reach &= d.prec_rel.rows[x]
-        prec_pairs.update((left, right) for right in t_clans if right & ~reach == 0)
-    return ClanStructure(s_clans, t_clans, tuple(classes), gamma, frozenset(prec_pairs))
+    reach = tuple(_common_successors(d, left) for left in t_clans)
+    return ClanStructure(s_clans, t_clans, tuple(classes), gamma, reach)
 
 
 def extension_of_prec_checks(d: DCA, structure: ClanStructure | None = None) -> list[Check]:
@@ -271,11 +275,11 @@ def canonical_time_structure(d: DCA, structure: ClanStructure | None = None) -> 
     d.require_valid()
     structure = structure or clan_structure(d)
     clusters = structure.clusters
-    index = {support: i for i, support in enumerate(clusters)}
     prec = {
-        (index[left], index[right])
-        for (left, right) in structure.prec
-        if left in index and right in index
+        (i, j)
+        for i, left in enumerate(clusters)
+        for j, right in enumerate(clusters)
+        if right & ~_common_successors(d, left) == 0
     }
     return CanonicalTime(TimeStructure.of(len(clusters), prec), clusters)
 
@@ -309,7 +313,6 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
     structure = clan_structure(d)
     canonical = canonical_time_structure(d, structure)
     ult_structure = TimeStructure(d.base.atom_count, d.prec_rel.pairs)
-    view = d.axiom_view()
     rows = []
     for cond in DCA_TIME_AXIOMS:
         if cond is TimeCondition.TRI:
@@ -317,7 +320,7 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
         else:
             on_ult = check_time_condition(ult_structure, cond).holds
         on_clust = check_time_condition(canonical.structure, cond).holds
-        on_regions = check_time_axiom(view, cond).holds
+        on_regions = check_time_axiom(d, cond).holds
         rows.append(Correspondence2Row(cond, on_ult, on_clust, on_regions))
     return rows
 
@@ -330,7 +333,7 @@ def irr_one_directional(d: DCA) -> dict[str, bool]:
     """
     d.require_valid()
     ult_irr = all((x, x) not in d.prec_rel.pairs for x in d.base.atoms())
-    region_irr = check_time_axiom(d.axiom_view(), TimeCondition.IRR).holds
+    region_irr = check_time_axiom(d, TimeCondition.IRR).holds
     return {
         "ultrafilter_irr": ult_irr,
         "region_irr": region_irr,
@@ -369,6 +372,7 @@ class CanonicalModel:
         return tuple(f.project(a) for f in self.factors)
 
 
+@lru_cache(maxsize=None)
 def canonical_standard_dca(d: DCA) -> CanonicalModel:
     """Full snapshot model over the canonical time structure."""
     d.require_valid()
@@ -379,23 +383,6 @@ def canonical_standard_dca(d: DCA) -> CanonicalModel:
     return CanonicalModel(d, canonical, factors, model)
 
 
-def region_algebra_atoms(model: DMST) -> list:
-    """Atoms of the region Boolean algebra: its minimal nonzero members."""
-    regions = model.regions
-
-    def leq(a, b):
-        return all(x & ~y == 0 for x, y in zip(a, b))
-
-    atoms = []
-    for r in regions:
-        if not model.is_nonzero(r):
-            continue
-        if any(model.is_nonzero(s) and s != r and leq(s, r) for s in regions):
-            continue
-        atoms.append(r)
-    return sorted(atoms)
-
-
 def standard_dca(model: DMST) -> DCA:
     """Dynamic algebra induced on a snapshot model's regions.
 
@@ -404,22 +391,19 @@ def standard_dca(model: DMST) -> DCA:
     reported, not enforced: non-rich models may fail the interpolation
     axioms.
     """
-    atoms = region_algebra_atoms(model)
+    atoms, time, prec = model.atom_relations
     count = len(atoms)
     if (1 << count) != len(model.regions):
         raise ValidationError(
             "region universe is not a Boolean subalgebra", witness=(len(model.regions), count)
         )
-    space, time, prec = set(), set(), set()
-    for i, u in enumerate(atoms):
-        for j, v in enumerate(atoms):
-            if model.space_contact(u, v):
-                space.add((i, j))
-            if model.time_contact(u, v):
-                time.add((i, j))
-            if model.precedes(u, v):
-                prec.add((i, j))
-    return DCA.from_pairs(count, space, time, prec)
+    space = {
+        (i, j)
+        for i, u in enumerate(atoms)
+        for j, v in enumerate(atoms)
+        if model.space_contact(u, v)
+    }
+    return DCA(FiniteBA(count), Relation.of(count, space), time, prec)
 
 
 def region_to_mask(model: DMST, atoms: list, region) -> int:
@@ -440,7 +424,9 @@ def verify_embedding(d: DCA) -> Report:
     between the algebra and its canonical model.  The embedding h is a
     coordinate-wise restriction and so preserves joins by construction, and
     every relation on both sides is additive in each argument; so h is
-    checked on atoms and the relations are compared on atom pairs.
+    checked on atoms, the relations are compared on atom pairs, and each time
+    axiom is decided on the atoms of both sides (the algebra's atom relations,
+    the model's atoms: a coordinate atom at one moment).
     """
     d.require_valid()
     canonical = canonical_standard_dca(d)
@@ -513,20 +499,18 @@ def verify_embedding(d: DCA) -> Report:
         (collapsed, base.one ^ collapsed) if collapsed is not None else None,
     )
 
-    d_view = d.axiom_view()
-    m_view = model.axiom_view()
     for cond in DCA_TIME_AXIOMS:
-        in_d = check_time_axiom(d_view, cond).holds
-        in_model = check_time_axiom(m_view, cond).holds
+        in_d = check_time_axiom(d, cond).holds
+        in_model = check_time_axiom(model, cond).holds
         report.add(f"time axiom {cond.region_axiom} preserved", in_d == in_model)
     return report
 
 
 def is_trivial(d: DCA) -> bool:
-    """Nonzero pairs are always in time contact and always in precedence."""
+    """Nonzero pairs are always in time contact and always in precedence.
+
+    Both relations are additive, so this holds iff each relates all atom pairs.
+    """
     d.require_valid()
-    for a in d.base.nonzero_elements():
-        for b in d.base.nonzero_elements():
-            if not d.time_contact(a, b) or not d.precedes(a, b):
-                return False
-    return True
+    total = d.base.atom_count ** 2
+    return len(d.time_rel.pairs) == total and len(d.prec_rel.pairs) == total

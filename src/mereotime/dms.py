@@ -28,7 +28,6 @@ from .errors import CapabilityError, PreconditionError, ValidationError
 from .reporting import Check, Report
 from .snapshot import (
     DCA_TIME_AXIOMS,
-    AxiomView,
     TimeCondition,
     TimeStructure,
     check_time_axiom,
@@ -609,17 +608,6 @@ def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     return DCA.from_pairs(len(atoms), space_pairs, time_pairs, prec_pairs), atoms
 
 
-def rc_axiom_view(space: DMSpace) -> AxiomView:
-    rc = space.space.rc_algebra()
-    return AxiomView(
-        rc.carrier,
-        star=rc.compl,
-        is_nonzero=lambda a: a != 0,
-        time_contact=space.time_contact,
-        precedes=space.precedes,
-    )
-
-
 def stability_check(space: DMSpace) -> Report:
     """Stability of the distinguished subalgebra inside the full RC algebra.
 
@@ -648,12 +636,10 @@ def stability_check(space: DMSpace) -> Report:
             f"lifting {name}",
             sub_report[name].holds == full_report[name].holds,
         )
-    sub_view = sub.dca.axiom_view()
-    full_view = rc_axiom_view(space)
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"lifting {cond.region_axiom}",
-            check_time_axiom(sub_view, cond).holds == check_time_axiom(full_view, cond).holds,
+            check_time_axiom(sub.dca, cond).holds == check_time_axiom(full, cond).holds,
         )
     return report
 
@@ -771,12 +757,10 @@ def verify_representation_topo(d: DCA) -> Report:
 
     full, _ = rc_dca(space)
     report.add("RC of the dual space is a DCA", full.is_valid)
-    d_view = d.axiom_view()
-    full_view = rc_axiom_view(space)
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"time axiom {cond.region_axiom} matches RC",
-            check_time_axiom(d_view, cond).holds == check_time_axiom(full_view, cond).holds,
+            check_time_axiom(d, cond).holds == check_time_axiom(full, cond).holds,
         )
     return report
 
@@ -802,7 +786,7 @@ def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
         },
     )
     on_structure = check_time_condition(ts, cond).holds
-    on_rc = check_time_axiom(rc_axiom_view(space), cond).holds
+    on_rc = check_time_axiom(rc_dca(space)[0], cond).holds
     return {
         "on_time_structure": on_structure,
         "on_rc_axiom": on_rc,

@@ -2,8 +2,10 @@
 
 A dynamic model attaches one coordinate contact algebra to every moment of
 a finite time structure; regions are per-moment histories.  The module also
-hosts the shared evaluator for the region-level time axioms, used both on
-snapshot models and on abstract dynamic algebras.
+decides the region-level time axioms, on snapshot models and on abstract
+dynamic algebras alike: time contact and precedence are additive, so each
+axiom is a first-order condition on the atoms of the carrier and is decided
+on their rows in O(n^2) to O(n^3) word operations.
 """
 
 from __future__ import annotations
@@ -48,10 +50,18 @@ FREE_VARIABLE_AXIOMS = frozenset(
     {TimeCondition.UP_DIR, TimeCondition.DOWN_DIR, TimeCondition.CIRC, TimeCondition.DENS}
 )
 # Most regions a full model may have.  Every command reading a full model
-# enumerates its regions, and `correspondence` grows about as their square:
-# 3-4 s at 1,024 regions and 53 s at 4,096 (one 10- or 12-atom coordinate,
-# Python 3.11 on a Xeon core).
-FULL_REGION_CAP = 1 << 10
+# enumerates its regions.  Seconds per command, in process, on full models
+# with one moment and one path-contact coordinate (`represent` on the
+# model's algebra; Python 3.11 on a Xeon core):
+#     regions   check   correspondence   represent
+#       1,024   0.009       0.009          0.039
+#       4,096   0.012       0.022          0.068
+#      16,384   0.023       0.017          0.231
+#      65,536   0.078       0.039          1.089
+#     262,144   0.236       0.136          4.353
+# `represent` is the costliest: it enumerates the 2^n - 1 t-clans of the
+# one-moment algebra, about four times the work per two more atoms.
+FULL_REGION_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -141,173 +151,94 @@ def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
     return Check(name, True)
 
 
-class AxiomView:
-    """Indexed tables for evaluating the region-level time axioms.
-
-    Works over any finite Boolean carrier: the caller supplies the element
-    list (canonical order), complement, nonzero test and the time-contact and
-    precedence relations.  Rows are packed into int bitmasks so the heavily
-    quantified axioms reduce to word operations.
-    """
-
-    def __init__(self, elements, star, is_nonzero, time_contact, precedes):
-        self.elements = list(elements)
-        count = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        self.index = index
-        self.ones = (1 << count) - 1
-        self.star_index = [index[star(e)] for e in self.elements]
-        self.nonzero = 0
-        for i, e in enumerate(self.elements):
-            if is_nonzero(e):
-                self.nonzero |= 1 << i
-        zero_candidates = [i for i in range(count) if not (self.nonzero >> i) & 1]
-        if len(zero_candidates) != 1:
-            raise ValidationError("carrier must have exactly one zero element")
-        self.zero_index = zero_candidates[0]
-        self.one_index = self.star_index[self.zero_index]
-        self.ct_rows = [0] * count
-        self.b_rows = [0] * count
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if time_contact(a, b):
-                    self.ct_rows[i] |= 1 << j
-                if precedes(a, b):
-                    self.b_rows[i] |= 1 << j
-
-    @cached_property
-    def b_cols(self):
-        cols = [0] * len(self.elements)
-        for i, row in enumerate(self.b_rows):
-            for j in atoms_of(row):
-                cols[j] |= 1 << i
-        return cols
-
-    @cached_property
-    def b_rows_star(self):
-        """b_rows_star[i] has bit p set iff element i precedes star(p)."""
-        return [
-            sum(1 << p for p in range(len(self.elements)) if (row >> self.star_index[p]) & 1)
-            for row in self.b_rows
-        ]
-
-    @cached_property
-    def b_cols_star(self):
-        """b_cols_star[j] has bit p set iff star(p) precedes element j."""
-        cols = self.b_cols
-        return [
-            sum(1 << p for p in range(len(self.elements)) if (col >> self.star_index[p]) & 1)
-            for col in cols
-        ]
-
-    def indices(self):
-        return range(len(self.elements))
-
-    def nonzero_indices(self):
-        return atoms_of(self.nonzero)
-
-
 def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -> Check:
-    """Decide one region-level time axiom on a dynamic carrier.
+    """Decide one region-level time axiom on a dynamic algebra or model.
 
-    The four axioms displaying a free variable p are read with p universally
-    quantified; `existential_p=True` evaluates the alternative reading for
-    comparison.
+    Time contact and precedence are additive, so each axiom is decided on
+    the atoms of the carrier: a DCA's stored atom relations, or a model's
+    region atoms.  The four axioms displaying a free variable p are read
+    with p universally quantified; `existential_p=True` decides the
+    alternative reading for comparison.  A witness is the first failing
+    instance, as elements of the carrier (singleton masks or atom regions,
+    and p as the join of a row of atoms).
     """
-    view = source if isinstance(source, AxiomView) else source.axiom_view()
-    name = cond.region_axiom
+    if isinstance(source, DMST):
+        atoms, time_rel, prec_rel = source.atom_relations
+    else:
+        time_rel, prec_rel = source.time_rel, source.prec_rel
+    witness = _atom_failure(cond, existential_p, time_rel.rows, prec_rel.rows, prec_rel.columns)
+    if witness is None:
+        return Check(cond.region_axiom, True)
+    if isinstance(source, DMST):
+        witness = tuple(_region_of(source, atoms, mask) for mask in witness)
+    return Check(cond.region_axiom, False, witness=witness)
 
-    def value(i):
-        return view.elements[i]
 
-    def fail(*idxs):
-        return Check(name, False, witness=tuple(value(i) for i in idxs))
+def _atom_failure(cond: TimeCondition, existential_p: bool, t_rows, p_rows, p_cols):
+    """First failing instance of a region axiom on the atom frame, as atom masks.
 
-    ones = view.ones
+    For additive relations each axiom is a first-order condition on atoms
+    (xTy, xPy), and its first failing element instance is a pair of atoms:
+    a failure at elements a, b is a failure at some atoms x of a and y of b.
+    """
+    atoms = range(len(p_rows))
+    pairs = itertools.product(atoms, atoms)
     if cond is TimeCondition.RS:
-        for a in view.nonzero_indices():
-            if not (view.b_rows[a] >> view.one_index) & 1:
-                return fail(a)
-    elif cond is TimeCondition.LS:
-        for a in view.nonzero_indices():
-            if not (view.b_rows[view.one_index] >> a) & 1:
-                return fail(a)
-    elif cond is TimeCondition.UP_DIR:
-        for a in view.nonzero_indices():
-            for b in view.nonzero_indices():
-                cover = view.b_rows[a] | view.b_rows_star[b]
-                if existential_p:
-                    if cover == 0:
-                        return fail(a, b)
-                elif cover != ones:
-                    p = _lowest_missing(cover, ones)
-                    return fail(a, b, p)
-    elif cond is TimeCondition.DOWN_DIR:
-        for a in view.nonzero_indices():
-            for b in view.nonzero_indices():
-                cover = view.b_cols[a] | view.b_cols_star[b]
-                if existential_p:
-                    if cover == 0:
-                        return fail(a, b)
-                elif cover != ones:
-                    return fail(a, b, _lowest_missing(cover, ones))
-    elif cond is TimeCondition.CIRC:
-        for a in view.indices():
-            for b in atoms_of(view.b_rows[a]):
-                cover = view.b_rows[b] | view.b_cols_star[a]
-                if existential_p:
-                    if cover == 0:
-                        return fail(a, b)
-                elif cover != ones:
-                    return fail(a, b, _lowest_missing(cover, ones))
-    elif cond is TimeCondition.DENS:
-        for a in view.indices():
-            for b in atoms_of(view.b_rows[a]):
-                cover = view.b_rows[a] | view.b_cols_star[b]
-                if existential_p:
-                    if cover == 0:
-                        return fail(a, b)
-                elif cover != ones:
-                    return fail(a, b, _lowest_missing(cover, ones))
-    elif cond is TimeCondition.REF:
-        for a in view.indices():
-            extra = view.ct_rows[a] & ~view.b_rows[a]
-            if extra:
-                return fail(a, next(atoms_of(extra)))
-    elif cond is TimeCondition.IRR:
-        for a in view.indices():
-            for b in atoms_of(view.b_rows[a]):
-                if not any(
-                    view.ct_rows[b] & ~view.ct_rows[c] for c in atoms_of(view.ct_rows[a])
-                ):
-                    return fail(a, b)
+        return next(((1 << x,) for x in atoms if not p_rows[x]), None)
+    if cond is TimeCondition.LS:
+        return next(((1 << x,) for x in atoms if not p_cols[x]), None)
+    if cond in FREE_VARIABLE_AXIOMS:
+        # Each says: for every p (for some p, existentially) one of two
+        # precedence facts holds.  On atoms x, y in scope that is: the rows
+        # `left` and `right` meet (one is nonempty), and the first p to
+        # fail the universal reading is `right` itself.
+        if cond is TimeCondition.UP_DIR:
+            cases = ((x, y, p_rows[x], p_rows[y]) for x, y in pairs)
+        elif cond is TimeCondition.DOWN_DIR:
+            cases = ((x, y, p_cols[x], p_cols[y]) for x, y in pairs)
+        elif cond is TimeCondition.CIRC:
+            cases = ((x, y, p_rows[y], p_cols[x]) for x, y in pairs if p_rows[x] >> y & 1)
+        else:
+            cases = ((x, y, p_rows[x], p_cols[y]) for x, y in pairs if p_rows[x] >> y & 1)
+        for x, y, left, right in cases:
+            if existential_p and not (left or right):
+                return 1 << x, 1 << y
+            if not existential_p and not left & right:
+                return 1 << x, 1 << y, right
+        return None
+    if cond is TimeCondition.REF:
+        return next(
+            ((1 << x, _lowest(t_rows[x] & ~p_rows[x])) for x in atoms if t_rows[x] & ~p_rows[x]),
+            None,
+        )
+    if cond is TimeCondition.IRR:
+        failing = (
+            (x, y)
+            for x, y in pairs
+            if p_rows[x] >> y & 1
+            and not any(t_rows[y] & ~t_rows[z] for z in atoms_of(t_rows[x]))
+        )
     elif cond is TimeCondition.LIN:
-        for a in view.nonzero_indices():
-            for b in view.nonzero_indices():
-                if not (view.b_rows[a] >> b) & 1 and not (view.b_rows[b] >> a) & 1:
-                    return fail(a, b)
+        failing = ((x, y) for x, y in pairs if not (p_rows[x] >> y | p_cols[x] >> y) & 1)
     elif cond is TimeCondition.TRI:
-        for a in view.nonzero_indices():
-            for b in view.nonzero_indices():
-                if (
-                    not (view.ct_rows[a] >> b) & 1
-                    and not (view.b_rows[a] >> b) & 1
-                    and not (view.b_rows[b] >> a) & 1
-                ):
-                    return fail(a, b)
+        failing = (
+            (x, y) for x, y in pairs if not (t_rows[x] >> y | p_rows[x] >> y | p_cols[x] >> y) & 1
+        )
     elif cond is TimeCondition.TR:
-        for a in view.indices():
-            non_b = ~view.b_rows[a] & ones
-            for b in atoms_of(non_b):
-                if ~view.b_rows[a] & ~view.b_cols_star[b] & ones == 0:
-                    return fail(a, b)
+        for x in atoms:
+            two_steps = 0
+            for z in atoms_of(p_rows[x]):
+                two_steps |= p_rows[z]
+            if two_steps & ~p_rows[x]:
+                return 1 << x, _lowest(two_steps & ~p_rows[x])
+        return None
     else:  # pragma: no cover
         raise ValueError(f"unknown axiom {cond}")
-    return Check(name, True)
+    return next(((1 << x, 1 << y) for x, y in failing), None)
 
 
-def _lowest_missing(cover: int, ones: int) -> int:
-    return next(atoms_of(~cover & ones))
+def _lowest(mask: int) -> int:
+    return mask & -mask
 
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
@@ -374,14 +305,60 @@ class DMST:
         self.region_index(a), self.region_index(b)
         return any(a[m] and b[n] for m, n in self.time.prec)
 
-    def axiom_view(self) -> AxiomView:
-        return AxiomView(
-            self.regions,
-            star=self.compl,
-            is_nonzero=self.is_nonzero,
-            time_contact=lambda a, b: any(x and y for x, y in zip(a, b)),
-            precedes=lambda a, b: any(a[m] and b[n] for m, n in self.time.prec),
+    @cached_property
+    def atom_relations(self) -> tuple[list[Region], Relation, Relation]:
+        """Region atoms with time contact and precedence on their indices.
+
+        Two atoms are in time contact iff they share a moment, and one
+        precedes the other iff one of its moments is before one of the
+        other's.
+        """
+        atoms = region_algebra_atoms(self)
+        moments = [sum(1 << m for m, x in enumerate(u) if x) for u in atoms]
+        later = [0] * len(atoms)
+        for i, here in enumerate(moments):
+            for m in atoms_of(here):
+                later[i] |= self.time.relation.rows[m]
+        pairs = list(itertools.product(range(len(atoms)), repeat=2))
+        time = Relation.of(len(atoms), ((i, j) for i, j in pairs if moments[i] & moments[j]))
+        prec = Relation.of(len(atoms), ((i, j) for i, j in pairs if later[i] & moments[j]))
+        return atoms, time, prec
+
+
+def _region_of(model: DMST, atoms: list[Region], mask: int) -> Region:
+    """Join of the atoms selected by `mask`."""
+    out = model.zero
+    for i in atoms_of(mask):
+        out = model.join(out, atoms[i])
+    return out
+
+
+def region_algebra_atoms(model: DMST) -> list[Region]:
+    """Atoms of the region Boolean algebra: its minimal nonzero members.
+
+    A full model's atoms are one coordinate atom at one moment; other models
+    are scanned for their minimal nonzero regions.
+    """
+    if is_full(model):
+        zero = model.zero
+        return sorted(
+            zero[:m] + (1 << x,) + zero[m + 1 :]
+            for m, c in enumerate(model.coordinates)
+            for x in c.base.atoms()
         )
+    regions = model.regions
+
+    def leq(a, b):
+        return all(x & ~y == 0 for x, y in zip(a, b))
+
+    atoms = []
+    for r in regions:
+        if not model.is_nonzero(r):
+            continue
+        if any(model.is_nonzero(s) and s != r and leq(s, r) for s in regions):
+            continue
+        atoms.append(r)
+    return sorted(atoms)
 
 
 def _zero_one_vectors(coordinates) -> list[Region]:
@@ -539,14 +516,13 @@ def correspondence_check(model: DMST) -> list[CorrespondenceRow]:
     """
     if not is_rich(model):
         raise PreconditionError("correspondence table requires a rich model")
-    view = model.axiom_view()
     rows = []
     for cond in TIME_CONDITIONS:
         left = check_time_condition(model.time, cond).holds
-        right = check_time_axiom(view, cond).holds
+        right = check_time_axiom(model, cond).holds
         note = None
         if cond in FREE_VARIABLE_AXIOMS:
-            universal, existential = reading_comparison(view, cond)
+            universal, existential = reading_comparison(model, cond)
             if universal != existential:
                 note = "universal and existential readings of p differ here"
         rows.append(CorrespondenceRow(cond, left, right, note))

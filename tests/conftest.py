@@ -4,12 +4,14 @@ The slow oracles re-state definitions as direct quantifier loops,
 independent of the packed-table implementations they check.  The
 element-level evaluators below them decide the same axioms by exhaustive
 evaluation on every element pair; the atom-level decisions of `contact`,
-`dca` and `category` are tested against them, verdict and witness.
+`dca`, `snapshot` and `category` are tested against them, verdict and
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -24,8 +26,17 @@ from mereotime.contact import (
     relation_axiom_checks,
 )
 from mereotime.dca import canonical_standard_dca, standard_dca
+from mereotime.dms import DMSpace
+from mereotime.errors import ValidationError
 from mereotime.reporting import Check, Report
-from mereotime.snapshot import DCA_TIME_AXIOMS, TimeStructure, build_dmst, check_time_axiom
+from mereotime.snapshot import (
+    DCA_TIME_AXIOMS,
+    DMST,
+    FREE_VARIABLE_AXIOMS,
+    TimeCondition,
+    TimeStructure,
+    build_dmst,
+)
 from mereotime import generate as gen
 
 
@@ -282,13 +293,248 @@ def element_verify_embedding(d) -> Report:
         None,
     )
     report.add("order respected", witness is None, witness)
-    d_view, m_view = d.axiom_view(), model.axiom_view()
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"time axiom {cond.region_axiom} preserved",
-            check_time_axiom(d_view, cond).holds == check_time_axiom(m_view, cond).holds,
+            element_time_axiom(d, cond).holds == element_time_axiom(model, cond).holds,
         )
     return report
+
+
+def element_carrier(source):
+    """Elements, complement, nonzero test, time contact and precedence of a
+    dynamic algebra, a snapshot model, or the RC algebra of a space."""
+    if isinstance(source, DMST):
+        prec = source.time.prec
+        return (
+            source.regions,
+            source.compl,
+            source.is_nonzero,
+            lambda a, b: any(x and y for x, y in zip(a, b)),
+            lambda a, b: any(a[m] and b[n] for m, n in prec),
+        )
+    if isinstance(source, DMSpace):
+        rc = source.space.rc_algebra()
+        return rc.carrier, rc.compl, bool, source.time_contact, source.precedes
+    one = source.base.one
+    return list(source.base.elements()), lambda a: one ^ a, bool, source.time_contact, source.precedes
+
+
+class AxiomView:
+    """Indexed tables for evaluating the region-level time axioms.
+
+    Works over any finite Boolean carrier: the caller supplies the element
+    list (canonical order), complement, nonzero test and the time-contact and
+    precedence relations.  Rows are packed into int bitmasks so the heavily
+    quantified axioms reduce to word operations.
+    """
+
+    def __init__(self, elements, star, is_nonzero, time_contact, precedes):
+        self.elements = list(elements)
+        count = len(self.elements)
+        index = {e: i for i, e in enumerate(self.elements)}
+        self.index = index
+        self.ones = (1 << count) - 1
+        self.star_index = [index[star(e)] for e in self.elements]
+        self.nonzero = 0
+        for i, e in enumerate(self.elements):
+            if is_nonzero(e):
+                self.nonzero |= 1 << i
+        zero_candidates = [i for i in range(count) if not (self.nonzero >> i) & 1]
+        if len(zero_candidates) != 1:
+            raise ValidationError("carrier must have exactly one zero element")
+        self.zero_index = zero_candidates[0]
+        self.one_index = self.star_index[self.zero_index]
+        self.ct_rows = [0] * count
+        self.b_rows = [0] * count
+        for i, a in enumerate(self.elements):
+            for j, b in enumerate(self.elements):
+                if time_contact(a, b):
+                    self.ct_rows[i] |= 1 << j
+                if precedes(a, b):
+                    self.b_rows[i] |= 1 << j
+
+    @cached_property
+    def b_cols(self):
+        cols = [0] * len(self.elements)
+        for i, row in enumerate(self.b_rows):
+            for j in atoms_of(row):
+                cols[j] |= 1 << i
+        return cols
+
+    @cached_property
+    def b_rows_star(self):
+        """b_rows_star[i] has bit p set iff element i precedes star(p)."""
+        return [
+            sum(1 << p for p in range(len(self.elements)) if (row >> self.star_index[p]) & 1)
+            for row in self.b_rows
+        ]
+
+    @cached_property
+    def b_cols_star(self):
+        """b_cols_star[j] has bit p set iff star(p) precedes element j."""
+        cols = self.b_cols
+        return [
+            sum(1 << p for p in range(len(self.elements)) if (col >> self.star_index[p]) & 1)
+            for col in cols
+        ]
+
+    def indices(self):
+        return range(len(self.elements))
+
+    def nonzero_indices(self):
+        return atoms_of(self.nonzero)
+
+
+def element_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -> Check:
+    """Decide one region-level time axiom on every element of the carrier.
+
+    The four axioms displaying a free variable p are read with p universally
+    quantified; `existential_p=True` evaluates the alternative reading for
+    comparison.
+    """
+    view = element_view(source)
+    name = cond.region_axiom
+
+    def value(i):
+        return view.elements[i]
+
+    def fail(*idxs):
+        return Check(name, False, witness=tuple(value(i) for i in idxs))
+
+    ones = view.ones
+    if cond is TimeCondition.RS:
+        for a in view.nonzero_indices():
+            if not (view.b_rows[a] >> view.one_index) & 1:
+                return fail(a)
+    elif cond is TimeCondition.LS:
+        for a in view.nonzero_indices():
+            if not (view.b_rows[view.one_index] >> a) & 1:
+                return fail(a)
+    elif cond is TimeCondition.UP_DIR:
+        for a in view.nonzero_indices():
+            for b in view.nonzero_indices():
+                cover = view.b_rows[a] | view.b_rows_star[b]
+                if existential_p:
+                    if cover == 0:
+                        return fail(a, b)
+                elif cover != ones:
+                    p = _lowest_missing(cover, ones)
+                    return fail(a, b, p)
+    elif cond is TimeCondition.DOWN_DIR:
+        for a in view.nonzero_indices():
+            for b in view.nonzero_indices():
+                cover = view.b_cols[a] | view.b_cols_star[b]
+                if existential_p:
+                    if cover == 0:
+                        return fail(a, b)
+                elif cover != ones:
+                    return fail(a, b, _lowest_missing(cover, ones))
+    elif cond is TimeCondition.CIRC:
+        for a in view.indices():
+            for b in atoms_of(view.b_rows[a]):
+                cover = view.b_rows[b] | view.b_cols_star[a]
+                if existential_p:
+                    if cover == 0:
+                        return fail(a, b)
+                elif cover != ones:
+                    return fail(a, b, _lowest_missing(cover, ones))
+    elif cond is TimeCondition.DENS:
+        for a in view.indices():
+            for b in atoms_of(view.b_rows[a]):
+                cover = view.b_rows[a] | view.b_cols_star[b]
+                if existential_p:
+                    if cover == 0:
+                        return fail(a, b)
+                elif cover != ones:
+                    return fail(a, b, _lowest_missing(cover, ones))
+    elif cond is TimeCondition.REF:
+        for a in view.indices():
+            extra = view.ct_rows[a] & ~view.b_rows[a]
+            if extra:
+                return fail(a, next(atoms_of(extra)))
+    elif cond is TimeCondition.IRR:
+        for a in view.indices():
+            for b in atoms_of(view.b_rows[a]):
+                if not any(
+                    view.ct_rows[b] & ~view.ct_rows[c] for c in atoms_of(view.ct_rows[a])
+                ):
+                    return fail(a, b)
+    elif cond is TimeCondition.LIN:
+        for a in view.nonzero_indices():
+            for b in view.nonzero_indices():
+                if not (view.b_rows[a] >> b) & 1 and not (view.b_rows[b] >> a) & 1:
+                    return fail(a, b)
+    elif cond is TimeCondition.TRI:
+        for a in view.nonzero_indices():
+            for b in view.nonzero_indices():
+                if (
+                    not (view.ct_rows[a] >> b) & 1
+                    and not (view.b_rows[a] >> b) & 1
+                    and not (view.b_rows[b] >> a) & 1
+                ):
+                    return fail(a, b)
+    elif cond is TimeCondition.TR:
+        for a in view.indices():
+            non_b = ~view.b_rows[a] & ones
+            for b in atoms_of(non_b):
+                if ~view.b_rows[a] & ~view.b_cols_star[b] & ones == 0:
+                    return fail(a, b)
+    else:  # pragma: no cover
+        raise ValueError(f"unknown axiom {cond}")
+    return Check(name, True)
+
+
+def _lowest_missing(cover: int, ones: int) -> int:
+    return next(atoms_of(~cover & ones))
+
+
+def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
+    """Truth of a free-variable axiom under the universal and existential readings."""
+    universal = check_time_axiom(source, cond, existential_p=False).holds
+    existential = check_time_axiom(source, cond, existential_p=True).holds
+    return universal, existential
+
+
+Region = tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def element_view(source) -> AxiomView:
+    return AxiomView(*element_carrier(source))
+
+
+def time_axiom_fails_at(source, cond, existential_p, witness) -> bool:
+    """Whether a region axiom fails at the witnessed elements, by its definition."""
+    elements, star, nonzero, ct, bb = element_carrier(source)
+    one = star(next(e for e in elements if not nonzero(e)))
+    a, *rest = witness
+    b, p = (rest[0], rest[1:]) if rest else (None, ())
+    if cond is TimeCondition.RS:
+        return nonzero(a) and not bb(a, one)
+    if cond is TimeCondition.LS:
+        return nonzero(a) and not bb(one, a)
+    if cond in FREE_VARIABLE_AXIOMS:
+        scope, disjunction = {
+            TimeCondition.UP_DIR: (nonzero(a) and nonzero(b), lambda q: bb(a, q) or bb(b, star(q))),
+            TimeCondition.DOWN_DIR: (nonzero(a) and nonzero(b), lambda q: bb(q, a) or bb(star(q), b)),
+            TimeCondition.CIRC: (bb(a, b), lambda q: bb(b, q) or bb(star(q), a)),
+            TimeCondition.DENS: (bb(a, b), lambda q: bb(a, q) or bb(star(q), b)),
+        }[cond]
+        if existential_p:
+            return scope and not p and not any(disjunction(q) for q in elements)
+        return scope and len(p) == 1 and not disjunction(p[0])
+    if cond is TimeCondition.REF:
+        return ct(a, b) and not bb(a, b)
+    if cond is TimeCondition.IRR:
+        return bb(a, b) and not any(
+            ct(a, c) and ct(b, d) and not ct(c, d) for c in elements for d in elements
+        )
+    if cond is TimeCondition.LIN:
+        return nonzero(a) and nonzero(b) and not bb(a, b) and not bb(b, a)
+    if cond is TimeCondition.TRI:
+        return nonzero(a) and nonzero(b) and not (ct(a, b) or bb(a, b) or bb(b, a))
+    return not bb(a, b) and not any(not bb(a, c) and not bb(star(c), b) for c in elements)
 
 
 def element_validate_dca_morphism(f) -> Report:

@@ -34,6 +34,7 @@ from mereotime.contact import (
     satisfies_cluster_condition,
 )
 from mereotime.dca import (
+    canonical_standard_dca,
     clan_structure,
     from_contact_algebra,
     is_trivial,
@@ -54,11 +55,15 @@ from mereotime.dms import (
 from mereotime import generate as gen
 from mereotime.errors import CapabilityError
 from mereotime.snapshot import (
+    DCA_TIME_AXIOMS,
+    FREE_VARIABLE_AXIOMS,
+    TIME_CONDITIONS,
     TimeStructure,
     build_dmst,
+    check_time_axiom,
     correspondence_check,
 )
-from conftest import brute_clans, path_snapshot_dca
+from conftest import brute_clans, element_time_axiom, path_snapshot_dca
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 
@@ -81,6 +86,16 @@ def corpus():
     seeded = list(gen.dca_corpus(100, max_moments=3, seed=0))
     trivial = list(gen.trivial_dcas(3))
     return seeded + trivial
+
+
+def assert_time_axioms_match_oracle(source, conditions):
+    """The library's time-axiom verdicts equal the element-level evaluation."""
+    for cond in conditions:
+        for existential in (False, True) if cond in FREE_VARIABLE_AXIOMS else (False,):
+            assert (
+                check_time_axiom(source, cond, existential).holds
+                == element_time_axiom(source, cond, existential).holds
+            ), (source, cond, existential)
 
 
 def test_criterion_1_relational_property_sweep():
@@ -132,6 +147,7 @@ def test_criterion_3_time_condition_axiom_sweep():
             assert len(rows) == 11
             for row in rows:
                 assert row.agree, (ts, row.condition)
+            assert_time_axioms_match_oracle(model, TIME_CONDITIONS)
             models += 1
     assert models == 16 + 512
     budget.done()
@@ -227,6 +243,8 @@ def test_criterion_5_snapshot_representation(corpus):
         assert d.is_valid
         report = verify_embedding(d)
         assert report.ok, report.failures()
+        assert_time_axioms_match_oracle(d, DCA_TIME_AXIOMS)
+        assert_time_axioms_match_oracle(canonical_standard_dca(d).model, DCA_TIME_AXIOMS)
     budget.done()
 
 
@@ -239,6 +257,13 @@ def test_criterion_6_topological_representation(corpus):
         assert shape.is_t0 and shape.is_dm_compact
         report = verify_representation_topo(d)
         assert report.ok, report.failures()
+        assert_time_axioms_match_oracle(d, DCA_TIME_AXIOMS)
+        full, _ = rc_dca(result.space)
+        for cond in DCA_TIME_AXIOMS:
+            assert (
+                check_time_axiom(full, cond).holds
+                == element_time_axiom(result.space, cond).holds
+            ), (d, cond)
     budget.done()
 
 
@@ -336,6 +361,20 @@ def test_duality_on_twenty_two_point_dual_space():
     assert validate_dms(space).ok
     assert duality_roundtrip(d).ok
     assert duality_roundtrip(space).ok
+    budget.done()
+
+
+def test_time_axioms_at_ten_atoms_and_a_thousand_regions():
+    budget = Budget(
+        "verify_embedding, 10-atom trivial algebra; correspondence, 1,024-region full model", 1
+    )
+    path = PrecontactAlgebra.from_atom_pairs(
+        FiniteBA(10), {(i, j) for i in range(10) for j in range(10) if abs(i - j) <= 1}
+    )
+    assert verify_embedding(from_contact_algebra(path)).ok
+    model = build_dmst(TimeStructure.of(1, {(0, 0)}), [path], mode="full")
+    assert len(model.regions) == 1024
+    assert all(row.agree for row in correspondence_check(model))
     budget.done()
 
 

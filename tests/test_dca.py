@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,23 +17,34 @@ from mereotime.dca import (
     g_maps,
     irr_one_directional,
     is_trivial,
-    region_algebra_atoms,
     region_to_mask,
     standard_dca,
     validate_dca,
     verify_embedding,
 )
+from mereotime import generate as gen
 from mereotime.errors import PreconditionError
-from mereotime.snapshot import TimeCondition, TimeStructure, build_dmst, check_time_axiom
+from mereotime.snapshot import (
+    DCA_TIME_AXIOMS,
+    FREE_VARIABLE_AXIOMS,
+    TIME_CONDITIONS,
+    TimeCondition,
+    TimeStructure,
+    build_dmst,
+    check_time_axiom,
+    region_algebra_atoms,
+)
 
 from conftest import (
     all_atom_relations,
+    element_time_axiom,
     element_validate_dca,
     element_verify_embedding,
     slow_c4,
     slow_c5,
     slow_interpolation,
     slow_interpolation_at,
+    time_axiom_fails_at,
 )
 
 X, Y, Z = 1, 2, 4
@@ -434,11 +446,56 @@ def test_time_axiom_equivalence_with_canonical_model(small_dca_corpus):
         canonical = canonical_standard_dca(d)
         induced = standard_dca(canonical.model)
         assert induced.is_valid
-        for cond in (TimeCondition.REF, TimeCondition.LIN, TimeCondition.TR):
-            assert (
-                check_time_axiom(d.axiom_view(), cond).holds
-                == check_time_axiom(induced.axiom_view(), cond).holds
-            )
+        for cond in DCA_TIME_AXIOMS:
+            holds = element_time_axiom(canonical.model, cond).holds
+            assert check_time_axiom(d, cond).holds == holds, (d, cond)
+            assert check_time_axiom(induced, cond).holds == holds, (d, cond)
+
+
+def _time_axiom_cases():
+    """Every (time contact, precedence) pair on 1-2 atoms and 1,000 seeded 3-atom pairs."""
+    for n in (1, 2):
+        relations = list(all_atom_relations(n))
+        for t, p in itertools.product(relations, repeat=2):
+            yield DCA.from_pairs(n, set(), t.pairs, p.pairs)
+    rng = random.Random(6)
+    cells = list(itertools.product(range(3), repeat=2))
+    for _ in range(1000):
+        t, p = (
+            {c for i, c in enumerate(cells) if bits >> i & 1}
+            for bits in (rng.getrandbits(9), rng.getrandbits(9))
+        )
+        yield DCA.from_pairs(3, set(), t, p)
+
+
+def test_time_axioms_match_element_oracle():
+    """Atom-level verdicts and witnesses equal the element-level ones under
+    both readings, and each failing witness fails the axiom's definition."""
+    checked = 0
+    for d in _time_axiom_cases():
+        for cond in TIME_CONDITIONS:
+            for existential in (False, True) if cond in FREE_VARIABLE_AXIOMS else (False,):
+                fast = check_time_axiom(d, cond, existential)
+                slow = element_time_axiom(d, cond, existential)
+                assert (fast.holds, fast.witness) == (slow.holds, slow.witness), (d, cond, existential)
+                if not fast.holds:
+                    assert time_axiom_fails_at(d, cond, existential, fast.witness)
+                checked += 1
+    assert checked == (4 + 256 + 1000) * 15
+
+
+def test_is_trivial_matches_element_definition(small_dca_corpus):
+    def element_trivial(d):
+        return all(
+            d.time_contact(a, b) and d.precedes(a, b)
+            for a in d.base.nonzero_elements()
+            for b in d.base.nonzero_elements()
+        )
+
+    cases = list(small_dca_corpus) + list(gen.trivial_dcas(4))
+    for d in cases:
+        assert is_trivial(d) == element_trivial(d), d
+    assert {is_trivial(d) for d in cases} == {True, False}
 
 
 def test_canonical_time_isomorphism_measured_not_asserted():

@@ -2,9 +2,9 @@ from functools import partial
 
 import pytest
 
-from conftest import path_snapshot_dca, rc_law_failures
+from conftest import element_time_axiom, path_snapshot_dca, rc_law_failures, time_axiom_fails_at
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA
+from mereotime.boolean import FiniteBA, atoms_of
 from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
@@ -19,6 +19,7 @@ from mereotime.dms import (
     dual_space,
     is_trivial_dms,
     lifting_conditions,
+    rc_dca,
     relation_characterizations,
     rho,
     stability_check,
@@ -27,7 +28,14 @@ from mereotime.dms import (
     verify_representation_topo,
 )
 from mereotime.errors import CapabilityError, ValidationError
-from mereotime.snapshot import TimeCondition, TimeStructure, build_dmst
+from mereotime.snapshot import (
+    FREE_VARIABLE_AXIOMS,
+    TIME_CONDITIONS,
+    TimeCondition,
+    TimeStructure,
+    build_dmst,
+    check_time_axiom,
+)
 
 X, Y, Z = 1, 2, 4
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -127,6 +135,33 @@ def test_rc_algebra_laws_hold_on_every_space(small_dca_corpus):
     spaces.extend(dual_space(d).space.space for d in algebras)
     for space in spaces:
         assert rc_law_failures(space.rc_algebra()) == [], space
+
+
+def test_rc_time_axioms_match_element_oracle(small_dca_corpus):
+    """Time axioms of RC decided on the RC atoms (`rc_dca`) have the verdicts
+    of the element-level evaluation over all regular closed sets, under both
+    readings; each failing witness, as point sets, fails the definition."""
+    algebras = [*small_dca_corpus, path_snapshot_dca((3, 1)), path_snapshot_dca((3, 2))]
+    verdicts = set()
+    for d in algebras:
+        space = dual_space(d).space
+        full, atoms = rc_dca(space)
+
+        def pointset(mask):
+            out = 0
+            for i in atoms_of(mask):
+                out |= atoms[i]
+            return out
+
+        for cond in TIME_CONDITIONS:
+            for existential in (False, True) if cond in FREE_VARIABLE_AXIOMS else (False,):
+                fast = check_time_axiom(full, cond, existential)
+                assert fast.holds == element_time_axiom(space, cond, existential).holds, (d, cond)
+                verdicts.add(fast.holds)
+                if not fast.holds:
+                    pointsets = tuple(map(pointset, fast.witness))
+                    assert time_axiom_fails_at(space, cond, existential, pointsets), (d, cond)
+    assert verdicts == {True, False}
 
 
 def test_closed_family_and_regular_closed_match_brute_force():

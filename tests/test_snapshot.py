@@ -7,6 +7,7 @@ from mereotime.contact import PrecontactAlgebra
 from mereotime.errors import MembershipError, PreconditionError, ValidationError
 from mereotime.snapshot import (
     DMST,
+    FREE_VARIABLE_AXIOMS,
     TimeCondition,
     TimeStructure,
     build_dmst,
@@ -18,6 +19,8 @@ from mereotime.snapshot import (
     is_rich,
     reading_comparison,
 )
+
+from conftest import element_time_axiom, time_axiom_fails_at
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 TWO_ATOM = PrecontactAlgebra.overlap(FiniteBA(2))
@@ -266,6 +269,43 @@ def test_time_axioms_against_direct_quantifiers():
         }
         for cond, value in direct.items():
             assert check_time_axiom(m, cond).holds == value, (pairs, cond)
+
+
+def _oracle_models():
+    """The full, rich and custom models of this module over every time
+    relation on two moments, plus a custom model whose atoms span both moments."""
+    for bits in range(16):
+        pairs = {
+            (i, j)
+            for k, (i, j) in enumerate(itertools.product(range(2), repeat=2))
+            if bits >> k & 1
+        }
+        t = ts(2, pairs)
+        yield full_model(2, pairs)
+        yield full_model(2, pairs, coord=TWO_ATOM)
+        yield build_dmst(t, [TWO_ATOM, TWO_ATOM], mode="rich")
+        yield build_dmst(t, [TWO_ATOM, TWO_ATOM], mode="custom", regions=[(0, 0), (3, 3)])
+        yield build_dmst(
+            t, [TWO_ATOM, TWO_ATOM], mode="custom", regions=[(0, 0), (1, 2), (2, 1), (3, 3)]
+        )
+    yield build_dmst(ts(1, set()), [TWO_ATOM], mode="custom", regions=[(0,), (3,), (1,), (2,)])
+    yield full_model(1, {(0, 0)}, coord=TWO_ATOM)
+
+
+def test_time_axioms_on_models_match_element_oracle():
+    """Decided on region atoms, each axiom has the element-level verdict and
+    witness under both readings, and each failing witness fails its definition."""
+    failures = 0
+    for m in _oracle_models():
+        for cond in TimeCondition:
+            for existential in (False, True) if cond in FREE_VARIABLE_AXIOMS else (False,):
+                fast = check_time_axiom(m, cond, existential)
+                slow = element_time_axiom(m, cond, existential)
+                assert (fast.holds, fast.witness) == (slow.holds, slow.witness), (m, cond, existential)
+                if not fast.holds:
+                    assert time_axiom_fails_at(m, cond, existential, fast.witness)
+                    failures += 1
+    assert failures > 100
 
 
 def test_correspondence_rows_on_selected_structures():
