@@ -117,9 +117,6 @@ class Relation:
                 out |= 1 << x
         return out
 
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
-
 
 # Adjacency spaces are relations read as point structures; no reflexivity
 # or symmetry is assumed.

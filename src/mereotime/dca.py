@@ -187,9 +187,6 @@ class ClanStructure:
             if right & ~reach == 0
         )
 
-    def cluster_index(self, support: int) -> int:
-        return self.clusters.index(support)
-
 
 def _common_successors(d: DCA, support: int) -> int:
     """The atoms that every atom of `support` precedes."""

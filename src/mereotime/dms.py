@@ -7,6 +7,15 @@ for the basic operators.  In a finite space the closed sets are the
 down-sets of the specialization preorder, that is the unions of point
 closures; the family is built that way only to enumerate the regular closed
 sets, each the union of the point closures of an open set.
+
+The regular closed sets form a Boolean algebra (RC: join is union, meet
+cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
+subalgebra of it.  Both are finite, so each is the powerset of its atoms:
+one kernel (`_atom_algebra`) finds the atoms and stores time contact, space
+contact and precedence on atom pairs.  Those relations, the extent map and
+closure are additive, so the space axioms, the lifting conditions, the
+extent isomorphism and the density map are decided on atoms; the
+element-level evaluations are the test oracle (`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from .contact import PrecontactAlgebra
 from .dca import (
     DCA,
     _clique_supports,
+    _common_successors,
     clan_structure,
-    canonical_time_structure,
     validate_dca,
 )
 from .errors import CapabilityError, PreconditionError, ValidationError
@@ -125,49 +134,6 @@ class FiniteTopSpace:
             out.add(rc)
         return tuple(sorted(out))
 
-    @cached_property
-    def _rc_algebra(self) -> "RCAlgebra":
-        return RCAlgebra(self)
-
-    def rc_algebra(self) -> "RCAlgebra":
-        return self._rc_algebra
-
-
-class RCAlgebra:
-    """Boolean algebra of the regular closed sets of a finite space.
-
-    Join is union, meet is the closure of the interior of the intersection,
-    complement is the closure of the set complement.  The regular closed sets
-    of any space form a Boolean algebra under these operations, so the laws
-    hold by construction; the tests check them on concrete spaces.
-    """
-
-    def __init__(self, space: FiniteTopSpace):
-        self.space = space
-        self.carrier = space.regular_closed
-        self.index = {a: i for i, a in enumerate(self.carrier)}
-        self.zero = 0
-        self.one = space.universe
-        self.meet_table = [
-            [self._compute_meet(a, b) for b in self.carrier] for a in self.carrier
-        ]
-        self.compl_table = [space.closure(space.universe ^ a) for a in self.carrier]
-
-    def _compute_meet(self, a: int, b: int) -> int:
-        return self.space.closure(self.space.interior(a & b))
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def meet(self, a: int, b: int) -> int:
-        return self.meet_table[self.index[a]][self.index[b]]
-
-    def compl(self, a: int) -> int:
-        return self.compl_table[self.index[a]]
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & ~b == 0
-
 
 @dataclass(frozen=True)
 class DMSpace:
@@ -227,6 +193,15 @@ class DMSpace:
     def points(self) -> range:
         return range(self.space.point_count)
 
+    @cached_property
+    def time_structure(self) -> TimeStructure:
+        """Before-after restricted to the time points, numbered in ascending order."""
+        index = {x: i for i, x in enumerate(atoms_of(self.time_points))}
+        return TimeStructure.of(
+            len(index),
+            {(index[x], index[y]) for x, y in self.prec if x in index and y in index},
+        )
+
 
 @dataclass(frozen=True)
 class DmsDual:
@@ -237,10 +212,7 @@ class DmsDual:
     atoms: tuple[int, ...]
 
     def pointset(self, mask: int) -> int:
-        out = 0
-        for i in atoms_of(mask):
-            out |= self.atoms[i]
-        return out
+        return _pointset(self.atoms, mask)
 
     @cached_property
     def mask_of_region(self) -> dict[int, int]:
@@ -259,15 +231,43 @@ class DmsDual:
         return out
 
 
-@lru_cache(maxsize=None)
-def dual(space: DMSpace) -> DmsDual:
-    """Dual dynamic algebra over the distinguished region family."""
-    members = set(space.regions)
-    nonzero = sorted(m for m in members if m)
-    atoms = [m for m in nonzero if not any(s and s != m and s & ~m == 0 for s in nonzero)]
-    if (1 << len(atoms)) != len(members):
+def _pointset(atoms, mask: int) -> int:
+    """Join of the atoms, given as point sets, that `mask` selects."""
+    out = 0
+    for i in atoms_of(mask):
+        out |= atoms[i]
+    return out
+
+
+def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
+    """A Boolean family of point sets as a dynamic algebra on its atoms.
+
+    The atoms are the minimal nonzero members, ascending by mask.  The family
+    is a Boolean algebra under union iff the 2^k joins of its k atoms are
+    pairwise distinct and are exactly its members.  Otherwise the error's
+    witness is a member and an atom whose join escapes, a member that is no
+    join of atoms, or the member and atom counts when atom joins collide.
+    The distinct joins stay inside the family, so the work is O(k * family).
+    """
+    members = set(family)
+    atoms = []
+    for m in sorted(members, key=int.bit_count):
+        if m and not any(a & ~m == 0 for a in atoms):
+            atoms.append(m)
+    atoms.sort()
+    joins = {0}
+    for b in atoms:
+        escaped = min((a for a in joins if a | b not in members), default=None)
+        if escaped is not None:
+            raise ValidationError(
+                "region family is not a Boolean subalgebra", witness=(escaped, b, "join escapes")
+            )
+        joins |= {a | b for a in joins}
+    extra = members - joins
+    if extra or len(members) != 1 << len(atoms):
         raise ValidationError(
-            "region family is not a Boolean subalgebra", witness=(len(members), len(atoms))
+            "region family is not a Boolean subalgebra",
+            witness=(min(extra), "not a join of atoms") if extra else (len(members), len(atoms)),
         )
     space_pairs, time_pairs, prec_pairs = set(), set(), set()
     for i, u in enumerate(atoms):
@@ -278,12 +278,13 @@ def dual(space: DMSpace) -> DmsDual:
                 space_pairs.add((i, j))
             if space.precedes(u, v):
                 prec_pairs.add((i, j))
-    algebra = DCA.from_pairs(len(atoms), space_pairs, time_pairs, prec_pairs)
-    out = DmsDual(space, algebra, tuple(atoms))
-    for mask in algebra.base.elements():
-        if out.pointset(mask) not in members:
-            raise ValidationError("region family is not closed under joins", witness=(mask,))
-    return out
+    return DCA.from_pairs(len(atoms), space_pairs, time_pairs, prec_pairs), tuple(atoms)
+
+
+@lru_cache(maxsize=None)
+def dual(space: DMSpace) -> DmsDual:
+    """Dual dynamic algebra over the distinguished region family."""
+    return DmsDual(space, *_atom_algebra(space, space.regions))
 
 
 def rho(space: DMSpace, x: int) -> frozenset[int]:
@@ -298,7 +299,13 @@ def _cluster_supports(d: DCA) -> set[int]:
 
 @lru_cache(maxsize=None)
 def validate_dms(candidate: DMSpace) -> Report:
-    """Decide the eight space axioms, each with a witness on failure."""
+    """Decide the eight space axioms, each with a witness on failure.
+
+    S2 checks each region and its regular-closed complement; meets then
+    follow from joins and complements, so the family is a subalgebra of RC
+    iff the dual algebra exists, that is iff the family is the distinct
+    joins of its atoms.  S7 is decided on the dual atoms.
+    """
     report = Report(subject="dynamic mereotopological space")
     space = candidate.space
     report.add("S1", space.point_count >= 1)
@@ -320,13 +327,10 @@ def validate_dms(candidate: DMSpace) -> Report:
                 s2_holds, s2_witness = False, (a, "complement escapes")
                 break
         if s2_holds:
-            for a, b in itertools.combinations(regions, 2):
-                if a | b not in members:
-                    s2_holds, s2_witness = False, (a, b, "join escapes")
-                    break
-                if space.closure(space.interior(a & b)) not in members:
-                    s2_holds, s2_witness = False, (a, b, "meet escapes")
-                    break
+            try:
+                dual(candidate)
+            except ValidationError as exc:
+                s2_holds, s2_witness = False, exc.witness
         if s2_holds:
             # The family must be a closed base: it has to recover every
             # base-closed set of the ambient topology.
@@ -362,35 +366,20 @@ def validate_dms(candidate: DMSpace) -> Report:
         witness=None if sub.ok else (sub.failures()[0].name, sub.failures()[0].witness),
     )
 
-    # S7 via packed tables: for regions indexed i, prec_rows[i] collects the
-    # regions it precedes, contain[x] the regions containing point x.
-    prec_rows = []
-    for a in regions:
-        succ = candidate.successors_of(a)
-        row = 0
-        for j, b in enumerate(regions):
-            if succ & b:
-                row |= 1 << j
-        prec_rows.append(row)
-    contain = []
-    for x in candidate.points():
-        bit = 1 << x
-        mask = 0
-        for i, a in enumerate(regions):
-            if a & bit:
-                mask |= 1 << i
-        contain.append(mask)
-    s7_witness = None
-    for x in candidate.points():
-        for y in candidate.points():
-            required = all(
-                prec_rows[i] & contain[y] == contain[y] for i in atoms_of(contain[x])
-            )
-            if required != ((x, y) in candidate.prec):
-                s7_witness = (x, y)
-                break
-        if s7_witness:
-            break
+    # Precedence is additive and every region is a join of dual atoms, so
+    # (x, y) must be in prec iff every atom containing x precedes every atom
+    # containing y.
+    supports = [algebra.trace_support(x) for x in candidate.points()]
+    reach = [_common_successors(algebra.dca, support) for support in supports]
+    s7_witness = next(
+        (
+            (x, y)
+            for x in candidate.points()
+            for y in candidate.points()
+            if (supports[y] & ~reach[x] == 0) != ((x, y) in candidate.prec)
+        ),
+        None,
+    )
     report.add("S7", s7_witness is None, s7_witness)
 
     if sub.ok:
@@ -523,65 +512,48 @@ def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report
     return report
 
 
-def lifting_conditions(space: DMSpace, sub_family, rc: RCAlgebra | None = None) -> list[Check]:
-    """Density, co-density and separation of a region family inside RC."""
-    rc = rc or space.space.rc_algebra()
-    sub = sorted(set(sub_family))
+def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
+    """Density, co-density and separation of a Boolean subalgebra of RC.
+
+    Decided on the RC atoms.  The least sub member above an element, up(a),
+    is additive, and up(x) for an RC atom x is the smallest sub member
+    containing it.  So Dense holds iff every RC atom is a sub member,
+    Co-dense iff up(compl x) != 1 for every RC atom x (the witness is that
+    coatom), and a separation condition fails iff rel(up x, up y) holds for
+    atoms x, y with no rel(x, y).  The first failing element, or element
+    pair, in ascending order is an atom, or a pair of atoms, so those
+    witnesses are the first failing instances over all of RC.
+    """
+    _, atoms = rc_dca(space)
+    sub = set(sub_family)
+    up = [min((m for m in sub if x & ~m == 0), key=int.bit_count) for x in atoms]
     out = []
-    witness = next(
-        (
-            (a,)
-            for a in rc.carrier
-            if a and not any(m and m & ~a == 0 for m in sub)
-        ),
-        None,
-    )
+    witness = next(((x,) for x in atoms if x not in sub), None)
     out.append(Check("Dense", witness is None, witness))
+    everything = (1 << len(atoms)) - 1
     witness = next(
         (
-            (a,)
-            for a in rc.carrier
-            if a != rc.one and not any(m != rc.one and a & ~m == 0 for m in sub)
+            (_pointset(atoms, everything ^ (1 << i)),)
+            for i in range(len(atoms))
+            if _pointset(up, everything ^ (1 << i)) == space.space.universe
         ),
         None,
     )
     out.append(Check("Co-dense", witness is None, witness))
-
-    # Packed tables: above[i] holds the sub members bounding carrier[i] from
-    # above; rel_rows[j] holds, per sub member j, the sub members it relates to.
-    above = []
-    for a in rc.carrier:
-        mask = 0
-        for j, m in enumerate(sub):
-            if a & ~m == 0:
-                mask |= 1 << j
-        above.append(mask)
-    index = {a: i for i, a in enumerate(rc.carrier)}
     for name, rel in (
         ("Ct-separation", space.time_contact),
         ("Cs-separation", space.space_contact),
         ("B-separation", space.precedes),
     ):
-        rel_rows = []
-        for m in sub:
-            row = 0
-            for j, w in enumerate(sub):
-                if rel(m, w):
-                    row |= 1 << j
-            rel_rows.append(row)
-        witness = None
-        for a in rc.carrier:
-            for b in rc.carrier:
-                if rel(a, b):
-                    continue
-                cover_b = above[index[b]]
-                if not any(
-                    ~rel_rows[j] & cover_b for j in atoms_of(above[index[a]])
-                ):
-                    witness = (a, b)
-                    break
-            if witness:
-                break
+        witness = next(
+            (
+                (x, y)
+                for i, x in enumerate(atoms)
+                for j, y in enumerate(atoms)
+                if rel(up[i], up[j]) and not rel(x, y)
+            ),
+            None,
+        )
         out.append(Check(name, witness is None, witness))
     return out
 
@@ -589,37 +561,22 @@ def lifting_conditions(space: DMSpace, sub_family, rc: RCAlgebra | None = None) 
 @lru_cache(maxsize=None)
 def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     """The full regular-sets algebra of a space as a dynamic algebra."""
-    rc = space.space.rc_algebra()
-    nonzero = [a for a in rc.carrier if a]
-    atoms = tuple(
-        a for a in nonzero if not any(s and s != a and s & ~a == 0 for s in nonzero)
-    )
-    if (1 << len(atoms)) != len(rc.carrier):
-        raise ValidationError("regular closed family is not atomic as expected")
-    space_pairs, time_pairs, prec_pairs = set(), set(), set()
-    for i, u in enumerate(atoms):
-        for j, v in enumerate(atoms):
-            if space.time_contact(u, v):
-                time_pairs.add((i, j))
-            if space.space_contact(u, v):
-                space_pairs.add((i, j))
-            if space.precedes(u, v):
-                prec_pairs.add((i, j))
-    return DCA.from_pairs(len(atoms), space_pairs, time_pairs, prec_pairs), atoms
+    return _atom_algebra(space, space.space.regular_closed)
 
 
 def stability_check(space: DMSpace) -> Report:
     """Stability of the distinguished subalgebra inside the full RC algebra.
 
     Verifies the lifting conditions, that RC is itself a dynamic algebra,
-    and the axiom-by-axiom lifting equivalence between the two.
+    and the axiom-by-axiom lifting equivalence between the two.  The regions
+    must form a subalgebra of RC (S2).
     """
     compact = classify(space)
     if not compact.is_dm_compact:
         raise CapabilityError("stability analysis needs DM-compactness", missing="DM-compact")
+    validate_dms(space).require("S2")
     report = Report(subject="stable subalgebra")
-    rc = space.space.rc_algebra()
-    report.extend(lifting_conditions(space, space.regions, rc))
+    report.extend(lifting_conditions(space, space.regions))
 
     full, _ = rc_dca(space)
     full_report = validate_dca(full)
@@ -721,31 +678,35 @@ def verify_representation_topo(d: DCA) -> Report:
         or None,
     )
 
+    # The extent map is additive and the dual family is closed under joins,
+    # so the map is a Boolean isomorphism iff it sends the atoms bijectively
+    # onto the dual's atoms, and all relations are additive, so they are
+    # compared on atom pairs.
     algebra = dual(space)
-    image = {a: algebra.mask_of_region.get(_extent_mask(result.points, a)) for a in d.base.elements()}
-    report.add("extents land in the dual algebra", all(v is not None for v in image.values()))
-    if all(v is not None for v in image.values()):
-        injective = len(set(image.values())) == d.base.size
-        onto = set(image.values()) == set(algebra.dca.base.elements())
-        witness = next(
-            (
-                (a, b)
-                for a in d.base.elements()
-                for b in d.base.elements()
-                if image[a | b] != image[a] | image[b]
-                or image[d.base.one ^ a] != algebra.dca.base.one ^ image[a]
-            ),
-            None,
-        )
-        hom = witness is None
+    image = [
+        algebra.mask_of_region.get(_extent_mask(result.points, 1 << x)) for x in d.base.atoms()
+    ]
+    report.add("extents land in the dual algebra", None not in image)
+    if None not in image:
+        hit, witness = 0, None
+        for x, m in enumerate(image):
+            if not m or m & (m - 1) or m & hit:
+                witness = (1 << x,)
+                break
+            hit |= m
+        if witness is None and hit != algebra.dca.base.one:
+            witness = (d.base.one,)
         relations_ok = all(
-            d.space_contact(a, b) == algebra.dca.space_contact(image[a], image[b])
-            and d.time_contact(a, b) == algebra.dca.time_contact(image[a], image[b])
-            and d.precedes(a, b) == algebra.dca.precedes(image[a], image[b])
-            for a in d.base.elements()
-            for b in d.base.elements()
+            left(1 << x, 1 << y) == right(image[x], image[y])
+            for left, right in (
+                (d.space_contact, algebra.dca.space_contact),
+                (d.time_contact, algebra.dca.time_contact),
+                (d.precedes, algebra.dca.precedes),
+            )
+            for x in d.base.atoms()
+            for y in d.base.atoms()
         )
-        report.add("extent map is a Boolean isomorphism", injective and onto and hom, witness)
+        report.add("extent map is a Boolean isomorphism", witness is None, witness)
         report.add("extent map preserves and reflects the relations", relations_ok)
 
     stability = stability_check(space)
@@ -775,17 +736,7 @@ def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
     warning = None
     if cond is TimeCondition.TRI and not compact.is_t0:
         warning = "trichotomy transfer is only guaranteed on T0 spaces"
-    time_points = list(atoms_of(space.time_points))
-    index = {x: i for i, x in enumerate(time_points)}
-    ts = TimeStructure.of(
-        len(time_points),
-        {
-            (index[x], index[y])
-            for x, y in space.prec
-            if x in index and y in index
-        },
-    )
-    on_structure = check_time_condition(ts, cond).holds
+    on_structure = check_time_condition(space.time_structure, cond).holds
     on_rc = check_time_axiom(rc_dca(space)[0], cond).holds
     return {
         "on_time_structure": on_structure,
@@ -841,13 +792,11 @@ def density_check(space: DMSpace) -> Report:
     round_trip = all(restrict(lifted[a]) == a for a in sub_rc)
     back = all(lifted.get(restrict(b)) == b for b in full_rc)
     report.add("restriction inverts closure", round_trip and back)
-    sub_alg = sub_space.rc_algebra()
-    full_alg = spc.rc_algebra()
+    # Closure and embedding are additive, so the map preserves joins; only
+    # the regular-closed complements are compared, one element at a time.
     hom = all(
-        lifted[sub_alg.join(a, b)] == full_alg.join(lifted[a], lifted[b])
-        and lifted[sub_alg.compl(a)] == full_alg.compl(lifted[a])
+        lifted[sub_space.closure(sub_space.universe ^ a)] == spc.closure(spc.universe ^ lifted[a])
         for a in sub_rc
-        for b in sub_rc
     )
     report.add("closure map is a Boolean homomorphism", hom)
     return report

@@ -4,8 +4,8 @@ The slow oracles re-state definitions as direct quantifier loops,
 independent of the packed-table implementations they check.  The
 element-level evaluators below them decide the same axioms by exhaustive
 evaluation on every element pair; the atom-level decisions of `contact`,
-`dca`, `snapshot` and `category` are tested against them, verdict and
-witness.
+`dca`, `snapshot`, `category` and `dms` are tested against them, verdict
+and witness.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from mereotime.contact import (
     interpolation_check,
     relation_axiom_checks,
 )
-from mereotime.dca import canonical_standard_dca, standard_dca
-from mereotime.dms import DMSpace
+from mereotime.dca import canonical_standard_dca, standard_dca, validate_dca
+from mereotime.dms import DMSpace, FiniteTopSpace, _extent_mask, dual, dual_space
 from mereotime.errors import ValidationError
 from mereotime.reporting import Check, Report
 from mereotime.snapshot import (
@@ -314,7 +314,7 @@ def element_carrier(source):
             lambda a, b: any(a[m] and b[n] for m, n in prec),
         )
     if isinstance(source, DMSpace):
-        rc = source.space.rc_algebra()
+        rc = ElementRC(source.space)
         return rc.carrier, rc.compl, bool, source.time_contact, source.precedes
     one = source.base.one
     return list(source.base.elements()), lambda a: one ^ a, bool, source.time_contact, source.precedes
@@ -569,6 +569,235 @@ def element_validate_dca_morphism(f) -> Report:
             None,
         )
         report.add(name, witness is None, witness)
+    return report
+
+
+class ElementRC:
+    """Boolean algebra of the regular closed sets of a finite space, by its
+    definition: join is union, meet cl(int(a & b)), complement cl(U - a)."""
+
+    def __init__(self, space):
+        self.space = space
+        self.carrier = space.regular_closed
+        self.index = {a: i for i, a in enumerate(self.carrier)}
+        self.zero = 0
+        self.one = space.universe
+
+    def join(self, a, b):
+        return a | b
+
+    def meet(self, a, b):
+        return self.space.closure(self.space.interior(a & b))
+
+    def compl(self, a):
+        return self.space.closure(self.space.universe ^ a)
+
+
+def element_validate_dms(candidate) -> Report:
+    """The eight space axioms, S2 on every pair of regions and S7 on the
+    precedence table of all regions."""
+    report = Report(subject="dynamic mereotopological space")
+    space = candidate.space
+    report.add("S1", space.point_count >= 1)
+
+    regions = candidate.regions
+    members = set(regions)
+    s2_holds = True
+    s2_witness = None
+    if len(members) != len(regions):
+        s2_holds, s2_witness = False, ("duplicate region",)
+    elif 0 not in members or space.universe not in members:
+        s2_holds, s2_witness = False, ("missing bounds",)
+    else:
+        for a in regions:
+            if not space.is_regular_closed(a):
+                s2_holds, s2_witness = False, (a, "not regular closed")
+                break
+            if space.closure(space.universe ^ a) not in members:
+                s2_holds, s2_witness = False, (a, "complement escapes")
+                break
+        if s2_holds:
+            for a, b in itertools.combinations(regions, 2):
+                if a | b not in members:
+                    s2_holds, s2_witness = False, (a, b, "join escapes")
+                    break
+                if space.closure(space.interior(a & b)) not in members:
+                    s2_holds, s2_witness = False, (a, b, "meet escapes")
+                    break
+        if s2_holds:
+            probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
+            for b in space.closed_base:
+                if probe.closure(b) != space.closure(b) or not probe.is_closed(space.closure(b)):
+                    s2_holds, s2_witness = False, (b, "not a closed base")
+                    break
+    report.add("S2", s2_holds, s2_witness)
+
+    report.add("S3", candidate.space_points != 0 and candidate.time_points != 0)
+    s4_witness = next(
+        ((a,) for a in space.regular_closed if a and not a & candidate.space_points), None
+    )
+    report.add("S4", s4_witness is None, s4_witness)
+    report.add("S5", True)
+
+    if not s2_holds:
+        for name in ("S6", "S7", "S8"):
+            report.add(name, False, witness=("not evaluable: S2 fails",))
+        return report
+
+    algebra = dual(candidate)
+    sub = validate_dca(algebra.dca)
+    report.add(
+        "S6",
+        sub.ok,
+        witness=None if sub.ok else (sub.failures()[0].name, sub.failures()[0].witness),
+    )
+
+    # prec_rows[i]: the regions that region i precedes; contain[x]: the
+    # regions containing point x
+    prec_rows = [
+        sum(1 << j for j, b in enumerate(regions) if candidate.precedes(a, b)) for a in regions
+    ]
+    contain = [
+        sum(1 << i for i, a in enumerate(regions) if a >> x & 1) for x in candidate.points()
+    ]
+    s7_witness = next(
+        (
+            (x, y)
+            for x in candidate.points()
+            for y in candidate.points()
+            if all(prec_rows[i] & contain[y] == contain[y] for i in atoms_of(contain[x]))
+            != ((x, y) in candidate.prec)
+        ),
+        None,
+    )
+    report.add("S7", s7_witness is None, s7_witness)
+
+    if sub.ok:
+        clusters = {algebra.dca.time_rel.rows[x] for x in algebra.dca.base.atoms()}
+        s8_witness = next(
+            (
+                (x,)
+                for x in atoms_of(candidate.time_points)
+                if algebra.trace_support(x) not in clusters
+            ),
+            None,
+        )
+        report.add("S8", s8_witness is None, s8_witness)
+    else:
+        report.add("S8", False, witness=("not evaluable: S6 fails",))
+    return report
+
+
+def element_lifting_conditions(space, sub_family) -> list[Check]:
+    """Density, co-density and separation of a region family, over every
+    regular closed set and every pair of them."""
+    carrier = ElementRC(space.space).carrier
+    one = space.space.universe
+    sub = sorted(set(sub_family))
+    out = []
+    witness = next(
+        ((a,) for a in carrier if a and not any(m and m & ~a == 0 for m in sub)), None
+    )
+    out.append(Check("Dense", witness is None, witness))
+    witness = next(
+        ((a,) for a in carrier if a != one and not any(m != one and a & ~m == 0 for m in sub)),
+        None,
+    )
+    out.append(Check("Co-dense", witness is None, witness))
+    # above[i]: the sub members above carrier[i]; rel_rows[j]: the sub members
+    # that sub member j relates to
+    above = [sum(1 << j for j, m in enumerate(sub) if a & ~m == 0) for a in carrier]
+    for name, rel in (
+        ("Ct-separation", space.time_contact),
+        ("Cs-separation", space.space_contact),
+        ("B-separation", space.precedes),
+    ):
+        rel_rows = [sum(1 << j for j, w in enumerate(sub) if rel(m, w)) for m in sub]
+        witness = next(
+            (
+                (a, b)
+                for i, a in enumerate(carrier)
+                for k, b in enumerate(carrier)
+                if not rel(a, b)
+                and not any(~rel_rows[j] & above[k] for j in atoms_of(above[i]))
+            ),
+            None,
+        )
+        out.append(Check(name, witness is None, witness))
+    return out
+
+
+def lifting_separation_fails_at(sub_family, rel, a, b) -> bool:
+    """Whether every sub member above `a` relates to every sub member above `b`."""
+    return all(rel(m, w) for m in sub_family if a & ~m == 0 for w in sub_family if b & ~w == 0)
+
+
+def element_extent_checks(d) -> list[Check]:
+    """The extent map onto the dual of the dual space, on every element and
+    every element pair."""
+    result = dual_space(d)
+    algebra = dual(result.space)
+    target = algebra.dca
+    image = {
+        a: algebra.mask_of_region.get(_extent_mask(result.points, a)) for a in d.base.elements()
+    }
+    out = [Check("extents land in the dual algebra", None not in image.values())]
+    if None in image.values():
+        return out
+    injective = len(set(image.values())) == d.base.size
+    onto = set(image.values()) == set(target.base.elements())
+    witness = next(
+        (
+            (a, b)
+            for a in d.base.elements()
+            for b in d.base.elements()
+            if image[a | b] != image[a] | image[b]
+            or image[d.base.one ^ a] != target.base.one ^ image[a]
+        ),
+        None,
+    )
+    relations_ok = all(
+        d.space_contact(a, b) == target.space_contact(image[a], image[b])
+        and d.time_contact(a, b) == target.time_contact(image[a], image[b])
+        and d.precedes(a, b) == target.precedes(image[a], image[b])
+        for a in d.base.elements()
+        for b in d.base.elements()
+    )
+    out.append(Check("extent map is a Boolean isomorphism", injective and onto and witness is None, witness))
+    out.append(Check("extent map preserves and reflects the relations", relations_ok))
+    return out
+
+
+def element_density_check(space) -> Report:
+    """The density analysis with the closure map checked on every pair of
+    regular closed sets of the subspace of space points."""
+    report = Report(subject="space-point density")
+    spc = space.space
+    report.add("closure of space points is everything", spc.closure(space.space_points) == spc.universe)
+    inside = list(atoms_of(space.space_points))
+
+    def restrict(a):
+        return sum(1 << i for i, x in enumerate(inside) if a >> x & 1)
+
+    def embed(a_sub):
+        return sum(1 << x for i, x in enumerate(inside) if a_sub >> i & 1)
+
+    sub_space = FiniteTopSpace(len(inside), tuple(sorted({restrict(b) for b in spc.closed_base})))
+    sub_alg, full_alg = ElementRC(sub_space), ElementRC(spc)
+    sub_rc, full_rc = sub_alg.carrier, full_alg.carrier
+    lifted = {a: spc.closure(embed(a)) for a in sub_rc}
+    report.add("closure maps subspace RC into RC", all(v in set(full_rc) for v in lifted.values()))
+    report.add("closure map is a bijection", len(set(lifted.values())) == len(sub_rc) == len(full_rc))
+    round_trip = all(restrict(lifted[a]) == a for a in sub_rc)
+    back = all(lifted.get(restrict(b)) == b for b in full_rc)
+    report.add("restriction inverts closure", round_trip and back)
+    hom = all(
+        lifted[sub_alg.join(a, b)] == full_alg.join(lifted[a], lifted[b])
+        and lifted[sub_alg.compl(a)] == full_alg.compl(lifted[a])
+        for a in sub_rc
+        for b in sub_rc
+    )
+    report.add("closure map is a Boolean homomorphism", hom)
     return report
 
 

@@ -47,6 +47,7 @@ from mereotime.dms import (
     dual,
     dual_space,
     is_trivial_dms,
+    lifting_conditions,
     rc_dca,
     stability_check,
     validate_dms,
@@ -63,7 +64,13 @@ from mereotime.snapshot import (
     check_time_axiom,
     correspondence_check,
 )
-from conftest import brute_clans, element_time_axiom, path_snapshot_dca
+from conftest import (
+    brute_clans,
+    element_lifting_conditions,
+    element_time_axiom,
+    element_validate_dms,
+    path_snapshot_dca,
+)
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 
@@ -253,6 +260,11 @@ def test_criterion_6_topological_representation(corpus):
     for d in corpus:
         result = dual_space(d)
         assert validate_dms(result.space).ok
+        assert validate_dms(result.space).checks == element_validate_dms(result.space).checks, d
+        regions = result.space.regions
+        assert lifting_conditions(result.space, regions) == element_lifting_conditions(
+            result.space, regions
+        ), d
         shape = classify(result.space)
         assert shape.is_t0 and shape.is_dm_compact
         report = verify_representation_topo(d)
@@ -361,6 +373,14 @@ def test_duality_on_twenty_two_point_dual_space():
     assert validate_dms(space).ok
     assert duality_roundtrip(d).ok
     assert duality_roundtrip(space).ok
+    budget.done()
+
+
+def test_representation_on_thirty_point_dual_space():
+    d = path_snapshot_dca((4, 4))
+    budget = Budget("verify_representation_topo, (4,4) snapshot algebra", 1)
+    assert verify_representation_topo(d).ok
+    assert dual_space(d).space.space.point_count == 30
     budget.done()
 
 

@@ -9,7 +9,7 @@ from mereotime.boolean import FiniteBA
 from mereotime.cli import main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
-from mereotime.dms import dual_space
+from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
 from mereotime.models import load_path, write_path
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
@@ -108,6 +108,24 @@ def test_points_rejects_invalid_dca(tmp_path, capsys):
     code, out, _ = run(["points", path], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_dualize_rejects_regions_whose_atom_joins_collide(tmp_path, capsys):
+    # Discrete 4-point space.  The minimal regions 01, 12 and 02 give 2^3
+    # joins, as many as there are regions, but only five distinct ones, so
+    # the family is no Boolean algebra and has no dual algebra.
+    regions = (0, 0b0011, 0b0110, 0b0101, 0b0111, 0b1011, 0b1110, 0b1111)
+    total = frozenset((x, y) for x in range(4) for y in range(4))
+    space = DMSpace(FiniteTopSpace(4, (1, 2, 4, 8)), 0b1111, 0b1111, total, regions)
+    path = tmp_path / "colliding.json"
+    write_path(path, space)
+    code, out, _ = run(["check", path], capsys)
+    assert code == 1
+    assert "FAIL  S2" in out
+    code, _, err = run(["dualize", path, "--out", tmp_path / "out"], capsys)
+    assert code == 1
+    assert "not a Boolean subalgebra" in err
+    assert not (tmp_path / "out" / "colliding.dual_algebra.json").exists()
 
 
 def test_represent_and_dualize_emit_models(chain_dca_file, tmp_path, capsys):

@@ -1,8 +1,20 @@
+import random
 from functools import partial
 
 import pytest
 
-from conftest import element_time_axiom, path_snapshot_dca, rc_law_failures, time_axiom_fails_at
+from conftest import (
+    ElementRC,
+    element_density_check,
+    element_extent_checks,
+    element_lifting_conditions,
+    element_time_axiom,
+    element_validate_dms,
+    lifting_separation_fails_at,
+    path_snapshot_dca,
+    rc_law_failures,
+    time_axiom_fails_at,
+)
 from mereotime import generate as gen
 from mereotime.boolean import FiniteBA, atoms_of
 from mereotime.contact import PrecontactAlgebra
@@ -85,7 +97,7 @@ def test_discrete_and_indiscrete_topologies():
 def test_three_point_space_example():
     space = FiniteTopSpace(3, (0, P_MASK | Q_MASK, Q_MASK | R_MASK, 7))
     assert set(space.regular_closed) == {0, P_MASK | Q_MASK, Q_MASK | R_MASK, 7}
-    rc = space.rc_algebra()
+    rc = ElementRC(space)
     assert rc.compl(P_MASK | Q_MASK) == Q_MASK | R_MASK
     assert space.closure(P_MASK) == P_MASK | Q_MASK
     assert space.interior(P_MASK | Q_MASK) == P_MASK
@@ -118,7 +130,7 @@ def test_closure_matches_brute_force_on_small_spaces():
 
 def test_rc_algebra_law_validation_runs():
     space = FiniteTopSpace(3, (0, 3, 6, 7))
-    rc = space.rc_algebra()
+    rc = ElementRC(space)
     assert rc.one == 7 and rc.zero == 0
     assert rc.meet(3, 6) == 0  # interior of {q} is empty
 
@@ -134,7 +146,7 @@ def test_rc_algebra_laws_hold_on_every_space(small_dca_corpus):
     algebras = [*small_dca_corpus, *gen.trivial_dcas(3), path_snapshot_dca((3, 1)), path_snapshot_dca((3, 2))]
     spaces.extend(dual_space(d).space.space for d in algebras)
     for space in spaces:
-        assert rc_law_failures(space.rc_algebra()) == [], space
+        assert rc_law_failures(ElementRC(space)) == [], space
 
 
 def test_rc_time_axioms_match_element_oracle(small_dca_corpus):
@@ -338,6 +350,15 @@ def test_stability_on_duals(small_dca_corpus):
         assert stability_check(dual_space(d).space).ok
 
 
+def test_stability_needs_regions_forming_a_subalgebra_of_rc():
+    # {0, p} is a Boolean algebra under union but misses the point q
+    discrete = FiniteTopSpace(2, (1, 2))
+    space = DMSpace(discrete, 3, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}), (0, 1))
+    with pytest.raises(CapabilityError) as err:
+        stability_check(space)
+    assert err.value.missing == "S2"
+
+
 def test_lifting_conditions_reject_sparse_subalgebra():
     space = trivial_dual().space
     checks = {c.name: c for c in lifting_conditions(space, (0, space.space.universe))}
@@ -440,21 +461,223 @@ def test_rc_of_dual_space_equals_region_family(small_dca_corpus):
 
 
 def test_time_conditions_lift_between_space_and_dual(small_dca_corpus):
-    from mereotime.boolean import atoms_of
     from mereotime.dca import canonical_time_structure
     from mereotime.snapshot import check_time_condition
 
     for d in small_dca_corpus[:6]:
         space = dual_space(d).space
-        time_points = list(atoms_of(space.time_points))
-        index = {x: i for i, x in enumerate(time_points)}
-        restricted = TimeStructure.of(
-            len(time_points),
-            {(index[x], index[y]) for x, y in space.prec if x in index and y in index},
-        )
         canon = canonical_time_structure(dual(space).dca).structure
         for cond in TimeCondition:
             assert (
-                check_time_condition(restricted, cond).holds
+                check_time_condition(space.time_structure, cond).holds
                 == check_time_condition(canon, cond).holds
             ), cond
+
+
+# -- atom-level DMS checks against the element-level oracle ----------------
+
+
+def oracle_dual_spaces(small_dca_corpus):
+    algebras = [
+        *small_dca_corpus,
+        *gen.trivial_dcas(3),
+        path_snapshot_dca((3, 1)),
+        path_snapshot_dca((3, 2)),
+    ]
+    return [dual_space(d).space for d in algebras]
+
+
+def random_topology_spaces(rng, count):
+    """Spaces on 2-4 points with a random closed base, random distinguished
+    points and before-after, and the regular closed sets as regions."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        universe = (1 << n) - 1
+        base = tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, universe + 1))))
+        topology = FiniteTopSpace(n, base)
+        prec = frozenset((x, y) for x in range(n) for y in range(n) if rng.random() < 0.5)
+        out.append(
+            DMSpace(
+                topology,
+                rng.randint(1, universe),
+                rng.randint(1, universe),
+                prec,
+                topology.regular_closed,
+            )
+        )
+    return out
+
+
+def coarsened(atoms, rng):
+    """The joins of a random partition of the atoms into blocks: a Boolean
+    subalgebra of the algebra the atoms generate."""
+    blocks = [0] * rng.randint(1, len(atoms))
+    for x in atoms:
+        blocks[rng.randrange(len(blocks))] |= x
+    family = {0}
+    for b in blocks:
+        family |= {a | b for a in family}
+    return tuple(sorted(family))
+
+
+def region_variants(space, rng):
+    """The space with one before-after pair dropped and one added, and with
+    its regions replaced by subfamilies, coarsenings and corruptions of RC."""
+    rc = space.space.regular_closed
+    universe = space.space.universe
+    n = space.space.point_count
+    pairs = {(x, y) for x in range(n) for y in range(n)}
+    toggled = [
+        rng.choice(sorted(choices)) for choices in (space.prec, pairs - space.prec) if choices
+    ]
+    sample = rng.sample(rc, rng.randint(0, len(rc)))
+    complements = {space.space.closure(universe ^ a) for a in sample}
+    families = [
+        tuple(sorted({0, universe, *sample})),
+        tuple(sorted({0, universe, *sample, *complements})),
+        tuple(sorted(sample)),
+        coarsened(rc_dca(space)[1], rng),
+        tuple(sorted({*rc, rng.randint(0, universe)})),
+        (*rc, rc[-1]),
+    ]
+    return [
+        *(
+            DMSpace(space.space, space.space_points, space.time_points, space.prec ^ {pair}, space.regions)
+            for pair in toggled
+        ),
+        *(
+            DMSpace(space.space, space.space_points, space.time_points, space.prec, family)
+            for family in families
+        ),
+    ]
+
+
+def oracle_spaces(small_dca_corpus):
+    rng = random.Random(12)
+    spaces = [*oracle_dual_spaces(small_dca_corpus), *random_topology_spaces(rng, 400)]
+    return spaces + [v for space in spaces for v in region_variants(space, rng)]
+
+
+def s2_fails_at(regions, witness) -> bool:
+    """Whether an S2 witness from the atom kernel fails the subalgebra law:
+    a member whose join with an atom escapes, or a member that is not the
+    union of the atoms below it."""
+    members = set(regions)
+    atoms = [a for a in members if a and not any(s and s != a and s & ~a == 0 for s in members)]
+    if witness[-1] == "join escapes":
+        a, b, _ = witness
+        return a in members and b in atoms and a | b not in members
+    m, form = witness
+    below = 0
+    for a in atoms:
+        if a & ~m == 0:
+            below |= a
+    return form == "not a join of atoms" and m in members and m != below
+
+
+def test_validate_dms_matches_element_oracle(small_dca_corpus):
+    """Same verdict on every axiom.  Witnesses are equal, except that the
+    oracle's first escaping join or meet becomes the kernel's first escaping
+    join with an atom, or a member that is no join of atoms; each such
+    witness fails the subalgebra law by definition."""
+    forms = set()
+    for space in oracle_spaces(small_dca_corpus):
+        fast, slow = validate_dms(space), element_validate_dms(space)
+        assert [c.name for c in fast.checks] == [c.name for c in slow.checks]
+        for f, s in zip(fast.checks, slow.checks):
+            assert f.holds == s.holds, (space, f, s)
+            if f.name == "S2" and not f.holds:
+                forms |= {f.witness[-1], s.witness[-1]}
+            if f.name == "S2" and not f.holds and s.witness[-1] in ("join escapes", "meet escapes"):
+                assert s2_fails_at(space.regions, f.witness), (space, f)
+            else:
+                assert f.witness == s.witness, (space, f, s)
+        if fast["S2"].holds and not fast["S7"].holds:
+            forms.add(("S7", "fails"))
+    assert forms == {
+        "duplicate region",
+        "missing bounds",
+        "not regular closed",
+        "complement escapes",
+        "join escapes",
+        "meet escapes",
+        "not a join of atoms",
+        "not a closed base",
+        ("S7", "fails"),
+    }
+
+
+def lifting_fails_at(space, sub_family, check) -> bool:
+    """Whether a lifting witness fails its condition by definition."""
+    rc = set(space.space.regular_closed)
+    one = space.space.universe
+    if check.name == "Dense":
+        (a,) = check.witness
+        return a in rc and a != 0 and not any(m and m & ~a == 0 for m in sub_family)
+    if check.name == "Co-dense":
+        (a,) = check.witness
+        return a in rc and a != one and not any(m != one and a & ~m == 0 for m in sub_family)
+    rel = {
+        "Ct-separation": space.time_contact,
+        "Cs-separation": space.space_contact,
+        "B-separation": space.precedes,
+    }[check.name]
+    a, b = check.witness
+    return (
+        a in rc
+        and b in rc
+        and not rel(a, b)
+        and lifting_separation_fails_at(sub_family, rel, a, b)
+    )
+
+
+def test_lifting_conditions_match_element_oracle(small_dca_corpus):
+    """Same verdict on every condition and every Boolean subalgebra of RC
+    tried: RC itself, (0, 1) and coarsenings.  Witnesses are equal except
+    Co-dense, whose witness is now a coatom; every failing witness fails its
+    condition by definition."""
+    rng = random.Random(11)
+    verdicts = set()
+    for space in [*oracle_dual_spaces(small_dca_corpus), *random_topology_spaces(rng, 150)]:
+        atoms = rc_dca(space)[1]
+        families = [
+            space.space.regular_closed,
+            (0, space.space.universe),
+            *(coarsened(atoms, rng) for _ in range(3)),
+        ]
+        for family in families:
+            fast = lifting_conditions(space, family)
+            slow = element_lifting_conditions(space, family)
+            assert [c.name for c in fast] == [c.name for c in slow]
+            for f, s in zip(fast, slow):
+                assert f.holds == s.holds, (space, family, f, s)
+                verdicts.add((f.name, f.holds))
+                if f.name != "Co-dense":
+                    assert f.witness == s.witness, (space, family, f, s)
+                if not f.holds:
+                    assert lifting_fails_at(space, family, f), (space, family, f)
+    assert len(verdicts) == 10
+
+
+def test_density_and_extent_checks_match_element_oracle(small_dca_corpus):
+    """density_check equals the oracle's pairwise closure-map checks on the
+    dual spaces and on random topologies with random space points; the
+    extent rows of verify_representation_topo equal the oracle's."""
+    rng = random.Random(5)
+    spaces = oracle_dual_spaces(small_dca_corpus)
+    for space in random_topology_spaces(rng, 150):
+        n = space.space.point_count
+        total = frozenset((x, y) for x in range(n) for y in range(n))
+        spaces.append(
+            DMSpace(space.space, space.space_points, space.time_points, total, (0, space.space.universe))
+        )
+    verdicts = set()
+    for space in spaces:
+        report = density_check(space)
+        assert report.checks == element_density_check(space).checks, space
+        verdicts |= {(c.name, c.holds) for c in report.checks}
+    assert len(verdicts) == 10
+    for d in [*small_dca_corpus, *gen.trivial_dcas(3), path_snapshot_dca((3, 1))]:
+        rows = [c for c in verify_representation_topo(d).checks if c.name.startswith("extent")]
+        assert rows == element_extent_checks(d), d
