@@ -67,6 +67,7 @@ from .snapshot import (
     correspondence_check,
     dynamic_relations,
     is_rich,
+    time_axiom_holds,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,8 +27,8 @@ from .errors import CapabilityError, CompositionError, ValidationError
 from .reporting import Report
 from .snapshot import (
     DCA_TIME_AXIOMS,
-    check_time_axiom,
     check_time_condition,
+    time_axiom_holds,
 )
 
 
@@ -414,7 +414,7 @@ def duality_roundtrip(subject) -> Report:
         for cond in DCA_TIME_AXIOMS:
             report.add(
                 f"axiom {cond.region_axiom} matches the dual time structure",
-                check_time_axiom(d, cond).holds
+                time_axiom_holds(d, cond)
                 == check_time_condition(result.space.time_structure, cond).holds,
             )
         report.add(

@@ -18,17 +18,15 @@ from .boolean import atoms_of
 from .category import duality_roundtrip, validate_dca_morphism, validate_dms_morphism
 from .contact import CONTACT_AXIOMS, PRECONTACT_AXIOMS, contact_from_adjacency
 from .dca import (
-    DCA,
     canonical_standard_dca,
     canonical_time_structure,
     clan_structure,
     correspondence2,
-    g_maps,
     standard_dca,
     validate_dca,
 )
-from .dms import classify, dual, dual_space, validate_dms
-from .errors import CapabilityError, MereotimeError, PreconditionError, SchemaError
+from .dms import check_s2, classify, dual, dual_space, validate_dms
+from .errors import CapabilityError, MereotimeError, PreconditionError, SchemaError, ValidationError
 from .models import digest, load_path, write_path
 from .reporting import plain
 from .snapshot import (
@@ -117,11 +115,7 @@ def _claim_axioms(claims) -> list[str]:
             out.extend(CONTACT_AXIOMS)
         else:
             out.append(claim)
-    seen = []
-    for name in out:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def _check_command(args) -> int:
@@ -189,7 +183,7 @@ def _points_command(args) -> int:
         report.emit(args.format)
         return 1
     structure = clan_structure(obj)
-    canonical = canonical_time_structure(obj, structure)
+    canonical = canonical_time_structure(obj)
     report.info["ultrafilters"] = [[x] for x in obj.base.atoms()]
     report.info["s_clans"] = [list(atoms_of(s)) for s in structure.s_clans]
     report.info["t_clans"] = [list(atoms_of(s)) for s in structure.t_clans]
@@ -239,6 +233,10 @@ def _dualize_command(args) -> int:
         write_path(target, result.space)
         report.info["model_file"] = str(target)
     elif kind == "dms":
+        s2 = check_s2(obj)
+        if not s2.holds:
+            witness = plain(s2.witness)
+            raise ValidationError(f"region family is not a Boolean subalgebra: S2 fails (witness {witness})")
         algebra = dual(obj)
         report.absorb(validate_dca(algebra.dca))
         target = out / (Path(args.path).stem + ".dual_algebra.json")
@@ -350,53 +348,49 @@ def _generate_command(args) -> int:
     return 0
 
 
+# The commands that read model files: name, help, handler, and whether the
+# command writes model files to --out.
+FILE_COMMANDS = (
+    ("check", "validate a model file", _check_command, False),
+    ("points", "clan inventory of an algebra", _points_command, False),
+    ("represent", "snapshot representation of an algebra", _represent_command, True),
+    ("dualize", "dual space of an algebra, or dual algebra of a space", _dualize_command, True),
+    ("roundtrip", "duality round-trip checks", _roundtrip_command, False),
+    ("correspondence", "time condition / time axiom correspondence", _correspondence_command, False),
+)
+OUT_HELP = f"output directory (default ${OUTPUT_ENV} or .)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mereotime",
         description="Finite-model toolkit for region-based theories of space and time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_common(p, path=True, out=False):
-        if path:
-            p.add_argument("paths", nargs="+", metavar="path", help="model file(s)")
-        if out:
-            p.add_argument("--out", help=f"output directory (default ${OUTPUT_ENV} or .)")
+    for name, help_text, handler, writes in FILE_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("paths", nargs="+", metavar="path", help="model file(s)")
+        if writes:
+            p.add_argument("--out", help=OUT_HELP)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    with_common(sub.add_parser("check", help="validate a model file")).set_defaults(
-        handler=_check_command
-    )
-    with_common(sub.add_parser("points", help="clan inventory of an algebra")).set_defaults(
-        handler=_points_command
-    )
-    with_common(
-        sub.add_parser("represent", help="snapshot representation of an algebra"), out=True
-    ).set_defaults(handler=_represent_command)
-    with_common(
-        sub.add_parser("dualize", help="dual space of an algebra, or dual algebra of a space"),
-        out=True,
-    ).set_defaults(handler=_dualize_command)
-    with_common(sub.add_parser("roundtrip", help="duality round-trip checks")).set_defaults(
-        handler=_roundtrip_command
-    )
-    with_common(
-        sub.add_parser("correspondence", help="time condition / time axiom correspondence")
-    ).set_defaults(handler=_correspondence_command)
+        p.set_defaults(handler=handler)
 
     g = sub.add_parser("generate", help="generate model files")
     g.add_argument("--kind", required=True, choices=("adjacency", "time_structure", "dca", "dmst"))
     g.add_argument("--size", required=True, type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--exhaustive", action="store_true")
-    g.add_argument("--out", help=f"output directory (default ${OUTPUT_ENV} or .)")
+    g.add_argument("--out", help=OUT_HELP)
     g.set_defaults(handler=_generate_command)
     return parser
 
 
+# Parsing leaves the parser unchanged, so one parser serves every call of `main`.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     paths = getattr(args, "paths", None)
     worst = 0
     # inputs are independent; they are processed in input order

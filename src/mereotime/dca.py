@@ -16,12 +16,10 @@ from .boolean import FiniteBA, atoms_of
 from .contact import (
     CONTACT_AXIOMS,
     PRECONTACT_AXIOMS,
-    Clan,
     FactorAlgebra,
     PrecontactAlgebra,
     Relation,
     clans,
-    factor_by_clanset,
     inclusion_check,
 )
 from .errors import PreconditionError, ValidationError
@@ -32,8 +30,8 @@ from .snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
     check_time_condition,
+    time_axiom_holds,
 )
 
 
@@ -200,6 +198,11 @@ def _clique_supports(algebra: PrecontactAlgebra) -> tuple[int, ...]:
     return tuple(c.support for c in clans(algebra))
 
 
+def _time_classes(d: DCA) -> tuple[int, ...]:
+    """The clusters: classes of the time equivalence, by their lowest atom."""
+    return tuple(sorted({d.time_rel.rows[x] for x in d.base.atoms()}, key=lambda m: m & -m))
+
+
 @lru_cache(maxsize=None)
 def clan_structure(d: DCA) -> ClanStructure:
     """Enumerate s-clans, t-clans and clusters with gamma and clan precedence.
@@ -212,7 +215,6 @@ def clan_structure(d: DCA) -> ClanStructure:
     d.require_valid()
     s_clans = _clique_supports(d.cs_algebra)
     t_clans = _clique_supports(d.ct_algebra)
-    classes = sorted({d.time_rel.rows[x] for x in d.base.atoms()}, key=lambda m: next(atoms_of(m)))
     gamma = {}
     for support in t_clans:
         lowest = next(atoms_of(support))
@@ -222,7 +224,7 @@ def clan_structure(d: DCA) -> ClanStructure:
         gamma[support] = enclosing
 
     reach = tuple(_common_successors(d, left) for left in t_clans)
-    return ClanStructure(s_clans, t_clans, tuple(classes), gamma, reach)
+    return ClanStructure(s_clans, t_clans, _time_classes(d), gamma, reach)
 
 
 def extension_of_prec_checks(d: DCA, structure: ClanStructure | None = None) -> list[Check]:
@@ -267,11 +269,10 @@ class CanonicalTime:
     clusters: tuple[int, ...]
 
 
-def canonical_time_structure(d: DCA, structure: ClanStructure | None = None) -> CanonicalTime:
+def canonical_time_structure(d: DCA) -> CanonicalTime:
     """Clusters as moments, clan precedence restricted to them."""
     d.require_valid()
-    structure = structure or clan_structure(d)
-    clusters = structure.clusters
+    clusters = _time_classes(d)
     prec = {
         (i, j)
         for i, left in enumerate(clusters)
@@ -306,9 +307,7 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
     Irreflexivity is omitted: only the one-directional check is available
     for it (see `irr_one_directional`).
     """
-    d.require_valid()
-    structure = clan_structure(d)
-    canonical = canonical_time_structure(d, structure)
+    canonical = canonical_time_structure(d)
     ult_structure = TimeStructure(d.base.atom_count, d.prec_rel.pairs)
     rows = []
     for cond in DCA_TIME_AXIOMS:
@@ -317,7 +316,7 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
         else:
             on_ult = check_time_condition(ult_structure, cond).holds
         on_clust = check_time_condition(canonical.structure, cond).holds
-        on_regions = check_time_axiom(d, cond).holds
+        on_regions = time_axiom_holds(d, cond)
         rows.append(Correspondence2Row(cond, on_ult, on_clust, on_regions))
     return rows
 
@@ -330,7 +329,7 @@ def irr_one_directional(d: DCA) -> dict[str, bool]:
     """
     d.require_valid()
     ult_irr = all((x, x) not in d.prec_rel.pairs for x in d.base.atoms())
-    region_irr = check_time_axiom(d, TimeCondition.IRR).holds
+    region_irr = time_axiom_holds(d, TimeCondition.IRR)
     return {
         "ultrafilter_irr": ult_irr,
         "region_irr": region_irr,
@@ -339,20 +338,23 @@ def irr_one_directional(d: DCA) -> dict[str, bool]:
     }
 
 
-def coordinate_algebra(d: DCA, cluster_support: int, structure: ClanStructure | None = None) -> FactorAlgebra:
-    """Factor of the space contact by the s-clans inside one cluster."""
+def coordinate_algebra(d: DCA, cluster_support: int) -> FactorAlgebra:
+    """Factor of the space contact by the s-clans inside one cluster.
+
+    Every atom and every related atom pair is an s-clan, and a valid
+    algebra's s-clans each lie inside one cluster; so the factor keeps the
+    cluster's atoms and restricts the space contact to them, without
+    listing the s-clans.
+    """
     d.require_valid()
-    structure = structure or clan_structure(d)
-    if cluster_support not in structure.clusters:
+    if cluster_support not in _time_classes(d):
         raise PreconditionError(
             "coordinate algebras exist only at clusters", witness=cluster_support
         )
-    inside = [
-        Clan(d.base, support)
-        for support in structure.s_clans
-        if support & ~cluster_support == 0
-    ]
-    return factor_by_clanset(d.cs_algebra, inside)
+    kept = tuple(atoms_of(cluster_support))
+    rows = d.space_rel.rows
+    pairs = {(i, j) for i, x in enumerate(kept) for j, y in enumerate(kept) if rows[x] >> y & 1}
+    return FactorAlgebra(d.cs_algebra, PrecontactAlgebra.from_atom_pairs(FiniteBA(len(kept)), pairs), kept)
 
 
 @dataclass(frozen=True)
@@ -372,10 +374,8 @@ class CanonicalModel:
 @lru_cache(maxsize=None)
 def canonical_standard_dca(d: DCA) -> CanonicalModel:
     """Full snapshot model over the canonical time structure."""
-    d.require_valid()
-    structure = clan_structure(d)
-    canonical = canonical_time_structure(d, structure)
-    factors = tuple(coordinate_algebra(d, support, structure) for support in canonical.clusters)
+    canonical = canonical_time_structure(d)
+    factors = tuple(coordinate_algebra(d, support) for support in canonical.clusters)
     model = build_dmst(canonical.structure, [f.algebra for f in factors], mode="full")
     return CanonicalModel(d, canonical, factors, model)
 
@@ -497,8 +497,8 @@ def verify_embedding(d: DCA) -> Report:
     )
 
     for cond in DCA_TIME_AXIOMS:
-        in_d = check_time_axiom(d, cond).holds
-        in_model = check_time_axiom(model, cond).holds
+        in_d = time_axiom_holds(d, cond)
+        in_model = time_axiom_holds(model, cond)
         report.add(f"time axiom {cond.region_axiom} preserved", in_d == in_model)
     return report
 

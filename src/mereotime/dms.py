@@ -30,6 +30,7 @@ from .dca import (
     DCA,
     _clique_supports,
     _common_successors,
+    _time_classes,
     clan_structure,
     validate_dca,
 )
@@ -39,8 +40,8 @@ from .snapshot import (
     DCA_TIME_AXIOMS,
     TimeCondition,
     TimeStructure,
-    check_time_axiom,
     check_time_condition,
+    time_axiom_holds,
 )
 
 _FAMILY_CAP = 200_000
@@ -293,53 +294,51 @@ def rho(space: DMSpace, x: int) -> frozenset[int]:
     return space.trace(x)
 
 
-def _cluster_supports(d: DCA) -> set[int]:
-    return {d.time_rel.rows[x] for x in d.base.atoms()}
+def check_s2(candidate: DMSpace) -> Check:
+    """S2: the regions are a subalgebra of RC and a closed base.
+
+    Each region and its regular-closed complement is checked; meets then
+    follow from joins and complements, so the family is a subalgebra of RC
+    iff the dual algebra exists, that is iff the family is the distinct
+    joins of its atoms.
+    """
+    space = candidate.space
+    regions = candidate.regions
+    members = set(regions)
+    if len(members) != len(regions):
+        return Check("S2", False, ("duplicate region",))
+    if 0 not in members or space.universe not in members:
+        return Check("S2", False, ("missing bounds",))
+    for a in regions:
+        if not space.is_regular_closed(a):
+            return Check("S2", False, (a, "not regular closed"))
+        if space.closure(space.universe ^ a) not in members:
+            return Check("S2", False, (a, "complement escapes"))
+    try:
+        dual(candidate)
+    except ValidationError as exc:
+        return Check("S2", False, exc.witness)
+    # The family must be a closed base: it has to recover every base-closed
+    # set of the ambient topology.
+    probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
+    for b in space.closed_base:
+        if probe.closure(b) != space.closure(b) or not probe.is_closed(space.closure(b)):
+            return Check("S2", False, (b, "not a closed base"))
+    return Check("S2", True)
 
 
 @lru_cache(maxsize=None)
 def validate_dms(candidate: DMSpace) -> Report:
     """Decide the eight space axioms, each with a witness on failure.
 
-    S2 checks each region and its regular-closed complement; meets then
-    follow from joins and complements, so the family is a subalgebra of RC
-    iff the dual algebra exists, that is iff the family is the distinct
-    joins of its atoms.  S7 is decided on the dual atoms.
+    S2 is `check_s2`; S7 is decided on the dual atoms.
     """
     report = Report(subject="dynamic mereotopological space")
     space = candidate.space
     report.add("S1", space.point_count >= 1)
 
-    regions = candidate.regions
-    members = set(regions)
-    s2_holds = True
-    s2_witness = None
-    if len(members) != len(regions):
-        s2_holds, s2_witness = False, ("duplicate region",)
-    elif 0 not in members or space.universe not in members:
-        s2_holds, s2_witness = False, ("missing bounds",)
-    else:
-        for a in regions:
-            if not space.is_regular_closed(a):
-                s2_holds, s2_witness = False, (a, "not regular closed")
-                break
-            if space.closure(space.universe ^ a) not in members:
-                s2_holds, s2_witness = False, (a, "complement escapes")
-                break
-        if s2_holds:
-            try:
-                dual(candidate)
-            except ValidationError as exc:
-                s2_holds, s2_witness = False, exc.witness
-        if s2_holds:
-            # The family must be a closed base: it has to recover every
-            # base-closed set of the ambient topology.
-            probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
-            for b in space.closed_base:
-                if probe.closure(b) != space.closure(b) or not probe.is_closed(space.closure(b)):
-                    s2_holds, s2_witness = False, (b, "not a closed base")
-                    break
-    report.add("S2", s2_holds, s2_witness)
+    s2 = check_s2(candidate)
+    report.extend([s2])
 
     report.add("S3", candidate.space_points != 0 and candidate.time_points != 0)
     s4_witness = next(
@@ -353,7 +352,7 @@ def validate_dms(candidate: DMSpace) -> Report:
     report.add("S4", s4_witness is None, s4_witness)
     report.add("S5", True)  # structural, enforced at construction
 
-    if not s2_holds:
+    if not s2.holds:
         for name in ("S6", "S7", "S8"):
             report.add(name, False, witness=("not evaluable: S2 fails",))
         return report
@@ -383,7 +382,7 @@ def validate_dms(candidate: DMSpace) -> Report:
     report.add("S7", s7_witness is None, s7_witness)
 
     if sub.ok:
-        cluster_supports = _cluster_supports(algebra.dca)
+        cluster_supports = set(_time_classes(algebra.dca))
         s8_witness = next(
             (
                 (x,)
@@ -425,7 +424,7 @@ def classify(space: DMSpace) -> Classification:
     realized_clusters = {traces[x] for x in atoms_of(space.time_points)}
     missing_t = tuple(sorted(set(_clique_supports(d.ct_algebra)) - realized_t))
     missing_s = tuple(sorted(set(_clique_supports(d.cs_algebra)) - realized_s))
-    missing_clusters = tuple(sorted(_cluster_supports(d) - realized_clusters))
+    missing_clusters = tuple(sorted(set(_time_classes(d)) - realized_clusters))
     return Classification(
         is_t0=not duplicates,
         is_dm_compact=not (missing_t or missing_s or missing_clusters),
@@ -596,7 +595,7 @@ def stability_check(space: DMSpace) -> Report:
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"lifting {cond.region_axiom}",
-            check_time_axiom(sub.dca, cond).holds == check_time_axiom(full, cond).holds,
+            time_axiom_holds(sub.dca, cond) == time_axiom_holds(full, cond),
         )
     return report
 
@@ -721,7 +720,7 @@ def verify_representation_topo(d: DCA) -> Report:
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"time axiom {cond.region_axiom} matches RC",
-            check_time_axiom(d, cond).holds == check_time_axiom(full, cond).holds,
+            time_axiom_holds(d, cond) == time_axiom_holds(full, cond),
         )
     return report
 
@@ -737,7 +736,7 @@ def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
     if cond is TimeCondition.TRI and not compact.is_t0:
         warning = "trichotomy transfer is only guaranteed on T0 spaces"
     on_structure = check_time_condition(space.time_structure, cond).holds
-    on_rc = check_time_axiom(rc_dca(space)[0], cond).holds
+    on_rc = time_axiom_holds(rc_dca(space)[0], cond)
     return {
         "on_time_structure": on_structure,
         "on_rc_axiom": on_rc,

@@ -265,7 +265,7 @@ def load_path(path) -> tuple[str, object, dict, dict]:
 
 
 def write_path(path, obj, claims=None) -> str:
-    payload = encode(obj, claims=claims)
-    text = canonical_dumps(payload)
+    """Write a model's canonical text; return its digest, equal to `digest` of the payload."""
+    text = canonical_dumps(encode(obj, claims=claims))
     Path(path).write_text(text, encoding="utf-8")
-    return digest(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -52,16 +52,17 @@ FREE_VARIABLE_AXIOMS = frozenset(
 # Most regions a full model may have.  Every command reading a full model
 # enumerates its regions.  Seconds per command, in process, on full models
 # with one moment and one path-contact coordinate (`represent` on the
-# model's algebra; Python 3.11 on a Xeon core):
-#     regions   check   correspondence   represent
-#       1,024   0.009       0.009          0.039
-#       4,096   0.012       0.022          0.068
-#      16,384   0.023       0.017          0.231
-#      65,536   0.078       0.039          1.089
-#     262,144   0.236       0.136          4.353
-# `represent` is the costliest: it enumerates the 2^n - 1 t-clans of the
-# one-moment algebra, about four times the work per two more atoms.
-FULL_REGION_CAP = 1 << 14
+# model's algebra; median of three, Python 3.11 on a Xeon core), and the
+# peak resident memory of `represent`:
+#     regions   check   correspondence   represent   peak MB
+#       1,024   0.005       0.003          0.016
+#       4,096   0.007       0.005          0.022
+#      16,384   0.022       0.010          0.035        23
+#      65,536   0.061       0.034          0.081        31
+#     262,144   0.236       0.153          0.224        65
+# All three grow with the region count alone; the bound keeps every
+# command under 0.1 s.
+FULL_REGION_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,16 +163,27 @@ def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -
     instance, as elements of the carrier (singleton masks or atom regions,
     and p as the join of a row of atoms).
     """
-    if isinstance(source, DMST):
-        atoms, time_rel, prec_rel = source.atom_relations
-    else:
-        time_rel, prec_rel = source.time_rel, source.prec_rel
-    witness = _atom_failure(cond, existential_p, time_rel.rows, prec_rel.rows, prec_rel.columns)
+    witness = _atom_failure(cond, existential_p, *_atom_frame(source))
     if witness is None:
         return Check(cond.region_axiom, True)
     if isinstance(source, DMST):
+        atoms = source.atom_relations[0]
         witness = tuple(_region_of(source, atoms, mask) for mask in witness)
     return Check(cond.region_axiom, False, witness=witness)
+
+
+def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -> bool:
+    """The verdict of `check_time_axiom`, without building its witness."""
+    return _atom_failure(cond, existential_p, *_atom_frame(source)) is None
+
+
+def _atom_frame(source) -> tuple:
+    """Time-contact rows, precedence rows and precedence columns of the atoms."""
+    if isinstance(source, DMST):
+        _, time_rel, prec_rel = source.atom_relations
+    else:
+        time_rel, prec_rel = source.time_rel, source.prec_rel
+    return time_rel.rows, prec_rel.rows, prec_rel.columns
 
 
 def _atom_failure(cond: TimeCondition, existential_p: bool, t_rows, p_rows, p_cols):
@@ -243,9 +255,7 @@ def _lowest(mask: int) -> int:
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
     """Truth of a free-variable axiom under the universal and existential readings."""
-    universal = check_time_axiom(source, cond, existential_p=False).holds
-    existential = check_time_axiom(source, cond, existential_p=True).holds
-    return universal, existential
+    return time_axiom_holds(source, cond), time_axiom_holds(source, cond, existential_p=True)
 
 
 Region = tuple[int, ...]
@@ -519,11 +529,9 @@ def correspondence_check(model: DMST) -> list[CorrespondenceRow]:
     rows = []
     for cond in TIME_CONDITIONS:
         left = check_time_condition(model.time, cond).holds
-        right = check_time_axiom(model, cond).holds
+        right = time_axiom_holds(model, cond)
         note = None
-        if cond in FREE_VARIABLE_AXIOMS:
-            universal, existential = reading_comparison(model, cond)
-            if universal != existential:
-                note = "universal and existential readings of p differ here"
+        if cond in FREE_VARIABLE_AXIOMS and right != time_axiom_holds(model, cond, existential_p=True):
+            note = "universal and existential readings of p differ here"
         rows.append(CorrespondenceRow(cond, left, right, note))
     return rows

@@ -1,4 +1,5 @@
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -6,11 +7,11 @@ import time
 import pytest
 
 from mereotime.boolean import FiniteBA
-from mereotime.cli import main
+from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
-from mereotime.models import load_path, write_path
+from mereotime.models import digest, encode, load_path, write_path
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -386,3 +387,76 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "mereotime" in proc.stdout
+
+
+def _exit_output(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", [None, *(c[0] for c in FILE_COMMANDS), "generate"])
+def test_help_matches_a_freshly_built_parser(command, capsys):
+    argv = ["--help"] if command is None else [command, "--help"]
+    shared = _exit_output(lambda: main(argv), capsys)
+    fresh = _exit_output(lambda: build_parser().parse_args(argv), capsys)
+    assert shared == fresh
+    assert shared[0] == 0 and shared[1].startswith("usage: mereotime")
+
+
+def test_usage_error_leaves_the_parser_reusable(trivial_dca_file, capsys):
+    first = run(["points", trivial_dca_file], capsys)
+    code, _, err = _exit_output(lambda: main(["points", str(trivial_dca_file), "--format", "xml"]), capsys)
+    assert code == 2 and "invalid choice: 'xml'" in err
+    code, _, err = _exit_output(lambda: main(["points"]), capsys)
+    assert code == 2 and "required: path" in err
+    assert run(["points", trivial_dca_file], capsys) == first
+
+
+def test_consecutive_commands_share_no_arguments(
+    trivial_dca_file, chain_dca_file, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("MEREOTIME_OUT", str(tmp_path / "env"))
+    code, out, _ = run(["dualize", chain_dca_file, "--out", tmp_path / "given", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["input"] == str(chain_dca_file)
+    code, out, _ = run(["check", trivial_dca_file], capsys)
+    assert code == 0 and out.startswith(f"== check {trivial_dca_file}\n")
+    code, out, _ = run(["dualize", trivial_dca_file], capsys)
+    assert code == 0 and f"model_file: \"{tmp_path / 'env'}" in out
+    assert not (tmp_path / "given" / "trivial_dca.dual.json").exists()
+    assert "out" not in vars(PARSER.parse_args(["check", "x"]))
+
+
+def test_malformed_check_stays_within_budget(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text("{ not json", encoding="utf-8")
+    times = []
+    for _ in range(50):
+        start = time.perf_counter()
+        code = main(["check", str(path)])
+        times.append(time.perf_counter() - start)
+        assert code == 2
+    capsys.readouterr()
+    assert statistics.median(times) < 0.6e-3, statistics.median(times)
+
+
+def test_dualize_of_a_dms_requires_s2(tmp_path, capsys):
+    # The family {0, {0}} lacks the top: no subalgebra of RC, so no dual.
+    total = frozenset((x, y) for x in range(2) for y in range(2))
+    space = DMSpace(FiniteTopSpace(2, (1, 2)), 0b11, 0b11, total, (0, 0b01))
+    path = tmp_path / "no_top.json"
+    write_path(path, space)
+    code, out, _ = run(["check", path], capsys)
+    assert code == 1
+    assert "FAIL  S2  witness=['missing bounds']" in out
+    code, out, err = run(["dualize", path, "--out", tmp_path / "out"], capsys)
+    assert code == 1 and out == ""
+    assert "S2 fails (witness ['missing bounds'])" in err
+    assert not (tmp_path / "out" / "no_top.dual_algebra.json").exists()
+
+
+def test_write_path_returns_the_digest_of_the_written_text(trivial_dca_file, tmp_path):
+    _, d, _, _ = load_path(trivial_dca_file)
+    path = tmp_path / "again.json"
+    assert write_path(path, d) == digest(encode(d)) == digest(json.loads(path.read_text()))

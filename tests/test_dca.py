@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mereotime.boolean import FiniteBA
-from mereotime.contact import PrecontactAlgebra
+from mereotime.contact import Clan, PrecontactAlgebra, factor_by_clanset
 from mereotime.dca import (
     DCA,
     canonical_standard_dca,
@@ -360,6 +360,47 @@ def test_clan_cluster_characterizations(small_dca_corpus):
                     s & rest for group in inside.values() for s in group
                 )
                 assert (not d.base.leq(a, b)) == (rest != 0) == via_witness_sclan
+
+
+def _snapshot_corpus():
+    """Algebras of full models over every time structure on at most three
+    moments, of seeded models, and of every contact algebra on three atoms."""
+    one_atom = PrecontactAlgebra.overlap(FiniteBA(1))
+    out = [
+        standard_dca(build_dmst(ts, [one_atom] * ts.point_count, mode="full"))
+        for n in (1, 2, 3)
+        for ts in gen.all_time_structures(n)
+    ]
+    rng = random.Random(11)
+    out += [standard_dca(gen.seeded_model(rng, moments)) for moments in (1, 2, 3) for _ in range(4)]
+    out += [from_contact_algebra(ca) for ca in gen.contact_algebras(3)]
+    return out
+
+
+def test_canonical_model_equals_the_clan_inventory_construction(small_dca_corpus):
+    # The canonical model reads clusters and the space contact directly; the
+    # oracle builds it from the full clan inventory, t-clans included.
+    for d in [*small_dca_corpus, *_snapshot_corpus()]:
+        cs = clan_structure(d)
+        prec = {
+            (i, j)
+            for i, left in enumerate(cs.clusters)
+            for j, right in enumerate(cs.clusters)
+            if (left, right) in cs.prec
+        }
+        factors = tuple(
+            factor_by_clanset(
+                d.cs_algebra, [Clan(d.base, s) for s in cs.s_clans if s & ~cluster == 0]
+            )
+            for cluster in cs.clusters
+        )
+        time = canonical_time_structure(d)
+        assert time.clusters == cs.clusters
+        assert time.structure == TimeStructure.of(len(cs.clusters), prec)
+        assert tuple(coordinate_algebra(d, c) for c in cs.clusters) == factors
+        canonical = canonical_standard_dca(d)
+        assert canonical.factors == factors
+        assert canonical.model == build_dmst(time.structure, [f.algebra for f in factors])
 
 
 def test_coordinate_algebra_of_two_time_chain():

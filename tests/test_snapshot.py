@@ -18,6 +18,7 @@ from mereotime.snapshot import (
     is_full,
     is_rich,
     reading_comparison,
+    time_axiom_holds,
 )
 
 from conftest import element_time_axiom, time_axiom_fails_at
@@ -302,6 +303,7 @@ def test_time_axioms_on_models_match_element_oracle():
                 fast = check_time_axiom(m, cond, existential)
                 slow = element_time_axiom(m, cond, existential)
                 assert (fast.holds, fast.witness) == (slow.holds, slow.witness), (m, cond, existential)
+                assert time_axiom_holds(m, cond, existential) == fast.holds
                 if not fast.holds:
                     assert time_axiom_fails_at(m, cond, existential, fast.witness)
                     failures += 1
