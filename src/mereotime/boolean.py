@@ -14,10 +14,6 @@ from functools import cached_property
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def atoms_of(mask: int):
     """Yield atom indices of `mask` in ascending order."""
     i = 0
@@ -198,9 +194,6 @@ class Ultrafilter:
 
     def contains(self, a: int) -> bool:
         return bool(self.algebra.check(a) & (1 << self.atom))
-
-    def as_filter(self) -> Filter:
-        return Filter(self.algebra, self.members)
 
 
 def ultrafilters(algebra: FiniteBA) -> list[Ultrafilter]:

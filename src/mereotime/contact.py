@@ -190,9 +190,6 @@ class PrecontactAlgebra:
         self.base.check(b)
         return bool(self.relation.forward_image(a) & b)
 
-    def not_related(self, a: int, b: int) -> bool:
-        return not self.related(a, b)
-
     @cached_property
     def axiom_report(self) -> Report:
         return check_axioms(self)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,11 +50,12 @@ DCA_TIME_AXIOMS = tuple(c for c in TimeCondition if c is not TimeCondition.IRR)
 FREE_VARIABLE_AXIOMS = frozenset(
     {TimeCondition.UP_DIR, TimeCondition.DOWN_DIR, TimeCondition.CIRC, TimeCondition.DENS}
 )
-# Most regions a full model may have.  Every command reading a full model
-# enumerates its regions.  Seconds per command, in process, on full models
-# with one moment and one path-contact coordinate (`represent` on the
-# model's algebra; median of three, Python 3.11 on a Xeon core), and the
-# peak resident memory of `represent`:
+# Most regions a full or rich model may have, that is, any universe that is
+# built rather than listed: a rich model's size, 2^k for its k cells, is
+# checked before any region is built.  Seconds per command, in process, on
+# full models with one moment and one path-contact coordinate (`represent`
+# on the model's algebra; median of three, Python 3.11 on a Xeon core), and
+# the peak resident memory of `represent`:
 #     regions   check   correspondence   represent   peak MB
 #       1,024   0.005       0.003          0.016
 #       4,096   0.007       0.005          0.022
@@ -61,7 +63,8 @@ FREE_VARIABLE_AXIOMS = frozenset(
 #      65,536   0.061       0.034          0.081        31
 #     262,144   0.236       0.153          0.224        65
 # All three grow with the region count alone; the bound keeps every
-# command under 0.1 s.
+# command under 0.1 s, as for a rich model at the bound (two moments with
+# 8-atom path-contact coordinates: check 0.034 s, correspondence 0.051 s).
 FULL_REGION_CAP = 1 << 16
 
 
@@ -346,8 +349,8 @@ def _region_of(model: DMST, atoms: list[Region], mask: int) -> Region:
 def region_algebra_atoms(model: DMST) -> list[Region]:
     """Atoms of the region Boolean algebra: its minimal nonzero members.
 
-    A full model's atoms are one coordinate atom at one moment; other models
-    are scanned for their minimal nonzero regions.
+    A full model's atoms are one coordinate atom at one moment; the atoms of
+    any other model are the cells its regions cut out.
     """
     if is_full(model):
         zero = model.zero
@@ -356,115 +359,105 @@ def region_algebra_atoms(model: DMST) -> list[Region]:
             for m, c in enumerate(model.coordinates)
             for x in c.base.atoms()
         )
-    regions = model.regions
-
-    def leq(a, b):
-        return all(x & ~y == 0 for x, y in zip(a, b))
-
-    atoms = []
-    for r in regions:
-        if not model.is_nonzero(r):
-            continue
-        if any(model.is_nonzero(s) and s != r and leq(s, r) for s in regions):
-            continue
-        atoms.append(r)
-    return sorted(atoms)
+    layout = _layout(model.coordinates)
+    cells = _cells(layout, [_pack(layout, r) for r in model.regions])
+    return sorted(_unpack(layout, cell) for cell in cells)
 
 
-def _zero_one_vectors(coordinates) -> list[Region]:
-    tops = [c.base.one for c in coordinates]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(coordinates)):
-        out.append(tuple(top if bit else 0 for top, bit in zip(tops, bits)))
-    return out
+def _layout(coordinates) -> list[tuple[int, int]]:
+    """Bit offset and top of each coordinate in a packed region, one int over
+    the atoms of all coordinates: coordinate m's bits follow those of
+    coordinates 0..m-1."""
+    shifts = itertools.accumulate((c.base.atom_count for c in coordinates), initial=0)
+    return [(shift, c.base.one) for shift, c in zip(shifts, coordinates)]
 
 
-def _boolean_closure(coordinates, seeds) -> tuple[Region, ...]:
-    tops = tuple(c.base.one for c in coordinates)
-    family = {tuple(0 for _ in tops), tops}
-    family.update(seeds)
-    changed = True
-    while changed:
-        changed = False
-        current = list(family)
-        for a in current:
-            comp = tuple(t ^ x for t, x in zip(tops, a))
-            if comp not in family:
-                family.add(comp)
-                changed = True
-        current = list(family)
-        for a in current:
-            for b in current:
-                for combined in (
-                    tuple(x | y for x, y in zip(a, b)),
-                    tuple(x & y for x, y in zip(a, b)),
-                ):
-                    if combined not in family:
-                        family.add(combined)
-                        changed = True
-    return tuple(sorted(family))
+def _pack(layout, region: Region) -> int:
+    return sum(x << shift for (shift, _), x in zip(layout, region))
 
 
-def _closure_defect(coordinates, family) -> Region | None:
-    """A coordinate-wise combination missing from `family`, if any."""
-    tops = tuple(c.base.one for c in coordinates)
-    members = set(family)
-    zero = tuple(0 for _ in tops)
-    if zero not in members or tops not in members:
-        return tops if tops not in members else zero
-    for a in family:
-        comp = tuple(t ^ x for t, x in zip(tops, a))
-        if comp not in members:
-            return comp
-        for b in family:
-            join = tuple(x | y for x, y in zip(a, b))
-            if join not in members:
-                return join
-            meet = tuple(x & y for x, y in zip(a, b))
-            if meet not in members:
-                return meet
-    return None
+def _unpack(layout, packed: int) -> Region:
+    return tuple([packed >> shift & top for shift, top in layout])
+
+
+def _cells(layout, generators) -> list[int]:
+    """The nonempty cells that the packed `generators` cut out of the top.
+
+    A finite Boolean algebra generated by sets is the powerset of the cells
+    they cut out (Sikorski 1964), so the algebra the generators span is the
+    joins of these cells.  O(generators x cells) word operations.
+    """
+    cells = [sum(top << shift for shift, top in layout)]
+    for g in generators:
+        cells = [part for cell in cells for part in (cell & g, cell & ~g) if part]
+    return cells
+
+
+def _joins(cells):
+    """The join of every subset of `cells`, lazily, in binary counting order."""
+    joins = [0]
+    yield 0
+    for cell in cells:
+        more = [j | cell for j in joins]
+        yield from more
+        joins += more
+
+
+def _admit(mode: str, size: int) -> None:
+    if size > FULL_REGION_CAP:
+        raise CapabilityError(
+            f"{mode} model too large to enumerate: {size} regions, "
+            f"over the bound of {FULL_REGION_CAP}",
+            missing=f"small {mode} model",
+        )
 
 
 def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None) -> DMST:
     """Assemble a dynamic model.
 
     mode "full": the whole Cartesian product of the coordinate algebras.
-    mode "rich": the Boolean closure of all zero/one vectors plus any seeds
-    passed in `regions`.
-    mode "custom": exactly `regions`, which must be Boolean-closed; a missing
-    combination is reported in the validation error.
+    mode "rich": the Boolean algebra generated by the one-moment blocks
+    (the top at one moment, zero elsewhere) and any seeds passed in
+    `regions`: all joins of the cells they cut out.
+    mode "custom": exactly `regions`, which must be Boolean-closed, that is
+    hold every join of the cells the regions cut out; the first missing join
+    is reported in the validation error.
+    A full or rich universe is enumerated only up to `FULL_REGION_CAP`
+    regions; a larger one raises `CapabilityError` before any is built.
     """
     coordinates = tuple(coordinates)
     for c in coordinates:
         c.require_contact()
     if mode == "full":
-        size = _product_size(coordinates)
-        if size > FULL_REGION_CAP:
-            raise CapabilityError(
-                f"full model too large to enumerate: {size} regions, "
-                f"over the bound of {FULL_REGION_CAP}",
-                missing="small full model",
-            )
-        universe = tuple(
-            sorted(itertools.product(*(c.base.elements() for c in coordinates)))
-        )
+        _admit(mode, math.prod(c.base.size for c in coordinates))
+        universe = tuple(itertools.product(*(c.base.elements() for c in coordinates)))
     elif mode == "rich":
         seeds = [tuple(r) for r in regions] if regions else []
         for r in seeds:
             _check_region_shape(coordinates, r)
-        universe = _boolean_closure(coordinates, _zero_one_vectors(coordinates) + seeds)
+        layout = _layout(coordinates)
+        blocks = [top << shift for shift, top in layout]
+        cells = _cells(layout, blocks + [_pack(layout, r) for r in seeds])
+        _admit(mode, 1 << len(cells))
+        # Each cell lies in one moment's block, so the universe is the
+        # product of each moment's joins, listed in order by the product.
+        parts = [[c >> shift for c in cells if c >> shift & top] for shift, top in layout]
+        universe = tuple(itertools.product(*(sorted(_joins(p)) for p in parts)))
     elif mode == "custom":
         if not regions:
             raise ValidationError("custom mode requires an explicit region list")
         universe = tuple(sorted({tuple(r) for r in regions}))
         for r in universe:
             _check_region_shape(coordinates, r)
-        missing = _closure_defect(coordinates, universe)
-        if missing is not None:
+        layout = _layout(coordinates)
+        packed = [_pack(layout, r) for r in universe]
+        cells = _cells(layout, packed)
+        if 1 << len(cells) != len(packed):
+            members = set(packed)
+            missing = next(j for j in _joins(cells) if j not in members)
             raise ValidationError(
                 "custom region set is not closed under the Boolean operations",
-                witness=missing,
+                witness=_unpack(layout, missing),
             )
     else:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -479,20 +472,20 @@ def _check_region_shape(coordinates, region: Region) -> None:
 
 
 def is_rich(model: DMST) -> bool:
-    """All zero/one-valued region vectors are present."""
-    have = set(model.regions)
-    return all(v in have for v in _zero_one_vectors(model.coordinates))
+    """All zero/one-valued region vectors are present.
+
+    The regions are closed under joins, so the one-moment blocks (the top at
+    one moment, zero elsewhere) suffice.
+    """
+    zero = model.zero
+    return all(
+        zero[:m] + (c.base.one,) + zero[m + 1 :] in model._region_lookup
+        for m, c in enumerate(model.coordinates)
+    )
 
 
 def is_full(model: DMST) -> bool:
-    return len(model.regions) == _product_size(model.coordinates)
-
-
-def _product_size(coordinates) -> int:
-    size = 1
-    for c in coordinates:
-        size *= c.base.size
-    return size
+    return len(model.regions) == math.prod(c.base.size for c in model.coordinates)
 
 
 def dynamic_relations(model: DMST, a: Region, b: Region) -> dict[str, bool]:

@@ -827,6 +827,90 @@ def rc_law_failures(rc) -> list[tuple]:
     return out
 
 
+def zero_one_vectors(coordinates) -> list[tuple]:
+    """Every region that is zero or the top at each moment."""
+    tops = [c.base.one for c in coordinates]
+    return [
+        tuple(top if bit else 0 for top, bit in zip(tops, bits))
+        for bits in itertools.product((0, 1), repeat=len(coordinates))
+    ]
+
+
+def element_boolean_closure(coordinates, seeds) -> tuple:
+    """Zero, top and `seeds` closed under complement, join and meet by fixpoint."""
+    tops = tuple(c.base.one for c in coordinates)
+    family = {tuple(0 for _ in tops), tops}
+    family.update(seeds)
+    changed = True
+    while changed:
+        changed = False
+        current = list(family)
+        for a in current:
+            comp = tuple(t ^ x for t, x in zip(tops, a))
+            if comp not in family:
+                family.add(comp)
+                changed = True
+        current = list(family)
+        for a in current:
+            for b in current:
+                for combined in (
+                    tuple(x | y for x, y in zip(a, b)),
+                    tuple(x & y for x, y in zip(a, b)),
+                ):
+                    if combined not in family:
+                        family.add(combined)
+                        changed = True
+    return tuple(sorted(family))
+
+
+def element_closure_defect(coordinates, family):
+    """A coordinate-wise combination missing from `family`, if any."""
+    tops = tuple(c.base.one for c in coordinates)
+    members = set(family)
+    zero = tuple(0 for _ in tops)
+    if zero not in members or tops not in members:
+        return tops if tops not in members else zero
+    for a in family:
+        comp = tuple(t ^ x for t, x in zip(tops, a))
+        if comp not in members:
+            return comp
+        for b in family:
+            join = tuple(x | y for x, y in zip(a, b))
+            if join not in members:
+                return join
+            meet = tuple(x & y for x, y in zip(a, b))
+            if meet not in members:
+                return meet
+    return None
+
+
+def element_region_atoms(model) -> list[tuple]:
+    """Minimal nonzero regions, by scanning every region pair."""
+
+    def leq(a, b):
+        return all(x & ~y == 0 for x, y in zip(a, b))
+
+    regions = model.regions
+    return sorted(
+        r
+        for r in regions
+        if model.is_nonzero(r)
+        and not any(model.is_nonzero(s) and s != r and leq(s, r) for s in regions)
+    )
+
+
+def element_is_rich(model) -> bool:
+    have = set(model.regions)
+    return all(v in have for v in zero_one_vectors(model.coordinates))
+
+
+def element_prec_extension(d, left: int, right: int) -> bool:
+    """Element-level clan precedence: every element meeting `left` precedes
+    every element meeting `right`."""
+    meeting = lambda support: [a for a in d.base.elements() if a & support]
+    return all(d.precedes(a, b) for a in meeting(left) for b in meeting(right))
+
+
 # -- fixtures --------------------------------------------------------------
 
 

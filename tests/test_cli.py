@@ -1,4 +1,5 @@
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+import mereotime
 from mereotime.boolean import FiniteBA
 from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
@@ -340,6 +342,43 @@ def test_oversized_full_model_exits_two_naming_the_bound(tmp_path, capsys):
     assert str(2**40) in line and str(FULL_REGION_CAP) in line, line
 
 
+def _two_moment_rich(atom_count, seeds):
+    coordinate = {"atom_count": atom_count, "contact": [[i, i] for i in range(atom_count)]}
+    return {
+        "kind": "dmst",
+        "format_version": 1,
+        "time": {"point_count": 2, "prec": [[0, 1]]},
+        "coordinates": [coordinate, coordinate],
+        "mode": "rich",
+        "regions": seeds,
+    }
+
+
+def test_rich_models_are_sized_before_they_are_built(tmp_path, capsys):
+    # Twelve singleton seeds on two 6-atom coordinates cut 12 cells: 4,096 regions.
+    six = tmp_path / "rich6.json"
+    six.write_text(
+        json.dumps(_two_moment_rich(6, [[[i], []] for i in range(6)] + [[[], [i]] for i in range(6)]))
+    )
+    start = time.perf_counter()
+    code, out, _ = run(["check", six], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0, out
+
+    # On two 10-atom coordinates 20 cells give 2^20 regions, over the bound.
+    ten = tmp_path / "rich10.json"
+    ten.write_text(
+        json.dumps(_two_moment_rich(10, [[[i], [i]] for i in range(10)] + [[[i], []] for i in range(10)]))
+    )
+    start = time.perf_counter()
+    code, _, err = run(["check", ten], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    line = err.strip()
+    assert line.startswith("error:") and "rich model too large" in line, line
+    assert "1048576" in line and str(FULL_REGION_CAP) in line, line
+
+
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):
     from mereotime.category import DcaMorphism
     from mereotime.contact import PrecontactAlgebra as PA
@@ -380,10 +419,15 @@ def test_topological_definability_rejects_irr():
 
 
 def test_console_entry_point_runs():
+    # The child imports the package from wherever this process found it,
+    # installed or not.
+    package_root = os.path.dirname(os.path.dirname(mereotime.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mereotime.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "mereotime" in proc.stdout

@@ -37,6 +37,7 @@ from mereotime.snapshot import (
 
 from conftest import (
     all_atom_relations,
+    element_prec_extension,
     element_time_axiom,
     element_validate_dca,
     element_verify_embedding,
@@ -241,8 +242,17 @@ def test_clan_inclusion_chain(small_dca_corpus):
 
 
 def test_extension_of_prec_equivalences(small_dca_corpus):
+    # The element-level definition (the literal column) agrees with the
+    # atom-level precedence on every t-clan pair.
     for d in small_dca_corpus:
-        assert all(c.holds for c in extension_of_prec_checks(d))
+        cs = clan_structure(d)
+        pairs = list(itertools.product(cs.t_clans, repeat=2))
+        checks = extension_of_prec_checks(d)
+        assert [c.name for c in checks] == [f"prec extension {l:#x}->{r:#x}" for l, r in pairs]
+        assert all(c.holds for c in checks)
+        for left, right in pairs:
+            literal = element_prec_extension(d, left, right)
+            assert literal == ((left, right) in cs.prec), (d, left, right)
 
 
 def test_prec_extends_to_clusters(small_dca_corpus):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,10 +19,19 @@ from mereotime.snapshot import (
     is_full,
     is_rich,
     reading_comparison,
+    region_algebra_atoms,
     time_axiom_holds,
 )
 
-from conftest import element_time_axiom, time_axiom_fails_at
+from conftest import (
+    element_boolean_closure,
+    element_closure_defect,
+    element_is_rich,
+    element_region_atoms,
+    element_time_axiom,
+    time_axiom_fails_at,
+    zero_one_vectors,
+)
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
 TWO_ATOM = PrecontactAlgebra.overlap(FiniteBA(2))
@@ -130,6 +140,52 @@ def test_custom_model_closure_validation():
 
     m = build_dmst(t, [TWO_ATOM], mode="custom", regions=[(0,), (3,), (1,), (2,)])
     assert len(m.regions) == 4
+
+
+FAMILY_SHAPES = ((2, 1), (1, 1, 1), (2,), (3,), (2, 2))
+
+
+def region_families(coordinates):
+    """Every nonempty region family on at most eight regions; on larger
+    shapes, seeded samples and the Boolean closure of each."""
+    regions = list(itertools.product(*(c.base.elements() for c in coordinates)))
+    if len(regions) <= 8:
+        for bits in range(1, 1 << len(regions)):
+            yield [r for i, r in enumerate(regions) if bits >> i & 1]
+        return
+    rng = random.Random(len(regions))
+    for _ in range(150):
+        sample = rng.sample(regions, rng.randint(1, 5))
+        yield sample
+        yield list(element_boolean_closure(coordinates, sample))
+
+
+def test_region_families_match_element_oracle():
+    cases = closed = 0
+    for shape in FAMILY_SHAPES:
+        coordinates = [PrecontactAlgebra.overlap(FiniteBA(k)) for k in shape]
+        t = ts(len(shape), {(i, i + 1) for i in range(len(shape) - 1)})
+        for family in region_families(coordinates):
+            members = tuple(sorted(set(family)))
+            rich = build_dmst(t, coordinates, mode="rich", regions=family)
+            expected = element_boolean_closure(coordinates, zero_one_vectors(coordinates) + family)
+            assert rich.regions == expected, (shape, family)
+            models = [rich]
+            if element_closure_defect(coordinates, members) is None:
+                models.append(build_dmst(t, coordinates, mode="custom", regions=family))
+                assert models[-1].regions == members
+                closed += 1
+            else:
+                with pytest.raises(ValidationError) as err:
+                    build_dmst(t, coordinates, mode="custom", regions=family)
+                witness = err.value.witness
+                assert witness not in members, (shape, family)
+                assert witness in element_boolean_closure(coordinates, members), (shape, family)
+            for m in models:
+                assert region_algebra_atoms(m) == element_region_atoms(m), (shape, family)
+                assert is_rich(m) == element_is_rich(m), (shape, family)
+            cases += 1
+    assert cases == 3 * 255 + 15 + 300 and closed > 50
 
 
 def test_custom_model_missing_mixed_vector_is_not_rich():
