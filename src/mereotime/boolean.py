@@ -31,6 +31,15 @@ def mask_of(atoms) -> int:
     return out
 
 
+def meeting(masks, target: int) -> int:
+    """The indices of the `masks` that meet `target`, as a mask."""
+    out = 0
+    for i, mask in enumerate(masks):
+        if mask & target:
+            out |= 1 << i
+    return out
+
+
 def submasks(mask: int):
     """All submasks of `mask` including 0 and `mask` itself."""
     sub = mask

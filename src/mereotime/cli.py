@@ -327,13 +327,9 @@ def _generate_command(args) -> int:
 
         rng = random.Random(args.seed)
         if args.kind == "adjacency":
-            pairs = {
-                (x, y)
-                for x in range(args.size)
-                for y in range(args.size)
-                if rng.random() < 0.5
-            }
-            emit(f"adjacency_s{args.size}_seed{args.seed}", gen.Relation(args.size, frozenset(pairs)))
+            n = args.size
+            rows = [sum(1 << y for y in range(n) if rng.random() < 0.5) for _ in range(n)]
+            emit(f"adjacency_s{n}_seed{args.seed}", gen.Relation.from_rows(n, rows))
         elif args.kind == "time_structure":
             emit(
                 f"time_structure_s{args.size}_seed{args.seed}",

@@ -1,12 +1,14 @@
 """Precontact and contact relations on finite Boolean algebras.
 
 A relation satisfying C1-C3 on a finite powerset algebra is determined by
-its restriction to atoms, so precontact algebras are stored in atom normal
-form: a set of ordered atom pairs.  On that form C1-C3'' hold by
-construction and every other axiom is decided as one inclusion between atom
-relations (`inclusion_check`).  Raw element-level relations are accepted
-but validated against their normal form; non-monotone inputs are rejected
-with a C1/C2/C3 witness.
+its restriction to atoms (Jonsson-Tarski 1951), so precontact algebras are
+stored in atom normal form: one successor mask per atom (`Relation.rows`).
+Composition, converse and inclusion are word operations on those rows; the
+ordered pairs are derived only for files and tests.  On that form C1-C3''
+hold by construction and every other axiom is decided as one inclusion
+between atom relations (`inclusion_check`).  Raw element-level relations
+are accepted but validated against their normal form; non-monotone inputs
+are rejected with a C1/C2/C3 witness.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import FiniteBA, atoms_of, mask_of, submasks
+from .boolean import FiniteBA, atoms_of, mask_of, meeting, submasks
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .reporting import Check, Report
 
@@ -23,85 +25,99 @@ PRECONTACT_AXIOMS = ("C1", "C2", "C3'", "C3''")
 CONTACT_AXIOMS = PRECONTACT_AXIOMS + ("C4", "C5")
 
 
-@dataclass(frozen=True)
 class Relation:
-    """Binary relation on points 0..size-1, stored as ordered pairs."""
+    """Binary relation on points 0..size-1: rows[x] is the mask of x's successors.
 
-    size: int
-    pairs: frozenset[tuple[int, int]]
+    `Relation(size, pairs)` and `Relation.of` build the rows from ordered
+    pairs, `from_rows` takes them as given; `pairs` is derived on demand,
+    for files and tests.  Equal pairs give equal, and hash-equal, relations.
+    """
 
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if not (0 <= x < self.size and 0 <= y < self.size):
-                raise DimensionMismatch(f"pair ({x},{y}) out of range for size {self.size}")
+    def __init__(self, size: int, pairs):
+        rows = [0] * size
+        for x, y in pairs:
+            if not (0 <= x < size and 0 <= y < size):
+                raise DimensionMismatch(f"pair ({x},{y}) out of range for size {size}")
+            rows[x] |= 1 << y
+        self.size = size
+        self.rows = tuple(rows)
 
     @classmethod
     def of(cls, size: int, pairs) -> "Relation":
-        return cls(size, frozenset((int(x), int(y)) for x, y in pairs))
+        return cls(size, ((int(x), int(y)) for x, y in pairs))
+
+    @classmethod
+    def from_rows(cls, size: int, rows) -> "Relation":
+        rows = tuple(rows)
+        if len(rows) != size or any(row < 0 or row >> size for row in rows):
+            raise DimensionMismatch(f"rows {rows} out of range for size {size}")
+        out = cls.__new__(cls)
+        out.size, out.rows = size, rows
+        return out
 
     @classmethod
     def identity(cls, size: int) -> "Relation":
-        return cls(size, frozenset((i, i) for i in range(size)))
+        return cls.from_rows(size, (1 << i for i in range(size)))
 
     @classmethod
     def total(cls, size: int) -> "Relation":
-        return cls(size, frozenset(itertools.product(range(size), repeat=2)))
+        return cls.from_rows(size, ((1 << size) - 1,) * size)
 
     @classmethod
     def empty(cls, size: int) -> "Relation":
-        return cls(size, frozenset())
+        return cls.from_rows(size, (0,) * size)
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.size == other.size and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Relation(size={self.size}, pairs={sorted(self.pairs)})"
 
     @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """rows[x] is the mask of successors of x."""
-        rows = [0] * self.size
-        for x, y in self.pairs:
-            rows[x] |= 1 << y
-        return tuple(rows)
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x, row in enumerate(self.rows) for y in atoms_of(row))
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
+        """columns[y] is the mask of predecessors of y."""
         cols = [0] * self.size
-        for x, y in self.pairs:
-            cols[y] |= 1 << x
+        for x, row in enumerate(self.rows):
+            for y in atoms_of(row):
+                cols[y] |= 1 << x
         return tuple(cols)
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        x, y = pair
+        return 0 <= x < self.size and 0 <= y < self.size and bool(self.rows[x] >> y & 1)
 
     def is_reflexive(self) -> bool:
-        return all((i, i) in self.pairs for i in range(self.size))
+        return all(row >> x & 1 for x, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
-        return all((y, x) in self.pairs for x, y in self.pairs)
+        return self.rows == self.columns
 
     def is_transitive(self) -> bool:
-        for x, y in self.pairs:
-            if self.rows[y] & ~self.rows[x]:
-                return False
-        return True
+        return all(self.forward_image(row) & ~row == 0 for row in self.rows)
 
     def is_equivalence(self) -> bool:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
     def converse(self) -> "Relation":
-        return Relation(self.size, frozenset((y, x) for x, y in self.pairs))
+        return Relation.from_rows(self.size, self.columns)
 
     def compose(self, other: "Relation") -> "Relation":
         """Pairs (x,z) with an intermediate y: x self y and y other z."""
         if self.size != other.size:
             raise DimensionMismatch("composed relations have different sizes")
-        pairs = set()
-        for x in range(self.size):
-            succ = 0
-            row = self.rows[x]
-            for y in atoms_of(row):
-                succ |= other.rows[y]
-            pairs.update((x, z) for z in atoms_of(succ))
-        return Relation(self.size, frozenset(pairs))
+        return Relation.from_rows(self.size, map(other.forward_image, self.rows))
 
     def subset_of(self, other: "Relation") -> bool:
-        return self.pairs <= other.pairs
+        return _first_missing(self.rows, other.rows) is None
 
     def forward_image(self, a: int) -> int:
         out = 0
@@ -111,11 +127,16 @@ class Relation:
 
     def possibility_image(self, a: int) -> int:
         """Points with some successor inside `a` (the modal diamond)."""
-        out = 0
-        for x in range(self.size):
-            if self.rows[x] & a:
-                out |= 1 << x
-        return out
+        return meeting(self.rows, a)
+
+
+def _first_missing(left_rows, right_rows):
+    """The smallest pair in `left_rows` but not `right_rows`, as singleton masks."""
+    for x, (left, right) in enumerate(itertools.zip_longest(left_rows, right_rows, fillvalue=0)):
+        missing = left & ~right
+        if missing:
+            return 1 << x, missing & -missing
+    return None
 
 
 # Adjacency spaces are relations read as point structures; no reflexivity
@@ -262,11 +283,12 @@ def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
     as singleton masks.  On atom-generated relations this decides C4
     (R <= R^T), C5 (Id <= R), CE (R.R <= R) and the DCA interaction axioms.
     """
-    missing = left.pairs - right.pairs
-    if not missing:
-        return Check(name, True)
-    x, y = min(missing)
-    return Check(name, False, witness=(1 << x, 1 << y))
+    return _row_inclusion(name, left.rows, right.rows)
+
+
+def _row_inclusion(name: str, left_rows, right_rows) -> Check:
+    witness = _first_missing(left_rows, right_rows)
+    return Check(name, witness is None, witness)
 
 
 def _union_closure_defect(zero_set: int, members: list[int]):
@@ -347,23 +369,28 @@ def relation_axiom_checks(base: FiniteBA, rel) -> list[Check]:
     return out
 
 
+# Checks are immutable, so every report shares these.
+_BY_CONSTRUCTION = tuple(Check(name, True) for name in PRECONTACT_AXIOMS)
+
+
 @lru_cache(maxsize=None)
 def check_axioms(algebra: PrecontactAlgebra) -> Report:
     """Axiom report for C1, C2, C3', C3'', C4, C5, C5' and CE.
 
     The relation is in atom normal form, so C1-C3'' hold by construction
-    and the rest are decided as inclusions of atom relations.
+    and the rest are decided as inclusions of atom relations, row by row:
+    C4 as R <= R^T, C5 as Id <= R and CE as R.R <= R.
     """
     r = algebra.relation
-    c5 = inclusion_check("C5", Relation.identity(r.size), r)
+    c5 = _row_inclusion("C5", (1 << x for x in range(r.size)), r.rows)
     report = Report(subject="precontact axioms")
-    report.extend([Check(name, True) for name in PRECONTACT_AXIOMS])
     report.extend(
         [
-            inclusion_check("C4", r, r.converse()),
+            *_BY_CONSTRUCTION,
+            _row_inclusion("C4", r.rows, r.columns),
             c5,
             Check("C5'", c5.holds, c5.witness and c5.witness[:1]),
-            inclusion_check("CE", r.compose(r), r),
+            _row_inclusion("CE", map(r.forward_image, r.rows), r.rows),
         ]
     )
     return report
@@ -516,12 +543,7 @@ class FactorAlgebra:
     kept_atoms: tuple[int, ...]
 
     def project(self, a: int) -> int:
-        self.source.base.check(a)
-        out = 0
-        for i, atom in enumerate(self.kept_atoms):
-            if a & (1 << atom):
-                out |= 1 << i
-        return out
+        return meeting([1 << atom for atom in self.kept_atoms], self.source.base.check(a))
 
     def kernel(self) -> frozenset[int]:
         """The ideal of elements collapsed to zero."""
@@ -549,12 +571,11 @@ def factor_by_clanset(algebra: PrecontactAlgebra, selection) -> FactorAlgebra:
     for clan in selection:
         kept_mask |= clan.support
     kept = tuple(atoms_of(kept_mask))
-    index = {atom: i for i, atom in enumerate(kept)}
-    pairs = set()
+    bits = [1 << atom for atom in kept]
+    rows = [0] * len(kept)
     for clan in selection:
-        support_atoms = list(atoms_of(clan.support))
-        for x in support_atoms:
-            for y in support_atoms:
-                pairs.add((index[x], index[y]))
-    quotient = PrecontactAlgebra.from_atom_pairs(FiniteBA(len(kept)), pairs)
+        local = meeting(bits, clan.support)
+        for i in atoms_of(local):
+            rows[i] |= local
+    quotient = PrecontactAlgebra(FiniteBA(len(kept)), Relation.from_rows(len(kept), rows))
     return FactorAlgebra(algebra, quotient, kept)

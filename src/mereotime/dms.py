@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import Filter, atoms_of
-from .contact import PrecontactAlgebra
+from .boolean import FiniteBA, Filter, atoms_of, meeting
+from .contact import PrecontactAlgebra, Relation
 from .dca import (
     DCA,
     _clique_supports,
@@ -164,18 +164,11 @@ class DMSpace:
     # Relations of the regular-sets algebra (defined for arbitrary point sets).
 
     @cached_property
-    def _successors(self) -> tuple[int, ...]:
-        out = [0] * self.space.point_count
-        for x, y in self.prec:
-            out[x] |= 1 << y
-        return tuple(out)
+    def _successors(self) -> Relation:
+        return Relation(self.space.point_count, self.prec)
 
     def successors_of(self, a: int) -> int:
-        out = 0
-        succ = self._successors
-        for x in atoms_of(a):
-            out |= succ[x]
-        return out
+        return self._successors.forward_image(a)
 
     def time_contact(self, a: int, b: int) -> bool:
         return bool(a & b)
@@ -270,16 +263,14 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
             "region family is not a Boolean subalgebra",
             witness=(min(extra), "not a join of atoms") if extra else (len(members), len(atoms)),
         )
-    space_pairs, time_pairs, prec_pairs = set(), set(), set()
-    for i, u in enumerate(atoms):
-        for j, v in enumerate(atoms):
-            if space.time_contact(u, v):
-                time_pairs.add((i, j))
-            if space.space_contact(u, v):
-                space_pairs.add((i, j))
-            if space.precedes(u, v):
-                prec_pairs.add((i, j))
-    return DCA.from_pairs(len(atoms), space_pairs, time_pairs, prec_pairs), tuple(atoms)
+    # Row i of each relation: the atoms that atom i's point set, its space
+    # points, or its successors meet.
+    k = len(atoms)
+    space_rows = [meeting(atoms, u & space.space_points) for u in atoms]
+    time_rows = [meeting(atoms, u) for u in atoms]
+    prec_rows = [meeting(atoms, space.successors_of(u)) for u in atoms]
+    relations = (Relation.from_rows(k, rows) for rows in (space_rows, time_rows, prec_rows))
+    return DCA(FiniteBA(k), *relations), tuple(atoms)
 
 
 @lru_cache(maxsize=None)

@@ -28,12 +28,11 @@ def check_size(kind: str, size: int) -> None:
 
 
 def all_relations(size: int):
-    """Every binary relation on `size` points."""
-    cells = list(itertools.product(range(size), repeat=2))
-    for bits in range(1 << len(cells)):
-        yield Relation(
-            size, frozenset(cells[i] for i in range(len(cells)) if bits >> i & 1)
-        )
+    """Every binary relation on `size` points, read off the bits of a counter:
+    bit x*size+y relates x to y."""
+    full = (1 << size) - 1
+    for bits in range(1 << size * size):
+        yield Relation.from_rows(size, (bits >> x * size & full for x in range(size)))
 
 
 def all_time_structures(size: int):
@@ -43,15 +42,14 @@ def all_time_structures(size: int):
 
 def contact_relations(size: int):
     """Every reflexive and symmetric relation: the contact algebras."""
-    diagonal = {(i, i) for i in range(size)}
     off = list(itertools.combinations(range(size), 2))
     for bits in range(1 << len(off)):
-        pairs = set(diagonal)
+        rows = [1 << i for i in range(size)]
         for i, (x, y) in enumerate(off):
             if bits >> i & 1:
-                pairs.add((x, y))
-                pairs.add((y, x))
-        yield Relation(size, frozenset(pairs))
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+        yield Relation.from_rows(size, rows)
 
 
 def contact_algebras(size: int):

@@ -21,6 +21,18 @@ from .snapshot import DMST, TimeStructure, build_dmst, is_full
 
 FORMAT_VERSION = 1
 KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
+# Largest relation size a file may declare (adjacency and time-structure
+# point_count, dca and coordinate atom_count), checked before anything is
+# built.  Seconds for a whole `python -m mereotime.cli check` process on the
+# costliest file of a size, the total relation (all three total for a dca);
+# best of three, Python 3.11 on a 2-core Xeon:
+#     size   KB/rel.   adjacency   time_structure    dca
+#       64        39       0.23         0.24         0.19
+#      128       168       0.19         0.23         0.28
+#      256       730       0.30         0.36         0.57
+#      512     3,033       1.28         1.24         2.78
+# The bound keeps every such check under 1 s.
+RELATION_SIZE_CAP = 256
 
 
 def canonical_dumps(payload: dict) -> str:
@@ -133,6 +145,13 @@ def _field(payload: dict, key: str, expected: type, where: str = ""):
     return _typed(_require(payload, key), expected, where + key)
 
 
+def _size(payload: dict, key: str, where: str = "") -> int:
+    size = _field(payload, key, int, where)
+    if size > RELATION_SIZE_CAP:
+        raise SchemaError(f"field {where + key!r} is {size}, over the relation size bound of {RELATION_SIZE_CAP}")
+    return size
+
+
 def _int_pairs(raw, what: str) -> set[tuple[int, int]]:
     try:
         pairs = {(int(x), int(y)) for x, y in raw}
@@ -165,7 +184,7 @@ def decode(payload: dict):
     extras: dict = {}
 
     if kind == "adjacency":
-        size = _field(payload, "point_count", int)
+        size = _size(payload, "point_count")
         pairs = _int_pairs(_require(payload, "pairs"), "pairs")
         claims = _typed(payload.get("claims", ["precontact"]), list, "claims")
         if not all(isinstance(claim, str) for claim in claims):
@@ -173,11 +192,11 @@ def decode(payload: dict):
         extras["claims"] = claims
         return kind, _checked(Relation, size, pairs), extras
     if kind == "time_structure":
-        size = _field(payload, "point_count", int)
+        size = _size(payload, "point_count")
         prec = _int_pairs(_require(payload, "prec"), "prec")
         return kind, _checked(TimeStructure, size, prec), extras
     if kind == "dca":
-        n = _field(payload, "atom_count", int)
+        n = _size(payload, "atom_count")
         try:
             obj = DCA.from_pairs(
                 n,
@@ -192,12 +211,12 @@ def decode(payload: dict):
         time_raw = _field(payload, "time", dict)
         ts = _checked(
             TimeStructure,
-            _field(time_raw, "point_count", int, "time."),
+            _size(time_raw, "point_count", "time."),
             _int_pairs(_require(time_raw, "prec"), "time.prec"),
         )
         coordinates = []
         for i, coord in enumerate(_field(payload, "coordinates", list)):
-            n = _field(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", int, f"coordinates[{i}].")
+            n = _size(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", f"coordinates[{i}].")
             pairs = _int_pairs(_require(coord, "contact"), "contact")
             coordinates.append(
                 PrecontactAlgebra(FiniteBA(n), _checked(Relation, n, pairs))

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .contact import PrecontactAlgebra, Relation
+from .contact import PrecontactAlgebra, Relation, _first_missing
 from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
 from .reporting import Check
-from .boolean import atoms_of
+from .boolean import atoms_of, meeting
 
 
 class TimeCondition(enum.Enum):
@@ -90,69 +90,60 @@ class TimeStructure:
     def relation(self) -> Relation:
         return Relation(self.point_count, self.prec)
 
-    def before(self, i: int, j: int) -> bool:
-        return (i, j) in self.prec
-
     def moments(self) -> range:
         return range(self.point_count)
 
 
 def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
-    """Decide one time condition exhaustively; failures carry the smallest witness."""
-    t = list(ts.moments())
-    before = ts.before
-    name = cond.name
+    """Decide one time condition; failures carry the smallest witness."""
+    witness = _condition_failure(cond, ts.relation)
+    return Check(cond.name, witness is None, witness)
 
-    def fail(*witness):
-        return Check(name, False, witness=tuple(witness))
 
+def _condition_failure(cond: TimeCondition, relation: Relation):
+    """First failing instance of a time condition, as moments, in
+    lexicographic order; O(t^2) word operations on the relation's rows."""
+    rows, cols = relation.rows, relation.columns
+    t = range(relation.size)
+    pairs = itertools.product(t, t)
     if cond is TimeCondition.RS:
-        for m in t:
-            if not any(before(m, n) for n in t):
-                return fail(m)
+        failing = ((m,) for m in t if not rows[m])
     elif cond is TimeCondition.LS:
-        for m in t:
-            if not any(before(n, m) for n in t):
-                return fail(m)
+        failing = ((m,) for m in t if not cols[m])
     elif cond is TimeCondition.UP_DIR:
-        for i, j in itertools.product(t, t):
-            if not any(before(i, k) and before(j, k) for k in t):
-                return fail(i, j)
+        failing = ((i, j) for i, j in pairs if not rows[i] & rows[j])
     elif cond is TimeCondition.DOWN_DIR:
-        for i, j in itertools.product(t, t):
-            if not any(before(k, i) and before(k, j) for k in t):
-                return fail(i, j)
+        failing = ((i, j) for i, j in pairs if not cols[i] & cols[j])
     elif cond is TimeCondition.CIRC:
-        for i, j in itertools.product(t, t):
-            if before(i, j) and not any(before(j, k) and before(k, i) for k in t):
-                return fail(i, j)
+        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[j] & cols[i])
     elif cond is TimeCondition.DENS:
-        for i, j in itertools.product(t, t):
-            if before(i, j) and not any(before(i, k) and before(k, j) for k in t):
-                return fail(i, j)
+        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[i] & cols[j])
     elif cond is TimeCondition.REF:
-        for m in t:
-            if not before(m, m):
-                return fail(m)
+        failing = ((m,) for m in t if not rows[m] >> m & 1)
     elif cond is TimeCondition.IRR:
+        failing = ((m,) for m in t if rows[m] >> m & 1)
+    elif cond in (TimeCondition.LIN, TimeCondition.TRI):
+        full = (1 << relation.size) - 1
         for m in t:
-            if before(m, m):
-                return fail(m)
-    elif cond is TimeCondition.LIN:
-        for m, n in itertools.product(t, t):
-            if not before(m, n) and not before(n, m):
-                return fail(m, n)
-    elif cond is TimeCondition.TRI:
-        for m, n in itertools.product(t, t):
-            if m != n and not before(m, n) and not before(n, m):
-                return fail(m, n)
+            exempt = 1 << m if cond is TimeCondition.TRI else 0
+            unrelated = full & ~(rows[m] | cols[m] | exempt)
+            if unrelated:
+                return m, _index(unrelated)
+        return None
     elif cond is TimeCondition.TR:
-        for i, j, k in itertools.product(t, t, t):
-            if before(i, j) and before(j, k) and not before(i, k):
-                return fail(i, j, k)
+        for i in t:
+            for j in atoms_of(rows[i]):
+                if rows[j] & ~rows[i]:
+                    return i, j, _index(rows[j] & ~rows[i])
+        return None
     else:  # pragma: no cover
         raise ValueError(f"unknown condition {cond}")
-    return Check(name, True)
+    return next(failing, None)
+
+
+def _index(mask: int) -> int:
+    """Index of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -> Check:
@@ -180,28 +171,31 @@ def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -
     return _atom_failure(cond, existential_p, *_atom_frame(source)) is None
 
 
-def _atom_frame(source) -> tuple:
-    """Time-contact rows, precedence rows and precedence columns of the atoms."""
+def _atom_frame(source) -> tuple[Relation, Relation]:
+    """Time contact and precedence of the atoms."""
     if isinstance(source, DMST):
-        _, time_rel, prec_rel = source.atom_relations
-    else:
-        time_rel, prec_rel = source.time_rel, source.prec_rel
-    return time_rel.rows, prec_rel.rows, prec_rel.columns
+        return source.atom_relations[1:]
+    return source.time_rel, source.prec_rel
 
 
-def _atom_failure(cond: TimeCondition, existential_p: bool, t_rows, p_rows, p_cols):
+def _atom_failure(cond: TimeCondition, existential_p: bool, time: Relation, prec: Relation):
     """First failing instance of a region axiom on the atom frame, as atom masks.
 
     For additive relations each axiom is a first-order condition on atoms
     (xTy, xPy), and its first failing element instance is a pair of atoms:
     a failure at elements a, b is a failure at some atoms x of a and y of b.
     """
+    t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
     atoms = range(len(p_rows))
     pairs = itertools.product(atoms, atoms)
-    if cond is TimeCondition.RS:
-        return next(((1 << x,) for x in atoms if not p_rows[x]), None)
-    if cond is TimeCondition.LS:
-        return next(((1 << x,) for x in atoms if not p_cols[x]), None)
+    if cond in (TimeCondition.RS, TimeCondition.LS, TimeCondition.LIN):
+        # The time condition itself, on the atoms' precedence.
+        moments = _condition_failure(cond, prec)
+        return moments and tuple(1 << x for x in moments)
+    if cond is TimeCondition.REF:
+        return _first_missing(t_rows, p_rows)
+    if cond is TimeCondition.TR:
+        return _first_missing(map(prec.forward_image, p_rows), p_rows)
     if cond in FREE_VARIABLE_AXIOMS:
         # Each says: for every p (for some p, existentially) one of two
         # precedence facts holds.  On atoms x, y in scope that is: the rows
@@ -221,11 +215,6 @@ def _atom_failure(cond: TimeCondition, existential_p: bool, t_rows, p_rows, p_co
             if not existential_p and not left & right:
                 return 1 << x, 1 << y, right
         return None
-    if cond is TimeCondition.REF:
-        return next(
-            ((1 << x, _lowest(t_rows[x] & ~p_rows[x])) for x in atoms if t_rows[x] & ~p_rows[x]),
-            None,
-        )
     if cond is TimeCondition.IRR:
         failing = (
             (x, y)
@@ -233,27 +222,13 @@ def _atom_failure(cond: TimeCondition, existential_p: bool, t_rows, p_rows, p_co
             if p_rows[x] >> y & 1
             and not any(t_rows[y] & ~t_rows[z] for z in atoms_of(t_rows[x]))
         )
-    elif cond is TimeCondition.LIN:
-        failing = ((x, y) for x, y in pairs if not (p_rows[x] >> y | p_cols[x] >> y) & 1)
     elif cond is TimeCondition.TRI:
         failing = (
             (x, y) for x, y in pairs if not (t_rows[x] >> y | p_rows[x] >> y | p_cols[x] >> y) & 1
         )
-    elif cond is TimeCondition.TR:
-        for x in atoms:
-            two_steps = 0
-            for z in atoms_of(p_rows[x]):
-                two_steps |= p_rows[z]
-            if two_steps & ~p_rows[x]:
-                return 1 << x, _lowest(two_steps & ~p_rows[x])
-        return None
     else:  # pragma: no cover
         raise ValueError(f"unknown axiom {cond}")
     return next(((1 << x, 1 << y) for x, y in failing), None)
-
-
-def _lowest(mask: int) -> int:
-    return mask & -mask
 
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
@@ -328,14 +303,10 @@ class DMST:
         """
         atoms = region_algebra_atoms(self)
         moments = [sum(1 << m for m, x in enumerate(u) if x) for u in atoms]
-        later = [0] * len(atoms)
-        for i, here in enumerate(moments):
-            for m in atoms_of(here):
-                later[i] |= self.time.relation.rows[m]
-        pairs = list(itertools.product(range(len(atoms)), repeat=2))
-        time = Relation.of(len(atoms), ((i, j) for i, j in pairs if moments[i] & moments[j]))
-        prec = Relation.of(len(atoms), ((i, j) for i, j in pairs if later[i] & moments[j]))
-        return atoms, time, prec
+        time = [meeting(moments, here) for here in moments]
+        prec = [meeting(moments, self.time.relation.forward_image(here)) for here in moments]
+        count = len(atoms)
+        return atoms, Relation.from_rows(count, time), Relation.from_rows(count, prec)
 
 
 def _region_of(model: DMST, atoms: list[Region], mask: int) -> Region:

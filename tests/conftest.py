@@ -11,11 +11,12 @@ and witness.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import cached_property, lru_cache
 
 import pytest
 
-from mereotime.boolean import FiniteBA, atoms_of, submasks
+from mereotime.boolean import FiniteBA, atoms_of, mask_of, submasks
 from mereotime.contact import (
     CONTACT_AXIOMS,
     PrecontactAlgebra,
@@ -142,6 +143,113 @@ def all_atom_relations(n):
     cells = list(itertools.product(range(n), repeat=2))
     for bits in range(1 << len(cells)):
         yield Relation(n, frozenset(c for i, c in enumerate(cells) if bits >> i & 1))
+
+
+# -- pair-set references for the row kernels of `Relation` ------------------
+
+
+def pair_sets(n):
+    """Every pair set on `n` points, as frozensets."""
+    cells = list(itertools.product(range(n), repeat=2))
+    for bits in range(1 << len(cells)):
+        yield frozenset(c for i, c in enumerate(cells) if bits >> i & 1)
+
+
+def row_kernel_sample():
+    """(size, pairs) for every relation on up to 3 points and 200 seeded ones on 4."""
+    for n in (1, 2, 3):
+        yield from ((n, pairs) for pairs in pair_sets(n))
+    cells = list(itertools.product(range(4), repeat=2))
+    for bits in random.Random(10).sample(range(1 << 16), 200):
+        yield 4, frozenset(c for i, c in enumerate(cells) if bits >> i & 1)
+
+
+def pair_compose(left, right) -> frozenset:
+    return frozenset((x, z) for x, y in left for w, z in right if y == w)
+
+
+def pair_converse(pairs) -> frozenset:
+    return frozenset((y, x) for x, y in pairs)
+
+
+def pair_image(pairs, a: int) -> int:
+    """Mask of the successors of the points in the mask `a`."""
+    return mask_of({y for x, y in pairs if a >> x & 1})
+
+
+def pair_inclusion_witness(left, right):
+    """The smallest pair of `left` missing from `right`, as singleton masks."""
+    missing = set(left) - set(right)
+    if not missing:
+        return None
+    x, y = min(missing)
+    return 1 << x, 1 << y
+
+
+def pair_properties(n, pairs) -> dict[str, bool]:
+    out = {
+        "reflexive": all((i, i) in pairs for i in range(n)),
+        "symmetric": pairs == pair_converse(pairs),
+        "transitive": pair_compose(pairs, pairs) <= pairs,
+    }
+    out["equivalence"] = all(out.values())
+    return out
+
+
+def element_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
+    """Decide one time condition by pair lookups, with the smallest witness."""
+    t = list(ts.moments())
+    before = lambda i, j: (i, j) in ts.prec
+    name = cond.name
+
+    def fail(*witness):
+        return Check(name, False, witness=tuple(witness))
+
+    if cond is TimeCondition.RS:
+        for m in t:
+            if not any(before(m, n) for n in t):
+                return fail(m)
+    elif cond is TimeCondition.LS:
+        for m in t:
+            if not any(before(n, m) for n in t):
+                return fail(m)
+    elif cond is TimeCondition.UP_DIR:
+        for i, j in itertools.product(t, t):
+            if not any(before(i, k) and before(j, k) for k in t):
+                return fail(i, j)
+    elif cond is TimeCondition.DOWN_DIR:
+        for i, j in itertools.product(t, t):
+            if not any(before(k, i) and before(k, j) for k in t):
+                return fail(i, j)
+    elif cond is TimeCondition.CIRC:
+        for i, j in itertools.product(t, t):
+            if before(i, j) and not any(before(j, k) and before(k, i) for k in t):
+                return fail(i, j)
+    elif cond is TimeCondition.DENS:
+        for i, j in itertools.product(t, t):
+            if before(i, j) and not any(before(i, k) and before(k, j) for k in t):
+                return fail(i, j)
+    elif cond is TimeCondition.REF:
+        for m in t:
+            if not before(m, m):
+                return fail(m)
+    elif cond is TimeCondition.IRR:
+        for m in t:
+            if before(m, m):
+                return fail(m)
+    elif cond is TimeCondition.LIN:
+        for m, n in itertools.product(t, t):
+            if not before(m, n) and not before(n, m):
+                return fail(m, n)
+    elif cond is TimeCondition.TRI:
+        for m, n in itertools.product(t, t):
+            if m != n and not before(m, n) and not before(n, m):
+                return fail(m, n)
+    elif cond is TimeCondition.TR:
+        for i, j, k in itertools.product(t, t, t):
+            if before(i, j) and before(j, k) and not before(i, k):
+                return fail(i, j, k)
+    return Check(name, True)
 
 
 def path_snapshot_dca(sizes):

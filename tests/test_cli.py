@@ -13,7 +13,7 @@ from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
-from mereotime.models import digest, encode, load_path, write_path
+from mereotime.models import RELATION_SIZE_CAP, digest, encode, load_path, write_path
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -377,6 +377,35 @@ def test_rich_models_are_sized_before_they_are_built(tmp_path, capsys):
     line = err.strip()
     assert line.startswith("error:") and "rich model too large" in line, line
     assert "1048576" in line and str(FULL_REGION_CAP) in line, line
+
+
+def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
+    huge = 100_000_000
+    one_pair = [[0, 1]]
+    probes = [
+        ({"kind": "adjacency", "point_count": huge, "pairs": one_pair}, "'point_count'"),
+        ({"kind": "time_structure", "point_count": huge, "prec": one_pair}, "'point_count'"),
+        (
+            {"kind": "dca", "atom_count": huge, "space_contact": [], "time_contact": [], "precedence": []},
+            "'atom_count'",
+        ),
+        (
+            {
+                "kind": "dmst",
+                "time": {"point_count": 1, "prec": []},
+                "coordinates": [{"atom_count": huge, "contact": one_pair}],
+            },
+            "'coordinates[0].atom_count'",
+        ),
+    ]
+    for i, (payload, field) in enumerate(probes):
+        path = tmp_path / f"huge{i}.json"
+        path.write_text(json.dumps({"format_version": 1, **payload}))
+        start = time.perf_counter()
+        code, _, err = run(["check", path], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2, err
+        assert field in err and str(huge) in err and str(RELATION_SIZE_CAP) in err, err
 
 
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):

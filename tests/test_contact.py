@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from mereotime.contact import (
     clusters,
     contact_from_adjacency,
     factor_by_clanset,
+    inclusion_check,
     maximal_clans,
     possibility_image,
     satisfies_cluster_condition,
@@ -25,6 +27,13 @@ from conftest import (
     brute_clans,
     element_axiom_checks,
     element_canonical,
+    pair_compose,
+    pair_converse,
+    pair_image,
+    pair_inclusion_witness,
+    pair_properties,
+    pair_sets,
+    row_kernel_sample,
     slow_c1,
     slow_c2,
     slow_c3_left,
@@ -41,6 +50,62 @@ X, Y, Z = 1, 2, 4
 
 def alg(n, pairs):
     return PrecontactAlgebra.from_atom_pairs(FiniteBA(n), pairs)
+
+
+def test_row_kernels_match_pair_set_references():
+    sample = list(row_kernel_sample())
+    for n, pairs in sample:
+        r = Relation(n, pairs)
+        assert r.pairs == pairs
+        assert r.converse().pairs == pair_converse(pairs)
+        for name, expected in pair_properties(n, pairs).items():
+            assert getattr(r, f"is_{name}")() == expected, (n, pairs, name)
+        for a in range(1 << n):
+            assert r.forward_image(a) == pair_image(pairs, a)
+
+    # Every pair of relations on up to 2 points, and seeded partners on 3 and 4.
+    rng = random.Random(11)
+    binary = [(n, p, q) for n in (1, 2) for p in pair_sets(n) for q in pair_sets(n)]
+    for n in (3, 4):
+        sized = [p for m, p in sample if m == n]
+        binary += [(n, p, q) for p in sized for q in rng.sample(sized, 4) + [pair_converse(p)]]
+    for n, p, q in binary:
+        r, s = Relation(n, p), Relation(n, q)
+        assert r.compose(s).pairs == pair_compose(p, q), (n, p, q)
+        assert r.subset_of(s) == (p <= q)
+        check = inclusion_check("I", r, s)
+        assert check.witness == pair_inclusion_witness(p, q) and check.holds == (p <= q)
+
+
+def test_relations_from_equal_pairs_are_equal_whatever_the_constructor():
+    for n, pairs in row_kernel_sample():
+        rows = [sum(1 << y for x, y in pairs if x == i) for i in range(n)]
+        first = Relation(n, pairs)
+        built = [
+            Relation.of(n, sorted(pairs)),
+            Relation.from_rows(n, rows),
+            first.converse().converse(),
+            Relation.identity(n).compose(first),
+        ]
+        for other in built:
+            assert other == first and hash(other) == hash(first), (n, pairs)
+    for n in (1, 2, 3, 4):
+        cells = set(itertools.product(range(n), repeat=2))
+        assert Relation.identity(n) == Relation(n, {(i, i) for i in range(n)})
+        assert Relation.total(n) == Relation(n, cells)
+        assert Relation.empty(n) == Relation(n, ())
+        assert Relation.empty(n) != Relation.empty(n + 1)
+    built = [(p, Relation(2, p)) for p in pair_sets(2)]
+    for (p, r), (q, s) in itertools.product(built, repeat=2):
+        assert (r == s) == (p == q)
+    assert len(set(all_atom_relations(3))) == 512
+
+    for bad in (lambda: Relation(2, {(0, 2)}), lambda: Relation.of(2, [(-1, 0)])):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            bad()
+    for rows in ([0, 4], [1], [-1, 0]):
+        with pytest.raises(DimensionMismatch):
+            Relation.from_rows(2, rows)
 
 
 def test_total_adjacency_gives_contact():

@@ -5,6 +5,7 @@ import pytest
 
 from mereotime.boolean import FiniteBA
 from mereotime.contact import PrecontactAlgebra
+from mereotime.generate import all_time_structures
 from mereotime.errors import MembershipError, PreconditionError, ValidationError
 from mereotime.snapshot import (
     DMST,
@@ -29,6 +30,7 @@ from conftest import (
     element_is_rich,
     element_region_atoms,
     element_time_axiom,
+    element_time_condition,
     time_axiom_fails_at,
     zero_one_vectors,
 )
@@ -115,6 +117,18 @@ def test_time_condition_against_direct_quantifiers():
         }
         for cond, value in expected.items():
             assert check_time_condition(t, cond).holds == value, (pairs, cond)
+
+
+def test_time_conditions_match_pair_lookup_oracle():
+    structures = [ts for n in (1, 2, 3) for ts in all_time_structures(n)]
+    cells = list(itertools.product(range(4), repeat=2))
+    structures += [
+        TimeStructure.of(4, (c for i, c in enumerate(cells) if bits >> i & 1))
+        for bits in random.Random(12).sample(range(1 << 16), 400)
+    ]
+    for t in structures:
+        for cond in TimeCondition:
+            assert check_time_condition(t, cond) == element_time_condition(t, cond), (t, cond)
 
 
 def test_build_full_model_region_count():
