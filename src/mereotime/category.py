@@ -1,17 +1,20 @@
 """Morphisms of dynamic algebras and spaces, functors and duality checks.
 
-Morphisms are explicit finite tables: element images for algebra morphisms,
-point images for space morphisms.  Algebra morphisms are decided on atoms:
-joins, and the three additive relations, are fixed by the images of 0 and
-the atoms.  The two functors act by preimage; the naturality equations and
-functor laws are verified pointwise.
+An algebra morphism is an atom map: its images of 0 and of each atom, which
+fix a join-preserving map between finite Boolean algebras (finite Stone
+duality).  So morphisms are built, composed and inverted on n images, and
+`DcaMorphism.from_table` reads an element table, as a model file gives it,
+once.  A space morphism is its point table.  The two functors act by
+preimage.  Two homomorphisms first differ at an atom, so the naturality
+equations and functor laws are compared on atoms and points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .boolean import atoms_of
+from .boolean import atoms_of, meeting
 from .dca import DCA, is_trivial
 from .dms import (
     DMSpace,
@@ -34,24 +37,49 @@ from .snapshot import (
 
 @dataclass(frozen=True)
 class DcaMorphism:
-    """Element table of a structure map between dynamic algebras."""
+    """Structure map between dynamic algebras: f(0) and the atom images.
+
+    A map read from a table that does not preserve joins keeps the first
+    failure, (a - x, x) for the lowest atom x of a, as `join_failure`.
+    """
 
     dom: DCA
     cod: DCA
-    table: tuple[int, ...]
+    images: tuple[int, ...]
+    zero: int = 0
+    join_failure: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if len(self.table) != self.dom.base.size:
-            raise ValidationError("morphism table must cover every element")
-        for image in self.table:
+        if len(self.images) != self.dom.base.atom_count:
+            raise ValidationError("morphism must map every atom")
+        for image in (self.zero, *self.images):
             self.cod.base.check(image)
 
     def __call__(self, a: int) -> int:
-        return self.table[self.dom.base.check(a)]
+        out = self.zero
+        for x in atoms_of(self.dom.base.check(a)):
+            out |= self.images[x]
+        return out
 
     @classmethod
     def identity(cls, d: DCA) -> "DcaMorphism":
-        return cls(d, d, tuple(d.base.elements()))
+        return cls(d, d, tuple(1 << x for x in d.base.atoms()))
+
+    @classmethod
+    def from_table(cls, dom: DCA, cod: DCA, table) -> "DcaMorphism":
+        """The map with these element images, in one ascending pass."""
+        if len(table) != dom.base.size:
+            raise ValidationError("morphism table must cover every element")
+        for image in table:
+            cod.base.check(image)
+        failure = None
+        for a in range(1, dom.base.size):
+            low = a & -a
+            if table[a] != table[a ^ low] | table[low]:
+                failure = (a ^ low, low)
+                break
+        images = tuple(table[1 << x] for x in dom.base.atoms())
+        return cls(dom, cod, images, table[0], failure)
 
 
 @dataclass(frozen=True)
@@ -87,26 +115,19 @@ class DmsMorphism:
 def validate_dca_morphism(f: DcaMorphism) -> Report:
     """Boolean homomorphism reflecting all three relations, decided on atoms.
 
-    f preserves joins iff f(a) = f(a minus its lowest atom x) | f(x) for
-    every nonzero a, checked in ascending order of a; a failure is itself a
-    witness pair.  A join-preserving f is fixed by its values on 0 and the
-    atoms, and all three relations are additive, so the first element pair
-    breaking a reflection is a pair of such generators.
+    A join-preserving f is a Boolean homomorphism iff f(0) = 0 and its atom
+    images are pairwise disjoint and join to the top.  It is fixed by its
+    values on 0 and the atoms, and all three relations are additive, so the
+    first element pair breaking a reflection is a pair of such generators.
     """
     report = Report(subject="DCA morphism")
     dom, cod = f.dom, f.cod
-    table = f.table
-    witness = None
-    for a in range(1, dom.base.size):
-        low = a & -a
-        if table[a] != table[a ^ low] | table[low]:
-            witness = (a ^ low, low)
-            break
-    hom = witness is None and all(
-        table[dom.base.one ^ a] == cod.base.one ^ table[a] for a in dom.base.elements()
-    )
+    witness = f.join_failure
+    partition = sum(m.bit_count() for m in f.images) == cod.base.atom_count
+    hom = witness is None and f.zero == 0 and partition and f(dom.base.one) == cod.base.one
     report.add("f1:Boolean homomorphism", hom, witness)
-    generators = (0, *(1 << x for x in dom.base.atoms()))
+    generators = [(0, f.zero)] + [(1 << x, f.zero | m) for x, m in enumerate(f.images)]
+    pairs = list(product(generators, repeat=2))
     for name, dom_rel, cod_rel in (
         ("f2:reflects Cs", dom.space_contact, cod.space_contact),
         ("f3:reflects Ct", dom.time_contact, cod.time_contact),
@@ -116,12 +137,7 @@ def validate_dca_morphism(f: DcaMorphism) -> Report:
             report.add(name, False, witness=("not evaluable",))
             continue
         failure = next(
-            (
-                (a, b)
-                for a in generators
-                for b in generators
-                if cod_rel(table[a], table[b]) and not dom_rel(a, b)
-            ),
+            ((a, b) for (a, fa), (b, fb) in pairs if cod_rel(fa, fb) and not dom_rel(a, b)),
             None,
         )
         report.add(name, failure is None, failure)
@@ -175,19 +191,17 @@ def validate_dms_morphism(theta: DmsMorphism) -> Report:
 
 def compose(first, second):
     """Apply `first`, then `second`; defined for both morphism kinds."""
-    if isinstance(first, DcaMorphism) and isinstance(second, DcaMorphism):
-        if first.cod != second.dom:
-            raise CompositionError("codomain of the first map must be the second's domain")
-        return DcaMorphism(
-            first.dom, second.cod, tuple(second(first(a)) for a in first.dom.base.elements())
-        )
-    if isinstance(first, DmsMorphism) and isinstance(second, DmsMorphism):
-        if first.cod != second.dom:
-            raise CompositionError("codomain of the first map must be the second's domain")
-        return DmsMorphism(
-            first.dom, second.cod, tuple(second(first(x)) for x in first.dom.points())
-        )
-    raise CompositionError("cannot compose morphisms of different kinds")
+    kinds = (type(first), type(second))
+    if kinds not in ((DcaMorphism, DcaMorphism), (DmsMorphism, DmsMorphism)):
+        raise CompositionError("cannot compose morphisms of different kinds")
+    if first.cod != second.dom:
+        raise CompositionError("codomain of the first map must be the second's domain")
+    if isinstance(first, DmsMorphism):
+        return DmsMorphism(first.dom, second.cod, tuple(map(second, first.point_map)))
+    failure = first.join_failure or second.join_failure
+    if failure:
+        raise CompositionError(f"map does not preserve joins at {failure}")
+    return DcaMorphism(first.dom, second.cod, tuple(map(second, first.images)), second(first.zero))
 
 
 def lower(
@@ -198,19 +212,16 @@ def lower(
     """Contravariant image of an algebra morphism: preimage on t-clans.
 
     For f from A to A' this is a space morphism from the dual of A' to the
-    dual of A.
+    dual of A.  A clan's preimage is supported by the atoms whose images
+    meet the clan's support.
     """
     validate_dca_morphism(f).require()
     dual_dom = dual_dom or dual_space(f.dom)
     dual_cod = dual_cod or dual_space(f.cod)
-    point_map = []
-    for support in dual_cod.points:
-        preimage_support = 0
-        for x in f.dom.base.atoms():
-            if f(1 << x) & support:
-                preimage_support |= 1 << x
-        point_map.append(dual_dom.point_of(preimage_support))
-    return DmsMorphism(dual_cod.space, dual_dom.space, tuple(point_map))
+    point_map = tuple(
+        dual_dom.point_of(meeting(f.images, support)) for support in dual_cod.points
+    )
+    return DmsMorphism(dual_cod.space, dual_dom.space, point_map)
 
 
 def raise_(
@@ -221,26 +232,22 @@ def raise_(
     """Contravariant image of a space morphism: preimage on regions.
 
     For theta from S to S' this is an algebra morphism from the dual of S'
-    to the dual of S.
+    to the dual of S, sending each region atom of S' to the region atoms of
+    S inside its preimage.
     """
     validate_dms_morphism(theta).require()
     dual_dom = dual_dom or dual(theta.dom)
     dual_cod = dual_cod or dual(theta.cod)
-    table = []
-    for mask in dual_cod.dca.base.elements():
-        region = dual_cod.pointset(mask)
-        table.append(dual_dom.mask_of_region[theta.preimage(region)])
-    return DcaMorphism(dual_cod.dca, dual_dom.dca, tuple(table))
+    images = tuple(dual_dom.mask_of(theta.preimage(atom)) for atom in dual_cod.atoms)
+    return DcaMorphism(dual_cod.dca, dual_dom.dca, images)
 
 
 def extent_isomorphism(d: DCA, result: DualSpaceResult | None = None) -> DcaMorphism:
     """The canonical map of an algebra onto the dual of its dual space."""
     result = result or dual_space(d)
     algebra = dual(result.space)
-    table = tuple(
-        algebra.mask_of_region[_extent_mask(result.points, a)] for a in d.base.elements()
-    )
-    return DcaMorphism(d, algebra.dca, table)
+    images = tuple(algebra.mask_of(_extent_mask(result.points, 1 << x)) for x in d.base.atoms())
+    return DcaMorphism(d, algebra.dca, images)
 
 
 def trace_morphism(space: DMSpace) -> DmsMorphism:
@@ -254,7 +261,7 @@ def trace_morphism(space: DMSpace) -> DmsMorphism:
 
 
 def naturality(morphism) -> Report:
-    """Pointwise naturality of the double-dual comparison maps."""
+    """Naturality of the double-dual comparison maps, on atoms and points."""
     report = Report(subject="naturality")
     if isinstance(morphism, DcaMorphism):
         f = morphism
@@ -265,11 +272,7 @@ def naturality(morphism) -> Report:
         g_dom = extent_isomorphism(f.dom, dual_dom)
         g_cod = extent_isomorphism(f.cod, dual_cod)
         witness = next(
-            (
-                (a,)
-                for a in f.dom.base.elements()
-                if raised(g_dom(a)) != g_cod(f(a))
-            ),
+            ((1 << x,) for x in f.dom.base.atoms() if raised(g_dom(1 << x)) != g_cod(f(1 << x))),
             None,
         )
         report.add("double dual of extents", witness is None, witness)
@@ -283,11 +286,7 @@ def naturality(morphism) -> Report:
         rho_dom = trace_morphism(theta.dom)
         rho_cod = trace_morphism(theta.cod)
         witness = next(
-            (
-                (x,)
-                for x in theta.dom.points()
-                if lowered(rho_dom(x)) != rho_cod(theta(x))
-            ),
+            ((x,) for x in theta.dom.points() if lowered(rho_dom(x)) != rho_cod(theta(x))),
             None,
         )
         report.add("double dual of traces", witness is None, witness)
@@ -303,39 +302,36 @@ def functor_laws(first, second) -> Report:
         left = lower(composite)
         right = compose(lower(second), lower(first))
         report.add("lower reverses composition", left.point_map == right.point_map)
-        ident = DcaMorphism.identity(first.dom)
-        report.add(
-            "lower preserves identity",
-            lower(ident).point_map == tuple(range(len(lower(ident).point_map))),
-        )
+        lowered = lower(DcaMorphism.identity(first.dom))
+        report.add("lower preserves identity", lowered == DmsMorphism.identity(lowered.dom))
     else:
         left = raise_(composite)
         right = compose(raise_(second), raise_(first))
-        report.add("raise reverses composition", left.table == right.table)
-        ident = DmsMorphism.identity(first.dom)
-        report.add(
-            "raise preserves identity",
-            raise_(ident).table == tuple(raise_(ident).dom.base.elements()),
-        )
+        report.add("raise reverses composition", left == right)
+        raised = raise_(DmsMorphism.identity(first.dom))
+        report.add("raise preserves identity", raised == DcaMorphism.identity(raised.dom))
     return report
 
 
 def dca_isomorphism_report(f: DcaMorphism) -> Report:
-    """Morphism plus a two-sided inverse morphism."""
+    """Morphism plus a two-sided inverse morphism.
+
+    A join-preserving map is bijective iff it sends 0 to 0 and permutes the
+    atoms; its inverse is the inverse permutation.
+    """
     report = Report(subject="DCA isomorphism")
     validation = validate_dca_morphism(f)
     report.add("is a morphism", validation.ok)
-    bijective = len(set(f.table)) == f.dom.base.size == f.cod.base.size
+    bijective = f.zero == 0 and sorted(f.images) == [1 << y for y in f.cod.base.atoms()]
     report.add("bijective", bijective)
     if bijective and validation.ok:
-        inverse_table = [0] * f.cod.base.size
-        for a, image in enumerate(f.table):
-            inverse_table[image] = a
-        inverse = DcaMorphism(f.cod, f.dom, tuple(inverse_table))
+        inverse_images = [0] * f.cod.base.atom_count
+        for x, image in enumerate(f.images):
+            inverse_images[image.bit_length() - 1] = 1 << x
+        inverse = DcaMorphism(f.cod, f.dom, tuple(inverse_images))
         report.add("inverse is a morphism", validate_dca_morphism(inverse).ok)
         report.add(
-            "composition is the identity",
-            all(inverse(f(a)) == a for a in f.dom.base.elements()),
+            "composition is the identity", compose(f, inverse) == DcaMorphism.identity(f.dom)
         )
     return report
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import generate as gen
 from .boolean import atoms_of
-from .category import duality_roundtrip, validate_dca_morphism, validate_dms_morphism
+from .category import DcaMorphism, duality_roundtrip, validate_dca_morphism, validate_dms_morphism
 from .contact import CONTACT_AXIOMS, PRECONTACT_AXIOMS, contact_from_adjacency
 from .dca import (
     canonical_standard_dca,
@@ -164,7 +164,7 @@ def _check_command(args) -> int:
             report.info["T0"] = shape.is_t0
             report.info["DM_compact"] = shape.is_dm_compact
     elif kind == "morphism":
-        if hasattr(obj, "table"):
+        if isinstance(obj, DcaMorphism):
             report.absorb(validate_dca_morphism(obj))
         else:
             report.absorb(validate_dms_morphism(obj))

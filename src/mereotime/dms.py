@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import FiniteBA, Filter, atoms_of, meeting
+from .boolean import FiniteBA, Filter, atoms_of, mask_of, meeting
 from .contact import PrecontactAlgebra, Relation
 from .dca import (
     DCA,
@@ -208,21 +208,14 @@ class DmsDual:
     def pointset(self, mask: int) -> int:
         return _pointset(self.atoms, mask)
 
-    @cached_property
-    def mask_of_region(self) -> dict[int, int]:
-        table = {}
-        for mask in self.dca.base.elements():
-            table[self.pointset(mask)] = mask
-        return table
+    def mask_of(self, region: int) -> int:
+        """The atoms inside `region`: its mask if it is a region, since the
+        regions are the distinct joins of the atoms (`_atom_algebra`)."""
+        return mask_of(i for i, atom in enumerate(self.atoms) if atom & ~region == 0)
 
     def trace_support(self, x: int) -> int:
         """Atom support of the point's clan in the dual algebra."""
-        bit = 1 << x
-        out = 0
-        for i, atom in enumerate(self.atoms):
-            if atom & bit:
-                out |= 1 << i
-        return out
+        return meeting(self.atoms, 1 << x)
 
 
 def _pointset(atoms, mask: int) -> int:
@@ -431,9 +424,7 @@ def canonical_filter(space: DMSpace, region: int) -> Filter:
     if not space.space.is_regular_closed(region):
         raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
     algebra = dual(space)
-    members = frozenset(
-        algebra.mask_of_region[a] for a in space.regions if region & ~a == 0
-    )
+    members = frozenset(algebra.mask_of(a) for a in space.regions if region & ~a == 0)
     return Filter(algebra.dca.base, members)
 
 
@@ -599,8 +590,17 @@ class DualSpaceResult:
     space: DMSpace
     points: tuple[int, ...]
 
+    @cached_property
+    def _point_index(self) -> dict[int, int]:
+        return {support: i for i, support in enumerate(self.points)}
+
     def point_of(self, support: int) -> int:
-        return self.points.index(support)
+        try:
+            return self._point_index[support]
+        except KeyError:
+            raise ValidationError(
+                f"support {support:#x} is not a point of the dual space", witness=support
+            ) from None
 
 
 @lru_cache(maxsize=None)
@@ -673,11 +673,11 @@ def verify_representation_topo(d: DCA) -> Report:
     # onto the dual's atoms, and all relations are additive, so they are
     # compared on atom pairs.
     algebra = dual(space)
-    image = [
-        algebra.mask_of_region.get(_extent_mask(result.points, 1 << x)) for x in d.base.atoms()
-    ]
-    report.add("extents land in the dual algebra", None not in image)
-    if None not in image:
+    extents = [_extent_mask(result.points, 1 << x) for x in d.base.atoms()]
+    image = [algebra.mask_of(extent) for extent in extents]
+    lands = all(algebra.pointset(m) == extent for m, extent in zip(image, extents))
+    report.add("extents land in the dual algebra", lands)
+    if lands:
         hit, witness = 0, None
         for x, m in enumerate(image):
             if not m or m & (m - 1) or m & hit:

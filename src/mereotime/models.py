@@ -113,7 +113,7 @@ def encode(obj, claims=None) -> dict:
             "morphism_kind": "dca",
             "dom": encode(obj.dom),
             "cod": encode(obj.cod),
-            "map": [_mask_list(obj.table[a]) for a in obj.dom.base.elements()],
+            "map": [_mask_list(obj(a)) for a in obj.dom.base.elements()],
         }
     if isinstance(obj, DmsMorphism):
         return {
@@ -152,9 +152,9 @@ def _size(payload: dict, key: str, where: str = "") -> int:
     return size
 
 
-def _int_pairs(raw, what: str) -> set[tuple[int, int]]:
+def _int_pairs(raw, what: str) -> frozenset[tuple[int, int]]:
     try:
-        pairs = {(int(x), int(y)) for x, y in raw}
+        pairs = frozenset((int(x), int(y)) for x, y in raw)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be an array of index pairs") from exc
     return pairs
@@ -198,12 +198,9 @@ def decode(payload: dict):
     if kind == "dca":
         n = _size(payload, "atom_count")
         try:
-            obj = DCA.from_pairs(
-                n,
-                _int_pairs(_require(payload, "space_contact"), "space_contact"),
-                _int_pairs(_require(payload, "time_contact"), "time_contact"),
-                _int_pairs(_require(payload, "precedence"), "precedence"),
-            )
+            keys = ("space_contact", "time_contact", "precedence")
+            pairs = [_int_pairs(_require(payload, key), key) for key in keys]
+            obj = DCA(FiniteBA(n), *(Relation(n, p) for p in pairs))
         except Exception as exc:
             raise SchemaError(f"bad dca payload: {exc}") from exc
         return kind, obj, extras
@@ -242,7 +239,7 @@ def decode(payload: dict):
                 FiniteTopSpace(count, base),
                 _mask(_require(payload, "space_points"), "space_points"),
                 _mask(_require(payload, "time_points"), "time_points"),
-                frozenset(_int_pairs(_require(payload, "prec"), "prec")),
+                _int_pairs(_require(payload, "prec"), "prec"),
                 regions,
             )
         except Exception as exc:
@@ -256,7 +253,7 @@ def decode(payload: dict):
         try:
             if morphism_kind == "dca":
                 table = tuple(_mask(entry, "map entry") for entry in raw_map)
-                return kind, DcaMorphism(dom, cod, table), extras
+                return kind, DcaMorphism.from_table(dom, cod, table), extras
             if morphism_kind == "dms":
                 return kind, DmsMorphism(dom, cod, tuple(int(x) for x in raw_map)), extras
         except Exception as exc:
@@ -267,7 +264,7 @@ def decode(payload: dict):
 
 def _checked(cls, size, pairs):
     try:
-        return cls.of(size, pairs) if hasattr(cls, "of") else cls(size, frozenset(pairs))
+        return cls(size, pairs)
     except Exception as exc:
         raise SchemaError(f"bad {cls.__name__.lower()} payload: {exc}") from exc
 

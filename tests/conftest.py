@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import pytest
@@ -26,6 +27,7 @@ from mereotime.contact import (
     interpolation_check,
     relation_axiom_checks,
 )
+from mereotime.category import DmsMorphism
 from mereotime.dca import canonical_standard_dca, standard_dca, validate_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, _extent_mask, dual, dual_space
 from mereotime.errors import ValidationError
@@ -680,6 +682,121 @@ def element_validate_dca_morphism(f) -> Report:
     return report
 
 
+# -- element-table morphisms -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class TableMorphism:
+    """A DCA morphism as the table of all its element images; it can hold
+    maps that no atom map expresses, such as non-homomorphisms."""
+
+    dom: object
+    cod: object
+    table: tuple
+
+    def __call__(self, a):
+        return self.table[a]
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.dom, f.cod, tuple(f(a) for a in f.dom.base.elements()))
+
+
+def region_masks(space) -> dict[int, int]:
+    """The dual algebra's element for each of its point sets, by listing them all."""
+    algebra = dual(space)
+    return {algebra.pointset(m): m for m in algebra.dca.base.elements()}
+
+
+def element_compose(first, second) -> TableMorphism:
+    assert first.cod == second.dom
+    return TableMorphism(
+        first.dom, second.cod, tuple(second(first(a)) for a in first.dom.base.elements())
+    )
+
+
+def element_lower(f) -> DmsMorphism:
+    """Preimage on t-clans, with the atom images read off the table."""
+    dual_dom, dual_cod = dual_space(f.dom), dual_space(f.cod)
+    point_map = tuple(
+        dual_dom.points.index(mask_of(x for x in f.dom.base.atoms() if f(1 << x) & support))
+        for support in dual_cod.points
+    )
+    return DmsMorphism(dual_cod.space, dual_dom.space, point_map)
+
+
+def element_raise(theta) -> TableMorphism:
+    """Preimage on every region of the codomain."""
+    masks = region_masks(theta.dom)
+    algebra = dual(theta.cod)
+    table = tuple(
+        masks[theta.preimage(algebra.pointset(m))] for m in algebra.dca.base.elements()
+    )
+    return TableMorphism(algebra.dca, dual(theta.dom).dca, table)
+
+
+def element_extent_isomorphism(d) -> TableMorphism:
+    result = dual_space(d)
+    masks = region_masks(result.space)
+    table = tuple(masks[_extent_mask(result.points, a)] for a in d.base.elements())
+    return TableMorphism(d, dual(result.space).dca, table)
+
+
+def element_naturality(f) -> Report:
+    """The double-dual square of an algebra morphism, on every element."""
+    report = Report(subject="naturality")
+    raised = element_raise(element_lower(f))
+    g_dom, g_cod = element_extent_isomorphism(f.dom), element_extent_isomorphism(f.cod)
+    witness = next(
+        ((a,) for a in f.dom.base.elements() if raised(g_dom(a)) != g_cod(f(a))), None
+    )
+    report.add("double dual of extents", witness is None, witness)
+    return report
+
+
+def element_functor_laws(first, second) -> Report:
+    """The functor laws with algebra maps as tables."""
+    report = Report(subject="functor laws")
+    if isinstance(first, DmsMorphism):
+        composite = DmsMorphism(
+            first.dom, second.cod, tuple(second(first(x)) for x in first.dom.points())
+        )
+        left = element_raise(composite)
+        right = element_compose(element_raise(second), element_raise(first))
+        report.add("raise reverses composition", left.table == right.table)
+        raised = element_raise(DmsMorphism(first.dom, first.dom, tuple(first.dom.points())))
+        report.add("raise preserves identity", raised.table == tuple(raised.dom.base.elements()))
+        return report
+    left = element_lower(element_compose(first, second))
+    lower_first, lower_second = element_lower(first), element_lower(second)
+    right = tuple(lower_first(lower_second(y)) for y in lower_second.dom.points())
+    report.add("lower reverses composition", left.point_map == right)
+    identity = TableMorphism(first.dom, first.dom, tuple(first.dom.base.elements()))
+    lowered = element_lower(identity)
+    report.add("lower preserves identity", lowered.point_map == tuple(lowered.dom.points()))
+    return report
+
+
+def element_dca_isomorphism_report(f) -> Report:
+    """Morphism plus a two-sided inverse, found by inverting the table."""
+    report = Report(subject="DCA isomorphism")
+    validation = element_validate_dca_morphism(f)
+    report.add("is a morphism", validation.ok)
+    bijective = len(set(f.table)) == f.dom.base.size == f.cod.base.size
+    report.add("bijective", bijective)
+    if bijective and validation.ok:
+        inverse_table = [0] * f.cod.base.size
+        for a, image in enumerate(f.table):
+            inverse_table[image] = a
+        inverse = TableMorphism(f.cod, f.dom, tuple(inverse_table))
+        report.add("inverse is a morphism", element_validate_dca_morphism(inverse).ok)
+        report.add(
+            "composition is the identity",
+            all(inverse(f(a)) == a for a in f.dom.base.elements()),
+        )
+    return report
+
+
 class ElementRC:
     """Boolean algebra of the regular closed sets of a finite space, by its
     definition: join is union, meet cl(int(a & b)), complement cl(U - a)."""
@@ -846,9 +963,8 @@ def element_extent_checks(d) -> list[Check]:
     result = dual_space(d)
     algebra = dual(result.space)
     target = algebra.dca
-    image = {
-        a: algebra.mask_of_region.get(_extent_mask(result.points, a)) for a in d.base.elements()
-    }
+    masks = region_masks(result.space)
+    image = {a: masks.get(_extent_mask(result.points, a)) for a in d.base.elements()}
     out = [Check("extents land in the dual algebra", None not in image.values())]
     if None in image.values():
         return out

@@ -303,7 +303,7 @@ def test_criterion_7_duality_roundtrips(corpus):
         table = tuple(
             mask_of(perm[x] for x in atoms_of(a)) for a in d.base.elements()
         )
-        f = DcaMorphism(d, target, table)
+        f = DcaMorphism.from_table(d, target, table)
         assert validate_dca_morphism(f).ok
         assert naturality(f).ok
         theta = lower(f)
@@ -435,7 +435,7 @@ def test_criterion_10_negative_controls():
     # morphism breaking space-contact reflection
     source = from_contact_algebra(PrecontactAlgebra.overlap(FiniteBA(2)))
     weak = from_contact_algebra(PrecontactAlgebra.largest(FiniteBA(2)))
-    f = DcaMorphism(source, weak, tuple(source.base.elements()))
+    f = DcaMorphism.from_table(source, weak, tuple(source.base.elements()))
     morphism_report = validate_dca_morphism(f)
     assert not morphism_report["f2:reflects Cs"].holds
     assert morphism_report["f2:reflects Cs"].witness is not None

@@ -1,8 +1,17 @@
 import itertools
+import time
 
 import pytest
 
-from conftest import element_validate_dca_morphism
+from conftest import (
+    TableMorphism,
+    element_compose,
+    element_dca_isomorphism_report,
+    element_extent_isomorphism,
+    element_functor_laws,
+    element_naturality,
+    element_validate_dca_morphism,
+)
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
 from mereotime.category import (
     DcaMorphism,
@@ -23,7 +32,7 @@ from mereotime.category import (
 from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual, dual_space
-from mereotime.errors import CapabilityError, CompositionError
+from mereotime.errors import CapabilityError, CompositionError, ValidationError
 from mereotime.snapshot import TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -55,7 +64,7 @@ def permuted_copy(d: DCA, perm) -> tuple[DCA, DcaMorphism]:
         return mask_of(perm[x] for x in atoms_of(a))
 
     table = tuple(move_mask(a) for a in d.base.elements())
-    return target, DcaMorphism(d, target, table)
+    return target, DcaMorphism.from_table(d, target, table)
 
 
 def test_identity_morphisms_validate():
@@ -75,7 +84,7 @@ def test_extent_map_is_an_isomorphism():
 def test_morphism_breaking_space_reflection():
     source = trivial_dca(2)  # space contact = overlap
     weak = from_contact_algebra(PrecontactAlgebra.largest(FiniteBA(2)))
-    f = DcaMorphism(source, weak, tuple(source.base.elements()))
+    f = DcaMorphism.from_table(source, weak, tuple(source.base.elements()))
     report = validate_dca_morphism(f)
     assert report["f1:Boolean homomorphism"].holds
     assert not report["f2:reflects Cs"].holds
@@ -83,14 +92,14 @@ def test_morphism_breaking_space_reflection():
 
 
 def test_validate_dca_morphism_matches_element_oracle(small_dca_corpus):
-    # every table between 2-atom algebras, homomorphisms or not
-    two_atom = [d for d in small_dca_corpus if d.base.atom_count == 2]
-    assert len(two_atom) >= 2
+    # every table between algebras of at most 2 atoms, homomorphisms or not
+    small = [d for d in small_dca_corpus if d.base.atom_count <= 2]
+    assert sum(d.base.atom_count == 2 for d in small) >= 2
     join_failures = 0
-    for dom, cod in itertools.product(two_atom, repeat=2):
+    for dom, cod in itertools.product(small, repeat=2):
         for table in itertools.product(cod.base.elements(), repeat=dom.base.size):
-            f = DcaMorphism(dom, cod, table)
-            fast, slow = validate_dca_morphism(f), element_validate_dca_morphism(f)
+            f, raw = DcaMorphism.from_table(dom, cod, table), TableMorphism(dom, cod, table)
+            fast, slow = validate_dca_morphism(f), element_validate_dca_morphism(raw)
             f1, slow_f1 = fast["f1:Boolean homomorphism"], slow["f1:Boolean homomorphism"]
             assert f1.holds == slow_f1.holds, table
             assert (f1.witness is None) == (slow_f1.witness is None), table
@@ -99,11 +108,65 @@ def test_validate_dca_morphism_matches_element_oracle(small_dca_corpus):
                 continue
             join_failures += 1
             a, b = f1.witness
-            assert f(a | b) != f(a) | f(b), table
+            assert raw(a | b) != raw(a) | raw(b), table
             assert [c.name for c in fast.checks] == [c.name for c in slow.checks]
             for check in fast.checks[1:]:
                 assert not check.holds and check.witness == ("not evaluable",), table
     assert join_failures > 0
+
+
+def assert_matches_tables(maps):
+    """The atom-map operations agree with their element-table oracles on
+    join-preserving maps; naturality and the functor laws take morphisms."""
+    tables = {f: TableMorphism.of(f) for f in maps}
+    morphisms = [f for f in maps if validate_dca_morphism(f).ok]
+    for f in maps:
+        assert dca_isomorphism_report(f).checks == element_dca_isomorphism_report(tables[f]).checks
+        for g in maps:
+            if f.cod == g.dom:
+                assert TableMorphism.of(compose(f, g)) == element_compose(tables[f], tables[g])
+    for f in morphisms:
+        assert naturality(f).checks == element_naturality(tables[f]).checks
+        for g in morphisms:
+            if f.cod == g.dom:
+                slow = element_functor_laws(tables[f], tables[g])
+                assert functor_laws(f, g).checks == slow.checks
+
+
+def test_atom_maps_match_element_tables(small_dca_corpus):
+    # every join-preserving table between algebras of at most 2 atoms
+    small = [d for d in small_dca_corpus if d.base.atom_count <= 2]
+    maps = []
+    for dom, cod in itertools.product(small, repeat=2):
+        for table in itertools.product(cod.base.elements(), repeat=dom.base.size):
+            f = DcaMorphism.from_table(dom, cod, table)
+            if f.join_failure is None:
+                assert TableMorphism.of(f) == TableMorphism(dom, cod, table)
+                maps.append(f)
+    assert any(validate_dca_morphism(f).ok for f in maps)
+    assert_matches_tables(maps)
+    for d in small_dca_corpus:
+        assert TableMorphism.of(extent_isomorphism(d)) == element_extent_isomorphism(d)
+
+
+def test_permuted_copies_match_element_tables():
+    d = chain_dca()
+    mid, f = permuted_copy(d, (1, 0))
+    _, g = permuted_copy(mid, (1, 0))
+    assert_matches_tables([f, g, DcaMorphism.identity(d), extent_isomorphism(d)])
+    space = dual_space(d).space
+    theta = DmsMorphism.identity(space)
+    assert functor_laws(theta, theta).checks == element_functor_laws(theta, theta).checks
+
+
+def test_atom_maps_on_twenty_atoms():
+    d = trivial_dca(20)
+    start = time.perf_counter()
+    f = DcaMorphism.identity(d)
+    assert validate_dca_morphism(f).ok
+    assert compose(f, f) == f
+    assert dca_isomorphism_report(f).ok
+    assert time.perf_counter() - start < 0.1
 
 
 def test_permuted_copy_is_isomorphism():
@@ -144,10 +207,23 @@ def test_raise_preserves_complement_by_validation():
 def test_compose_identity_and_mismatch():
     d = chain_dca()
     f = DcaMorphism.identity(d)
-    assert compose(f, f).table == f.table
+    assert compose(f, f) == f
     other = trivial_dca(3)
     with pytest.raises(CompositionError):
         compose(f, DcaMorphism.identity(other))
+    # an atom map cannot express a table that fails joins, so it has no composite
+    broken = DcaMorphism.from_table(d, d, (0,) * (d.base.size - 1) + (d.base.one,))
+    assert broken.join_failure is not None
+    with pytest.raises(CompositionError):
+        compose(f, broken)
+
+
+def test_point_of_names_a_support_that_is_no_point():
+    result = dual_space(chain_dca())
+    assert [result.point_of(s) for s in result.points] == list(range(len(result.points)))
+    with pytest.raises(ValidationError) as err:
+        result.point_of(0)
+    assert err.value.witness == 0
 
 
 def test_functor_laws_for_algebra_morphisms():

@@ -420,7 +420,7 @@ def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):
     assert "f1:Boolean homomorphism" in out
 
     weak = from_contact_algebra(PA.largest(FiniteBA(2)))
-    bad = DcaMorphism(d, weak, tuple(d.base.elements()))
+    bad = DcaMorphism.from_table(d, weak, tuple(d.base.elements()))
     bad_path = tmp_path / "bad_morphism.json"
     write_path(bad_path, bad)
     code, out, _ = run(["check", bad_path], capsys)
