@@ -15,13 +15,11 @@ from .errors import DimensionMismatch, PreconditionError, ValidationError
 
 
 def atoms_of(mask: int):
-    """Yield atom indices of `mask` in ascending order."""
-    i = 0
+    """Yield atom indices of `mask` in ascending order, one per set bit."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(atoms) -> int:
@@ -38,6 +36,34 @@ def meeting(masks, target: int) -> int:
         if mask & target:
             out |= 1 << i
     return out
+
+
+def joins(masks) -> list[int]:
+    """The join of every subset of `masks`: entry a joins the masks that a selects."""
+    out = [0]
+    for m in masks:
+        out += [j | m for j in out]
+    return out
+
+
+def additive(images):
+    """The union-preserving map sending bit i to `images[i]`.
+
+    Each 8-bit chunk of the argument indexes one table of the joins of its
+    eight images, so a call costs one lookup per chunk; bits beyond the
+    images are ignored.
+    """
+    padded = (*images, *[0] * (-len(images) % 8))
+    tables = [joins(padded[i : i + 8]) for i in range(0, len(padded), 8)]
+
+    def image(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    return image
 
 
 def submasks(mask: int):

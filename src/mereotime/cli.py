@@ -90,7 +90,7 @@ class CommandReport:
     def emit(self, fmt: str) -> None:
         body = self.payload()
         if fmt == "json":
-            print(json.dumps(body, indent=2, sort_keys=True))
+            print(json.dumps(body, sort_keys=True))
             return
         print(f"== {self.command} {self.source}")
         for check in self.checks:

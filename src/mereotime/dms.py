@@ -1,21 +1,23 @@
 """Finite topologies from closed bases and dynamic mereotopological spaces.
 
-Point sets are int bitmasks.  Closure is computed against the closed base
-directly (a point lies outside the closure of A iff some union of base
-members covers A and misses the point), so no closed-set family is needed
-for the basic operators.  In a finite space the closed sets are the
-down-sets of the specialization preorder, that is the unions of point
-closures; the family is built that way only to enumerate the regular closed
-sets, each the union of the point closures of an open set.
+Point sets are int bitmasks.  In a finite space closure is additive
+(Alexandrov 1937): cl(A) is the union of the point closures cl{x}, x in A,
+and cl{x} is read off the closed base (x' lies outside it iff some base
+member holds x and misses x').  So closure is one table-driven map per
+space (`boolean.additive`), and so are the extent map of a dual space and
+the preimage map of a space morphism.  The closed sets are the down-sets of
+the specialization preorder, that is the unions of point closures; the
+family is built that way only to enumerate the regular closed sets, each
+the closure of an open set.
 
 The regular closed sets form a Boolean algebra (RC: join is union, meet
 cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
 subalgebra of it.  Both are finite, so each is the powerset of its atoms:
 one kernel (`_atom_algebra`) finds the atoms and stores time contact, space
-contact and precedence on atom pairs.  Those relations, the extent map and
-closure are additive, so the space axioms, the lifting conditions, the
-extent isomorphism and the density map are decided on atoms; the
-element-level evaluations are the test oracle (`tests/conftest.py`).
+contact and precedence on atom pairs.  S2 is decided on those atoms, and
+the space axioms, the lifting conditions, the extent isomorphism and the
+density map on atoms too; the element-level evaluations are the test
+oracle (`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import FiniteBA, Filter, atoms_of, mask_of, meeting
+from .boolean import FiniteBA, Filter, additive, atoms_of, joins, mask_of, meeting
 from .contact import PrecontactAlgebra, Relation
 from .dca import (
     DCA,
@@ -64,24 +66,30 @@ class FiniteTopSpace:
         return (1 << self.point_count) - 1
 
     @cached_property
-    def _exclusions(self) -> tuple[int, ...]:
-        """_exclusions[x]: union of base members avoiding point x."""
-        out = []
+    def _down(self) -> tuple[int, ...]:
+        """_down[y]: closure of point y, the down-set of y in the specialization order.
+
+        x lies outside cl{y} iff some union of base members covers y and
+        misses x, that is iff y lies in the union of the members avoiding x.
+        """
+        down = [0] * self.point_count
         for x in range(self.point_count):
-            bit = 1 << x
-            cover = 0
+            bit, cover = 1 << x, 0
             for b in self.closed_base:
                 if not b & bit:
                     cover |= b
-            out.append(cover)
-        return tuple(out)
+            for y in atoms_of(self.universe ^ cover):
+                down[y] |= bit
+        return tuple(down)
 
-    def closure(self, a: int) -> int:
-        out = 0
-        for x, cover in enumerate(self._exclusions):
-            if a & ~cover:
-                out |= 1 << x
-        return out
+    @cached_property
+    def closure(self):
+        """closure(a): the union of the point closures of a's points.
+
+        Closure is additive in a finite space (Alexandrov 1937), so it is
+        one table-driven map, built once per space.
+        """
+        return additive(self._down)
 
     def interior(self, a: int) -> int:
         return self.universe ^ self.closure(self.universe ^ a)
@@ -91,11 +99,6 @@ class FiniteTopSpace:
 
     def is_regular_closed(self, a: int) -> bool:
         return self.closure(self.interior(a)) == a
-
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        """_down[x]: closure of point x, the down-set of x in the specialization order."""
-        return tuple(self.closure(1 << x) for x in range(self.point_count))
 
     @cached_property
     def closed_family(self) -> frozenset[int]:
@@ -123,17 +126,8 @@ class FiniteTopSpace:
     @cached_property
     def regular_closed(self) -> tuple[int, ...]:
         """All regular closed sets, ascending by mask: cl(U) for every open U."""
-        down = self._down
-        out = set()
-        for c in self.closed_family:
-            opened = self.universe ^ c
-            rc = 0
-            while opened:
-                low = opened & -opened
-                rc |= down[low.bit_length() - 1]
-                opened ^= low
-            out.add(rc)
-        return tuple(sorted(out))
+        closure, universe = self.closure, self.universe
+        return tuple(sorted({closure(universe ^ c) for c in self.closed_family}))
 
 
 @dataclass(frozen=True)
@@ -281,10 +275,13 @@ def rho(space: DMSpace, x: int) -> frozenset[int]:
 def check_s2(candidate: DMSpace) -> Check:
     """S2: the regions are a subalgebra of RC and a closed base.
 
-    Each region and its regular-closed complement is checked; meets then
-    follow from joins and complements, so the family is a subalgebra of RC
-    iff the dual algebra exists, that is iff the family is the distinct
-    joins of its atoms.
+    Decided on the atoms of the union-Boolean family (`dual`): it is a
+    subalgebra of RC iff each atom is the closure of its interior and the
+    atom interiors are pairwise disjoint.  An open set missing int(a) also
+    misses cl(int(a)) = a, so the RC complement of a join of atoms is the
+    join of the other atoms.  Only a failing family is scanned region by
+    region, for the first one that is not regular closed or whose
+    complement escapes; with none, the witness is that of `dual`.
     """
     space = candidate.space
     regions = candidate.regions
@@ -293,22 +290,40 @@ def check_s2(candidate: DMSpace) -> Check:
         return Check("S2", False, ("duplicate region",))
     if 0 not in members or space.universe not in members:
         return Check("S2", False, ("missing bounds",))
-    for a in regions:
-        if not space.is_regular_closed(a):
-            return Check("S2", False, (a, "not regular closed"))
-        if space.closure(space.universe ^ a) not in members:
-            return Check("S2", False, (a, "complement escapes"))
     try:
-        dual(candidate)
+        atoms, failure = dual(candidate).atoms, None
     except ValidationError as exc:
-        return Check("S2", False, exc.witness)
+        atoms, failure = (), exc.witness
+    if failure is not None or not _regular_atoms(space, atoms):
+        for a in regions:
+            if not space.is_regular_closed(a):
+                return Check("S2", False, (a, "not regular closed"))
+            if space.closure(space.universe ^ a) not in members:
+                return Check("S2", False, (a, "complement escapes"))
+        return Check("S2", False, failure)
     # The family must be a closed base: it has to recover every base-closed
-    # set of the ambient topology.
-    probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
+    # set of the ambient topology.  A base member that is a region is closed
+    # and a member of the probe base, so it passes.
+    probe = None
     for b in space.closed_base:
+        if b in members:
+            continue
+        if probe is None:
+            probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
         if probe.closure(b) != space.closure(b) or not probe.is_closed(space.closure(b)):
             return Check("S2", False, (b, "not a closed base"))
     return Check("S2", True)
+
+
+def _regular_atoms(space: FiniteTopSpace, atoms) -> bool:
+    """Each atom is the closure of its interior, and the interiors are disjoint."""
+    seen = 0
+    for a in atoms:
+        inner = space.interior(a)
+        if inner & seen or space.closure(inner) != a:
+            return False
+        seen |= inner
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -610,7 +625,7 @@ def dual_space(d: DCA) -> DualSpaceResult:
     structure = clan_structure(d)
     points = structure.t_clans
     index = {support: i for i, support in enumerate(points)}
-    result_regions = tuple(sorted({_extent_mask(points, a) for a in d.base.elements()}))
+    result_regions = tuple(sorted(set(joins(_extents(points, d.base.atom_count)))))
     xs_mask = 0
     for support in structure.s_clans:
         xs_mask |= 1 << index[support]
@@ -625,13 +640,9 @@ def dual_space(d: DCA) -> DualSpaceResult:
     return DualSpaceResult(d, space, points)
 
 
-def _extent_mask(points, a: int) -> int:
-    """Point mask of the clans, given by their supports, that contain `a`."""
-    out = 0
-    for i, support in enumerate(points):
-        if support & a:
-            out |= 1 << i
-    return out
+def _extents(points, atom_count: int) -> tuple[int, ...]:
+    """Point mask of the clans, given by their supports, holding each atom."""
+    return tuple(meeting(points, 1 << x) for x in range(atom_count))
 
 
 def contact_clan_space(algebra: PrecontactAlgebra):
@@ -641,9 +652,9 @@ def contact_clan_space(algebra: PrecontactAlgebra):
     sending an element to the mask of clans containing it.
     """
     supports = _clique_supports(algebra)
-    base = tuple(sorted({_extent_mask(supports, a) for a in algebra.base.elements()}))
-    space = FiniteTopSpace(len(supports), base)
-    return space, supports, lambda a: _extent_mask(supports, a)
+    extents = _extents(supports, algebra.base.atom_count)
+    space = FiniteTopSpace(len(supports), tuple(sorted(set(joins(extents)))))
+    return space, supports, additive(extents)
 
 
 def verify_representation_topo(d: DCA) -> Report:
@@ -673,7 +684,7 @@ def verify_representation_topo(d: DCA) -> Report:
     # onto the dual's atoms, and all relations are additive, so they are
     # compared on atom pairs.
     algebra = dual(space)
-    extents = [_extent_mask(result.points, 1 << x) for x in d.base.atoms()]
+    extents = _extents(result.points, d.base.atom_count)
     image = [algebra.mask_of(extent) for extent in extents]
     lands = all(algebra.pointset(m) == extent for m, extent in zip(image, extents))
     report.add("extents land in the dual algebra", lands)
@@ -748,23 +759,10 @@ def density_check(space: DMSpace) -> Report:
         spc.closure(space.space_points) == spc.universe,
     )
 
-    inside = list(atoms_of(space.space_points))
-    to_sub = {x: i for i, x in enumerate(inside)}
-
-    def restrict(a: int) -> int:
-        out = 0
-        for x in inside:
-            if a & (1 << x):
-                out |= 1 << to_sub[x]
-        return out
-
-    def embed(a_sub: int) -> int:
-        out = 0
-        for x, i in to_sub.items():
-            if a_sub & (1 << i):
-                out |= 1 << x
-        return out
-
+    # Restriction to the space points and its inverse are additive.
+    inside = {x: i for i, x in enumerate(atoms_of(space.space_points))}
+    restrict = additive([1 << inside[x] if x in inside else 0 for x in space.points()])
+    embed = additive([1 << x for x in inside])
     sub_space = FiniteTopSpace(
         len(inside), tuple(sorted({restrict(b) for b in spc.closed_base}))
     )

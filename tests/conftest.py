@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import pytest
 
-from mereotime.boolean import FiniteBA, atoms_of, mask_of, submasks
+from mereotime.boolean import FiniteBA, atoms_of, mask_of, meeting, submasks
 from mereotime.contact import (
     CONTACT_AXIOMS,
     PrecontactAlgebra,
@@ -29,7 +29,7 @@ from mereotime.contact import (
 )
 from mereotime.category import DmsMorphism
 from mereotime.dca import canonical_standard_dca, standard_dca, validate_dca
-from mereotime.dms import DMSpace, FiniteTopSpace, _extent_mask, dual, dual_space
+from mereotime.dms import DMSpace, FiniteTopSpace, dual, dual_space
 from mereotime.errors import ValidationError
 from mereotime.reporting import Check, Report
 from mereotime.snapshot import (
@@ -738,7 +738,7 @@ def element_raise(theta) -> TableMorphism:
 def element_extent_isomorphism(d) -> TableMorphism:
     result = dual_space(d)
     masks = region_masks(result.space)
-    table = tuple(masks[_extent_mask(result.points, a)] for a in d.base.elements())
+    table = tuple(masks[meeting(result.points, a)] for a in d.base.elements())
     return TableMorphism(d, dual(result.space).dca, table)
 
 
@@ -816,6 +816,34 @@ class ElementRC:
 
     def compl(self, a):
         return self.space.closure(self.space.universe ^ a)
+
+
+def element_check_s2(candidate) -> Check:
+    """S2 by a scan of every region: each must be regular closed with its
+    regular-closed complement a region; then the family must be Boolean
+    under union (the witness of `dual`) and recover every base member's
+    closure."""
+    space = candidate.space
+    regions = candidate.regions
+    members = set(regions)
+    if len(members) != len(regions):
+        return Check("S2", False, ("duplicate region",))
+    if 0 not in members or space.universe not in members:
+        return Check("S2", False, ("missing bounds",))
+    for a in regions:
+        if not space.is_regular_closed(a):
+            return Check("S2", False, (a, "not regular closed"))
+        if space.closure(space.universe ^ a) not in members:
+            return Check("S2", False, (a, "complement escapes"))
+    try:
+        dual(candidate)
+    except ValidationError as exc:
+        return Check("S2", False, exc.witness)
+    probe = FiniteTopSpace(space.point_count, tuple(sorted(members)))
+    for b in space.closed_base:
+        if probe.closure(b) != space.closure(b) or not probe.is_closed(space.closure(b)):
+            return Check("S2", False, (b, "not a closed base"))
+    return Check("S2", True)
 
 
 def element_validate_dms(candidate) -> Report:
@@ -964,7 +992,7 @@ def element_extent_checks(d) -> list[Check]:
     algebra = dual(result.space)
     target = algebra.dca
     masks = region_masks(result.space)
-    image = {a: masks.get(_extent_mask(result.points, a)) for a in d.base.elements()}
+    image = {a: masks.get(meeting(result.points, a)) for a in d.base.elements()}
     out = [Check("extents land in the dual algebra", None not in image.values())]
     if None in image.values():
         return out
@@ -1131,8 +1159,8 @@ def element_is_rich(model) -> bool:
 def element_prec_extension(d, left: int, right: int) -> bool:
     """Element-level clan precedence: every element meeting `left` precedes
     every element meeting `right`."""
-    meeting = lambda support: [a for a in d.base.elements() if a & support]
-    return all(d.precedes(a, b) for a in meeting(left) for b in meeting(right))
+    meets = lambda support: [a for a in d.base.elements() if a & support]
+    return all(d.precedes(a, b) for a in meets(left) for b in meets(right))
 
 
 # -- fixtures --------------------------------------------------------------

@@ -43,6 +43,7 @@ from mereotime.dca import (
 )
 from mereotime.dms import (
     DMSpace,
+    check_s2,
     classify,
     dual,
     dual_space,
@@ -381,6 +382,18 @@ def test_representation_on_thirty_point_dual_space():
     budget = Budget("verify_representation_topo, (4,4) snapshot algebra", 1)
     assert verify_representation_topo(d).ok
     assert dual_space(d).space.space.point_count == 30
+    budget.done()
+
+
+def test_s2_on_511_point_dual_space():
+    n = 9
+    path = PrecontactAlgebra.from_atom_pairs(
+        FiniteBA(n), {(i, j) for i in range(n) for j in range(n) if abs(i - j) <= 1}
+    )
+    space = dual_space(from_contact_algebra(path)).space
+    assert space.space.point_count == 511
+    budget = Budget("check_s2, dual space of the 9-atom trivial path algebra", 0.4)
+    assert check_s2(space).holds
     budget.done()
 
 

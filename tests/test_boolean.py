@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mereotime.boolean import (
@@ -6,11 +8,13 @@ from mereotime.boolean import (
     Grill,
     Ideal,
     Ultrafilter,
+    additive,
     extend_to_ultrafilter,
     filter_sum,
     grill_from_atoms,
     grill_support,
     is_grill,
+    joins,
     separate,
     ultrafilters,
 )
@@ -215,3 +219,33 @@ def test_ultrafilters_are_exactly_singleton_grills():
         for support in b.nonzero_elements():
             members = frozenset(grill_from_atoms(b, support).members)
             assert (members in ultra) == (support.bit_count() == 1)
+
+
+# Sizes on both sides of the 8-bit chunks of the additive kernel.
+CHUNK_SIZES = (1, 7, 8, 9, 16, 17, 33)
+
+
+def union_of_images(images, mask):
+    out = 0
+    for i, image in enumerate(images):
+        if mask >> i & 1:
+            out |= image
+    return out
+
+
+def test_additive_matches_union_of_images_across_chunks():
+    rng = random.Random(5)
+    for n in CHUNK_SIZES:
+        images = [rng.getrandbits(40) for _ in range(n)]
+        image = additive(images)
+        masks = [0, (1 << n) - 1, *(1 << i for i in range(n)), *(rng.getrandbits(n) for _ in range(300))]
+        for mask in masks:
+            assert image(mask) == union_of_images(images, mask), (n, mask)
+        # bits beyond the images are ignored
+        assert image(1 << n | 1) == images[0]
+
+
+def test_joins_lists_the_join_of_every_subset():
+    images = [0b0011, 0b0110, 0b1000]
+    assert joins(images) == [union_of_images(images, a) for a in range(8)]
+    assert joins([]) == [0]

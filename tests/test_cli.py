@@ -159,13 +159,19 @@ def test_represent_and_dualize_emit_models(chain_dca_file, tmp_path, capsys):
     assert kind == "dca"
 
 
-def test_report_digest_stable_across_runs(chain_dca_file, capsys):
+def test_report_digest_stable_across_runs(chain_dca_file, trivial_dca_file, capsys):
     code, out1, _ = run(["check", chain_dca_file, "--format", "json"], capsys)
     code2, out2, _ = run(["check", chain_dca_file, "--format", "json"], capsys)
     assert code == code2 == 0
     digest1 = json.loads(out1)["report_digest"]
     digest2 = json.loads(out2)["report_digest"]
     assert digest1 == digest2
+    # several paths print one report per line
+    code3, out3, _ = run(["check", chain_dca_file, trivial_dca_file, "--format", "json"], capsys)
+    lines = out3.splitlines()
+    assert code3 == 0 and len(lines) == 2
+    assert [json.loads(line)["input"] for line in lines] == [str(chain_dca_file), str(trivial_dca_file)]
+    assert json.loads(lines[0])["report_digest"] == digest1
 
 
 def test_roundtrip_commands(trivial_dca_file, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from conftest import (
     ElementRC,
+    element_check_s2,
     element_density_check,
     element_extent_checks,
     element_lifting_conditions,
@@ -16,14 +18,14 @@ from conftest import (
     time_axiom_fails_at,
 )
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA, atoms_of
+from mereotime.boolean import FiniteBA, atoms_of, meeting
 from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
     DMSpace,
     FiniteTopSpace,
-    _extent_mask,
     canonical_filter,
+    check_s2,
     classify,
     contact_clan_space,
     density_check,
@@ -126,6 +128,27 @@ def test_closure_matches_brute_force_on_small_spaces():
             assert space.is_regular_closed(a) == (
                 space.closure(space.interior(a)) == a
             )
+
+
+def test_closure_matches_definition_across_chunks():
+    """Closure, on point sets of 1-33 points, is the meet of the unions of
+    base members holding the set (the whole space when none does)."""
+    rng = random.Random(7)
+    for n in (1, 7, 8, 9, 16, 17, 33):
+        universe = (1 << n) - 1
+        for _ in range(4):
+            space = FiniteTopSpace(n, tuple(rng.getrandbits(n) for _ in range(rng.randint(1, 5))))
+            unions = {0}
+            for b in space.closed_base:
+                unions |= {u | b for u in unions}
+            masks = [0, universe, *(1 << x for x in range(n)), *(rng.getrandbits(n) for _ in range(100))]
+            for a in masks:
+                expected = universe
+                for u in unions:
+                    if a & ~u == 0:
+                        expected &= u
+                assert space.closure(a) == expected, (space, a)
+                assert space.interior(a) == universe ^ space.closure(universe ^ a)
 
 
 def test_rc_algebra_law_validation_runs():
@@ -421,7 +444,7 @@ def test_extent_laws(small_dca_corpus):
         result = dual_space(d)
         space = result.space.space
         universe = space.universe
-        g = partial(_extent_mask, result.points)
+        g = partial(meeting, result.points)
         assert g(0) == 0 and g(d.base.one) == universe
         for a in d.base.elements():
             assert space.is_regular_closed(g(a))
@@ -606,6 +629,61 @@ def test_validate_dms_matches_element_oracle(small_dca_corpus):
         "not a closed base",
         ("S7", "fails"),
     }
+
+
+def random_region_families(rng, count):
+    """Spaces on 1-5 points with a random closed base and a random region
+    family: a coarsening of RC, RC sampled with or without complements, any
+    point sets, or RC with a stray set or a repeat.  Half of the spaces take
+    the family itself as their closed base."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        universe = (1 << n) - 1
+        base = tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, min(universe + 1, 8)))))
+        topology = FiniteTopSpace(n, base)
+        rc = topology.regular_closed
+        atoms = [a for a in rc if a and not any(b and b != a and b & ~a == 0 for b in rc)]
+        sample = rng.sample(rc, rng.randint(0, len(rc)))
+        complements = {topology.closure(universe ^ a) for a in sample}
+        family = rng.choice(
+            [
+                coarsened(atoms, rng),
+                tuple(sorted({0, universe, *sample})),
+                tuple(sorted({0, universe, *sample, *complements})),
+                tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, universe + 1)))),
+                tuple(sorted({*rc, rng.randint(0, universe)})),
+                (*rc, rc[-1]),
+            ]
+        )
+        if rng.random() < 0.5:
+            topology = FiniteTopSpace(n, family)
+        out.append(DMSpace(topology, universe, universe, frozenset(), family))
+    return out
+
+
+def test_check_s2_matches_region_scan(small_dca_corpus):
+    """S2 decided on the region atoms has the verdict and the witness of the
+    scan over every region, on the oracle spaces and on random region
+    families."""
+    spaces = [*oracle_spaces(small_dca_corpus), *random_region_families(random.Random(13), 3000)]
+    verdicts, forms = Counter(), set()
+    for space in spaces:
+        fast = check_s2(space)
+        assert fast == element_check_s2(space), space
+        verdicts[fast.holds] += 1
+        if not fast.holds:
+            forms.add(fast.witness[-1])
+    assert min(verdicts.values()) >= 500, verdicts
+    assert forms >= {
+        "duplicate region",
+        "missing bounds",
+        "not regular closed",
+        "complement escapes",
+        "join escapes",
+        "not a join of atoms",
+        "not a closed base",
+    }, forms
 
 
 def lifting_fails_at(space, sub_family, check) -> bool:

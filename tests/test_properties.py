@@ -31,6 +31,11 @@ def algebra_with_elements(draw, count=2):
     return (base, *masks)
 
 
+@given(st.integers(min_value=0, max_value=2**200))
+def test_atoms_of_matches_bit_scan(mask):
+    assert list(atoms_of(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @given(algebra_with_elements(count=2))
 def test_boolean_identities(data):
     base, a, b = data
