@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boolean import additive, atoms_of, meeting
+from .contact import _first_missing
 from .dca import DCA, is_trivial
 from .dms import (
     DMSpace,
@@ -119,6 +120,12 @@ class DmsMorphism:
         """_image(region): the points that `region`'s points map to."""
         return additive([1 << y for y in self.point_map])
 
+    @cached_property
+    def _pulled_successors(self) -> tuple[int, ...]:
+        """Row x: the points mapped to successors of x's image."""
+        rows = self.cod._successors.rows
+        return tuple(self.preimage(rows[y]) for y in self.point_map)
+
 
 def validate_dca_morphism(f: DcaMorphism) -> Report:
     """Boolean homomorphism reflecting all three relations, decided on atoms.
@@ -171,14 +178,9 @@ def validate_dms_morphism(theta: DmsMorphism) -> Report:
         None,
     )
     report.add("t1:preserves space points", witness is None, witness)
-    witness = next(
-        (
-            (x, y)
-            for x, y in dom.prec
-            if (theta(x), theta(y)) not in cod.prec
-        ),
-        None,
-    )
+    # t2 row by row: x's successors map to successors of theta(x).
+    found = _first_missing(dom._successors.rows, theta._pulled_successors)
+    witness = found and tuple(m.bit_length() - 1 for m in found)
     report.add("t2:preserves before-after", witness is None, witness)
     dom_regions = set(dom.regions)
     witness = next(
@@ -373,12 +375,7 @@ def dms_isomorphism_report(theta: DmsMorphism) -> Report:
         if cod.space_points & (1 << theta(x))
     )
     report.add("reflects space points", cond1)
-    cond2 = all(
-        (x, y) in dom.prec
-        for x in dom.points()
-        for y in dom.points()
-        if (theta(x), theta(y)) in cod.prec
-    )
+    cond2 = _first_missing(theta._pulled_successors, dom._successors.rows) is None
     report.add("reflects before-after", cond2)
     images = {theta_image(theta, a) for a in dom.regions}
     cond3 = images == set(cod.regions)

@@ -87,8 +87,11 @@ class Relation:
         """columns[y] is the mask of predecessors of y."""
         cols = [0] * self.size
         for x, row in enumerate(self.rows):
-            for y in atoms_of(row):
-                cols[y] |= 1 << x
+            bit = 1 << x
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(cols)
 
     def __contains__(self, pair) -> bool:
@@ -120,9 +123,11 @@ class Relation:
         return _first_missing(self.rows, other.rows) is None
 
     def forward_image(self, a: int) -> int:
-        out = 0
-        for x in atoms_of(a):
-            out |= self.rows[x]
+        out, rows = 0, self.rows
+        while a:
+            low = a & -a
+            out |= rows[low.bit_length() - 1]
+            a ^= low
         return out
 
     def possibility_image(self, a: int) -> int:

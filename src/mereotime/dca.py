@@ -30,9 +30,9 @@ from .snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    _condition_failure,
-    check_time_condition,
+    time_axiom_failures,
     time_axiom_holds,
+    time_condition_failures,
 )
 
 
@@ -83,6 +83,10 @@ class DCA:
     @cached_property
     def report(self) -> Report:
         return validate_dca(self)
+
+    @cached_property
+    def axiom_failures(self) -> tuple[dict, dict]:
+        return time_axiom_failures(self.time_rel, self.prec_rel)
 
     @property
     def is_valid(self) -> bool:
@@ -280,16 +284,16 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
     Irreflexivity is omitted: only the one-directional check is available
     for it (see `irr_one_directional`).
     """
-    canonical = canonical_time_structure(d)
+    on_clusters = canonical_time_structure(d).structure.condition_failures
+    on_ultrafilters = time_condition_failures(d.prec_rel)
     rows = []
     for cond in DCA_TIME_AXIOMS:
         if cond is TimeCondition.TRI:
             on_ult = _tri_with_relation(d.prec_rel, d.time_rel)
         else:
-            on_ult = _condition_failure(cond, d.prec_rel) is None
-        on_clust = check_time_condition(canonical.structure, cond).holds
+            on_ult = on_ultrafilters[cond] is None
         on_regions = time_axiom_holds(d, cond)
-        rows.append(Correspondence2Row(cond, on_ult, on_clust, on_regions))
+        rows.append(Correspondence2Row(cond, on_ult, on_clusters[cond] is None, on_regions))
     return rows
 
 

@@ -2,10 +2,11 @@
 
 A dynamic model attaches one coordinate contact algebra to every moment of
 a finite time structure; regions are per-moment histories.  The module also
-decides the region-level time axioms, on snapshot models and on abstract
-dynamic algebras alike: time contact and precedence are additive, so each
-axiom is a first-order condition on the atoms of the carrier and is decided
-on their rows in O(n^2) to O(n^3) word operations.
+decides the time conditions of a before-after relation and the region time
+axioms of snapshot models and abstract dynamic algebras: time contact and
+precedence are additive, so each axiom is a first-order condition on the
+atoms of the carrier.  Each kind is decided for all conditions in one walk
+over the rows, in O(n^2) word operations, and cached on the structure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .contact import PrecontactAlgebra, Relation, _first_missing
 from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
@@ -36,6 +37,10 @@ class TimeCondition(enum.Enum):
     LIN = "linearity"
     TRI = "trichotomy"
     TR = "transitivity"
+
+    # Members are singletons: hash by identity, in C, for the lookups in the
+    # cached failure tables (Enum hashes the member name in Python).
+    __hash__ = object.__hash__
 
     @property
     def region_axiom(self) -> str:
@@ -90,55 +95,63 @@ class TimeStructure:
     def relation(self) -> Relation:
         return Relation(self.point_count, self.prec)
 
+    @cached_property
+    def condition_failures(self) -> dict:
+        return time_condition_failures(self.relation)
+
     def moments(self) -> range:
         return range(self.point_count)
 
 
 def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
     """Decide one time condition; failures carry the smallest witness."""
-    witness = _condition_failure(cond, ts.relation)
+    witness = ts.condition_failures[cond]
     return Check(cond.name, witness is None, witness)
 
 
-def _condition_failure(cond: TimeCondition, relation: Relation):
-    """First failing instance of a time condition, as moments, in
-    lexicographic order; O(t^2) word operations on the relation's rows."""
-    rows, cols = relation.rows, relation.columns
-    t = range(relation.size)
-    pairs = itertools.product(t, t)
-    if cond is TimeCondition.RS:
-        failing = ((m,) for m in t if not rows[m])
-    elif cond is TimeCondition.LS:
-        failing = ((m,) for m in t if not cols[m])
-    elif cond is TimeCondition.UP_DIR:
-        failing = ((i, j) for i, j in pairs if not rows[i] & rows[j])
-    elif cond is TimeCondition.DOWN_DIR:
-        failing = ((i, j) for i, j in pairs if not cols[i] & cols[j])
-    elif cond is TimeCondition.CIRC:
-        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[j] & cols[i])
-    elif cond is TimeCondition.DENS:
-        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[i] & cols[j])
-    elif cond is TimeCondition.REF:
-        failing = ((m,) for m in t if not rows[m] >> m & 1)
-    elif cond is TimeCondition.IRR:
-        failing = ((m,) for m in t if rows[m] >> m & 1)
-    elif cond in (TimeCondition.LIN, TimeCondition.TRI):
-        full = (1 << relation.size) - 1
-        for m in t:
-            exempt = 1 << m if cond is TimeCondition.TRI else 0
-            unrelated = full & ~(rows[m] | cols[m] | exempt)
-            if unrelated:
-                return m, _index(unrelated)
-        return None
-    elif cond is TimeCondition.TR:
-        for i in t:
-            for j in atoms_of(rows[i]):
-                if rows[j] & ~rows[i]:
-                    return i, j, _index(rows[j] & ~rows[i])
-        return None
-    else:  # pragma: no cover
-        raise ValueError(f"unknown condition {cond}")
-    return next(failing, None)
+def time_condition_failures(relation: Relation) -> dict[TimeCondition, tuple | None]:
+    """First failing instance of every time condition, as moments, in
+    lexicographic order (None where it holds).
+
+    One walk over the moments: at moment i the moments j failing a
+    two-place condition form one mask of O(t) word operations, such as
+    the moments outside the predecessors of i's successors (UP_DIR) or
+    outside the successors of its predecessors (DOWN_DIR).
+    """
+    C = TimeCondition
+    rows, cols, full = relation.rows, relation.columns, (1 << relation.size) - 1
+
+    def images(mask: int) -> tuple[int, int]:  # successors and predecessors
+        after = before = 0
+        while mask:
+            low = mask & -mask
+            y = low.bit_length() - 1
+            after, before = after | rows[y], before | cols[y]
+            mask ^= low
+        return after, before
+
+    out = dict.fromkeys(TIME_CONDITIONS)
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        bit = 1 << i
+        (after_after, after_before), (before_after, before_before) = images(row), images(col)
+        singles = ((C.RS, not row), (C.LS, not col), (C.REF, not row & bit), (C.IRR, row & bit))
+        for cond, fails in singles:
+            if fails and out[cond] is None:
+                out[cond] = (i,)
+        for cond, mask in (
+            (C.UP_DIR, full & ~after_before),
+            (C.DOWN_DIR, full & ~before_after),
+            (C.CIRC, row & ~before_before),
+            (C.DENS, row & ~after_after),
+            (C.LIN, full & ~(row | col)),
+            (C.TRI, full & ~(row | col | bit)),
+        ):
+            if mask and out[cond] is None:
+                out[cond] = (i, _index(mask))
+        if after_after & ~row and out[C.TR] is None:
+            j = next(j for j in atoms_of(row) if rows[j] & ~row)
+            out[C.TR] = (i, j, _index(rows[j] & ~row))
+    return out
 
 
 def _index(mask: int) -> int:
@@ -151,13 +164,14 @@ def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -
 
     Time contact and precedence are additive, so each axiom is decided on
     the atoms of the carrier: a DCA's stored atom relations, or a model's
-    region atoms.  The four axioms displaying a free variable p are read
-    with p universally quantified; `existential_p=True` decides the
-    alternative reading for comparison.  A witness is the first failing
-    instance, as elements of the carrier (singleton masks or atom regions,
-    and p as the join of a row of atoms).
+    region atoms (`time_axiom_failures`, cached on the source).  The four
+    axioms displaying a free variable p are read with p universally
+    quantified; `existential_p=True` decides the alternative reading for
+    comparison.  A witness is the first failing instance, as elements of
+    the carrier (singleton masks or atom regions, and p as the join of a
+    row of atoms).
     """
-    witness = _atom_failure(cond, existential_p, *_atom_frame(source))
+    witness = source.axiom_failures[existential_p][cond]
     if witness is None:
         return Check(cond.region_axiom, True)
     if isinstance(source, DMST):
@@ -168,67 +182,57 @@ def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -
 
 def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -> bool:
     """The verdict of `check_time_axiom`, without building its witness."""
-    return _atom_failure(cond, existential_p, *_atom_frame(source)) is None
+    return source.axiom_failures[existential_p][cond] is None
 
 
-def _atom_frame(source) -> tuple[Relation, Relation]:
-    """Time contact and precedence of the atoms."""
-    if isinstance(source, DMST):
-        return source.atom_relations[1:]
-    return source.time_rel, source.prec_rel
-
-
-def _atom_failure(cond: TimeCondition, existential_p: bool, time: Relation, prec: Relation):
-    """First failing instance of a region axiom on the atom frame, as atom masks.
+def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict]:
+    """First failing instance of every region axiom on an atom frame, as
+    atom masks, under the universal and the existential reading of p.
 
     For additive relations each axiom is a first-order condition on atoms
     (xTy, xPy), and its first failing element instance is a pair of atoms:
     a failure at elements a, b is a failure at some atoms x of a and y of b.
+    RS, LS and LIN are the time conditions of the atoms' precedence, and so
+    are the universal readings of the four axioms with a free variable p,
+    whose first failing p is the named row of atoms.
     """
+    C = TimeCondition
     t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
-    atoms = range(len(p_rows))
-    pairs = itertools.product(atoms, atoms)
-    if cond in (TimeCondition.RS, TimeCondition.LS, TimeCondition.LIN):
-        # The time condition itself, on the atoms' precedence.
-        moments = _condition_failure(cond, prec)
-        return moments and tuple(1 << x for x in moments)
-    if cond is TimeCondition.REF:
-        return _first_missing(t_rows, p_rows)
-    if cond is TimeCondition.TR:
-        return _first_missing(map(prec.forward_image, p_rows), p_rows)
-    if cond in FREE_VARIABLE_AXIOMS:
-        # Each says: for every p (for some p, existentially) one of two
-        # precedence facts holds.  On atoms x, y in scope that is: the rows
-        # `left` and `right` meet (one is nonempty), and the first p to
-        # fail the universal reading is `right` itself.
-        if cond is TimeCondition.UP_DIR:
-            cases = ((x, y, p_rows[x], p_rows[y]) for x, y in pairs)
-        elif cond is TimeCondition.DOWN_DIR:
-            cases = ((x, y, p_cols[x], p_cols[y]) for x, y in pairs)
-        elif cond is TimeCondition.CIRC:
-            cases = ((x, y, p_rows[y], p_cols[x]) for x, y in pairs if p_rows[x] >> y & 1)
-        else:
-            cases = ((x, y, p_rows[x], p_cols[y]) for x, y in pairs if p_rows[x] >> y & 1)
-        for x, y, left, right in cases:
-            if existential_p and not (left or right):
-                return 1 << x, 1 << y
-            if not existential_p and not left & right:
-                return 1 << x, 1 << y, right
-        return None
-    if cond is TimeCondition.IRR:
-        failing = (
-            (x, y)
-            for x, y in pairs
-            if p_rows[x] >> y & 1
-            and not any(t_rows[y] & ~t_rows[z] for z in atoms_of(t_rows[x]))
-        )
-    elif cond is TimeCondition.TRI:
-        failing = (
-            (x, y) for x, y in pairs if not (t_rows[x] >> y | p_rows[x] >> y | p_cols[x] >> y) & 1
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown axiom {cond}")
-    return next(((1 << x, 1 << y) for x, y in failing), None)
+    full = (1 << prec.size) - 1
+    on_prec = time_condition_failures(prec)
+
+    universal = {
+        C.REF: _first_missing(t_rows, p_rows),
+        C.TR: _first_missing(map(prec.forward_image, p_rows), p_rows),
+    }
+    for cond in (C.RS, C.LS, C.LIN):
+        found = on_prec[cond]
+        universal[cond] = found and tuple(1 << x for x in found)
+    # The first failing p: the row of y, or the column of y or of x.
+    for cond, lines, at in (
+        (C.UP_DIR, p_rows, 1), (C.DOWN_DIR, p_cols, 1), (C.CIRC, p_cols, 0), (C.DENS, p_cols, 1)
+    ):
+        found = on_prec[cond]
+        universal[cond] = found and (1 << found[0], 1 << found[1], lines[found[at]])
+    universal[C.IRR] = universal[C.TRI] = None
+    for x in range(prec.size):
+        # IRR fails at a successor y of x whose time row lies inside the
+        # time row of every atom in time contact with x.
+        common = reduce(int.__and__, (t_rows[z] for z in atoms_of(t_rows[x])), full)
+        irr = p_rows[x] & ~meeting(t_rows, full & ~common)
+        tri = full & ~(t_rows[x] | p_rows[x] | p_cols[x])
+        for cond, mask in ((C.IRR, irr), (C.TRI, tri)):
+            if mask and universal[cond] is None:
+                universal[cond] = (1 << x, mask & -mask)
+    # Read existentially, a free-variable axiom fails only where both of its
+    # rows are empty: never for DENS, whose scope makes x's row nonempty.
+    no_rows, no_cols = full & ~meeting(p_rows, full), full & ~meeting(p_cols, full)
+    existential = {**universal, C.DENS: None}
+    for cond, empty in ((C.UP_DIR, no_rows), (C.DOWN_DIR, no_cols)):
+        existential[cond] = (empty & -empty,) * 2 if empty else None
+    circ = ((1 << x, p_rows[x] & no_rows) for x in atoms_of(no_cols))
+    existential[C.CIRC] = next(((x, ys & -ys) for x, ys in circ if ys), None)
+    return universal, existential
 
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
@@ -307,6 +311,10 @@ class DMST:
         prec = [meeting(moments, self.time.relation.forward_image(here)) for here in moments]
         count = len(atoms)
         return atoms, Relation.from_rows(count, time), Relation.from_rows(count, prec)
+
+    @cached_property
+    def axiom_failures(self) -> tuple[dict, dict]:
+        return time_axiom_failures(*self.atom_relations[1:])
 
 
 def _region_of(model: DMST, atoms: list[Region], mask: int) -> Region:
@@ -490,12 +498,12 @@ def correspondence_check(model: DMST) -> list[CorrespondenceRow]:
     """
     if not is_rich(model):
         raise PreconditionError("correspondence table requires a rich model")
+    conditions = model.time.condition_failures
+    universal, existential = model.axiom_failures
     rows = []
     for cond in TIME_CONDITIONS:
-        left = check_time_condition(model.time, cond).holds
-        right = time_axiom_holds(model, cond)
-        note = None
-        if cond in FREE_VARIABLE_AXIOMS and right != time_axiom_holds(model, cond, existential_p=True):
-            note = "universal and existential readings of p differ here"
-        rows.append(CorrespondenceRow(cond, left, right, note))
+        right = universal[cond] is None
+        differ = cond in FREE_VARIABLE_AXIOMS and right != (existential[cond] is None)
+        note = "universal and existential readings of p differ here" if differ else None
+        rows.append(CorrespondenceRow(cond, conditions[cond] is None, right, note))
     return rows

@@ -5,7 +5,9 @@ independent of the packed-table implementations they check.  The
 element-level evaluators below them decide the same axioms by exhaustive
 evaluation on every element pair; the atom-level decisions of `contact`,
 `dca`, `snapshot`, `category` and `dms` are tested against them, verdict
-and witness.
+and witness.  The per-condition oracles decide one time condition or one
+region time axiom at a time, as the package did before it decided all of
+them in one pass per frame.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from mereotime.contact import (
     CONTACT_AXIOMS,
     PrecontactAlgebra,
     Relation,
+    _first_missing,
     _transpose_rows,
     element_rows,
     interpolation_check,
@@ -252,6 +255,108 @@ def element_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
             if before(i, j) and before(j, k) and not before(i, k):
                 return fail(i, j, k)
     return Check(name, True)
+
+
+# -- per-condition oracles for the one-pass time evaluators ----------------
+
+
+def condition_failure(cond: TimeCondition, relation: Relation):
+    """First failing instance of one time condition, as moments, in
+    lexicographic order; O(t^2) word operations on the relation's rows."""
+    rows, cols = relation.rows, relation.columns
+    t = range(relation.size)
+    pairs = itertools.product(t, t)
+    if cond is TimeCondition.RS:
+        failing = ((m,) for m in t if not rows[m])
+    elif cond is TimeCondition.LS:
+        failing = ((m,) for m in t if not cols[m])
+    elif cond is TimeCondition.UP_DIR:
+        failing = ((i, j) for i, j in pairs if not rows[i] & rows[j])
+    elif cond is TimeCondition.DOWN_DIR:
+        failing = ((i, j) for i, j in pairs if not cols[i] & cols[j])
+    elif cond is TimeCondition.CIRC:
+        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[j] & cols[i])
+    elif cond is TimeCondition.DENS:
+        failing = ((i, j) for i, j in pairs if rows[i] >> j & 1 and not rows[i] & cols[j])
+    elif cond is TimeCondition.REF:
+        failing = ((m,) for m in t if not rows[m] >> m & 1)
+    elif cond is TimeCondition.IRR:
+        failing = ((m,) for m in t if rows[m] >> m & 1)
+    elif cond in (TimeCondition.LIN, TimeCondition.TRI):
+        full = (1 << relation.size) - 1
+        for m in t:
+            exempt = 1 << m if cond is TimeCondition.TRI else 0
+            unrelated = full & ~(rows[m] | cols[m] | exempt)
+            if unrelated:
+                return m, _lowest(unrelated)
+        return None
+    elif cond is TimeCondition.TR:
+        for i in t:
+            for j in atoms_of(rows[i]):
+                if rows[j] & ~rows[i]:
+                    return i, j, _lowest(rows[j] & ~rows[i])
+        return None
+    else:  # pragma: no cover
+        raise ValueError(f"unknown condition {cond}")
+    return next(failing, None)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def atom_frame(source) -> tuple[Relation, Relation]:
+    """Time contact and precedence of the atoms of a DCA or a snapshot model."""
+    if isinstance(source, DMST):
+        return source.atom_relations[1:]
+    return source.time_rel, source.prec_rel
+
+
+def atom_failure(cond: TimeCondition, existential_p: bool, time: Relation, prec: Relation):
+    """First failing instance of one region axiom on an atom frame, as atom
+    masks, by one scan of the atom pairs in lexicographic order."""
+    t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
+    atoms = range(len(p_rows))
+    pairs = itertools.product(atoms, atoms)
+    if cond in (TimeCondition.RS, TimeCondition.LS, TimeCondition.LIN):
+        moments = condition_failure(cond, prec)
+        return moments and tuple(1 << x for x in moments)
+    if cond is TimeCondition.REF:
+        return _first_missing(t_rows, p_rows)
+    if cond is TimeCondition.TR:
+        return _first_missing(map(prec.forward_image, p_rows), p_rows)
+    if cond in FREE_VARIABLE_AXIOMS:
+        # For every p (for some p, existentially) one of two precedence
+        # facts holds: on atoms x, y in scope the rows `left` and `right`
+        # meet (one is nonempty), and the first p to fail is `right`.
+        if cond is TimeCondition.UP_DIR:
+            cases = ((x, y, p_rows[x], p_rows[y]) for x, y in pairs)
+        elif cond is TimeCondition.DOWN_DIR:
+            cases = ((x, y, p_cols[x], p_cols[y]) for x, y in pairs)
+        elif cond is TimeCondition.CIRC:
+            cases = ((x, y, p_rows[y], p_cols[x]) for x, y in pairs if p_rows[x] >> y & 1)
+        else:
+            cases = ((x, y, p_rows[x], p_cols[y]) for x, y in pairs if p_rows[x] >> y & 1)
+        for x, y, left, right in cases:
+            if existential_p and not (left or right):
+                return 1 << x, 1 << y
+            if not existential_p and not left & right:
+                return 1 << x, 1 << y, right
+        return None
+    if cond is TimeCondition.IRR:
+        failing = (
+            (x, y)
+            for x, y in pairs
+            if p_rows[x] >> y & 1
+            and not any(t_rows[y] & ~t_rows[z] for z in atoms_of(t_rows[x]))
+        )
+    elif cond is TimeCondition.TRI:
+        failing = (
+            (x, y) for x, y in pairs if not (t_rows[x] >> y | p_rows[x] >> y | p_cols[x] >> y) & 1
+        )
+    else:  # pragma: no cover
+        raise ValueError(f"unknown axiom {cond}")
+    return next(((1 << x, 1 << y) for x, y in failing), None)
 
 
 def path_snapshot_dca(sizes):
@@ -645,6 +750,24 @@ def time_axiom_fails_at(source, cond, existential_p, witness) -> bool:
     if cond is TimeCondition.TRI:
         return nonzero(a) and nonzero(b) and not (ct(a, b) or bb(a, b) or bb(b, a))
     return not bb(a, b) and not any(not bb(a, c) and not bb(star(c), b) for c in elements)
+
+
+def pair_set_t2_failures(theta) -> list[tuple[int, int]]:
+    """The before-after pairs of the domain that a space map does not
+    preserve, ascending."""
+    dom, cod = theta.dom, theta.cod
+    return sorted((x, y) for x, y in dom.prec if (theta(x), theta(y)) not in cod.prec)
+
+
+def pair_set_reflects_prec(theta) -> bool:
+    """Every pair whose images are in before-after is in before-after."""
+    dom, cod = theta.dom, theta.cod
+    return all(
+        (x, y) in dom.prec
+        for x in dom.points()
+        for y in dom.points()
+        if (theta(x), theta(y)) in cod.prec
+    )
 
 
 def element_validate_dca_morphism(f) -> Report:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -11,6 +12,8 @@ from conftest import (
     element_functor_laws,
     element_naturality,
     element_validate_dca_morphism,
+    pair_set_reflects_prec,
+    pair_set_t2_failures,
 )
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
 from mereotime.category import (
@@ -33,6 +36,7 @@ from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual, dual_space
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
+from mereotime.generate import all_relations
 from mereotime.snapshot import TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -202,6 +206,36 @@ def test_raise_preserves_complement_by_validation():
     one = algebra.dca.base.one
     for a in algebra.dca.base.elements():
         assert raised(one ^ a) == one ^ raised(a)
+
+
+def _order_spaces():
+    """A space for every before-after relation on one or two points and for
+    ten seeded ones on three, each with only the regions 0 and the universe."""
+    relations = [r for n in (1, 2) for r in all_relations(n)]
+    relations += random.Random(14).sample(list(all_relations(3)), 10)
+    for rel in relations:
+        universe = (1 << rel.size) - 1
+        yield DMSpace(FiniteTopSpace(rel.size, (0, universe)), universe, universe, rel.pairs, (0, universe))
+
+
+def test_before_after_rows_match_pair_sets():
+    """t2 and the converse in the isomorphism report, decided on successor
+    rows, agree with the pair-set definitions on every point map between
+    the spaces; the t2 witness is the smallest failing pair."""
+    spaces = list(_order_spaces())
+    failing, reflects = 0, []
+    for dom, cod in itertools.product(spaces, repeat=2):
+        for point_map in itertools.product(cod.points(), repeat=dom.space.point_count):
+            theta = DmsMorphism(dom, cod, point_map)
+            t2 = validate_dms_morphism(theta)["t2:preserves before-after"]
+            failures = pair_set_t2_failures(theta)
+            assert (t2.holds, t2.witness) == (not failures, min(failures, default=None)), theta
+            iso = dms_isomorphism_report(theta)
+            if "reflects before-after" in iso:
+                reflects.append(iso["reflects before-after"].holds)
+                assert reflects[-1] == pair_set_reflects_prec(theta), theta
+            failing += not t2.holds
+    assert failing > 1000 and 10 < reflects.count(False) < len(reflects) - 10
 
 
 def test_compose_identity_and_mismatch():

@@ -17,6 +17,7 @@ from conftest import (
     rc_law_failures,
     time_axiom_fails_at,
 )
+from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
 from mereotime.boolean import FiniteBA, atoms_of, meeting
 from mereotime.contact import PrecontactAlgebra
@@ -474,6 +475,32 @@ def test_static_contact_representation(contact_sweep_3):
 def test_verify_representation_topo_on_examples(small_dca_corpus):
     for d in small_dca_corpus[:5]:
         assert verify_representation_topo(d).ok
+
+
+def test_representation_evaluates_each_frame_once(monkeypatch):
+    """The time axioms of each dynamic algebra that the representation
+    touches (the algebra, its dual and RC of its dual space) are decided in
+    one pass and cached on it: a repeated check evaluates nothing."""
+    for module in (dca_module, dms_module):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+    frames = []
+    one_pass = dca_module.time_axiom_failures
+
+    def counted(time, prec):
+        frames.append((id(time), id(prec)))
+        return one_pass(time, prec)
+
+    monkeypatch.setattr(dca_module, "time_axiom_failures", counted)
+    path = {(i, j) for i in range(3) for j in range(3) if abs(i - j) <= 1}
+    d = from_contact_algebra(PrecontactAlgebra.from_atom_pairs(FiniteBA(3), path))
+    assert verify_representation_topo(d).ok
+    space = dual_space(d).space
+    sources = {id(s): s for s in (d, dual(space).dca, rc_dca(space)[0])}.values()
+    assert sorted(frames) == sorted((id(s.time_rel), id(s.prec_rel)) for s in sources)
+    assert verify_representation_topo(d).ok
+    assert len(frames) == len(sources)
 
 
 def test_rc_of_dual_space_equals_region_family(small_dca_corpus):

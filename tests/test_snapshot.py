@@ -1,11 +1,12 @@
+import collections
 import itertools
 import random
 
 import pytest
 
 from mereotime.boolean import FiniteBA
-from mereotime.contact import PrecontactAlgebra
-from mereotime.generate import all_time_structures
+from mereotime.contact import PrecontactAlgebra, Relation
+from mereotime.generate import all_relations, all_time_structures
 from mereotime.errors import MembershipError, PreconditionError, ValidationError
 from mereotime.snapshot import (
     DMST,
@@ -21,10 +22,14 @@ from mereotime.snapshot import (
     is_rich,
     reading_comparison,
     region_algebra_atoms,
+    time_axiom_failures,
     time_axiom_holds,
+    time_condition_failures,
 )
 
 from conftest import (
+    atom_failure,
+    condition_failure,
     element_boolean_closure,
     element_closure_defect,
     element_is_rich,
@@ -129,6 +134,53 @@ def test_time_conditions_match_pair_lookup_oracle():
     for t in structures:
         for cond in TimeCondition:
             assert check_time_condition(t, cond) == element_time_condition(t, cond), (t, cond)
+
+
+def test_one_pass_conditions_match_per_condition_oracle():
+    """All conditions of a relation in one pass give each condition's witness."""
+    for n in (1, 2, 3):
+        for t in all_time_structures(n):
+            expected = {cond: condition_failure(cond, t.relation) for cond in TimeCondition}
+            assert time_condition_failures(t.relation) == expected, t
+            assert t.condition_failures == expected, t
+
+
+def _seeded_relation(rng, n) -> Relation:
+    density = rng.random()
+    return Relation.from_rows(
+        n, (sum(1 << y for y in range(n) if rng.random() < density) for _ in range(n))
+    )
+
+
+def _atom_frames():
+    """Every (time, prec) frame on at most two atoms, then 5,000 seeded
+    frames on three to five atoms."""
+    for n in (1, 2):
+        relations = list(all_relations(n))
+        yield from itertools.product(relations, relations)
+    rng = random.Random(14)
+    for _ in range(5000):
+        n = rng.randint(3, 5)
+        yield _seeded_relation(rng, n), _seeded_relation(rng, n)
+
+
+def test_one_pass_axioms_match_per_condition_oracle():
+    """All region axioms of an atom frame in one pass give each axiom's
+    witness under both readings; every verdict occurs both ways."""
+    seen = collections.Counter()
+    for time, prec in _atom_frames():
+        failures = time_axiom_failures(time, prec)
+        for existential in (False, True):
+            for cond in TimeCondition:
+                expected = atom_failure(cond, existential, time, prec)
+                assert failures[existential][cond] == expected, (time, prec, cond, existential)
+                seen[cond, existential, expected is None] += 1
+    for cond in TimeCondition:
+        for existential in (False, True):
+            # Read existentially, density cannot fail: its scope makes the
+            # first precedence row nonempty.
+            outcomes = (True,) if existential and cond is TimeCondition.DENS else (True, False)
+            assert all(seen[cond, existential, holds] for holds in outcomes), (cond, existential)
 
 
 def test_build_full_model_region_count():
