@@ -151,7 +151,7 @@ def _check_command(args) -> int:
         rich = is_rich(obj)
         report.info["rich"] = rich
         report.info["full"] = is_full(obj)
-        report.info["regions"] = len(obj.regions)
+        report.info["regions"] = obj.region_count
         if rich:
             report.absorb(standard_dca(obj).report)
         else:

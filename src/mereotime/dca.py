@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from .boolean import FiniteBA, atoms_of, meeting
+from .boolean import FiniteBA, atoms_of, mask_of, meeting
 from .contact import (
     CONTACT_AXIOMS,
     PRECONTACT_AXIOMS,
@@ -32,7 +33,6 @@ from .snapshot import (
     build_dmst,
     time_axiom_failures,
     time_axiom_holds,
-    time_condition_failures,
 )
 
 
@@ -85,7 +85,7 @@ class DCA:
         return validate_dca(self)
 
     @cached_property
-    def axiom_failures(self) -> tuple[dict, dict]:
+    def axiom_failures(self) -> tuple[dict, dict, dict]:
         return time_axiom_failures(self.time_rel, self.prec_rel)
 
     @property
@@ -247,6 +247,7 @@ class CanonicalTime:
     clusters: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def canonical_time_structure(d: DCA) -> CanonicalTime:
     """Clusters as moments, clan precedence restricted to them."""
     d.require_valid()
@@ -266,8 +267,7 @@ def _tri_with_relation(prec: Relation, same: Relation) -> bool:
     return all(s | p | c == full for s, p, c in zip(same.rows, prec.rows, prec.columns))
 
 
-@dataclass(frozen=True)
-class Correspondence2Row:
+class Correspondence2Row(NamedTuple):
     condition: TimeCondition
     on_ultrafilters: bool
     on_clusters: bool
@@ -285,7 +285,7 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
     for it (see `irr_one_directional`).
     """
     on_clusters = canonical_time_structure(d).structure.condition_failures
-    on_ultrafilters = time_condition_failures(d.prec_rel)
+    on_ultrafilters = d.axiom_failures[2]  # the time conditions of the precedence
     rows = []
     for cond in DCA_TIME_AXIOMS:
         if cond is TimeCondition.TRI:
@@ -359,34 +359,14 @@ def canonical_standard_dca(d: DCA) -> CanonicalModel:
 def standard_dca(model: DMST) -> DCA:
     """Dynamic algebra induced on a snapshot model's regions.
 
-    The region algebra is transported onto the powerset algebra over its
-    atoms; the three relations are evaluated on atom pairs.  Validation is
-    reported, not enforced: non-rich models may fail the interpolation
-    axioms.
+    The region algebra is the powerset algebra over the model's cells, and
+    the three relations are its atom relations: space contact read from the
+    coordinate rows, time contact and precedence from the cells' moments.
+    Validation is reported, not enforced: non-rich models may fail the
+    interpolation axioms.
     """
-    atoms, time, prec = model.atom_relations
-    count = len(atoms)
-    if (1 << count) != len(model.regions):
-        raise ValidationError(
-            "region universe is not a Boolean subalgebra", witness=(len(model.regions), count)
-        )
-    space = {
-        (i, j)
-        for i, u in enumerate(atoms)
-        for j, v in enumerate(atoms)
-        if model.space_contact(u, v)
-    }
-    return DCA(FiniteBA(count), Relation.of(count, space), time, prec)
-
-
-def region_to_mask(model: DMST, atoms: list, region) -> int:
-    """Element mask of a region w.r.t. the given region-algebra atoms."""
-    model.region_index(region)
-    out = 0
-    for i, u in enumerate(atoms):
-        if all(x & ~y == 0 for x, y in zip(u, region)):
-            out |= 1 << i
-    return out
+    time, prec = model.atom_relations
+    return DCA(FiniteBA(len(model.cells)), model.space_relation, time, prec)
 
 
 def verify_embedding(d: DCA) -> Report:
@@ -397,9 +377,11 @@ def verify_embedding(d: DCA) -> Report:
     between the algebra and its canonical model.  The embedding h is a
     coordinate-wise restriction and so preserves joins by construction, and
     every relation on both sides is additive in each argument; so h is
-    checked on atoms, the relations are compared on atom pairs, and each time
+    checked on atoms, each relation is compared row by row over the atoms
+    (an atom's image read as a mask over the model's atoms), and each time
     axiom is decided on the atoms of both sides (the algebra's atom relations,
-    the model's atoms: a coordinate atom at one moment).
+    the model's atoms: a coordinate atom at one moment).  A witness is the
+    first failing atom pair in row-major order.
     """
     d.require_valid()
     canonical = canonical_standard_dca(d)
@@ -407,27 +389,30 @@ def verify_embedding(d: DCA) -> Report:
     base = d.base
     h = canonical.embed
     atoms = [1 << x for x in base.atoms()]
-    atom_pairs = [(a, b) for a in atoms for b in atoms]
-    # Each atom's image, its projection on every factor, is computed once.
-    image = {a: h(a) for a in atoms}
+    # Each atom's image, its projection on every factor, is computed once,
+    # with its mask over the model's atoms and the moments where it is nonzero.
+    image = [h(a) for a in atoms]
+    masks = [model.region_index(u) for u in image]
+    moments = [mask_of(k for k, part in enumerate(u) if part) for u in image]
 
     report = Report(subject="snapshot representation")
     report.add("h(0)=0", h(0) == model.zero)
     report.add("h(1)=1", h(base.one) == model.one)
 
+    def first_pair(rows):  # the first pair in row-major order that `rows` relates
+        x = next((x for x, row in enumerate(rows) if row), None)
+        return None if x is None else (atoms[x], rows[x] & -rows[x])
+
     # h preserves joins, and so preserves meets iff distinct atoms have
     # disjoint images.
-    witness = next(
-        ((a, b) for a, b in atom_pairs if a != b and any(model.meet(image[a], image[b]))),
-        None,
-    )
+    witness = first_pair([meeting(masks, m) & ~a for a, m in zip(atoms, masks)])
     report.add("h preserves join and meet", witness is None, witness)
-    witness = next((a for a in atoms if h(base.one ^ a) != model.compl(image[a])), None)
+    witness = next((a for a, u in zip(atoms, image) if h(base.one ^ a) != model.compl(u)), None)
     report.add("h preserves complement", witness is None, (witness,) if witness is not None else None)
     # An additive h is injective, and reflects the order, iff no atom's
     # image lies below the image of its complement.
     collapsed = next(
-        (a for a in atoms if model.meet(image[a], h(base.one ^ a)) == image[a]), None
+        (a for a, u in zip(atoms, image) if model.meet(u, h(base.one ^ a)) == u), None
     )
     report.add(
         "h injective",
@@ -435,33 +420,24 @@ def verify_embedding(d: DCA) -> Report:
         (base.one ^ collapsed, base.one) if collapsed is not None else None,
     )
 
-    def three_way(name, left_rel, middle, right_rel):
-        bad = next(
-            (
-                (a, b)
-                for a, b in atom_pairs
-                if not (
-                    left_rel(a, b) == middle(image[a], image[b]) == right_rel(image[a], image[b])
-                )
-            ),
-            None,
-        )
-        report.add(name, bad is None, bad)
-
-    factors = canonical.factors
-
-    def middle_cs(u, v):
-        return any(f.algebra.related(p, q) for f, p, q in zip(factors, u, v))
-
-    def middle_ct(u, v):
-        return any(p and q for p, q in zip(u, v))
-
-    def middle_b(u, v):
-        return any(u[i] and v[j] for i, j in canonical.time.structure.prec)
-
-    three_way("Cs respected", d.space_contact, middle_cs, model.space_contact)
-    three_way("Ct respected", d.time_contact, middle_ct, model.time_contact)
-    three_way("B respected", d.precedes, middle_b, model.precedes)
+    # Each relation as rows over the atoms: the algebra's own (left), the
+    # canonical factors' and moments' (middle), and the model's (right).
+    middle_cs = [0] * len(atoms)
+    for k, f in enumerate(canonical.factors):
+        parts = [u[k] for u in image]
+        for x, part in enumerate(parts):
+            middle_cs[x] |= meeting(parts, f.algebra.relation.forward_image(part))
+    moment_prec = canonical.time.structure.relation
+    middle_b = [meeting(moments, moment_prec.forward_image(m)) for m in moments]
+    model_time, model_prec = model.atom_relations
+    for name, left, middle, on_model in (
+        ("Cs respected", d.space_rel.rows, middle_cs, model.space_relation),
+        ("Ct respected", d.time_rel.rows, [meeting(moments, m) for m in moments], model_time),
+        ("B respected", d.prec_rel.rows, middle_b, model_prec),
+    ):
+        right = [meeting(masks, on_model.forward_image(m)) for m in masks]
+        witness = first_pair([(p ^ q) | (q ^ r) for p, q, r in zip(left, middle, right)])
+        report.add(name, witness is None, witness)
 
     report.add(
         "order respected",

@@ -17,7 +17,7 @@ from .contact import PrecontactAlgebra, Relation
 from .dca import DCA
 from .dms import DMSpace, FiniteTopSpace
 from .errors import SchemaError
-from .snapshot import DMST, TimeStructure, build_dmst, is_full
+from .snapshot import DMST, FULL_REGION_CAP, TimeStructure, build_dmst, is_full
 
 FORMAT_VERSION = 1
 KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
@@ -221,9 +221,12 @@ def decode(payload: dict):
         mode = payload.get("mode", "full")
         regions = None
         if mode != "full":
+            listed = _field(payload, "regions", list)
+            if len(listed) > FULL_REGION_CAP:
+                raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {FULL_REGION_CAP}")
             regions = [
                 tuple(_mask(x, "region coordinate") for x in _typed(region, list, f"regions[{i}]"))
-                for i, region in enumerate(_field(payload, "regions", list))
+                for i, region in enumerate(listed)
             ]
         try:
             model = build_dmst(ts, coordinates, mode=mode, regions=regions)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapabilityError
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named verdict. A failing check always carries a concrete witness."""
 
     name: str

@@ -11,11 +11,12 @@ over the rows, in O(n^2) word operations, and cached on the structure.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .contact import PrecontactAlgebra, Relation, _first_missing
 from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
@@ -42,34 +43,31 @@ class TimeCondition(enum.Enum):
     # cached failure tables (Enum hashes the member name in Python).
     __hash__ = object.__hash__
 
-    @property
-    def region_axiom(self) -> str:
-        """Name of the matching region-level time axiom."""
-        return "(" + self.name.lower().replace("_", " ") + ")"
+    def __init__(self, label: str):
+        # Name of the matching region-level time axiom.
+        self.region_axiom = "(" + self.name.lower().replace("_", " ") + ")"
 
 
 TIME_CONDITIONS = tuple(TimeCondition)
+# The members for the kernels below: a global load, not an Enum lookup.
+RS, LS, UP_DIR, DOWN_DIR, CIRC, DENS, REF, IRR, LIN, TRI, TR = TIME_CONDITIONS
 # The correspondence between cluster structure and region axioms omits
 # irreflexivity; see the one-directional check in the dca module.
-DCA_TIME_AXIOMS = tuple(c for c in TimeCondition if c is not TimeCondition.IRR)
-FREE_VARIABLE_AXIOMS = frozenset(
-    {TimeCondition.UP_DIR, TimeCondition.DOWN_DIR, TimeCondition.CIRC, TimeCondition.DENS}
-)
-# Most regions a full or rich model may have, that is, any universe that is
-# built rather than listed: a rich model's size, 2^k for its k cells, is
-# checked before any region is built.  Seconds per command, in process, on
-# full models with one moment and one path-contact coordinate (`represent`
-# on the model's algebra; median of three, Python 3.11 on a Xeon core), and
-# the peak resident memory of `represent`:
-#     regions   check   correspondence   represent   peak MB
-#       1,024   0.005       0.003          0.016
-#       4,096   0.007       0.005          0.022
-#      16,384   0.022       0.010          0.035        23
-#      65,536   0.061       0.034          0.081        31
-#     262,144   0.236       0.153          0.224        65
-# All three grow with the region count alone; the bound keeps every
-# command under 0.1 s, as for a rich model at the bound (two moments with
-# 8-atom path-contact coordinates: check 0.034 s, correspondence 0.051 s).
+DCA_TIME_AXIOMS = tuple(c for c in TimeCondition if c is not IRR)
+FREE_VARIABLE_AXIOMS = frozenset({UP_DIR, DOWN_DIR, CIRC, DENS})
+# Most regions a model may list: iterating `DMST.regions`, writing a model
+# that is not full (the file lists its regions) and reading a file's
+# `regions` array.  Counts, membership, atoms and every verdict are decided
+# on the cells, so a model of any size is built, checked and written full
+# without listing.  Seconds, in process, for a rich model with one moment
+# and 2^k regions (a 2k-atom path contact, k seeds pairing its atoms): list
+# the regions, write the model file, `mereotime check` it; median of three,
+# Python 3.11 on a Xeon core:
+#     regions    list    write    check    file KB
+#       1,024   0.001    0.009    0.017         29
+#       4,096   0.006    0.036    0.075        140
+#      16,384   0.020    0.131    0.265        656
+#      65,536   0.089    0.654    1.386      3,008
 FULL_REGION_CAP = 1 << 16
 
 
@@ -118,7 +116,6 @@ def time_condition_failures(relation: Relation) -> dict[TimeCondition, tuple | N
     the moments outside the predecessors of i's successors (UP_DIR) or
     outside the successors of its predecessors (DOWN_DIR).
     """
-    C = TimeCondition
     rows, cols, full = relation.rows, relation.columns, (1 << relation.size) - 1
 
     def images(mask: int) -> tuple[int, int]:  # successors and predecessors
@@ -134,23 +131,23 @@ def time_condition_failures(relation: Relation) -> dict[TimeCondition, tuple | N
     for i, (row, col) in enumerate(zip(rows, cols)):
         bit = 1 << i
         (after_after, after_before), (before_after, before_before) = images(row), images(col)
-        singles = ((C.RS, not row), (C.LS, not col), (C.REF, not row & bit), (C.IRR, row & bit))
+        singles = ((RS, not row), (LS, not col), (REF, not row & bit), (IRR, row & bit))
         for cond, fails in singles:
             if fails and out[cond] is None:
                 out[cond] = (i,)
         for cond, mask in (
-            (C.UP_DIR, full & ~after_before),
-            (C.DOWN_DIR, full & ~before_after),
-            (C.CIRC, row & ~before_before),
-            (C.DENS, row & ~after_after),
-            (C.LIN, full & ~(row | col)),
-            (C.TRI, full & ~(row | col | bit)),
+            (UP_DIR, full & ~after_before),
+            (DOWN_DIR, full & ~before_after),
+            (CIRC, row & ~before_before),
+            (DENS, row & ~after_after),
+            (LIN, full & ~(row | col)),
+            (TRI, full & ~(row | col | bit)),
         ):
             if mask and out[cond] is None:
                 out[cond] = (i, _index(mask))
-        if after_after & ~row and out[C.TR] is None:
+        if after_after & ~row and out[TR] is None:
             j = next(j for j in atoms_of(row) if rows[j] & ~row)
-            out[C.TR] = (i, j, _index(rows[j] & ~row))
+            out[TR] = (i, j, _index(rows[j] & ~row))
     return out
 
 
@@ -175,8 +172,7 @@ def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -
     if witness is None:
         return Check(cond.region_axiom, True)
     if isinstance(source, DMST):
-        atoms = source.atom_relations[0]
-        witness = tuple(_region_of(source, atoms, mask) for mask in witness)
+        witness = tuple(map(source.region, witness))
     return Check(cond.region_axiom, False, witness=witness)
 
 
@@ -185,9 +181,10 @@ def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -
     return source.axiom_failures[existential_p][cond] is None
 
 
-def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict]:
+def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dict]:
     """First failing instance of every region axiom on an atom frame, as
-    atom masks, under the universal and the existential reading of p.
+    atom masks, under the universal and the existential reading of p, and
+    of every time condition on the atoms' precedence, which decides several.
 
     For additive relations each axiom is a first-order condition on atoms
     (xTy, xPy), and its first failing element instance is a pair of atoms:
@@ -196,43 +193,44 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict]:
     are the universal readings of the four axioms with a free variable p,
     whose first failing p is the named row of atoms.
     """
-    C = TimeCondition
     t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
     full = (1 << prec.size) - 1
     on_prec = time_condition_failures(prec)
 
     universal = {
-        C.REF: _first_missing(t_rows, p_rows),
-        C.TR: _first_missing(map(prec.forward_image, p_rows), p_rows),
+        REF: _first_missing(t_rows, p_rows),
+        TR: _first_missing(map(prec.forward_image, p_rows), p_rows),
     }
-    for cond in (C.RS, C.LS, C.LIN):
+    for cond in (RS, LS, LIN):
         found = on_prec[cond]
         universal[cond] = found and tuple(1 << x for x in found)
     # The first failing p: the row of y, or the column of y or of x.
     for cond, lines, at in (
-        (C.UP_DIR, p_rows, 1), (C.DOWN_DIR, p_cols, 1), (C.CIRC, p_cols, 0), (C.DENS, p_cols, 1)
+        (UP_DIR, p_rows, 1), (DOWN_DIR, p_cols, 1), (CIRC, p_cols, 0), (DENS, p_cols, 1)
     ):
         found = on_prec[cond]
         universal[cond] = found and (1 << found[0], 1 << found[1], lines[found[at]])
-    universal[C.IRR] = universal[C.TRI] = None
-    for x in range(prec.size):
-        # IRR fails at a successor y of x whose time row lies inside the
-        # time row of every atom in time contact with x.
-        common = reduce(int.__and__, (t_rows[z] for z in atoms_of(t_rows[x])), full)
-        irr = p_rows[x] & ~meeting(t_rows, full & ~common)
-        tri = full & ~(t_rows[x] | p_rows[x] | p_cols[x])
-        for cond, mask in ((C.IRR, irr), (C.TRI, tri)):
-            if mask and universal[cond] is None:
-                universal[cond] = (1 << x, mask & -mask)
+    irr = tri = None
+    for x, (t_row, p_row, p_col) in enumerate(zip(t_rows, p_rows, p_cols)):
+        if irr is None:
+            # IRR fails at a successor y of x whose time row lies inside the
+            # time row of every atom in time contact with x.
+            common = reduce(int.__and__, (t_rows[z] for z in atoms_of(t_row)), full)
+            mask = p_row & ~meeting(t_rows, full & ~common)
+            irr = (1 << x, mask & -mask) if mask else None
+        if tri is None:
+            mask = full & ~(t_row | p_row | p_col)
+            tri = (1 << x, mask & -mask) if mask else None
+    universal[IRR], universal[TRI] = irr, tri
     # Read existentially, a free-variable axiom fails only where both of its
     # rows are empty: never for DENS, whose scope makes x's row nonempty.
     no_rows, no_cols = full & ~meeting(p_rows, full), full & ~meeting(p_cols, full)
-    existential = {**universal, C.DENS: None}
-    for cond, empty in ((C.UP_DIR, no_rows), (C.DOWN_DIR, no_cols)):
+    existential = {**universal, DENS: None}
+    for cond, empty in ((UP_DIR, no_rows), (DOWN_DIR, no_cols)):
         existential[cond] = (empty & -empty,) * 2 if empty else None
     circ = ((1 << x, p_rows[x] & no_rows) for x in atoms_of(no_cols))
-    existential[C.CIRC] = next(((x, ys & -ys) for x, ys in circ if ys), None)
-    return universal, existential
+    existential[CIRC] = next(((x, ys & -ys) for x, ys in circ if ys), None)
+    return universal, existential, on_prec
 
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
@@ -245,25 +243,53 @@ Region = tuple[int, ...]
 
 @dataclass(frozen=True)
 class DMST:
-    """Dynamic model of space and time: a region universe over snapshots."""
+    """Dynamic model of space and time over snapshots.  Its region algebra is
+    the powerset of its `cells` (Sikorski 1964), packed regions (`_layout`)
+    that partition the top, kept in the order of the region atoms they are."""
 
     time: TimeStructure
     coordinates: tuple[PrecontactAlgebra, ...]
-    regions: tuple[Region, ...]
+    cells: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coordinates) != self.time.point_count:
             raise ValidationError("one coordinate algebra per moment required")
 
-    def region_index(self, a: Region) -> int:
-        try:
-            return self._region_lookup[a]
-        except KeyError:
-            raise MembershipError(f"region {a!r} does not belong to this model") from None
+    @cached_property
+    def layout(self) -> list[tuple[int, int]]:
+        return _layout(self.coordinates)
+
+    @property
+    def region_count(self) -> int:
+        return 1 << len(self.cells)
+
+    @property
+    def regions(self) -> "Regions":
+        return Regions(self)
 
     @cached_property
-    def _region_lookup(self):
-        return {r: i for i, r in enumerate(self.regions)}
+    def _listed(self) -> tuple[Region, ...]:
+        """Every region in sorted order: the joins of the cells in binary counting order."""
+        if self.region_count > FULL_REGION_CAP:
+            too_many = f"{self.region_count} regions, over the bound of {FULL_REGION_CAP}"
+            raise CapabilityError(f"model too large to list: {too_many}", missing="model within the bound")
+        return tuple(_unpack(self.layout, j) for j in _joins(self.cells))
+
+    def region_index(self, a: Region) -> int:
+        """Position of a region, a vector of coordinate elements that splits
+        no cell, in the sorted listing: bit i for each cell it holds."""
+        try:
+            packed = _pack(self.layout, a)
+            shaped = _unpack(self.layout, packed) == tuple(a)
+        except TypeError:
+            shaped = False
+        if shaped and all(packed & cell in (0, cell) for cell in self.cells):
+            return sum(1 << i for i, cell in enumerate(self.cells) if packed & cell)
+        raise MembershipError(f"region {a!r} does not belong to this model")
+
+    def region(self, index: int) -> Region:
+        """The region at `index` in the sorted listing: the join of the cells it selects."""
+        return _unpack(self.layout, sum(cell for i, cell in enumerate(self.cells) if index >> i & 1))
 
     @property
     def zero(self) -> Region:
@@ -298,57 +324,72 @@ class DMST:
         return any(a[m] and b[n] for m, n in self.time.prec)
 
     @cached_property
-    def atom_relations(self) -> tuple[list[Region], Relation, Relation]:
-        """Region atoms with time contact and precedence on their indices.
+    def _cell_moments(self) -> list[int]:
+        """The moments each cell meets, as a mask."""
+        blocks = [top << shift for shift, top in self.layout]
+        return [meeting(blocks, cell) for cell in self.cells]
+
+    @cached_property
+    def atom_relations(self) -> tuple[Relation, Relation]:
+        """Time contact and precedence on the region atoms, the cells.
 
         Two atoms are in time contact iff they share a moment, and one
         precedes the other iff one of its moments is before one of the
         other's.
         """
-        atoms = region_algebra_atoms(self)
-        moments = [sum(1 << m for m, x in enumerate(u) if x) for u in atoms]
+        moments, forward = self._cell_moments, self.time.relation.forward_image
         time = [meeting(moments, here) for here in moments]
-        prec = [meeting(moments, self.time.relation.forward_image(here)) for here in moments]
-        count = len(atoms)
-        return atoms, Relation.from_rows(count, time), Relation.from_rows(count, prec)
+        prec = [meeting(moments, forward(here)) for here in moments]
+        return Relation.from_rows(len(moments), time), Relation.from_rows(len(moments), prec)
 
     @cached_property
-    def axiom_failures(self) -> tuple[dict, dict]:
-        return time_axiom_failures(*self.atom_relations[1:])
+    def space_relation(self) -> Relation:
+        """Space contact on the region atoms: some coordinate relates their parts."""
+        parts = list(zip(self.layout, self.coordinates))
+        reach = [sum(c.relation.forward_image(cell >> at & top) << at for (at, top), c in parts) for cell in self.cells]
+        return Relation.from_rows(len(self.cells), (meeting(self.cells, r) for r in reach))
+
+    @cached_property
+    def axiom_failures(self) -> tuple[dict, dict, dict]:
+        return time_axiom_failures(*self.atom_relations)
 
 
-def _region_of(model: DMST, atoms: list[Region], mask: int) -> Region:
-    """Join of the atoms selected by `mask`."""
-    out = model.zero
-    for i in atoms_of(mask):
-        out = model.join(out, atoms[i])
-    return out
+class Regions:
+    """The regions of a model in sorted order: counted and tested for
+    membership on the cells, and listed only when iterated."""
+
+    def __init__(self, model: DMST):
+        self.model = model
+
+    def __len__(self) -> int:
+        return self.model.region_count
+
+    def __contains__(self, region) -> bool:
+        with contextlib.suppress(MembershipError):
+            return self.model.region_index(region) >= 0
+        return False
+
+    def __iter__(self):
+        return iter(self.model._listed)
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (Regions, tuple)) else NotImplemented
 
 
 def region_algebra_atoms(model: DMST) -> list[Region]:
-    """Atoms of the region Boolean algebra: its minimal nonzero members.
-
-    A full model's atoms are one coordinate atom at one moment; the atoms of
-    any other model are the cells its regions cut out.
-    """
-    if is_full(model):
-        zero = model.zero
-        return sorted(
-            zero[:m] + (1 << x,) + zero[m + 1 :]
-            for m, c in enumerate(model.coordinates)
-            for x in c.base.atoms()
-        )
-    layout = _layout(model.coordinates)
-    cells = _cells(layout, [_pack(layout, r) for r in model.regions])
-    return sorted(_unpack(layout, cell) for cell in cells)
+    """Atoms of the region Boolean algebra, its cells, in sorted order: a
+    full model's are one coordinate atom at one moment, moments descending
+    and atoms ascending."""
+    return [_unpack(model.layout, cell) for cell in model.cells]
 
 
 def _layout(coordinates) -> list[tuple[int, int]]:
     """Bit offset and top of each coordinate in a packed region, one int over
-    the atoms of all coordinates: coordinate m's bits follow those of
-    coordinates 0..m-1."""
-    shifts = itertools.accumulate((c.base.atom_count for c in coordinates), initial=0)
-    return [(shift, c.base.one) for shift, c in zip(shifts, coordinates)]
+    the atoms of all coordinates: coordinate m's bits lie above those of
+    coordinates m+1.., so packed regions and cells sort as their vectors do."""
+    sizes = [c.base.atom_count for c in coordinates]
+    shifts = list(itertools.accumulate(reversed(sizes), initial=0))[-2::-1]
+    return [(shift, (1 << size) - 1) for shift, size in zip(shifts, sizes)]
 
 
 def _pack(layout, region: Region) -> int:
@@ -382,53 +423,40 @@ def _joins(cells):
         joins += more
 
 
-def _admit(mode: str, size: int) -> None:
-    if size > FULL_REGION_CAP:
-        raise CapabilityError(
-            f"{mode} model too large to enumerate: {size} regions, "
-            f"over the bound of {FULL_REGION_CAP}",
-            missing=f"small {mode} model",
-        )
-
-
 def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None) -> DMST:
-    """Assemble a dynamic model.
+    """Assemble a dynamic model from the cells of its region algebra.
 
-    mode "full": the whole Cartesian product of the coordinate algebras.
+    mode "full": the whole Cartesian product of the coordinate algebras,
+    whose cells are the coordinate atoms at each moment.
     mode "rich": the Boolean algebra generated by the one-moment blocks
     (the top at one moment, zero elsewhere) and any seeds passed in
-    `regions`: all joins of the cells they cut out.
+    `regions`: the cells they cut out.
     mode "custom": exactly `regions`, which must be Boolean-closed, that is
     hold every join of the cells the regions cut out; the first missing join
     is reported in the validation error.
-    A full or rich universe is enumerated only up to `FULL_REGION_CAP`
-    regions; a larger one raises `CapabilityError` before any is built.
+    No region is listed: a full model costs O(cells), a rich or custom one
+    O(cells) per region passed in.
     """
     coordinates = tuple(coordinates)
     for c in coordinates:
         c.require_contact()
     if mode == "full":
-        _admit(mode, math.prod(c.base.size for c in coordinates))
-        universe = tuple(itertools.product(*(c.base.elements() for c in coordinates)))
-    elif mode == "rich":
+        # The cells are the coordinate atoms: every bit of a packed region.
+        atoms = sum(c.base.atom_count for c in coordinates)
+        return DMST(ts, coordinates, tuple(1 << x for x in range(atoms)))
+    layout = _layout(coordinates)
+    if mode == "rich":
         seeds = [tuple(r) for r in regions] if regions else []
         for r in seeds:
             _check_region_shape(coordinates, r)
-        layout = _layout(coordinates)
         blocks = [top << shift for shift, top in layout]
         cells = _cells(layout, blocks + [_pack(layout, r) for r in seeds])
-        _admit(mode, 1 << len(cells))
-        # Each cell lies in one moment's block, so the universe is the
-        # product of each moment's joins, listed in order by the product.
-        parts = [[c >> shift for c in cells if c >> shift & top] for shift, top in layout]
-        universe = tuple(itertools.product(*(sorted(_joins(p)) for p in parts)))
     elif mode == "custom":
         if not regions:
             raise ValidationError("custom mode requires an explicit region list")
-        universe = tuple(sorted({tuple(r) for r in regions}))
+        universe = sorted({tuple(r) for r in regions})
         for r in universe:
             _check_region_shape(coordinates, r)
-        layout = _layout(coordinates)
         packed = [_pack(layout, r) for r in universe]
         cells = _cells(layout, packed)
         if 1 << len(cells) != len(packed):
@@ -440,7 +468,7 @@ def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None)
             )
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return DMST(ts, coordinates, universe)
+    return DMST(ts, coordinates, tuple(sorted(cells)))
 
 
 def _check_region_shape(coordinates, region: Region) -> None:
@@ -451,20 +479,14 @@ def _check_region_shape(coordinates, region: Region) -> None:
 
 
 def is_rich(model: DMST) -> bool:
-    """All zero/one-valued region vectors are present.
-
-    The regions are closed under joins, so the one-moment blocks (the top at
-    one moment, zero elsewhere) suffice.
-    """
-    zero = model.zero
-    return all(
-        zero[:m] + (c.base.one,) + zero[m + 1 :] in model._region_lookup
-        for m, c in enumerate(model.coordinates)
-    )
+    """All zero/one-valued region vectors are present: every one-moment
+    block is a join of cells, that is, no cell meets two moments."""
+    return all(m & (m - 1) == 0 for m in model._cell_moments)
 
 
 def is_full(model: DMST) -> bool:
-    return len(model.regions) == math.prod(c.base.size for c in model.coordinates)
+    """Every cell is one coordinate atom at one moment."""
+    return len(model.cells) == sum(c.base.atom_count for c in model.coordinates)
 
 
 def dynamic_relations(model: DMST, a: Region, b: Region) -> dict[str, bool]:
@@ -476,8 +498,7 @@ def dynamic_relations(model: DMST, a: Region, b: Region) -> dict[str, bool]:
     }
 
 
-@dataclass(frozen=True)
-class CorrespondenceRow:
+class CorrespondenceRow(NamedTuple):
     condition: TimeCondition
     left: bool
     right: bool
@@ -499,7 +520,7 @@ def correspondence_check(model: DMST) -> list[CorrespondenceRow]:
     if not is_rich(model):
         raise PreconditionError("correspondence table requires a rich model")
     conditions = model.time.condition_failures
-    universal, existential = model.axiom_failures
+    universal, existential, _ = model.axiom_failures
     rows = []
     for cond in TIME_CONDITIONS:
         right = universal[cond] is None

@@ -308,7 +308,7 @@ def _lowest(mask: int) -> int:
 def atom_frame(source) -> tuple[Relation, Relation]:
     """Time contact and precedence of the atoms of a DCA or a snapshot model."""
     if isinstance(source, DMST):
-        return source.atom_relations[1:]
+        return source.atom_relations
     return source.time_rel, source.prec_rel
 
 
@@ -1277,6 +1277,62 @@ def element_region_atoms(model) -> list[tuple]:
 def element_is_rich(model) -> bool:
     have = set(model.regions)
     return all(v in have for v in zero_one_vectors(model.coordinates))
+
+
+def product_universe(coordinates, mode: str, seeds=()) -> tuple:
+    """The regions of a full or rich model, listed by the product
+    construction: every element at each moment (full), or at each moment
+    the joins of the cells that the seeds' parts there cut out of its top
+    (rich: the one-moment blocks make the algebra a product of moments)."""
+    per_moment = []
+    for m, c in enumerate(coordinates):
+        if mode == "full":
+            per_moment.append(c.base.elements())
+            continue
+        cells = [c.base.one]
+        for seed in seeds:
+            cells = [part for cell in cells for part in (cell & seed[m], cell & ~seed[m]) if part]
+        joins = {sum(cell for i, cell in enumerate(cells) if bits >> i & 1) for bits in range(1 << len(cells))}
+        per_moment.append(sorted(joins))
+    return tuple(itertools.product(*per_moment))
+
+
+class ListedModel:
+    """A snapshot model held as its listed regions.  Its atoms are the
+    minimal nonzero regions, found by scanning region pairs; two atoms are
+    in space contact when some coordinate relates their parts, in time
+    contact when they share a moment, and one precedes the other when one
+    of its moments is before one of the other's."""
+
+    def __init__(self, time: TimeStructure, coordinates, regions):
+        self.time, self.coordinates, self.regions = time, tuple(coordinates), tuple(regions)
+        self.atoms = element_region_atoms(self)
+        count = len(self.atoms)
+        pairs = list(itertools.product(range(count), repeat=2))
+        u = self.atoms
+        self.frame = (
+            Relation.of(count, [(i, j) for i, j in pairs if any(x and y for x, y in zip(u[i], u[j]))]),
+            Relation.of(count, [(i, j) for i, j in pairs if any(u[i][m] and u[j][n] for m, n in time.prec)]),
+        )
+        self.space = Relation.of(
+            count,
+            [(i, j) for i, j in pairs if any(c.related(x, y) for c, x, y in zip(self.coordinates, u[i], u[j]))],
+        )
+
+    def is_nonzero(self, a) -> bool:
+        return any(a)
+
+    def axiom_witness(self, cond: TimeCondition, existential_p: bool):
+        """The first failing instance of a region axiom, from the per-axiom
+        atom oracle, as joins of atoms."""
+        found = atom_failure(cond, existential_p, *self.frame)
+        return found and tuple(self.join_of(mask) for mask in found)
+
+    def join_of(self, mask: int) -> tuple:
+        out = tuple(0 for _ in self.coordinates)
+        for i in atoms_of(mask):
+            out = tuple(x | y for x, y in zip(out, self.atoms[i]))
+        return out
 
 
 def element_prec_extension(d, left: int, right: int) -> bool:

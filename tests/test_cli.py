@@ -329,7 +329,15 @@ def test_mistyped_fields_exit_two_naming_the_field(tmp_path, capsys):
         assert err.startswith("error:") and repr(field) in err, err
 
 
-def test_oversized_full_model_exits_two_naming_the_bound(tmp_path, capsys):
+def timed_run(args, capsys):
+    """`run`, asserting that the command took under a second."""
+    start = time.perf_counter()
+    result = run(args, capsys)
+    assert time.perf_counter() - start < 1, args
+    return result
+
+
+def test_full_model_past_the_region_bound_is_checked_on_its_cells(tmp_path, capsys):
     payload = {
         "kind": "dmst",
         "format_version": 1,
@@ -339,13 +347,10 @@ def test_oversized_full_model_exits_two_naming_the_bound(tmp_path, capsys):
     }
     path = tmp_path / "forty.json"
     path.write_text(json.dumps(payload))
-    start = time.perf_counter()
-    code, _, err = run(["check", path], capsys)
-    assert time.perf_counter() - start < 1
-    assert code == 2
-    line = err.strip()
-    assert line.startswith("error:") and line != "error: bad dmst payload:"
-    assert str(2**40) in line and str(FULL_REGION_CAP) in line, line
+    code, out, _ = timed_run(["check", path, "--format", "json"], capsys)
+    assert code == 0, out
+    info = json.loads(out)["info"]
+    assert info["regions"] == 2**40 == 1099511627776 and info["full"] and info["rich"]
 
 
 def _two_moment_rich(atom_count, seeds):
@@ -360,15 +365,13 @@ def _two_moment_rich(atom_count, seeds):
     }
 
 
-def test_rich_models_are_sized_before_they_are_built(tmp_path, capsys):
+def test_rich_models_past_the_region_bound_are_checked_on_their_cells(tmp_path, capsys):
     # Twelve singleton seeds on two 6-atom coordinates cut 12 cells: 4,096 regions.
     six = tmp_path / "rich6.json"
     six.write_text(
         json.dumps(_two_moment_rich(6, [[[i], []] for i in range(6)] + [[[], [i]] for i in range(6)]))
     )
-    start = time.perf_counter()
-    code, out, _ = run(["check", six], capsys)
-    assert time.perf_counter() - start < 1
+    code, out, _ = timed_run(["check", six], capsys)
     assert code == 0, out
 
     # On two 10-atom coordinates 20 cells give 2^20 regions, over the bound.
@@ -376,13 +379,58 @@ def test_rich_models_are_sized_before_they_are_built(tmp_path, capsys):
     ten.write_text(
         json.dumps(_two_moment_rich(10, [[[i], [i]] for i in range(10)] + [[[i], []] for i in range(10)]))
     )
-    start = time.perf_counter()
-    code, _, err = run(["check", ten], capsys)
-    assert time.perf_counter() - start < 1
+    code, out, _ = timed_run(["check", ten, "--format", "json"], capsys)
+    assert code == 0, out
+    assert 1 << 20 == json.loads(out)["info"]["regions"] > FULL_REGION_CAP
+
+
+def test_region_lists_past_the_bound_exit_two_naming_it(tmp_path, capsys):
+    count = FULL_REGION_CAP + 1
+    path = tmp_path / "listed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": "dmst",
+                "format_version": 1,
+                "time": {"point_count": 1, "prec": []},
+                "coordinates": [{"atom_count": 1, "contact": [[0, 0]]}],
+                "mode": "custom",
+                "regions": [[[]], [[0]]] * (count // 2) + [[[0]]],
+            }
+        )
+    )
+    code, _, err = timed_run(["check", path], capsys)
     assert code == 2
     line = err.strip()
-    assert line.startswith("error:") and "rich model too large" in line, line
-    assert "1048576" in line and str(FULL_REGION_CAP) in line, line
+    assert line.startswith("error:") and str(count) in line and str(FULL_REGION_CAP) in line, line
+
+
+def test_24_atom_probe_is_represented_checked_and_corresponded_on_cells(tmp_path, capsys):
+    # Identity space contact, total time contact and precedence: the
+    # canonical model is full, with 2^24 regions.
+    n = 24
+    total = [[i, j] for i in range(n) for j in range(n)]
+    probe = tmp_path / "probe24.json"
+    probe.write_text(
+        json.dumps(
+            {
+                "kind": "dca",
+                "format_version": 1,
+                "atom_count": n,
+                "space_contact": [[i, i] for i in range(n)],
+                "time_contact": total,
+                "precedence": total,
+            }
+        )
+    )
+    code, out, _ = timed_run(["represent", probe, "--out", tmp_path, "--format", "json"], capsys)
+    assert code == 0, out
+    model_file = tmp_path / "probe24.canonical.json"
+    assert json.loads(out)["info"]["model_file"] == str(model_file)
+    for command in ("check", "correspondence"):
+        code, out, _ = timed_run([command, model_file, "--format", "json"], capsys)
+        assert code == 0, (command, out)
+    assert json.loads(run(["check", model_file, "--format", "json"], capsys)[1])["info"]["regions"] == 1 << n
 
 
 def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):

@@ -17,7 +17,6 @@ from mereotime.dca import (
     g_maps,
     irr_one_directional,
     is_trivial,
-    region_to_mask,
     standard_dca,
     validate_dca,
     verify_embedding,
@@ -455,8 +454,8 @@ def test_region_algebra_atoms_and_masks():
     m = two_time_chain()
     atoms = region_algebra_atoms(m)
     assert atoms == [(0, 1), (1, 0)]
-    assert region_to_mask(m, atoms, (1, 1)) == 3
-    assert region_to_mask(m, atoms, (0, 0)) == 0
+    assert m.region_index((1, 1)) == 3
+    assert m.region_index((0, 0)) == 0
 
 
 def test_standard_dca_of_rich_model_validates():

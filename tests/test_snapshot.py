@@ -6,11 +6,14 @@ import pytest
 
 from mereotime.boolean import FiniteBA
 from mereotime.contact import PrecontactAlgebra, Relation
+from mereotime.dca import standard_dca
 from mereotime.generate import all_relations, all_time_structures
-from mereotime.errors import MembershipError, PreconditionError, ValidationError
+from mereotime.errors import CapabilityError, MembershipError, PreconditionError, ValidationError
+from mereotime.models import encode
 from mereotime.snapshot import (
     DMST,
     FREE_VARIABLE_AXIOMS,
+    FULL_REGION_CAP,
     TimeCondition,
     TimeStructure,
     build_dmst,
@@ -36,6 +39,8 @@ from conftest import (
     element_region_atoms,
     element_time_axiom,
     element_time_condition,
+    product_universe,
+    ListedModel,
     time_axiom_fails_at,
     zero_one_vectors,
 )
@@ -252,6 +257,73 @@ def test_region_families_match_element_oracle():
                 assert is_rich(m) == element_is_rich(m), (shape, family)
             cases += 1
     assert cases == 3 * 255 + 15 + 300 and closed > 50
+
+
+def oracle_time_structures(moments):
+    """Every time structure on at most two moments; a seeded sample on three."""
+    structures = list(all_time_structures(moments))
+    return structures if moments < 3 else random.Random(moments).sample(structures, 24)
+
+
+def test_models_match_the_listed_universe_oracle():
+    """Full, rich and custom models, decided on their cells, against the same
+    models held as listed regions: the listing, its size, fullness,
+    richness, the atoms and their three relations, membership and index, and
+    every time-axiom witness."""
+    models = 0
+    for shape in FAMILY_SHAPES:
+        coordinates = [PrecontactAlgebra.overlap(FiniteBA(k)) for k in shape]
+        vectors = list(itertools.product(*(c.base.elements() for c in coordinates)))
+        chain = ts(len(shape), {(i, i + 1) for i in range(len(shape) - 1)})
+        cases = [(t, "full", None) for t in oracle_time_structures(len(shape))]
+        for i, family in enumerate(region_families(coordinates)):
+            if i % 5 == 0:
+                cases.append((chain, "rich", family))
+                if element_closure_defect(coordinates, family) is None:
+                    cases.append((chain, "custom", family))
+        for t, mode, family in cases:
+            m = build_dmst(t, coordinates, mode=mode, regions=family)
+            universe = (
+                tuple(sorted(set(family))) if mode == "custom"
+                else product_universe(coordinates, mode, family or ())
+            )
+            oracle = ListedModel(t, coordinates, universe)
+            assert tuple(m.regions) == universe, (shape, mode, family)
+            assert len(m.regions) == m.region_count == len(universe)
+            assert is_full(m) == (len(universe) == len(vectors))
+            assert is_rich(m) == element_is_rich(oracle)
+            assert region_algebra_atoms(m) == oracle.atoms
+            d = standard_dca(m)
+            assert (d.space_rel, d.time_rel, d.prec_rel) == (oracle.space, *oracle.frame)
+            index = {r: i for i, r in enumerate(universe)}
+            for v in vectors:
+                assert (v in m.regions) == (v in index), (shape, mode, family, v)
+                if v in index:
+                    assert m.region_index(v) == index[v]
+                else:
+                    with pytest.raises(MembershipError):
+                        m.region_index(v)
+            for cond in TimeCondition:
+                for existential in (False, True):
+                    witness = oracle.axiom_witness(cond, existential)
+                    assert check_time_axiom(m, cond, existential).witness == witness, (t, mode, cond)
+            models += 1
+    assert models > 300
+
+
+def test_regions_are_listed_only_up_to_the_bound():
+    # Seventeen one-atom moments: 2^17 regions, counted and tested on cells.
+    m = full_model(17, set())
+    assert len(m.regions) == m.region_count == 1 << 17 > FULL_REGION_CAP
+    assert m.one in m.regions and m.region_index(m.one) == (1 << 17) - 1
+    assert (2,) + m.zero[1:] not in m.regions
+    rich = build_dmst(m.time, [TWO_ATOM] * 17, mode="rich")
+    assert not is_full(rich) and len(rich.regions) == 1 << 17
+    for listing in (lambda: list(m.regions), lambda: encode(rich)):
+        with pytest.raises(CapabilityError) as err:
+            listing()
+        assert str(1 << 17) in str(err.value) and str(FULL_REGION_CAP) in str(err.value)
+    assert encode(m)["mode"] == "full"
 
 
 def test_custom_model_missing_mixed_vector_is_not_rich():
