@@ -24,6 +24,7 @@ from .dms import (
     DmsDual,
     DualSpaceResult,
     _extents,
+    check_s2,
     classify,
     dual,
     dual_space,
@@ -166,7 +167,12 @@ def validate_dca_morphism(f: DcaMorphism) -> Report:
 
 
 def validate_dms_morphism(theta: DmsMorphism) -> Report:
-    """Space-point and order preservation plus a preimage homomorphism."""
+    """Space-point and order preservation plus a preimage homomorphism.
+
+    t3 and t4 are decided on region atoms when both sides satisfy S2; the
+    regions are scanned, in order, only to name a failure's first witness or
+    when S2 fails on a side.
+    """
     report = Report(subject="DMS morphism")
     dom, cod = theta.dom, theta.cod
     witness = next(
@@ -182,27 +188,52 @@ def validate_dms_morphism(theta: DmsMorphism) -> Report:
     found = _first_missing(dom._successors.rows, theta._pulled_successors)
     witness = found and tuple(m.bit_length() - 1 for m in found)
     report.add("t2:preserves before-after", witness is None, witness)
-    dom_regions = set(dom.regions)
-    witness = next(
-        ((a,) for a in cod.regions if theta.preimage(a) not in dom_regions), None
-    )
+    t3_holds, t4_holds = _preimage_verdicts(theta)
+    witness = None
+    if not t3_holds:
+        dom_regions = set(dom.regions)
+        witness = next(
+            ((a,) for a in cod.regions if theta.preimage(a) not in dom_regions), None
+        )
     report.add("t3:preimages stay in the algebra", witness is None, witness)
     if witness is None:
-        # Preimage preserves unions set-theoretically, so complement
-        # preservation suffices for a Boolean homomorphism.
-        witness = next(
-            (
-                (a,)
-                for a in cod.regions
-                if theta.preimage(cod.space.closure(cod.space.universe ^ a))
-                != dom.space.closure(dom.space.universe ^ theta.preimage(a))
-            ),
-            None,
-        )
+        if not t4_holds:
+            # Preimage preserves unions set-theoretically, so complement
+            # preservation suffices for a Boolean homomorphism.
+            witness = next(
+                (
+                    (a,)
+                    for a in cod.regions
+                    if theta.preimage(cod.space.closure(cod.space.universe ^ a))
+                    != dom.space.closure(dom.space.universe ^ theta.preimage(a))
+                ),
+                None,
+            )
         report.add("t4:preimage preserves complement", witness is None, witness)
     else:
         report.add("t4:preimage preserves complement", False, witness=("not evaluable",))
     return report
+
+
+def _preimage_verdicts(theta: DmsMorphism) -> tuple[bool, bool]:
+    """Whether t3 and t4 hold, decided on region atoms; both read False when
+    S2 fails on a side, and a False verdict is left to the region scan.
+
+    Under S2 the regions are the distinct joins of the region atoms, and the
+    RC complement of a join of atoms is the join of the other atoms
+    (`check_s2`).  Preimage is additive, so t3 holds iff each codomain
+    atom's preimage is a domain region; those preimages cover the domain,
+    and t4 holds iff their atom supports are disjoint.  Atoms may share
+    boundary points, so t3 alone does not give t4.
+    """
+    if not (check_s2(theta.dom).holds and check_s2(theta.cod).holds):
+        return False, False
+    dual_dom = dual(theta.dom)
+    preimages = [theta.preimage(atom) for atom in dual(theta.cod).atoms]
+    supports = [dual_dom.mask_of(p) for p in preimages]
+    if any(dual_dom.pointset(m) != p for m, p in zip(supports, preimages)):
+        return False, False
+    return True, sum(m.bit_count() for m in supports) == len(dual_dom.atoms)
 
 
 def compose(first, second):

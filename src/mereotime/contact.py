@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import FiniteBA, atoms_of, mask_of, meeting, submasks
+from .boolean import FiniteBA, atoms_of, mask_of, meeting
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .reporting import Check, Report
 
@@ -219,6 +219,12 @@ class PrecontactAlgebra:
     @cached_property
     def axiom_report(self) -> Report:
         return check_axioms(self)
+
+    @cached_property
+    def clique_supports(self) -> tuple[int, ...]:
+        """Atom supports of the clans, lexicographic by atoms (`clans`)."""
+        self.require_contact()
+        return _cliques(self.relation.rows)
 
     def require_contact(self) -> None:
         self.axiom_report.require(*CONTACT_AXIOMS)
@@ -492,13 +498,26 @@ def _maximal_cliques(size: int, relation: Relation) -> list[int]:
     return [c for c in out if c]
 
 
-def _clique_closure(maximal: list[int]) -> list[int]:
-    seen: set[int] = set()
-    for clique in maximal:
-        for sub in submasks(clique):
-            if sub:
-                seen.add(sub)
-    return sorted(seen, key=lambda m: tuple(atoms_of(m)))
+def _cliques(rows) -> tuple[int, ...]:
+    """Every nonempty clique of a reflexive symmetric relation, as atom masks.
+
+    One depth-first walk: a clique is extended only by later atoms adjacent
+    to all of its members, lowest first, so the cliques come out in
+    lexicographic order of their atom tuples.
+    """
+    out: list[int] = []
+    append = out.append
+
+    def extend(clique: int, candidates: int) -> None:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            grown = clique | low
+            append(grown)
+            extend(grown, candidates & rows[low.bit_length() - 1])
+
+    extend(0, (1 << len(rows)) - 1)
+    return tuple(out)
 
 
 def clans(algebra: PrecontactAlgebra) -> list[Clan]:
@@ -506,9 +525,7 @@ def clans(algebra: PrecontactAlgebra) -> list[Clan]:
 
     Sorted lexicographically by atom support.
     """
-    algebra.require_contact()
-    maximal = _maximal_cliques(algebra.base.atom_count, algebra.relation)
-    return [Clan(algebra.base, m) for m in _clique_closure(maximal)]
+    return [Clan(algebra.base, m) for m in algebra.clique_supports]
 
 
 def maximal_clans(algebra: PrecontactAlgebra) -> list[Clan]:

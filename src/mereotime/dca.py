@@ -20,7 +20,6 @@ from .contact import (
     FactorAlgebra,
     PrecontactAlgebra,
     Relation,
-    clans,
     inclusion_check,
 )
 from .errors import PreconditionError, ValidationError
@@ -175,10 +174,6 @@ def _common_successors(d: DCA, support: int) -> int:
     return reach
 
 
-def _clique_supports(algebra: PrecontactAlgebra) -> tuple[int, ...]:
-    return tuple(c.support for c in clans(algebra))
-
-
 def _time_classes(d: DCA) -> tuple[int, ...]:
     """The clusters: classes of the time equivalence, by their lowest atom."""
     return tuple(sorted({d.time_rel.rows[x] for x in d.base.atoms()}, key=lambda m: m & -m))
@@ -194,8 +189,8 @@ def clan_structure(d: DCA) -> ClanStructure:
     as they number the square of the t-clans.
     """
     d.require_valid()
-    s_clans = _clique_supports(d.cs_algebra)
-    t_clans = _clique_supports(d.ct_algebra)
+    s_clans = d.cs_algebra.clique_supports
+    t_clans = d.ct_algebra.clique_supports
     gamma = {}
     for support in t_clans:
         lowest = next(atoms_of(support))

@@ -8,7 +8,10 @@ space (`boolean.additive`), and so are the extent map of a dual space and
 the preimage map of a space morphism.  The closed sets are the down-sets of
 the specialization preorder, that is the unions of point closures; the
 family is built that way only to enumerate the regular closed sets, each
-the closure of an open set.
+the closure of an open set.  The dual space of an algebra, and the clan
+space of a contact algebra, take the n atom extents as their closed base:
+the regions are the joins of the extents, and the joins give the same
+point closures, so a written dual space lists n base sets, not 2^n.
 
 The regular closed sets form a Boolean algebra (RC: join is union, meet
 cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
@@ -30,7 +33,6 @@ from .boolean import FiniteBA, Filter, additive, atoms_of, joins, mask_of, meeti
 from .contact import PrecontactAlgebra, Relation
 from .dca import (
     DCA,
-    _clique_supports,
     _common_successors,
     _time_classes,
     clan_structure,
@@ -272,6 +274,7 @@ def rho(space: DMSpace, x: int) -> frozenset[int]:
     return space.trace(x)
 
 
+@lru_cache(maxsize=None)
 def check_s2(candidate: DMSpace) -> Check:
     """S2: the regions are a subalgebra of RC and a closed base.
 
@@ -421,8 +424,8 @@ def classify(space: DMSpace) -> Classification:
     realized_t = {traces[x] for x in space.points()}
     realized_s = {traces[x] for x in atoms_of(space.space_points)}
     realized_clusters = {traces[x] for x in atoms_of(space.time_points)}
-    missing_t = tuple(sorted(set(_clique_supports(d.ct_algebra)) - realized_t))
-    missing_s = tuple(sorted(set(_clique_supports(d.cs_algebra)) - realized_s))
+    missing_t = tuple(sorted(set(d.ct_algebra.clique_supports) - realized_t))
+    missing_s = tuple(sorted(set(d.cs_algebra.clique_supports) - realized_s))
     missing_clusters = tuple(sorted(set(_time_classes(d)) - realized_clusters))
     return Classification(
         is_t0=not duplicates,
@@ -536,20 +539,19 @@ def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
         None,
     )
     out.append(Check("Co-dense", witness is None, witness))
-    for name, rel in (
-        ("Ct-separation", space.time_contact),
-        ("Cs-separation", space.space_contact),
-        ("B-separation", space.precedes),
+    # rel(a, b) holds iff reach(a) meets b, so the atoms j with
+    # rel(up[i], up[j]) but not rel(x_i, x_j) are one mask per atom i.
+    for name, reach in (
+        ("Ct-separation", lambda a: a),
+        ("Cs-separation", lambda a: a & space.space_points),
+        ("B-separation", space.successors_of),
     ):
-        witness = next(
-            (
-                (x, y)
-                for i, x in enumerate(atoms)
-                for j, y in enumerate(atoms)
-                if rel(up[i], up[j]) and not rel(x, y)
-            ),
-            None,
-        )
+        witness = None
+        for x, u in zip(atoms, up):
+            failing = meeting(up, reach(u)) & ~meeting(atoms, reach(x))
+            if failing:
+                witness = (x, atoms[(failing & -failing).bit_length() - 1])
+                break
         out.append(Check(name, witness is None, witness))
     return out
 
@@ -625,7 +627,8 @@ def dual_space(d: DCA) -> DualSpaceResult:
     structure = clan_structure(d)
     points = structure.t_clans
     index = {support: i for i, support in enumerate(points)}
-    result_regions = tuple(sorted(set(joins(_extents(points, d.base.atom_count)))))
+    extents = _extents(points, d.base.atom_count)
+    result_regions = tuple(sorted(set(joins(extents))))
     xs_mask = 0
     for support in structure.s_clans:
         xs_mask |= 1 << index[support]
@@ -635,7 +638,9 @@ def dual_space(d: DCA) -> DualSpaceResult:
     prec_points = frozenset(
         (index[left], index[right]) for left, right in structure.prec
     )
-    topo = FiniteTopSpace(len(points), result_regions)
+    # The regions are the joins of the atom extents, so the n extents are
+    # a closed base of the same topology.
+    topo = FiniteTopSpace(len(points), tuple(sorted(extents)))
     space = DMSpace(topo, xs_mask, t_mask, prec_points, result_regions)
     return DualSpaceResult(d, space, points)
 
@@ -651,9 +656,9 @@ def contact_clan_space(algebra: PrecontactAlgebra):
     Returns the topological space whose points are the clans, plus the map
     sending an element to the mask of clans containing it.
     """
-    supports = _clique_supports(algebra)
+    supports = algebra.clique_supports
     extents = _extents(supports, algebra.base.atom_count)
-    space = FiniteTopSpace(len(supports), tuple(sorted(set(joins(extents)))))
+    space = FiniteTopSpace(len(supports), tuple(sorted(extents)))
     return space, supports, additive(extents)
 
 
@@ -697,15 +702,15 @@ def verify_representation_topo(d: DCA) -> Report:
             hit |= m
         if witness is None and hit != algebra.dca.base.one:
             witness = (d.base.one,)
+        # Row x of each relation: the atoms y whose images the image of x
+        # relates to.
         relations_ok = all(
-            left(1 << x, 1 << y) == right(image[x], image[y])
+            left.rows == tuple(meeting(image, right.forward_image(m)) for m in image)
             for left, right in (
-                (d.space_contact, algebra.dca.space_contact),
-                (d.time_contact, algebra.dca.time_contact),
-                (d.precedes, algebra.dca.precedes),
+                (d.space_rel, algebra.dca.space_rel),
+                (d.time_rel, algebra.dca.time_rel),
+                (d.prec_rel, algebra.dca.prec_rel),
             )
-            for x in d.base.atoms()
-            for y in d.base.atoms()
         )
         report.add("extent map is a Boolean isomorphism", witness is None, witness)
         report.add("extent map preserves and reflects the relations", relations_ok)

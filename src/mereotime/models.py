@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .boolean import FiniteBA, atoms_of, mask_of
+from .boolean import FiniteBA
 from .category import DcaMorphism, DmsMorphism
 from .contact import PrecontactAlgebra, Relation
 from .dca import DCA
@@ -48,7 +48,12 @@ def _pairs(relation) -> list[list[int]]:
 
 
 def _mask_list(mask: int) -> list[int]:
-    return list(atoms_of(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def encode(obj, claims=None) -> dict:
@@ -161,10 +166,13 @@ def _int_pairs(raw, what: str) -> frozenset[tuple[int, int]]:
 
 
 def _mask(raw, what: str) -> int:
+    out = 0
     try:
-        return mask_of(int(i) for i in raw)
+        for i in map(int, raw):
+            out |= 1 << i
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be an array of indices") from exc
+    return out
 
 
 def decode(payload: dict):

@@ -920,6 +920,42 @@ def element_dca_isomorphism_report(f) -> Report:
     return report
 
 
+def element_validate_dms_morphism(theta) -> Report:
+    """The four space-morphism conditions by scans: t1 over the space
+    points, t2 over the before-after pairs, and t3 and t4 over every region
+    of the codomain, in order, with preimages taken point by point."""
+    report = Report(subject="DMS morphism")
+    dom, cod = theta.dom, theta.cod
+    witness = next(
+        ((x,) for x in atoms_of(dom.space_points) if not cod.space_points >> theta(x) & 1), None
+    )
+    report.add("t1:preserves space points", witness is None, witness)
+    failures = pair_set_t2_failures(theta)
+    report.add("t2:preserves before-after", not failures, failures[0] if failures else None)
+
+    def preimage(a):
+        return mask_of(x for x in dom.points() if a >> theta(x) & 1)
+
+    dom_regions = set(dom.regions)
+    witness = next(((a,) for a in cod.regions if preimage(a) not in dom_regions), None)
+    report.add("t3:preimages stay in the algebra", witness is None, witness)
+    if witness is not None:
+        report.add("t4:preimage preserves complement", False, witness=("not evaluable",))
+        return report
+    d_space, c_space = dom.space, cod.space
+    witness = next(
+        (
+            (a,)
+            for a in cod.regions
+            if preimage(c_space.closure(c_space.universe ^ a))
+            != d_space.closure(d_space.universe ^ preimage(a))
+        ),
+        None,
+    )
+    report.add("t4:preimage preserves complement", witness is None, witness)
+    return report
+
+
 class ElementRC:
     """Boolean algebra of the regular closed sets of a finite space, by its
     definition: join is union, meet cl(int(a & b)), complement cl(U - a)."""
@@ -939,6 +975,49 @@ class ElementRC:
 
     def compl(self, a):
         return self.space.closure(self.space.universe ^ a)
+
+
+def coarsened(atoms, rng):
+    """The joins of a random partition of the atoms into blocks: a Boolean
+    subalgebra of the algebra the atoms generate."""
+    blocks = [0] * rng.randint(1, len(atoms))
+    for x in atoms:
+        blocks[rng.randrange(len(blocks))] |= x
+    family = {0}
+    for b in blocks:
+        family |= {a | b for a in family}
+    return tuple(sorted(family))
+
+
+def random_region_families(rng, count):
+    """Spaces on 1-5 points with a random closed base and a random region
+    family: a coarsening of RC, RC sampled with or without complements, any
+    point sets, or RC with a stray set or a repeat.  Half of the spaces take
+    the family itself as their closed base."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        universe = (1 << n) - 1
+        base = tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, min(universe + 1, 8)))))
+        topology = FiniteTopSpace(n, base)
+        rc = topology.regular_closed
+        atoms = [a for a in rc if a and not any(b and b != a and b & ~a == 0 for b in rc)]
+        sample = rng.sample(rc, rng.randint(0, len(rc)))
+        complements = {topology.closure(universe ^ a) for a in sample}
+        family = rng.choice(
+            [
+                coarsened(atoms, rng),
+                tuple(sorted({0, universe, *sample})),
+                tuple(sorted({0, universe, *sample, *complements})),
+                tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, universe + 1)))),
+                tuple(sorted({*rc, rng.randint(0, universe)})),
+                (*rc, rc[-1]),
+            ]
+        )
+        if rng.random() < 0.5:
+            topology = FiniteTopSpace(n, family)
+        out.append(DMSpace(topology, universe, universe, frozenset(), family))
+    return out
 
 
 def element_check_s2(candidate) -> Check:

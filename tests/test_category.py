@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,10 @@ from conftest import (
     element_functor_laws,
     element_naturality,
     element_validate_dca_morphism,
+    element_validate_dms_morphism,
     pair_set_reflects_prec,
     pair_set_t2_failures,
+    random_region_families,
 )
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
 from mereotime.category import (
@@ -34,9 +37,9 @@ from mereotime.category import (
 )
 from mereotime.contact import PrecontactAlgebra
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
-from mereotime.dms import DMSpace, FiniteTopSpace, dual, dual_space
+from mereotime.dms import DMSpace, FiniteTopSpace, check_s2, dual, dual_space
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
-from mereotime.generate import all_relations
+from mereotime.generate import all_relations, trivial_dcas
 from mereotime.snapshot import TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -236,6 +239,40 @@ def test_before_after_rows_match_pair_sets():
                 assert reflects[-1] == pair_set_reflects_prec(theta), theta
             failing += not t2.holds
     assert failing > 1000 and 10 < reflects.count(False) < len(reflects) - 10
+
+
+def _region_morphisms(small_dca_corpus):
+    """Space maps: identities, trace maps and cyclic point shifts of dual
+    spaces, and random point maps between random region families, many of
+    which fail S2."""
+    duals = [dual_space(d).space for d in [*small_dca_corpus, *trivial_dcas(4)]]
+    maps = [DmsMorphism.identity(s) for s in duals] + [trace_morphism(s) for s in duals]
+    maps += [DmsMorphism(s, s, (*range(1, len(s.points())), 0)) for s in duals]
+    rng = random.Random(16)
+    families = random_region_families(rng, 400)
+    for dom in families:
+        cod = rng.choice(families)
+        point_map = tuple(rng.randrange(cod.space.point_count) for _ in dom.points())
+        maps.append(DmsMorphism(dom, cod, point_map))
+    return maps
+
+
+def test_validate_dms_morphism_matches_region_scan(small_dca_corpus):
+    """t3 and t4 decided on region atoms give the region scan's report,
+    verdicts and witnesses alike, with S2 holding on both sides or not."""
+    forms = Counter()
+    for theta in _region_morphisms(small_dca_corpus):
+        report = validate_dms_morphism(theta)
+        assert report.checks == element_validate_dms_morphism(theta).checks, theta
+        s2 = check_s2(theta.dom).holds and check_s2(theta.cod).holds
+        t3 = report["t3:preimages stay in the algebra"].holds
+        t4 = report["t4:preimage preserves complement"].holds
+        forms[s2, t3, t4] += 1
+        if theta.dom is theta.cod and theta.point_map[0] == 1:  # a shift of a dual space
+            forms["shift", t3] += 1
+    for s2 in (True, False):
+        assert min(forms[s2, True, True], forms[s2, True, False], forms[s2, False, False]) >= 2, forms
+    assert forms["shift", False] >= 10, forms
 
 
 def test_compose_identity_and_mismatch():

@@ -159,6 +159,33 @@ def test_represent_and_dualize_emit_models(chain_dca_file, tmp_path, capsys):
     assert kind == "dca"
 
 
+def test_full_join_closed_base_files_check_as_their_atom_extent_twins(tmp_path, capsys):
+    """A version 1 dms file whose closed base lists every join of the atom
+    extents, as older versions wrote dual spaces, gives the checks and info
+    of its twin that lists only the atom extents."""
+    path_contact = PrecontactAlgebra.from_atom_pairs(
+        FiniteBA(3), {(i, j) for i in range(3) for j in range(3) if abs(i - j) <= 1}
+    )
+    ts = TimeStructure.of(2, {(0, 1)})
+    chain = standard_dca(build_dmst(ts, [ONE_ATOM, ONE_ATOM], mode="full"))
+    for d in (from_contact_algebra(path_contact), chain):
+        space = dual_space(d).space
+        extents = tmp_path / "extents.json"
+        write_path(extents, space)
+        payload = json.loads(extents.read_text(encoding="utf-8"))
+        assert len(payload["closed_base"]) == d.base.atom_count
+        payload["closed_base"] = payload["regions"]
+        full = tmp_path / "full_joins.json"
+        full.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("check", "roundtrip"):
+            seen = []
+            for path in (full, extents):
+                code, out, _ = run([command, path, "--format", "json"], capsys)
+                body = json.loads(out)
+                seen.append((code, body["checks"], body["info"]))
+            assert seen[0] == seen[1] and seen[0][0] == 0 and seen[0][1], (d, command)
+
+
 def test_report_digest_stable_across_runs(chain_dca_file, trivial_dca_file, capsys):
     code, out1, _ = run(["check", chain_dca_file, "--format", "json"], capsys)
     code2, out2, _ = run(["check", chain_dca_file, "--format", "json"], capsys)

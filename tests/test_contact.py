@@ -21,6 +21,7 @@ from mereotime.contact import (
     satisfies_cluster_condition,
 )
 from mereotime.errors import CapabilityError, DimensionMismatch, PreconditionError, ValidationError
+from mereotime.generate import contact_relations
 
 from conftest import (
     all_atom_relations,
@@ -292,8 +293,13 @@ def test_clans_with_one_edge():
 
 
 def test_clans_match_brute_force_on_contact_sweep(contact_sweep_3):
-    for p in contact_sweep_3:
+    """Same cliques in the same lexicographic order, on every contact
+    algebra up to three atoms and on all 64 on four."""
+    four = [PrecontactAlgebra(FiniteBA(4), rel) for rel in contact_relations(4)]
+    assert len(four) == 64
+    for p in [*contact_sweep_3, *four]:
         assert [c.support for c in clans(p)] == brute_clans(p)
+        assert p.clique_supports == tuple(brute_clans(p))
 
 
 def test_clans_require_contact_axioms():

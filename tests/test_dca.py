@@ -22,6 +22,7 @@ from mereotime.dca import (
     verify_embedding,
 )
 from mereotime import generate as gen
+from mereotime.dms import dual_space
 from mereotime.errors import PreconditionError
 from mereotime.snapshot import (
     DCA_TIME_AXIOMS,
@@ -36,6 +37,7 @@ from mereotime.snapshot import (
 
 from conftest import (
     all_atom_relations,
+    brute_clans,
     element_prec_extension,
     element_time_axiom,
     element_validate_dca,
@@ -230,6 +232,16 @@ def test_gamma_properties(small_dca_corpus):
             assert t_clan & ~cluster == 0
         for cluster in clusters:
             assert cs.gamma[cluster] == cluster
+
+
+def test_clan_structure_keeps_the_lexicographic_order(small_dca_corpus):
+    """s- and t-clans come in lexicographic order of their atoms, so the
+    dual space numbers its points as the sorted clan list did."""
+    for d in small_dca_corpus:
+        structure = clan_structure(d)
+        assert structure.t_clans == tuple(brute_clans(d.ct_algebra)), d
+        assert structure.s_clans == tuple(brute_clans(d.cs_algebra)), d
+        assert dual_space(d).points == structure.t_clans
 
 
 def test_clan_inclusion_chain(small_dca_corpus):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     ElementRC,
+    coarsened,
     element_check_s2,
     element_density_check,
     element_extent_checks,
@@ -14,6 +15,7 @@ from conftest import (
     element_validate_dms,
     lifting_separation_fails_at,
     path_snapshot_dca,
+    random_region_families,
     rc_law_failures,
     time_axiom_fails_at,
 )
@@ -212,6 +214,17 @@ def test_closed_family_and_regular_closed_match_brute_force():
         expected = {space.closure(space.universe ^ c) for c in family}
         assert space.regular_closed == tuple(sorted(expected)), d
     assert max(sizes) >= 10
+
+
+def test_atom_extent_base_gives_the_topology_of_all_joins(small_dca_corpus):
+    """The dual space's closed base is the atom extents; the point closures
+    are those of the base of all their joins, which are the regions."""
+    for d in [*small_dca_corpus, *gen.trivial_dcas(4)]:
+        result = dual_space(d)
+        space = result.space.space
+        assert len(space.closed_base) == d.base.atom_count
+        full = FiniteTopSpace(space.point_count, result.space.regions)
+        assert space._down == full._down, d
 
 
 def test_dual_space_of_trivial_dca():
@@ -559,18 +572,6 @@ def random_topology_spaces(rng, count):
     return out
 
 
-def coarsened(atoms, rng):
-    """The joins of a random partition of the atoms into blocks: a Boolean
-    subalgebra of the algebra the atoms generate."""
-    blocks = [0] * rng.randint(1, len(atoms))
-    for x in atoms:
-        blocks[rng.randrange(len(blocks))] |= x
-    family = {0}
-    for b in blocks:
-        family |= {a | b for a in family}
-    return tuple(sorted(family))
-
-
 def region_variants(space, rng):
     """The space with one before-after pair dropped and one added, and with
     its regions replaced by subfamilies, coarsenings and corruptions of RC."""
@@ -656,37 +657,6 @@ def test_validate_dms_matches_element_oracle(small_dca_corpus):
         "not a closed base",
         ("S7", "fails"),
     }
-
-
-def random_region_families(rng, count):
-    """Spaces on 1-5 points with a random closed base and a random region
-    family: a coarsening of RC, RC sampled with or without complements, any
-    point sets, or RC with a stray set or a repeat.  Half of the spaces take
-    the family itself as their closed base."""
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, 5)
-        universe = (1 << n) - 1
-        base = tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, min(universe + 1, 8)))))
-        topology = FiniteTopSpace(n, base)
-        rc = topology.regular_closed
-        atoms = [a for a in rc if a and not any(b and b != a and b & ~a == 0 for b in rc)]
-        sample = rng.sample(rc, rng.randint(0, len(rc)))
-        complements = {topology.closure(universe ^ a) for a in sample}
-        family = rng.choice(
-            [
-                coarsened(atoms, rng),
-                tuple(sorted({0, universe, *sample})),
-                tuple(sorted({0, universe, *sample, *complements})),
-                tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, universe + 1)))),
-                tuple(sorted({*rc, rng.randint(0, universe)})),
-                (*rc, rc[-1]),
-            ]
-        )
-        if rng.random() < 0.5:
-            topology = FiniteTopSpace(n, family)
-        out.append(DMSpace(topology, universe, universe, frozenset(), family))
-    return out
 
 
 def test_check_s2_matches_region_scan(small_dca_corpus):
