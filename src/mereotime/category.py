@@ -124,7 +124,7 @@ class DmsMorphism:
     @cached_property
     def _pulled_successors(self) -> tuple[int, ...]:
         """Row x: the points mapped to successors of x's image."""
-        rows = self.cod._successors.rows
+        rows = self.cod.prec.rows
         return tuple(self.preimage(rows[y]) for y in self.point_map)
 
 
@@ -185,7 +185,7 @@ def validate_dms_morphism(theta: DmsMorphism) -> Report:
     )
     report.add("t1:preserves space points", witness is None, witness)
     # t2 row by row: x's successors map to successors of theta(x).
-    found = _first_missing(dom._successors.rows, theta._pulled_successors)
+    found = _first_missing(dom.prec.rows, theta._pulled_successors)
     witness = found and tuple(m.bit_length() - 1 for m in found)
     report.add("t2:preserves before-after", witness is None, witness)
     t3_holds, t4_holds = _preimage_verdicts(theta)
@@ -406,7 +406,7 @@ def dms_isomorphism_report(theta: DmsMorphism) -> Report:
         if cod.space_points & (1 << theta(x))
     )
     report.add("reflects space points", cond1)
-    cond2 = _first_missing(theta._pulled_successors, dom._successors.rows) is None
+    cond2 = _first_missing(theta._pulled_successors, dom.prec.rows) is None
     report.add("reflects before-after", cond2)
     images = {theta_image(theta, a) for a in dom.regions}
     cond3 = images == set(cod.regions)

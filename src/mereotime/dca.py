@@ -155,16 +155,6 @@ class ClanStructure:
     gamma: dict[int, int]
     reach: tuple[int, ...]  # per t-clan: the atoms every atom of it precedes
 
-    @cached_property
-    def prec(self) -> frozenset[tuple[int, int]]:
-        """Clan precedence: every atom of the left clan precedes the right clan."""
-        return frozenset(
-            (left, right)
-            for left, reach in zip(self.t_clans, self.reach)
-            for right in self.t_clans
-            if right & ~reach == 0
-        )
-
 
 def _common_successors(d: DCA, support: int) -> int:
     """The atoms that every atom of `support` precedes."""
@@ -185,8 +175,8 @@ def clan_structure(d: DCA) -> ClanStructure:
 
     Clan precedence is decided by its ultrafilter characterization: every
     atom of the left clan precedes every atom of the right one.  It is kept
-    as one row per t-clan (`reach`); the pairs are listed only on demand,
-    as they number the square of the t-clans.
+    as one row per t-clan (`reach`), the atoms that every atom of the clan
+    precedes; the right clan must lie inside it.
     """
     d.require_valid()
     s_clans = d.cs_algebra.clique_supports

@@ -13,6 +13,12 @@ space of a contact algebra, take the n atom extents as their closed base:
 the regions are the joins of the extents, and the joins give the same
 point closures, so a written dual space lists n base sets, not 2^n.
 
+Before-after on the points is a `contact.Relation`: one successor mask per
+point.  The dual space builds its rows straight from the clan rule (clan x
+precedes clan y iff every atom of x precedes every atom of y), one row per
+distinct set of common successors, and S7 compares rows; model files still
+list the ordered pairs.
+
 The regular closed sets form a Boolean algebra (RC: join is union, meet
 cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
 subalgebra of it.  Both are finite, so each is the powerset of its atoms:
@@ -143,28 +149,22 @@ class DMSpace:
     space: FiniteTopSpace
     space_points: int
     time_points: int
-    prec: frozenset[tuple[int, int]]
+    prec: Relation
     regions: tuple[int, ...]
 
     def __post_init__(self):
         universe = self.space.universe
         if self.space_points & ~universe or self.time_points & ~universe:
             raise ValidationError("distinguished point sets exceed the space")
-        for x, y in self.prec:
-            if not (0 <= x < self.space.point_count and 0 <= y < self.space.point_count):
-                raise ValidationError(f"before-after pair ({x},{y}) out of range")
+        if self.prec.size != self.space.point_count:
+            raise ValidationError(
+                f"before-after on {self.prec.size} points, the space has {self.space.point_count}"
+            )
         for a in self.regions:
             if a & ~universe:
                 raise ValidationError(f"region {a:#x} exceeds the space")
 
     # Relations of the regular-sets algebra (defined for arbitrary point sets).
-
-    @cached_property
-    def _successors(self) -> Relation:
-        return Relation(self.space.point_count, self.prec)
-
-    def successors_of(self, a: int) -> int:
-        return self._successors.forward_image(a)
 
     def time_contact(self, a: int, b: int) -> bool:
         return bool(a & b)
@@ -173,7 +173,7 @@ class DMSpace:
         return bool(a & b & self.space_points)
 
     def precedes(self, a: int, b: int) -> bool:
-        return bool(self.successors_of(a) & b)
+        return bool(self.prec.forward_image(a) & b)
 
     def trace(self, x: int) -> frozenset[int]:
         """The regions containing point x (the point's clan in the dual)."""
@@ -186,11 +186,9 @@ class DMSpace:
     @cached_property
     def time_structure(self) -> TimeStructure:
         """Before-after restricted to the time points, numbered in ascending order."""
-        index = {x: i for i, x in enumerate(atoms_of(self.time_points))}
-        return TimeStructure.of(
-            len(index),
-            {(index[x], index[y]) for x, y in self.prec if x in index and y in index},
-        )
+        times = [1 << x for x in atoms_of(self.time_points)]
+        rows = [meeting(times, self.prec.rows[t.bit_length() - 1]) for t in times]
+        return TimeStructure(len(rows), Relation.from_rows(len(rows), rows).pairs)
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,7 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
     k = len(atoms)
     space_rows = [meeting(atoms, u & space.space_points) for u in atoms]
     time_rows = [meeting(atoms, u) for u in atoms]
-    prec_rows = [meeting(atoms, space.successors_of(u)) for u in atoms]
+    prec_rows = [meeting(atoms, space.prec.forward_image(u)) for u in atoms]
     relations = (Relation.from_rows(k, rows) for rows in (space_rows, time_rows, prec_rows))
     return DCA(FiniteBA(k), *relations), tuple(atoms)
 
@@ -369,18 +367,16 @@ def validate_dms(candidate: DMSpace) -> Report:
 
     # Precedence is additive and every region is a join of dual atoms, so
     # (x, y) must be in prec iff every atom containing x precedes every atom
-    # containing y.
-    supports = [algebra.trace_support(x) for x in candidate.points()]
-    reach = [_common_successors(algebra.dca, support) for support in supports]
-    s7_witness = next(
-        (
-            (x, y)
-            for x in candidate.points()
-            for y in candidate.points()
-            if (supports[y] & ~reach[x] == 0) != ((x, y) in candidate.prec)
-        ),
-        None,
-    )
+    # containing y: row x holds the points in no atom outside reach(x).  The
+    # witness is the first differing pair in row-major order.
+    universe, one = space.universe, algebra.dca.base.one
+    s7_witness = None
+    for x, row in enumerate(candidate.prec.rows):
+        reach = _common_successors(algebra.dca, algebra.trace_support(x))
+        wrong = row ^ universe ^ algebra.pointset(one ^ reach)
+        if wrong:
+            s7_witness = (x, (wrong & -wrong).bit_length() - 1)
+            break
     report.add("S7", s7_witness is None, s7_witness)
 
     if sub.ok:
@@ -502,11 +498,8 @@ def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report
 
     b_pointwise = rel_b(a_set, b_set)
     b_filters = filter_related(rel_b)
-    b_time = any(
-        a_set & (1 << x) and b_set & (1 << y) and space.time_points & (1 << x)
-        and space.time_points & (1 << y)
-        for x, y in space.prec
-    )
+    times = space.time_points
+    b_time = bool(space.prec.forward_image(a_set & times) & b_set & times)
     report.add("precedence: pointwise <=> filters <=> time points", b_pointwise == b_filters == b_time)
     return report
 
@@ -544,7 +537,7 @@ def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
     for name, reach in (
         ("Ct-separation", lambda a: a),
         ("Cs-separation", lambda a: a & space.space_points),
-        ("B-separation", space.successors_of),
+        ("B-separation", space.prec.forward_image),
     ):
         witness = None
         for x, u in zip(atoms, up):
@@ -629,19 +622,17 @@ def dual_space(d: DCA) -> DualSpaceResult:
     index = {support: i for i, support in enumerate(points)}
     extents = _extents(points, d.base.atom_count)
     result_regions = tuple(sorted(set(joins(extents))))
-    xs_mask = 0
-    for support in structure.s_clans:
-        xs_mask |= 1 << index[support]
-    t_mask = 0
-    for support in structure.clusters:
-        t_mask |= 1 << index[support]
-    prec_points = frozenset(
-        (index[left], index[right]) for left, right in structure.prec
-    )
+    xs_mask = mask_of(index[support] for support in structure.s_clans)
+    t_mask = mask_of(index[support] for support in structure.clusters)
+    # Clan x precedes clan y iff y lies inside reach[x], that is iff y holds
+    # no atom outside it: one row per distinct reach value.
+    universe, one = (1 << len(points)) - 1, d.base.one
+    rows = {reach: universe ^ _pointset(extents, one ^ reach) for reach in set(structure.reach)}
+    prec = Relation.from_rows(len(points), (rows[reach] for reach in structure.reach))
     # The regions are the joins of the atom extents, so the n extents are
     # a closed base of the same topology.
     topo = FiniteTopSpace(len(points), tuple(sorted(extents)))
-    space = DMSpace(topo, xs_mask, t_mask, prec_points, result_regions)
+    space = DMSpace(topo, xs_mask, t_mask, prec, result_regions)
     return DualSpaceResult(d, space, points)
 
 
@@ -800,5 +791,5 @@ def is_trivial_dms(space: DMSpace) -> bool:
     t = space.time_points
     if t == 0 or t & (t - 1):
         return False
-    x = next(atoms_of(t))
-    return (x, x) in space.prec
+    x = t.bit_length() - 1
+    return bool(space.prec.rows[x] >> x & 1)

@@ -33,6 +33,20 @@ KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
 #      512     3,033       1.28         1.24         2.78
 # The bound keeps every such check under 1 s.
 RELATION_SIZE_CAP = 256
+# Largest `point_count` a dms file may declare, checked before anything is
+# built.  The file lists up to point_count^2 before-after pairs.  Seconds
+# (best of three) and peak MB for a whole `python -m mereotime.cli` process
+# on the dual space of the trivial path algebra on n atoms: 2^n - 1 points,
+# total before-after; `check` stops at the closed-family cap.  Python 3.11
+# on a 2-core Xeon:
+#     points       KB    check   roundtrip   peak MB
+#        127      175     0.60      0.26        41
+#        255      789     0.59      0.34        50
+#        511    3,344     1.19      0.98        97
+#      1,023   13,844     4.04      3.87       328
+# The bound admits the 1,023-point dual of the 10-atom trivial algebra; each
+# doubling of the points quadruples the pairs to read.
+SPACE_POINT_CAP = 1024
 
 
 def canonical_dumps(payload: dict) -> str:
@@ -108,7 +122,7 @@ def encode(obj, claims=None) -> dict:
             "closed_base": [_mask_list(b) for b in obj.space.closed_base],
             "space_points": _mask_list(obj.space_points),
             "time_points": _mask_list(obj.time_points),
-            "prec": _pairs(obj.prec),
+            "prec": _pairs(obj.prec.pairs),
             "regions": [_mask_list(a) for a in obj.regions],
         }
     if isinstance(obj, DcaMorphism):
@@ -150,10 +164,10 @@ def _field(payload: dict, key: str, expected: type, where: str = ""):
     return _typed(_require(payload, key), expected, where + key)
 
 
-def _size(payload: dict, key: str, where: str = "") -> int:
+def _size(payload: dict, key: str, where: str = "", bound: int = RELATION_SIZE_CAP) -> int:
     size = _field(payload, key, int, where)
-    if size > RELATION_SIZE_CAP:
-        raise SchemaError(f"field {where + key!r} is {size}, over the relation size bound of {RELATION_SIZE_CAP}")
+    if size > bound:
+        raise SchemaError(f"field {where + key!r} is {size}, over the size bound of {bound}")
     return size
 
 
@@ -242,7 +256,7 @@ def decode(payload: dict):
             raise SchemaError(f"bad dmst payload: {exc}") from exc
         return kind, model, extras
     if kind == "dms":
-        count = _field(payload, "point_count", int)
+        count = _size(payload, "point_count", bound=SPACE_POINT_CAP)
         base = tuple(sorted(_mask(b, "closed_base") for b in _field(payload, "closed_base", list)))
         regions = tuple(sorted(_mask(a, "regions") for a in _field(payload, "regions", list)))
         try:
@@ -250,7 +264,7 @@ def decode(payload: dict):
                 FiniteTopSpace(count, base),
                 _mask(_require(payload, "space_points"), "space_points"),
                 _mask(_require(payload, "time_points"), "time_points"),
-                _int_pairs(_require(payload, "prec"), "prec"),
+                Relation(count, _int_pairs(_require(payload, "prec"), "prec")),
                 regions,
             )
         except Exception as exc:

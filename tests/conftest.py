@@ -129,6 +129,18 @@ def brute_clans(algebra: PrecontactAlgebra) -> list[int]:
     return sorted(out, key=lambda m: [i for i in range(n) if m >> i & 1])
 
 
+def clan_precedence(d) -> frozenset[tuple[int, int]]:
+    """Clan precedence from its ultrafilter definition: the pairs of t-clans,
+    by support, where every atom of the left precedes every atom of the right."""
+    t_clans = brute_clans(d.ct_algebra)
+    return frozenset(
+        (left, right)
+        for left in t_clans
+        for right in t_clans
+        if all((x, y) in d.prec_rel.pairs for x in atoms_of(left) for y in atoms_of(right))
+    )
+
+
 def is_grill_members(base, members) -> bool:
     members = set(members)
     if base.one not in members or 0 in members:
@@ -756,7 +768,7 @@ def pair_set_t2_failures(theta) -> list[tuple[int, int]]:
     """The before-after pairs of the domain that a space map does not
     preserve, ascending."""
     dom, cod = theta.dom, theta.cod
-    return sorted((x, y) for x, y in dom.prec if (theta(x), theta(y)) not in cod.prec)
+    return sorted((x, y) for x, y in dom.prec.pairs if (theta(x), theta(y)) not in cod.prec)
 
 
 def pair_set_reflects_prec(theta) -> bool:
@@ -1016,7 +1028,7 @@ def random_region_families(rng, count):
         )
         if rng.random() < 0.5:
             topology = FiniteTopSpace(n, family)
-        out.append(DMSpace(topology, universe, universe, frozenset(), family))
+        out.append(DMSpace(topology, universe, universe, Relation.empty(n), family))
     return out
 
 

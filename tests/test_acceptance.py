@@ -10,6 +10,8 @@ import time
 
 import pytest
 
+from mereotime import category as category_module, contact as contact_module
+from mereotime import dca as dca_module, dms as dms_module
 from mereotime.boolean import FiniteBA
 from mereotime.category import (
     DcaMorphism,
@@ -362,7 +364,8 @@ def test_atom_level_decisions_at_eight_atoms():
     assert validate_dca(d).ok
     structure = clan_structure(d)
     assert len(structure.t_clans) == 2**8 - 1
-    assert len(structure.prec) == len(structure.t_clans) ** 2
+    # Clan precedence is total: every reach row covers every t-clan.
+    assert all(t & ~reach == 0 for reach in structure.reach for t in structure.t_clans)
     budget.done()
 
 
@@ -394,6 +397,22 @@ def test_s2_on_511_point_dual_space():
     assert space.space.point_count == 511
     budget = Budget("check_s2, dual space of the 9-atom trivial path algebra", 0.4)
     assert check_s2(space).holds
+    budget.done()
+
+
+def test_dual_space_and_round_trip_on_1023_point_dual_space():
+    n = 10
+    path = PrecontactAlgebra.from_atom_pairs(
+        FiniteBA(n), {(i, j) for i in range(n) for j in range(n) if abs(i - j) <= 1}
+    )
+    d = from_contact_algebra(path)
+    for module in (contact_module, dca_module, dms_module, category_module):
+        for cached in vars(module).values():
+            if callable(getattr(cached, "cache_clear", None)):
+                cached.cache_clear()
+    budget = Budget("dual_space and duality_roundtrip, 10-atom trivial path algebra, cold", 0.5)
+    assert dual_space(d).space.space.point_count == 1023
+    assert duality_roundtrip(d).ok
     budget.done()
 
 

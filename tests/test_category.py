@@ -35,7 +35,7 @@ from mereotime.category import (
     validate_dca_morphism,
     validate_dms_morphism,
 )
-from mereotime.contact import PrecontactAlgebra
+from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, check_s2, dual, dual_space
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
@@ -218,7 +218,7 @@ def _order_spaces():
     relations += random.Random(14).sample(list(all_relations(3)), 10)
     for rel in relations:
         universe = (1 << rel.size) - 1
-        yield DMSpace(FiniteTopSpace(rel.size, (0, universe)), universe, universe, rel.pairs, (0, universe))
+        yield DMSpace(FiniteTopSpace(rel.size, (0, universe)), universe, universe, rel, (0, universe))
 
 
 def test_before_after_rows_match_pair_sets():
@@ -352,7 +352,7 @@ def test_duality_roundtrip_requires_t0():
         FiniteTopSpace(2, (0, 3)),
         space_points=3,
         time_points=3,
-        prec=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+        prec=Relation.total(2),
         regions=(0, 3),
     )
     with pytest.raises(CapabilityError) as err:
@@ -388,7 +388,7 @@ def test_dms_isomorphism_definitions_agree_on_non_iso():
         space.space,
         space.space_points,
         space.time_points,
-        frozenset((y, x) for x, y in space.prec),
+        space.prec.converse(),
         space.regions,
     )
     # mapping the chain onto its reversal preserves nothing directional

@@ -13,7 +13,7 @@ from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
-from mereotime.models import RELATION_SIZE_CAP, digest, encode, load_path, write_path
+from mereotime.models import RELATION_SIZE_CAP, SPACE_POINT_CAP, digest, encode, load_path, write_path
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -118,8 +118,7 @@ def test_dualize_rejects_regions_whose_atom_joins_collide(tmp_path, capsys):
     # joins, as many as there are regions, but only five distinct ones, so
     # the family is no Boolean algebra and has no dual algebra.
     regions = (0, 0b0011, 0b0110, 0b0101, 0b0111, 0b1011, 0b1110, 0b1111)
-    total = frozenset((x, y) for x in range(4) for y in range(4))
-    space = DMSpace(FiniteTopSpace(4, (1, 2, 4, 8)), 0b1111, 0b1111, total, regions)
+    space = DMSpace(FiniteTopSpace(4, (1, 2, 4, 8)), 0b1111, 0b1111, Relation.total(4), regions)
     path = tmp_path / "colliding.json"
     write_path(path, space)
     code, out, _ = run(["check", path], capsys)
@@ -310,6 +309,8 @@ def test_schema_rejections(tmp_path, capsys):
         {"kind": "dca", "format_version": 99},
         {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [[0, 5]]},
         {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": "zap"},
+        {"kind": "dms", "format_version": 1, "point_count": 2, "closed_base": [[0], [1]], "space_points": [0, 1],
+         "time_points": [0, 1], "prec": [[0, 0], [1, 5]], "regions": [[], [0], [1], [0, 1]]},
         [1, 2, 3],
     ]
     for i, payload in enumerate(cases):
@@ -464,11 +465,12 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
     huge = 100_000_000
     one_pair = [[0, 1]]
     probes = [
-        ({"kind": "adjacency", "point_count": huge, "pairs": one_pair}, "'point_count'"),
-        ({"kind": "time_structure", "point_count": huge, "prec": one_pair}, "'point_count'"),
+        ({"kind": "adjacency", "point_count": huge, "pairs": one_pair}, "'point_count'", RELATION_SIZE_CAP),
+        ({"kind": "time_structure", "point_count": huge, "prec": one_pair}, "'point_count'", RELATION_SIZE_CAP),
         (
             {"kind": "dca", "atom_count": huge, "space_contact": [], "time_contact": [], "precedence": []},
             "'atom_count'",
+            RELATION_SIZE_CAP,
         ),
         (
             {
@@ -477,16 +479,30 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
                 "coordinates": [{"atom_count": huge, "contact": one_pair}],
             },
             "'coordinates[0].atom_count'",
+            RELATION_SIZE_CAP,
+        ),
+        (
+            {
+                "kind": "dms",
+                "point_count": huge,
+                "closed_base": [],
+                "space_points": [0],
+                "time_points": [0],
+                "prec": one_pair,
+                "regions": [],
+            },
+            "'point_count'",
+            SPACE_POINT_CAP,
         ),
     ]
-    for i, (payload, field) in enumerate(probes):
+    for i, (payload, field, bound) in enumerate(probes):
         path = tmp_path / f"huge{i}.json"
         path.write_text(json.dumps({"format_version": 1, **payload}))
         start = time.perf_counter()
         code, _, err = run(["check", path], capsys)
         assert time.perf_counter() - start < 1
         assert code == 2, err
-        assert field in err and str(huge) in err and str(RELATION_SIZE_CAP) in err, err
+        assert field in err and str(huge) in err and str(bound) in err, err
 
 
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):
@@ -597,8 +613,7 @@ def test_malformed_check_stays_within_budget(tmp_path, capsys):
 
 def test_dualize_of_a_dms_requires_s2(tmp_path, capsys):
     # The family {0, {0}} lacks the top: no subalgebra of RC, so no dual.
-    total = frozenset((x, y) for x in range(2) for y in range(2))
-    space = DMSpace(FiniteTopSpace(2, (1, 2)), 0b11, 0b11, total, (0, 0b01))
+    space = DMSpace(FiniteTopSpace(2, (1, 2)), 0b11, 0b11, Relation.total(2), (0, 0b01))
     path = tmp_path / "no_top.json"
     write_path(path, space)
     code, out, _ = run(["check", path], capsys)

@@ -38,6 +38,7 @@ from mereotime.snapshot import (
 from conftest import (
     all_atom_relations,
     brute_clans,
+    clan_precedence,
     element_prec_extension,
     element_time_axiom,
     element_validate_dca,
@@ -198,7 +199,8 @@ def test_clan_structure_of_trivial_dca():
     assert cs.t_clans == (X, X | Y, Y)  # all grills, lexicographic by support
     assert cs.s_clans == (X, Y)
     assert cs.clusters == (X | Y,)
-    assert cs.prec == {(l, r) for l in cs.t_clans for r in cs.t_clans}
+    assert cs.reach == (d.base.one,) * len(cs.t_clans)
+    assert clan_precedence(d) == {(l, r) for l in cs.t_clans for r in cs.t_clans}
 
 
 def test_clan_structure_with_identity_time_relation():
@@ -219,7 +221,7 @@ def test_clan_structure_of_two_time_chain():
     assert cs.s_clans == (X, Y) and cs.t_clans == (X, Y)
     assert set(cs.clusters) == {X, Y}
     # exactly one directed pair between the two singleton clusters
-    directed = {(l, r) for (l, r) in cs.prec if l != r}
+    directed = {(l, r) for (l, r) in clan_precedence(d) if l != r}
     assert len(directed) == 1
 
 
@@ -257,24 +259,26 @@ def test_extension_of_prec_equivalences(small_dca_corpus):
     # atom-level precedence on every t-clan pair.
     for d in small_dca_corpus:
         cs = clan_structure(d)
+        prec = clan_precedence(d)
         pairs = list(itertools.product(cs.t_clans, repeat=2))
         checks = extension_of_prec_checks(d)
         assert [c.name for c in checks] == [f"prec extension {l:#x}->{r:#x}" for l, r in pairs]
         assert all(c.holds for c in checks)
         for left, right in pairs:
             literal = element_prec_extension(d, left, right)
-            assert literal == ((left, right) in cs.prec), (d, left, right)
+            assert literal == ((left, right) in prec), (d, left, right)
 
 
 def test_prec_extends_to_clusters(small_dca_corpus):
     for d in small_dca_corpus:
         cs = clan_structure(d)
-        for left, right in cs.prec:
+        prec = clan_precedence(d)
+        for left, right in prec:
             enclosing = [
                 (gl, gr)
                 for gl in cs.clusters
                 for gr in cs.clusters
-                if left & ~gl == 0 and right & ~gr == 0 and (gl, gr) in cs.prec
+                if left & ~gl == 0 and right & ~gr == 0 and (gl, gr) in prec
             ]
             assert enclosing
 
@@ -294,6 +298,7 @@ def test_g_maps():
 def test_g_maps_characterize_relations(small_dca_corpus):
     for d in small_dca_corpus:
         cs = clan_structure(d)
+        prec = clan_precedence(d)
         for a in d.base.elements():
             for b in d.base.elements():
                 ga = g_maps(d, a, cs)
@@ -302,7 +307,7 @@ def test_g_maps_characterize_relations(small_dca_corpus):
                 assert d.time_contact(a, b) == bool(set(ga["gclust"]) & set(gb["gclust"]))
                 assert d.space_contact(a, b) == bool(set(ga["gs"]) & set(gb["gs"]))
                 expected_b = any(
-                    (l, r) in cs.prec for l in ga["g"] for r in gb["g"]
+                    (l, r) in prec for l in ga["g"] for r in gb["g"]
                 )
                 assert d.precedes(a, b) == expected_b
 
@@ -358,7 +363,7 @@ def test_clan_cluster_characterizations(small_dca_corpus):
             for cluster in cs.clusters
         }
         cluster_prec = [
-            (l, r) for (l, r) in cs.prec if l in inside and r in inside
+            (l, r) for (l, r) in clan_precedence(d) if l in inside and r in inside
         ]
         for a in d.base.elements():
             for b in d.base.elements():
@@ -403,11 +408,12 @@ def test_canonical_model_equals_the_clan_inventory_construction(small_dca_corpus
     # oracle builds it from the full clan inventory, t-clans included.
     for d in [*small_dca_corpus, *_snapshot_corpus()]:
         cs = clan_structure(d)
+        clan_prec = clan_precedence(d)
         prec = {
             (i, j)
             for i, left in enumerate(cs.clusters)
             for j, right in enumerate(cs.clusters)
-            if (left, right) in cs.prec
+            if (left, right) in clan_prec
         }
         factors = tuple(
             factor_by_clanset(

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     ElementRC,
+    clan_precedence,
     coarsened,
     element_check_s2,
     element_density_check,
@@ -22,7 +23,7 @@ from conftest import (
 from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
 from mereotime.boolean import FiniteBA, atoms_of, meeting
-from mereotime.contact import PrecontactAlgebra
+from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
     DMSpace,
@@ -45,6 +46,7 @@ from mereotime.dms import (
     verify_representation_topo,
 )
 from mereotime.errors import CapabilityError, ValidationError
+from mereotime.models import decode, encode
 from mereotime.snapshot import (
     FREE_VARIABLE_AXIOMS,
     TIME_CONDITIONS,
@@ -250,6 +252,18 @@ def test_dual_space_of_chain_dca():
     assert shape.is_t0 and shape.is_dm_compact
 
 
+def test_dual_space_rows_match_the_clan_rule(small_dca_corpus):
+    """The before-after rows of a dual space relate exactly the clan pairs
+    of the ultrafilter definition, and a dms file written from them reads
+    back as an equal space."""
+    for d in [*small_dca_corpus, *gen.trivial_dcas(3)]:
+        result = dual_space(d)
+        space = result.space
+        expected = {(result.point_of(l), result.point_of(r)) for l, r in clan_precedence(d)}
+        assert space.prec.pairs == expected, d
+        assert decode(encode(space)) == ("dms", space, {})
+
+
 def test_validate_dms_on_corpus(small_dca_corpus):
     for d in small_dca_corpus:
         result = dual_space(d)
@@ -300,7 +314,7 @@ def test_s2_rejects_family_that_is_not_a_closed_base():
     # discrete 3-point space; {0, X} is a Boolean subalgebra of RC but
     # cannot recover the singleton closed sets
     discrete = FiniteTopSpace(3, (1, 2, 4))
-    space = DMSpace(discrete, 7, 7, frozenset({(0, 0)}), (0, 7))
+    space = DMSpace(discrete, 7, 7, Relation(3, {(0, 0)}), (0, 7))
     report = validate_dms(space)
     assert not report["S2"].holds
     assert "base" in str(report["S2"].witness)
@@ -308,7 +322,7 @@ def test_s2_rejects_family_that_is_not_a_closed_base():
 
 def test_dual_rejects_non_subalgebra_family():
     discrete = FiniteTopSpace(2, (0, 1, 2, 3))
-    space = DMSpace(discrete, 3, 3, frozenset({(0, 0)}), (0, 1, 3))
+    space = DMSpace(discrete, 3, 3, Relation(2, {(0, 0)}), (0, 1, 3))
     with pytest.raises(ValidationError):
         dual(space)
 
@@ -319,7 +333,7 @@ def test_non_t0_space():
         FiniteTopSpace(2, (0, 3)),
         space_points=3,
         time_points=3,
-        prec=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+        prec=Relation.total(2),
         regions=(0, 3),
     )
     assert validate_dms(space).ok
@@ -390,7 +404,7 @@ def test_stability_on_duals(small_dca_corpus):
 def test_stability_needs_regions_forming_a_subalgebra_of_rc():
     # {0, p} is a Boolean algebra under union but misses the point q
     discrete = FiniteTopSpace(2, (1, 2))
-    space = DMSpace(discrete, 3, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}), (0, 1))
+    space = DMSpace(discrete, 3, 3, Relation.total(2), (0, 1))
     with pytest.raises(CapabilityError) as err:
         stability_check(space)
     assert err.value.missing == "S2"
@@ -432,7 +446,7 @@ def test_topological_definability_tri_warning_on_non_t0():
         FiniteTopSpace(2, (0, 3)),
         space_points=3,
         time_points=3,
-        prec=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+        prec=Relation.total(2),
         regions=(0, 3),
     )
     row = topological_definability(space, TimeCondition.TRI)
@@ -447,8 +461,17 @@ def test_trivial_dms_predicate():
         FiniteTopSpace(1, (0, 1)),
         space_points=1,
         time_points=1,
-        prec=frozenset(),
+        prec=Relation.empty(1),
         regions=(0, 1),
+    )
+    assert not is_trivial_dms(space)
+    # nor is one whose time point precedes another point but not itself
+    space = DMSpace(
+        FiniteTopSpace(2, (1, 2)),
+        space_points=3,
+        time_points=1,
+        prec=Relation(2, {(0, 1)}),
+        regions=(0, 1, 2, 3),
     )
     assert not is_trivial_dms(space)
 
@@ -559,7 +582,7 @@ def random_topology_spaces(rng, count):
         universe = (1 << n) - 1
         base = tuple(sorted(rng.sample(range(universe + 1), rng.randint(1, universe + 1))))
         topology = FiniteTopSpace(n, base)
-        prec = frozenset((x, y) for x in range(n) for y in range(n) if rng.random() < 0.5)
+        prec = Relation(n, [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.5])
         out.append(
             DMSpace(
                 topology,
@@ -580,7 +603,9 @@ def region_variants(space, rng):
     n = space.space.point_count
     pairs = {(x, y) for x in range(n) for y in range(n)}
     toggled = [
-        rng.choice(sorted(choices)) for choices in (space.prec, pairs - space.prec) if choices
+        rng.choice(sorted(choices))
+        for choices in (space.prec.pairs, pairs - space.prec.pairs)
+        if choices
     ]
     sample = rng.sample(rc, rng.randint(0, len(rc)))
     complements = {space.space.closure(universe ^ a) for a in sample}
@@ -594,7 +619,7 @@ def region_variants(space, rng):
     ]
     return [
         *(
-            DMSpace(space.space, space.space_points, space.time_points, space.prec ^ {pair}, space.regions)
+            DMSpace(space.space, space.space_points, space.time_points, Relation(n, space.prec.pairs ^ {pair}), space.regions)
             for pair in toggled
         ),
         *(
@@ -742,8 +767,7 @@ def test_density_and_extent_checks_match_element_oracle(small_dca_corpus):
     rng = random.Random(5)
     spaces = oracle_dual_spaces(small_dca_corpus)
     for space in random_topology_spaces(rng, 150):
-        n = space.space.point_count
-        total = frozenset((x, y) for x in range(n) for y in range(n))
+        total = Relation.total(space.space.point_count)
         spaces.append(
             DMSpace(space.space, space.space_points, space.time_points, total, (0, space.space.universe))
         )
