@@ -123,9 +123,10 @@ class DmsMorphism:
 
     @cached_property
     def _pulled_successors(self) -> tuple[int, ...]:
-        """Row x: the points mapped to successors of x's image."""
+        """Row x: the points mapped to successors of x's image; one preimage per distinct row."""
         rows = self.cod.prec.rows
-        return tuple(self.preimage(rows[y]) for y in self.point_map)
+        pulled = {row: self.preimage(row) for row in set(rows)}
+        return tuple(pulled[rows[y]] for y in self.point_map)
 
 
 def validate_dca_morphism(f: DcaMorphism) -> Report:

@@ -23,11 +23,12 @@ from .dca import (
     clan_structure,
     correspondence2,
     standard_dca,
+    t_clan_count,
     validate_dca,
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
 from .errors import CapabilityError, MereotimeError, PreconditionError, SchemaError, ValidationError
-from .models import digest, load_path, write_path
+from .models import SPACE_POINT_CAP, digest, load_path, write_path
 from .reporting import plain
 from .snapshot import (
     TIME_CONDITIONS,
@@ -172,6 +173,15 @@ def _check_command(args) -> int:
     return 0 if report.ok else 1
 
 
+def _admit_t_clans(d) -> None:
+    """Refuse a valid algebra whose t-clans, its dual space's points, are
+    over the `dms` file bound, before listing any."""
+    d.require_valid()
+    count = t_clan_count(d)
+    if count > SPACE_POINT_CAP:
+        raise SchemaError(f"dca has {count} t-clans, over the dual space point bound of {SPACE_POINT_CAP}")
+
+
 def _points_command(args) -> int:
     kind, obj, _, payload = load_path(args.path)
     if kind != "dca":
@@ -182,6 +192,7 @@ def _points_command(args) -> int:
         report.absorb(validation)
         report.emit(args.format)
         return 1
+    _admit_t_clans(obj)
     structure = clan_structure(obj)
     canonical = canonical_time_structure(obj)
     report.info["ultrafilters"] = [[x] for x in obj.base.atoms()]
@@ -227,6 +238,7 @@ def _dualize_command(args) -> int:
     report = CommandReport("dualize", str(args.path), digest(payload))
     out = _out_dir(args)
     if kind == "dca":
+        _admit_t_clans(obj)
         result = dual_space(obj)
         report.absorb(validate_dms(result.space))
         target = out / (Path(args.path).stem + ".dual.json")
@@ -252,6 +264,8 @@ def _roundtrip_command(args) -> int:
     kind, obj, _, payload = load_path(args.path)
     if kind not in ("dca", "dms"):
         raise SchemaError("roundtrip expects a dca or dms file")
+    if kind == "dca":
+        _admit_t_clans(obj)
     report = CommandReport("roundtrip", str(args.path), digest(payload))
     report.absorb(duality_roundtrip(obj))
     report.emit(args.format)

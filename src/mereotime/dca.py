@@ -169,6 +169,12 @@ def _time_classes(d: DCA) -> tuple[int, ...]:
     return tuple(sorted({d.time_rel.rows[x] for x in d.base.atoms()}, key=lambda m: m & -m))
 
 
+def t_clan_count(d: DCA) -> int:
+    """The number of t-clans of a valid algebra, without listing them: Ct is
+    an equivalence, so they are the nonempty subsets of its classes."""
+    return sum((1 << c.bit_count()) - 1 for c in _time_classes(d))
+
+
 @lru_cache(maxsize=None)
 def clan_structure(d: DCA) -> ClanStructure:
     """Enumerate s-clans, t-clans and clusters with gamma and clan precedence.

@@ -2,16 +2,17 @@
 
 Point sets are int bitmasks.  In a finite space closure is additive
 (Alexandrov 1937): cl(A) is the union of the point closures cl{x}, x in A,
-and cl{x} is read off the closed base (x' lies outside it iff some base
-member holds x and misses x').  So closure is one table-driven map per
-space (`boolean.additive`), and so are the extent map of a dual space and
-the preimage map of a space morphism.  The closed sets are the down-sets of
-the specialization preorder, that is the unions of point closures; the
-family is built that way only to enumerate the regular closed sets, each
-the closure of an open set.  The dual space of an algebra, and the clan
-space of a contact algebra, take the n atom extents as their closed base:
-the regions are the joins of the extents, and the joins give the same
-point closures, so a written dual space lists n base sets, not 2^n.
+and cl{x} is the meet of the base members holding x.  So closure is one
+table-driven map per space (`boolean.additive`), and so are the extent map
+of a dual space and the preimage map of a space morphism.  The closed sets
+are the down-sets of the specialization preorder, that is the unions of
+point closures; the family is built that way only to enumerate the regular
+closed sets, each the closure of an open set, and is refused unlisted when
+an antichain of w point closures (2^w closed sets) puts it over the bound.
+The dual space of an algebra, and the clan space of a contact algebra, take
+the n atom extents as their closed base: the regions are the joins of the
+extents, and the joins give the same point closures, so a written dual
+space lists n base sets, not 2^n.
 
 Before-after on the points is a `contact.Relation`: one successor mask per
 point.  The dual space builds its rows straight from the clan rule (clan x
@@ -32,6 +33,7 @@ oracle (`tests/conftest.py`).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -77,17 +79,14 @@ class FiniteTopSpace:
     def _down(self) -> tuple[int, ...]:
         """_down[y]: closure of point y, the down-set of y in the specialization order.
 
-        x lies outside cl{y} iff some union of base members covers y and
-        misses x, that is iff y lies in the union of the members avoiding x.
+        cl{y} is the meet of the base members holding y, the universe if none
+        does (a union of members that covers y contains one that holds y):
+        O(points * base) word operations.
         """
-        down = [0] * self.point_count
-        for x in range(self.point_count):
-            bit, cover = 1 << x, 0
-            for b in self.closed_base:
-                if not b & bit:
-                    cover |= b
-            for y in atoms_of(self.universe ^ cover):
-                down[y] |= bit
+        down = [self.universe] * self.point_count
+        for b in self.closed_base:
+            for y in atoms_of(b):
+                down[y] &= b
         return tuple(down)
 
     @cached_property
@@ -114,8 +113,18 @@ class FiniteTopSpace:
 
         In a finite space the closed sets are exactly the down-sets of the
         specialization preorder, so each point closure in turn is joined to
-        every set found so far: O(points * family) word operations.
+        every set found so far: O(points * family) word operations.  Distinct
+        point closures of one size are incomparable, so w of them join to 2^w
+        closed sets: a family that count puts over the bound is never listed.
         """
+
+        def refuse(count: str):
+            message = f"at least {count} closed sets on {self.point_count} points, over the bound of {_FAMILY_CAP}"
+            raise CapabilityError(f"closed-set family too large to enumerate: {message}", missing="small closed family")
+
+        widest = max(Counter(d.bit_count() for d in set(self._down)).values(), default=0)
+        if 1 << widest > _FAMILY_CAP:
+            refuse(f"2^{widest}")
         family = {0}
         add = family.add
         for d in self._down:
@@ -124,11 +133,7 @@ class FiniteTopSpace:
                 if u not in family:
                     add(u)
                     if len(family) > _FAMILY_CAP:
-                        raise CapabilityError(
-                            "closed-set family too large to enumerate: over "
-                            f"{_FAMILY_CAP} closed sets on {self.point_count} points",
-                            missing="small closed family",
-                        )
+                        refuse(str(len(family)))
         return frozenset(family)
 
     @cached_property

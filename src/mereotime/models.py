@@ -179,10 +179,12 @@ def _int_pairs(raw, what: str) -> frozenset[tuple[int, int]]:
     return pairs
 
 
-def _mask(raw, what: str) -> int:
+def _mask(raw, what: str, size: int) -> int:
     out = 0
     try:
         for i in map(int, raw):
+            if not 0 <= i < size:
+                raise SchemaError(f"field {what!r} holds index {i}, out of range for size {size}")
             out |= 1 << i
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be an array of indices") from exc
@@ -246,8 +248,9 @@ def decode(payload: dict):
             listed = _field(payload, "regions", list)
             if len(listed) > FULL_REGION_CAP:
                 raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {FULL_REGION_CAP}")
+            widest = max((c.base.atom_count for c in coordinates), default=0)
             regions = [
-                tuple(_mask(x, "region coordinate") for x in _typed(region, list, f"regions[{i}]"))
+                tuple(_mask(x, "region coordinate", widest) for x in _typed(region, list, f"regions[{i}]"))
                 for i, region in enumerate(listed)
             ]
         try:
@@ -257,13 +260,13 @@ def decode(payload: dict):
         return kind, model, extras
     if kind == "dms":
         count = _size(payload, "point_count", bound=SPACE_POINT_CAP)
-        base = tuple(sorted(_mask(b, "closed_base") for b in _field(payload, "closed_base", list)))
-        regions = tuple(sorted(_mask(a, "regions") for a in _field(payload, "regions", list)))
+        base = tuple(sorted(_mask(b, "closed_base", count) for b in _field(payload, "closed_base", list)))
+        regions = tuple(sorted(_mask(a, "regions", count) for a in _field(payload, "regions", list)))
         try:
             space = DMSpace(
                 FiniteTopSpace(count, base),
-                _mask(_require(payload, "space_points"), "space_points"),
-                _mask(_require(payload, "time_points"), "time_points"),
+                _mask(_require(payload, "space_points"), "space_points", count),
+                _mask(_require(payload, "time_points"), "time_points", count),
                 Relation(count, _int_pairs(_require(payload, "prec"), "prec")),
                 regions,
             )
@@ -277,7 +280,7 @@ def decode(payload: dict):
         raw_map = _require(payload, "map")
         try:
             if morphism_kind == "dca":
-                table = tuple(_mask(entry, "map entry") for entry in raw_map)
+                table = tuple(_mask(entry, "map entry", cod.base.atom_count) for entry in raw_map)
                 return kind, DcaMorphism.from_table(dom, cod, table), extras
             if morphism_kind == "dms":
                 return kind, DmsMorphism(dom, cod, tuple(int(x) for x in raw_map)), extras

@@ -433,9 +433,11 @@ def test_region_lists_past_the_bound_exit_two_naming_it(tmp_path, capsys):
     assert line.startswith("error:") and str(count) in line and str(FULL_REGION_CAP) in line, line
 
 
-def test_24_atom_probe_is_represented_checked_and_corresponded_on_cells(tmp_path, capsys):
-    # Identity space contact, total time contact and precedence: the
-    # canonical model is full, with 2^24 regions.
+@pytest.fixture()
+def probe24(tmp_path):
+    """Identity space contact, total time contact and precedence on 24 atoms:
+    the canonical model is full, with 2^24 regions, and there are 2^24 - 1
+    t-clans."""
     n = 24
     total = [[i, j] for i in range(n) for j in range(n)]
     probe = tmp_path / "probe24.json"
@@ -451,6 +453,11 @@ def test_24_atom_probe_is_represented_checked_and_corresponded_on_cells(tmp_path
             }
         )
     )
+    return probe
+
+
+def test_24_atom_probe_is_represented_checked_and_corresponded_on_cells(probe24, tmp_path, capsys):
+    n, probe = 24, probe24
     code, out, _ = timed_run(["represent", probe, "--out", tmp_path, "--format", "json"], capsys)
     assert code == 0, out
     model_file = tmp_path / "probe24.canonical.json"
@@ -461,15 +468,44 @@ def test_24_atom_probe_is_represented_checked_and_corresponded_on_cells(tmp_path
     assert json.loads(run(["check", model_file, "--format", "json"], capsys)[1])["info"]["regions"] == 1 << n
 
 
+def test_t_clans_past_the_dual_space_bound_exit_two_before_listing(probe24, tmp_path, capsys):
+    count = (1 << 24) - 1
+    for command in ("points", "dualize", "roundtrip"):
+        argv = [command, probe24, *(["--out", tmp_path] if command == "dualize" else [])]
+        code, out, err = timed_run(argv, capsys)
+        assert code == 2 and not out, (command, out)
+        assert "t-clans" in err and str(count) in err and str(SPACE_POINT_CAP) in err, err
+
+
+def test_dualize_refuses_an_oversized_closed_family_from_its_count(tmp_path, capsys):
+    """The 63-point dual of the 6-atom path algebra has 20 point closures of
+    one size, so at least 2^20 closed sets: refused before any is listed.
+    Once the regular closed sets are found without the closed family, this
+    command succeeds and the expected exit code becomes 0."""
+    n = 6
+    pairs = {(i, j) for i in range(n) for j in range(n) if abs(i - j) <= 1}
+    path = tmp_path / "trivial6.json"
+    write_path(path, from_contact_algebra(PrecontactAlgebra.from_atom_pairs(FiniteBA(n), pairs)))
+    start = time.perf_counter()
+    code, _, err = run(["dualize", path, "--out", tmp_path], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert err.startswith("error: closed-set family too large to enumerate: at least 2^20 closed sets"), err
+
+
 def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
     huge = 100_000_000
     one_pair = [[0, 1]]
+    # The last probe lists one index far past its declared point count:
+    # 1 << index alone would take 1.25 GB.
+    index = 10_000_000_000
     probes = [
-        ({"kind": "adjacency", "point_count": huge, "pairs": one_pair}, "'point_count'", RELATION_SIZE_CAP),
-        ({"kind": "time_structure", "point_count": huge, "prec": one_pair}, "'point_count'", RELATION_SIZE_CAP),
+        ({"kind": "adjacency", "point_count": huge, "pairs": one_pair}, "'point_count'", huge, RELATION_SIZE_CAP),
+        ({"kind": "time_structure", "point_count": huge, "prec": one_pair}, "'point_count'", huge, RELATION_SIZE_CAP),
         (
             {"kind": "dca", "atom_count": huge, "space_contact": [], "time_contact": [], "precedence": []},
             "'atom_count'",
+            huge,
             RELATION_SIZE_CAP,
         ),
         (
@@ -479,6 +515,7 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
                 "coordinates": [{"atom_count": huge, "contact": one_pair}],
             },
             "'coordinates[0].atom_count'",
+            huge,
             RELATION_SIZE_CAP,
         ),
         (
@@ -492,17 +529,32 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
                 "regions": [],
             },
             "'point_count'",
+            huge,
             SPACE_POINT_CAP,
         ),
+        (
+            {
+                "kind": "dms",
+                "point_count": 2,
+                "closed_base": [[0], [index]],
+                "space_points": [0],
+                "time_points": [0],
+                "prec": [[0, 0]],
+                "regions": [],
+            },
+            "'closed_base'",
+            index,
+            2,
+        ),
     ]
-    for i, (payload, field, bound) in enumerate(probes):
+    for i, (payload, field, value, bound) in enumerate(probes):
         path = tmp_path / f"huge{i}.json"
         path.write_text(json.dumps({"format_version": 1, **payload}))
         start = time.perf_counter()
         code, _, err = run(["check", path], capsys)
         assert time.perf_counter() - start < 1
         assert code == 2, err
-        assert field in err and str(huge) in err and str(bound) in err, err
+        assert field in err and str(value) in err and str(bound) in err, err
 
 
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):

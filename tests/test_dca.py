@@ -18,6 +18,7 @@ from mereotime.dca import (
     irr_one_directional,
     is_trivial,
     standard_dca,
+    t_clan_count,
     validate_dca,
     verify_embedding,
 )
@@ -244,6 +245,11 @@ def test_clan_structure_keeps_the_lexicographic_order(small_dca_corpus):
         assert structure.t_clans == tuple(brute_clans(d.ct_algebra)), d
         assert structure.s_clans == tuple(brute_clans(d.cs_algebra)), d
         assert dual_space(d).points == structure.t_clans
+
+
+def test_t_clan_count_is_read_off_the_time_classes(small_dca_corpus):
+    for d in [*small_dca_corpus, *gen.trivial_dcas(4), *gen.dca_corpus(100, 3, seed=0)]:
+        assert t_clan_count(d) == len(clan_structure(d).t_clans), d
 
 
 def test_clan_inclusion_chain(small_dca_corpus):

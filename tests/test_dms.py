@@ -218,6 +218,36 @@ def test_closed_family_and_regular_closed_match_brute_force():
     assert max(sizes) >= 10
 
 
+def test_closed_family_refuses_exactly_the_families_over_the_cap(small_dca_corpus, monkeypatch):
+    """Refused from the antichain count or during listing, the verdict is the
+    enumeration's: raise iff the family has more than `_FAMILY_CAP` sets."""
+    rng = random.Random(18)
+    bases = set()
+    for _ in range(300):
+        points = rng.randint(1, 7)
+        bases.add((points, tuple(rng.randrange(1 << points) for _ in range(rng.randint(0, 5)))))
+    for d in [*small_dca_corpus, *gen.trivial_dcas(4)]:
+        space = dual_space(d).space.space
+        bases.add((space.point_count, space.closed_base))
+    early = listed = 0
+    for points, base in sorted(bases):
+        size = len(brute_closed_family(FiniteTopSpace(points, base)))
+        for cap in sorted({1, 2, 4, 8, 16, 64, size - 1, size}):
+            monkeypatch.setattr(dms_module, "_FAMILY_CAP", cap)
+            space = FiniteTopSpace(points, base)
+            if size <= cap:
+                assert len(space.closed_family) == size, (base, cap)
+                continue
+            with pytest.raises(CapabilityError, match="^closed-set family too large to enumerate") as err:
+                space.closed_family
+            assert str(cap) in str(err.value)
+            if "2^" in str(err.value):
+                early += 1
+            else:
+                listed += 1
+    assert early and listed, (early, listed)
+
+
 def test_atom_extent_base_gives_the_topology_of_all_joins(small_dca_corpus):
     """The dual space's closed base is the atom extents; the point closures
     are those of the base of all their joins, which are the regions."""
