@@ -4,12 +4,19 @@ Elements are int bitmasks over atoms 0..n-1: bit i set means atom i belongs
 to the element.  0 is the bottom element, the full mask the top.  Every
 finite Boolean algebra is isomorphic to such a powerset algebra, so no more
 general lattice representation is kept.
+
+Each structure on such an algebra is stored by its generator: a filter by
+its least member, an ideal by its greatest, an ultrafilter by its atom and a
+grill by its atom support.  Member sets are derived views, and a family of
+elements is recognised as a filter, ideal or grill by comparing it with the
+member set of the generator it determines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
+from operator import and_, or_
 
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 
@@ -137,79 +144,75 @@ class FiniteBA:
         return self.check(a) & ~self.check(b) == 0
 
 
+def _spanned(candidate, members, what: str):
+    """`candidate` if its member set is `members`, else a witness in the difference."""
+    stray = candidate.members ^ members
+    if stray:
+        raise ValidationError(f"members are not {what}", witness=min(stray))
+    return candidate
+
+
 @dataclass(frozen=True)
 class Filter:
-    """Filter stored as an explicit member set; may be improper (contain 0)."""
+    """Filter stored by its least member; a least member 0 makes it improper.
+
+    In a finite algebra every filter is principal over the meet of its
+    members, so the member set is derived from that generator.
+    """
 
     algebra: FiniteBA
-    members: frozenset[int]
+    minimum: int
 
     def __post_init__(self):
-        alg = self.algebra
-        if alg.one not in self.members:
-            raise ValidationError("filter must contain 1")
-        for a in self.members:
-            alg.check(a)
-            for b in alg.elements():
-                if a & ~b == 0 and b not in self.members:
-                    raise ValidationError("filter not upward closed", witness=(a, b))
-            for b in self.members:
-                if a & b not in self.members:
-                    raise ValidationError("filter not closed under meet", witness=(a, b))
+        self.algebra.check(self.minimum)
 
     @classmethod
     def principal(cls, algebra: FiniteBA, generator: int) -> "Filter":
-        algebra.check(generator)
-        return cls(algebra, frozenset(b for b in algebra.elements() if generator & ~b == 0))
+        return cls(algebra, generator)
+
+    @classmethod
+    def from_members(cls, algebra: FiniteBA, members) -> "Filter":
+        """The filter with this member set: the up-set of the members' meet."""
+        members = frozenset(members)
+        return _spanned(cls(algebra, reduce(and_, members, algebra.one)), members, "the up-set of their meet")
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.minimum | b for b in submasks(self.algebra.one ^ self.minimum))
 
     @property
     def is_proper(self) -> bool:
-        return 0 not in self.members
-
-    @cached_property
-    def minimum(self) -> int:
-        """Smallest member; the filter is principal over it."""
-        out = self.algebra.one
-        for a in self.members:
-            out &= a
-        return out
+        return self.minimum != 0
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """Ideal stored as an explicit member set."""
+    """Ideal stored by its greatest member; the member set is its down-set."""
 
     algebra: FiniteBA
-    members: frozenset[int]
+    maximum: int
 
     def __post_init__(self):
-        alg = self.algebra
-        if 0 not in self.members:
-            raise ValidationError("ideal must contain 0")
-        for a in self.members:
-            alg.check(a)
-            for b in alg.elements():
-                if b & ~a == 0 and b not in self.members:
-                    raise ValidationError("ideal not downward closed", witness=(a, b))
-            for b in self.members:
-                if a | b not in self.members:
-                    raise ValidationError("ideal not closed under join", witness=(a, b))
+        self.algebra.check(self.maximum)
 
     @classmethod
     def principal(cls, algebra: FiniteBA, generator: int) -> "Ideal":
-        algebra.check(generator)
-        return cls(algebra, frozenset(submasks(generator)))
+        return cls(algebra, generator)
+
+    @classmethod
+    def from_members(cls, algebra: FiniteBA, members) -> "Ideal":
+        """The ideal with this member set: the down-set of the members' join."""
+        members = frozenset(members)
+        join = reduce(or_, members, 0) & algebra.one
+        return _spanned(cls(algebra, join), members, "the down-set of their join")
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(submasks(self.maximum))
 
     @property
     def is_proper(self) -> bool:
-        return self.algebra.one not in self.members
-
-    @cached_property
-    def maximum(self) -> int:
-        out = 0
-        for a in self.members:
-            out |= a
-        return out
+        return self.maximum != self.algebra.one
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,7 @@ class Ultrafilter:
 
     @property
     def members(self) -> frozenset[int]:
-        bit = 1 << self.atom
-        return frozenset(a for a in self.algebra.elements() if a & bit)
+        return Grill(self.algebra, 1 << self.atom).members
 
     def contains(self, a: int) -> bool:
         return bool(self.algebra.check(a) & (1 << self.atom))
@@ -237,33 +239,26 @@ def ultrafilters(algebra: FiniteBA) -> list[Ultrafilter]:
 
 
 def filter_sum(f: Filter, g: Filter) -> Filter:
-    """Smallest filter containing both, realized as all pairwise meets.
+    """Smallest filter containing both: principal over the meet of the generators.
 
     The result is improper exactly when some a in f has its complement in g.
     """
     if f.algebra != g.algebra:
         raise DimensionMismatch("filters live in different algebras")
-    members = frozenset(a & b for a in f.members for b in g.members)
-    return Filter(f.algebra, members)
+    return Filter(f.algebra, f.minimum & g.minimum)
 
 
 def separate(f: Filter, ideal: Ideal) -> Ultrafilter:
     """Ultrafilter extending `f` and disjoint from `ideal`.
 
-    Deterministic: returns the lowest eligible atom index.
+    Deterministic: returns the lowest atom of min(F) outside max(I).  The two
+    meet iff min(F) <= max(I), and min(F) is then their smallest common member.
     """
     if f.algebra != ideal.algebra:
         raise DimensionMismatch("filter and ideal live in different algebras")
-    common = f.members & ideal.members
-    if common:
-        raise PreconditionError(
-            "filter and ideal intersect", witness=min(common)
-        )
     eligible = f.minimum & ~ideal.maximum
     if eligible == 0:
-        # Unreachable when the precondition holds: min(F) outside the ideal
-        # must keep an atom outside its largest member.
-        raise PreconditionError("no separating atom", witness=f.minimum)
+        raise PreconditionError("filter and ideal intersect", witness=f.minimum)
     return Ultrafilter(f.algebra, next(atoms_of(eligible)))
 
 
@@ -279,7 +274,9 @@ class Grill:
     """Grill determined by a nonempty atom support.
 
     Induced member set is every element meeting the support; in a finite
-    algebra these are exactly the unions of ultrafilters.
+    algebra these are exactly the unions of ultrafilters.  Clans and
+    clusters of a contact algebra are the grills whose support is a clique
+    (`contact.Clan`).
     """
 
     algebra: FiniteBA
@@ -304,26 +301,13 @@ def grill_from_atoms(algebra: FiniteBA, support) -> Grill:
 
 
 def is_grill(algebra: FiniteBA, members) -> bool:
-    """Direct check of the three grill conditions on an element family."""
+    """A family is a grill iff it is the grill of the atoms whose singletons it holds."""
     members = frozenset(members)
-    if algebra.one not in members or 0 in members:
-        return False
-    for a in members:
-        for b in algebra.elements():
-            if a & ~b == 0 and b not in members:
-                return False
-    for a in algebra.elements():
-        for b in algebra.elements():
-            if (a | b) in members and a not in members and b not in members:
-                return False
-    return True
+    support = grill_support(algebra, members)
+    return support != 0 and members == Grill(algebra, support).members
 
 
 def grill_support(algebra: FiniteBA, members) -> int:
     """Recover the support of a grill member set: the singletons it contains."""
     members = frozenset(members)
-    out = 0
-    for i in algebra.atoms():
-        if (1 << i) in members:
-            out |= 1 << i
-    return out
+    return mask_of(i for i in algebra.atoms() if 1 << i in members)

@@ -444,7 +444,7 @@ def canonical_filter(space: DMSpace, region: int) -> Filter:
         raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
     algebra = dual(space)
     members = frozenset(algebra.mask_of(a) for a in space.regions if region & ~a == 0)
-    return Filter(algebra.dca.base, members)
+    return Filter.from_members(algebra.dca.base, members)
 
 
 def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report:

@@ -166,6 +166,8 @@ def _field(payload: dict, key: str, expected: type, where: str = ""):
 
 def _size(payload: dict, key: str, where: str = "", bound: int = RELATION_SIZE_CAP) -> int:
     size = _field(payload, key, int, where)
+    if size < 1:
+        raise SchemaError(f"field {where + key!r} is {size}, below the minimum of 1")
     if size > bound:
         raise SchemaError(f"field {where + key!r} is {size}, over the size bound of {bound}")
     return size
@@ -299,12 +301,15 @@ def _checked(cls, size, pairs):
 
 def load_path(path) -> tuple[str, object, dict, dict]:
     """Parse a model file: kind, object, extras and the raw payload."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind, obj, extras = decode(payload)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}") from exc
-    kind, obj, extras = decode(payload)
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nested too deeply to read") from exc
     return kind, obj, extras, payload
 
 

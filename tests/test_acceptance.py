@@ -12,7 +12,7 @@ import pytest
 
 from mereotime import category as category_module, contact as contact_module
 from mereotime import dca as dca_module, dms as dms_module
-from mereotime.boolean import FiniteBA
+from mereotime.boolean import FiniteBA, atoms_of
 from mereotime.category import (
     DcaMorphism,
     dca_isomorphism_report,
@@ -31,9 +31,7 @@ from mereotime.contact import (
     clans,
     clusters,
     factor_by_clanset,
-    interpolation_check,
     maximal_clans,
-    satisfies_cluster_condition,
 )
 from mereotime.dca import (
     canonical_standard_dca,
@@ -72,7 +70,9 @@ from conftest import (
     element_lifting_conditions,
     element_time_axiom,
     element_validate_dms,
+    interpolation_check,
     path_snapshot_dca,
+    satisfies_cluster_condition,
 )
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -191,8 +191,8 @@ def test_criterion_4_clan_and_cluster_lemmas(contact_sweep_3):
             # contained in a maximal clan
             assert any(clan.support & ~m == 0 for m in maximal)
             # the support is a clique
-            for x in clan.atom_tuple():
-                for y in clan.atom_tuple():
+            for x in atoms_of(clan.support):
+                for y in atoms_of(clan.support):
                     assert (x, y) in rel.pairs
             # every member meets some ultrafilter inside the clan
             for a in members:

@@ -20,7 +20,7 @@ from mereotime.boolean import (
 )
 from mereotime.errors import DimensionMismatch, PreconditionError, ValidationError
 
-from conftest import is_grill_members
+from conftest import is_filter_members, is_grill_members, is_ideal_members
 
 X, Y, Z = 1, 2, 4  # atom masks
 
@@ -76,12 +76,46 @@ def test_ultrafilter_membership_table():
 
 def test_filter_validation_catches_gaps():
     b = FiniteBA(2)
-    with pytest.raises(ValidationError):
-        Filter(b, frozenset({b.one, X, Y}))  # X & Y = 0 missing
-    with pytest.raises(ValidationError):
-        Filter(b, frozenset({X}))  # missing 1
-    with pytest.raises(ValidationError):
-        Ideal(b, frozenset({0, X | Y}))  # not downward closed
+    with pytest.raises(ValidationError) as err:
+        Filter.from_members(b, {b.one, X, Y})  # X & Y = 0 missing
+    assert err.value.witness == 0
+    with pytest.raises(ValidationError) as err:
+        Filter.from_members(b, {X})  # missing 1
+    assert err.value.witness == b.one
+    with pytest.raises(ValidationError) as err:
+        Ideal.from_members(b, {0, X | Y})  # not downward closed
+    assert err.value.witness == X
+    assert Filter.from_members(b, {X, b.one}) == Filter.principal(b, X)
+    assert Ideal.from_members(b, {0, Y}) == Ideal.principal(b, Y)
+
+
+def test_filters_and_ideals_from_members_match_their_laws_on_all_families():
+    """`from_members` against the direct laws, on every family of elements
+    over three atoms; a rejection names the smallest element on which the
+    family and the up-set of its meet (down-set of its join) differ."""
+    b = FiniteBA(3)
+    elements = list(b.elements())
+    counts = {"filter": 0, "ideal": 0}
+    for bits in range(1 << len(elements)):
+        family = frozenset(e for i, e in enumerate(elements) if bits >> i & 1)
+        meet, join = b.one, 0
+        for a in family:
+            meet, join = meet & a, join | a
+        for name, build, law, generated in (
+            ("filter", Filter.from_members, is_filter_members, Filter(b, meet)),
+            ("ideal", Ideal.from_members, is_ideal_members, Ideal(b, join)),
+        ):
+            try:
+                built = build(b, family)
+            except ValidationError as err:
+                assert not law(b, family), (name, family)
+                assert err.witness == min(family ^ generated.members), (name, family)
+                continue
+            assert law(b, family), (name, family)
+            assert built == generated and built.members == family
+            counts[name] += 1
+    # one filter and one ideal per generator
+    assert counts == {"filter": 8, "ideal": 8}
 
 
 def test_filter_sum_principal_example():
@@ -187,21 +221,22 @@ def test_empty_grill_support_rejected():
 
 
 def test_is_grill_matches_reference_on_all_families():
-    b = FiniteBA(2)
-    elements = list(b.elements())
-    grills = {frozenset(grill_from_atoms(b, s).members) for s in b.nonzero_elements()}
-    for bits in range(1 << len(elements)):
-        family = frozenset(e for i, e in enumerate(elements) if bits >> i & 1)
-        expected = family in grills
-        assert is_grill(b, family) == expected
-        assert is_grill_members(b, family) == expected
+    for n in (2, 3):
+        b = FiniteBA(n)
+        elements = list(b.elements())
+        grills = {frozenset(grill_from_atoms(b, s).members) for s in b.nonzero_elements()}
+        for bits in range(1 << len(elements)):
+            family = frozenset(e for i, e in enumerate(elements) if bits >> i & 1)
+            expected = family in grills
+            assert is_grill(b, family) == expected
+            assert is_grill_members(b, family) == expected
 
 
 def test_ultrafilters_are_maximal_proper_filters():
     b = FiniteBA(3)
     ultra = [u.members for u in ultrafilters(b)]
     for members in ultra:
-        Filter(b, frozenset(members))  # filter laws hold
+        assert Filter.from_members(b, members).members == members  # filter laws hold
         assert 0 not in members
     # no proper filter strictly contains an ultrafilter
     for gen in b.elements():

@@ -78,6 +78,24 @@ def test_check_garbage_exits_two(tmp_path, capsys):
     code, _, err = run(["check", missing_field], capsys)
     assert code == 2
 
+    # Nesting past the interpreter's recursion limit, in the JSON parser (a
+    # 400 KB file of brackets) or in decoding (a morphism whose domain is a
+    # morphism, 990 deep); both text files are built without json.dumps.
+    dca = '{"kind":"dca","format_version":1,"atom_count":1,"space_contact":[[0,0]],"time_contact":[[0,0]],"precedence":[[0,0]]}'
+    head = '{"kind":"morphism","format_version":1,"morphism_kind":"dca","map":[[],[0]],"cod":' + dca + ',"dom":'
+    for name, text in (("brackets", "[" * 200_000 + "]" * 200_000), ("morphism", head * 990 + dca + "}" * 990)):
+        path = tmp_path / f"nested_{name}.json"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        code, _, err = run(["check", path], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and err.startswith("error:") and str(path) in err and "nested too deeply" in err, err
+
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"kind": 1}')
+    code, _, err = run(["check", binary], capsys)
+    assert code == 2 and str(binary) in err and "not UTF-8 text at byte 0" in err, err
+
 
 def test_check_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(["check", tmp_path / "nope.json"], capsys)
@@ -547,6 +565,35 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
             2,
         ),
     ]
+    # Sizes below the minimum of 1 are refused the same way.
+    for value in (0, -1):
+        probes += [
+            ({"kind": "adjacency", "point_count": value, "pairs": []}, "'point_count'", value, 1),
+            (
+                {
+                    "kind": "dms",
+                    "point_count": value,
+                    "closed_base": [],
+                    "space_points": [],
+                    "time_points": [],
+                    "prec": [],
+                    "regions": [],
+                },
+                "'point_count'",
+                value,
+                1,
+            ),
+            (
+                {
+                    "kind": "dmst",
+                    "time": {"point_count": 1, "prec": []},
+                    "coordinates": [{"atom_count": value, "contact": []}],
+                },
+                "'coordinates[0].atom_count'",
+                value,
+                1,
+            ),
+        ]
     for i, (payload, field, value, bound) in enumerate(probes):
         path = tmp_path / f"huge{i}.json"
         path.write_text(json.dumps({"format_version": 1, **payload}))
@@ -555,6 +602,7 @@ def test_relation_sizes_are_bounded_before_anything_is_built(tmp_path, capsys):
         assert time.perf_counter() - start < 1
         assert code == 2, err
         assert field in err and str(value) in err and str(bound) in err, err
+        assert value >= 1 or f"is {value}, below the minimum of 1" in err, err
 
 
 def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):

@@ -18,7 +18,6 @@ from mereotime.contact import (
     inclusion_check,
     maximal_clans,
     possibility_image,
-    satisfies_cluster_condition,
 )
 from mereotime.errors import CapabilityError, DimensionMismatch, PreconditionError, ValidationError
 from mereotime.generate import contact_relations
@@ -28,6 +27,7 @@ from conftest import (
     brute_clans,
     element_axiom_checks,
     element_canonical,
+    interpolation_check,
     pair_compose,
     pair_converse,
     pair_image,
@@ -35,6 +35,7 @@ from conftest import (
     pair_properties,
     pair_sets,
     row_kernel_sample,
+    satisfies_cluster_condition,
     slow_c1,
     slow_c2,
     slow_c3_left,
@@ -150,23 +151,36 @@ def test_axiom_checks_match_slow_oracles_on_all_two_atom_relations():
 
 
 def test_axiom_checks_match_slow_oracles_on_raw_relations():
+    """`from_element_relation` accepts exactly the element tables that satisfy
+    the slow C1-C3'' oracles, over all 65,536 tables on two atoms, and each
+    rejection names a pair on which the table and its atom span differ."""
     b = FiniteBA(2)
-    from mereotime.contact import relation_axiom_checks
-
-    elements = list(b.elements())
-    pair_space = list(itertools.product(elements, elements))
-    # 100 deterministic raw relations, not required to be monotone
-    import random
-
-    rng = random.Random(42)
-    for _ in range(100):
-        table = {p for p in pair_space if rng.random() < 0.4}
+    pair_space = list(itertools.product(b.elements(), b.elements()))
+    accepted = 0
+    for bits in range(1 << len(pair_space)):
+        table = frozenset(p for i, p in enumerate(pair_space) if bits >> i & 1)
         rel = lambda a, c: (a, c) in table
-        checks = {c.name: c for c in relation_axiom_checks(b, rel)}
-        assert checks["C1"].holds == slow_c1(b, rel)
-        assert checks["C2"].holds == slow_c2(b, rel)
-        assert checks["C3'"].holds == slow_c3_left(b, rel)
-        assert checks["C3''"].holds == slow_c3_right(b, rel)
+        precontact = (
+            slow_c1(b, rel) and slow_c2(b, rel) and slow_c3_left(b, rel) and slow_c3_right(b, rel)
+        )
+        try:
+            p = PrecontactAlgebra.from_element_relation(b, table)
+        except ValidationError as err:
+            assert not precontact, table
+            span = alg(2, {(x, y) for x in b.atoms() for y in b.atoms() if (1 << x, 1 << y) in table})
+            assert (err.witness in table) != span.related(*err.witness), table
+            continue
+        assert precontact, table
+        assert {(a, c) for a, c in pair_space if p.related(a, c)} == table
+        accepted += 1
+    assert accepted == 16
+    # Single-atom growth of the first argument alone misses this C2 failure:
+    # (2,1) holds, but (2,3) does not.
+    table = {(2, 1), (3, 1)}
+    assert not slow_c2(b, lambda a, c: (a, c) in table)
+    with pytest.raises(ValidationError) as err:
+        PrecontactAlgebra.from_element_relation(b, table)
+    assert err.value.witness == (2, 3)
 
 
 def test_check_axioms_matches_element_oracle_up_to_three_atoms():
@@ -235,30 +249,44 @@ def test_compositional_axioms():
     r = PrecontactAlgebra(b, Relation.of(2, {(0, 1)}))
     s_empty = PrecontactAlgebra(b, Relation.empty(2))
     report = check_compositional(r, s_empty)
-    assert report["C_RC_S"].holds and report["C_SC_R"].holds
+    assert [c.name for c in report.checks] == ["C_RC_S", "C_SC_R"]
+    assert report.ok
 
     identity = PrecontactAlgebra(b, Relation.identity(2))
     s = PrecontactAlgebra(b, Relation.of(2, {(1, 0)}))
     report = check_compositional(identity, s)
-    assert report["C_RC_S"].holds and report["R.S<=S"].holds
+    assert report.ok
 
+    # R.S = {(0,0)} is not inside S; S.R = {(1,1)} is not either.
     report = check_compositional(r, s)
-    assert not report["C_RC_S"].holds
-    assert report["C_RC_S"].witness is not None
-    assert not report["R.S<=S"].holds
-    assert report["C_RC_S agrees with R.S<=S"].holds
+    assert not report["C_RC_S"].holds and report["C_RC_S"].witness == (X, X)
+    assert not report["C_SC_R"].holds and report["C_SC_R"].witness == (Y, Y)
 
     with pytest.raises(DimensionMismatch):
         check_compositional(r, PrecontactAlgebra.largest(FiniteBA(3)))
 
 
 def test_compositional_matches_slow_interpolation_everywhere():
-    b = FiniteBA(2)
-    for rel_r, rel_s in itertools.product(list(all_atom_relations(2))[:32], repeat=2):
+    """Verdicts and witnesses equal the element-level interpolation check on
+    all 256 relation pairs on two atoms and 3,000 seeded pairs on three."""
+    two = list(all_atom_relations(2))
+    three = list(all_atom_relations(3))
+    rng = random.Random(19)
+    sample = [
+        *((FiniteBA(2), pair) for pair in itertools.product(two, repeat=2)),
+        *((FiniteBA(3), (rng.choice(three), rng.choice(three))) for _ in range(3000)),
+    ]
+    for b, (rel_r, rel_s) in sample:
         pr, ps = PrecontactAlgebra(b, rel_r), PrecontactAlgebra(b, rel_s)
         report = check_compositional(pr, ps)
-        assert report["C_RC_S"].holds == slow_interpolation(b, ps.related, pr.related, ps.related)
-        assert report["C_SC_R"].holds == slow_interpolation(b, ps.related, ps.related, pr.related)
+        oracle = (
+            interpolation_check(b, "C_RC_S", ps.related, pr.related, ps.related),
+            interpolation_check(b, "C_SC_R", ps.related, ps.related, pr.related),
+        )
+        assert report.checks == list(oracle), (rel_r, rel_s)
+        if b.atom_count == 2:
+            assert report["C_RC_S"].holds == slow_interpolation(b, ps.related, pr.related, ps.related)
+            assert report["C_SC_R"].holds == slow_interpolation(b, ps.related, ps.related, pr.related)
 
 
 def test_canonical_relation_special_cases_and_round_trip():

@@ -1,0 +1,130 @@
+"""Fuzz gate of the exit-code contract: 0 all checks pass, 1 a check fails,
+2 bad input, for any model file.
+
+Valid payloads of every kind are mutated one place at a time: a key or an
+entry is dropped, a value is retyped, an integer becomes 0, -1 or 2^40 (a
+size out of range), an array gains a huge index, or a value is replaced by
+deeply nested brackets.  Each mutated file goes through every file command
+of `cli.main`; nothing may escape `main`, and each call must finish in
+under 2 s.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from mereotime.boolean import FiniteBA
+from mereotime.category import DcaMorphism, DmsMorphism
+from mereotime.cli import FILE_COMMANDS, main
+from mereotime.contact import PrecontactAlgebra, Relation
+from mereotime.dca import from_contact_algebra, standard_dca
+from mereotime.dms import dual_space
+from mereotime.models import encode
+from mereotime.snapshot import TimeStructure, build_dmst
+
+
+def _valid_payloads() -> dict[str, dict]:
+    one = PrecontactAlgebra.overlap(FiniteBA(1))
+    two = PrecontactAlgebra.overlap(FiniteBA(2))
+    ts = TimeStructure.of(2, {(0, 1)})
+    trivial = from_contact_algebra(two)
+    space = dual_space(trivial).space
+    return {
+        "adjacency": encode(Relation.of(2, {(0, 0), (0, 1), (1, 1)}), claims=["contact"]),
+        "time_structure": encode(ts),
+        "dca": encode(standard_dca(build_dmst(ts, [one, one], mode="full"))),
+        "dmst_full": encode(build_dmst(ts, [one, two], mode="full")),
+        "dmst_custom": encode(build_dmst(ts, [two, two], mode="rich")),
+        "dms": encode(space),
+        "dca_morphism": encode(DcaMorphism.identity(trivial)),
+        "dms_morphism": encode(DmsMorphism.identity(space)),
+    }
+
+
+VALID = _valid_payloads()
+NESTED = "@@nested@@"
+RETYPED = ("x", 1.5, True, None, {}, [], 7, [[0, 1]])
+HUGE = 2**40
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON tree, as key/index paths, the root first."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated_text(payload: dict, path: tuple, op: str, arg) -> str:
+    root = {"": copy.deepcopy(payload)}
+    parent, key = root, ""
+    for step in path:
+        parent, key = parent[key], step
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = arg
+    elif op == "size":
+        parent[key] = arg if isinstance(parent[key], int) else parent[key]
+    elif op == "index":
+        if isinstance(parent[key], list):
+            parent[key].append(arg)
+    elif op == "nest":
+        parent[key] = NESTED
+    text = json.dumps(root.get("", {}))
+    return text.replace(json.dumps(NESTED), "[" * arg + "]" * arg) if op == "nest" else text
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(VALID)))
+    payload = VALID[name]
+    path = draw(st.sampled_from(list(_paths(payload))))
+    op = draw(st.sampled_from(("drop", "retype", "size", "index", "nest") if path else ("retype", "nest")))
+    arg = {
+        "drop": st.none(),
+        "retype": st.sampled_from(RETYPED),
+        "size": st.sampled_from((0, -1, HUGE)),
+        "index": st.sampled_from((HUGE, 10**10, -1)),
+        "nest": st.sampled_from((20, 900, 5000)),
+    }[op]
+    return name, path, op, draw(arg)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutation=mutations())
+# Found by this test: nesting past the recursion limit escaped `main` as a
+# RecursionError from the JSON parser.
+@example(mutation=("adjacency", ("kind",), "nest", 5000))
+def test_mutated_files_keep_the_exit_code_contract(workdir, mutation):
+    name, path, op, arg = mutation
+    model = workdir / "mutated.json"
+    model.write_text(_mutated_text(VALID[name], path, op, arg), encoding="utf-8")
+    for command, _, _, writes in FILE_COMMANDS:
+        argv = [command, str(model), *(["--out", str(workdir / "out")] if writes else [])]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue(), (command, err.getvalue())
+        assert elapsed < 2, (command, elapsed)
