@@ -1,5 +1,10 @@
 """Command-line interface: ingestion, verification commands and generators.
 
+Every file command runs one pipeline, `_file_command`: load the model file,
+refuse a kind the command does not read (`FILE_COMMANDS` lists the kinds
+each command reads), fill a fresh report with the command's body and emit
+it.
+
 Exit codes: 0 all checks passed, 1 some check or capability failed,
 2 unreadable or schema-invalid input.
 """
@@ -11,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import generate as gen
@@ -27,8 +33,8 @@ from .dca import (
     validate_dca,
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
-from .errors import CapabilityError, MereotimeError, PreconditionError, SchemaError, ValidationError
-from .models import SPACE_POINT_CAP, digest, load_path, write_path
+from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError
+from .models import KINDS, SPACE_POINT_CAP, digest, load_path, write_path
 from .reporting import plain
 from .snapshot import (
     TIME_CONDITIONS,
@@ -119,10 +125,18 @@ def _claim_axioms(claims) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def _check_command(args) -> int:
+def _file_command(kinds, body, args) -> int:
+    """Run one file command: 0 if every check of its report holds, else 1."""
     kind, obj, extras, payload = load_path(args.path)
-    report = CommandReport("check", str(args.path), digest(payload))
+    if kind not in kinds:
+        raise SchemaError(f"{args.command} expects a {' or '.join(kinds)} file")
+    report = CommandReport(args.command, str(args.path), digest(payload))
+    body(args, report, kind, obj, extras)
+    report.emit(args.format)
+    return 0 if report.ok else 1
 
+
+def _check_command(args, report, kind, obj, extras) -> None:
     if kind == "adjacency":
         algebra = contact_from_adjacency(obj)
         table = algebra.axiom_report
@@ -169,8 +183,6 @@ def _check_command(args) -> int:
             report.absorb(validate_dca_morphism(obj))
         else:
             report.absorb(validate_dms_morphism(obj))
-    report.emit(args.format)
-    return 0 if report.ok else 1
 
 
 def _admit_t_clans(d) -> None:
@@ -182,16 +194,11 @@ def _admit_t_clans(d) -> None:
         raise SchemaError(f"dca has {count} t-clans, over the dual space point bound of {SPACE_POINT_CAP}")
 
 
-def _points_command(args) -> int:
-    kind, obj, _, payload = load_path(args.path)
-    if kind != "dca":
-        raise SchemaError("points expects a dca file")
-    report = CommandReport("points", str(args.path), digest(payload))
+def _points_command(args, report, kind, obj, extras) -> None:
     validation = validate_dca(obj)
     if not validation.ok:
         report.absorb(validation)
-        report.emit(args.format)
-        return 1
+        return
     _admit_t_clans(obj)
     structure = clan_structure(obj)
     canonical = canonical_time_structure(obj)
@@ -213,68 +220,44 @@ def _points_command(args) -> int:
         "point_count": canonical.structure.point_count,
         "prec": sorted(list(p) for p in canonical.structure.prec),
     }
-    report.emit(args.format)
-    return 0
 
 
-def _represent_command(args) -> int:
+def _represent_command(args, report, kind, obj, extras) -> None:
     from .dca import verify_embedding
 
-    kind, obj, _, payload = load_path(args.path)
-    if kind != "dca":
-        raise SchemaError("represent expects a dca file")
-    report = CommandReport("represent", str(args.path), digest(payload))
     report.absorb(verify_embedding(obj))
     canonical = canonical_standard_dca(obj)
     target = _out_dir(args) / (Path(args.path).stem + ".canonical.json")
     write_path(target, canonical.model)
     report.info["model_file"] = str(target)
-    report.emit(args.format)
-    return 0 if report.ok else 1
 
 
-def _dualize_command(args) -> int:
-    kind, obj, _, payload = load_path(args.path)
-    report = CommandReport("dualize", str(args.path), digest(payload))
-    out = _out_dir(args)
+def _dualize_command(args, report, kind, obj, extras) -> None:
     if kind == "dca":
         _admit_t_clans(obj)
         result = dual_space(obj)
         report.absorb(validate_dms(result.space))
-        target = out / (Path(args.path).stem + ".dual.json")
-        write_path(target, result.space)
-        report.info["model_file"] = str(target)
-    elif kind == "dms":
+        model, suffix = result.space, ".dual.json"
+    else:
         s2 = check_s2(obj)
         if not s2.holds:
             witness = plain(s2.witness)
             raise ValidationError(f"region family is not a Boolean subalgebra: S2 fails (witness {witness})")
         algebra = dual(obj)
         report.absorb(validate_dca(algebra.dca))
-        target = out / (Path(args.path).stem + ".dual_algebra.json")
-        write_path(target, algebra.dca)
-        report.info["model_file"] = str(target)
-    else:
-        raise SchemaError("dualize expects a dca or dms file")
-    report.emit(args.format)
-    return 0 if report.ok else 1
+        model, suffix = algebra.dca, ".dual_algebra.json"
+    target = _out_dir(args) / (Path(args.path).stem + suffix)
+    write_path(target, model)
+    report.info["model_file"] = str(target)
 
 
-def _roundtrip_command(args) -> int:
-    kind, obj, _, payload = load_path(args.path)
-    if kind not in ("dca", "dms"):
-        raise SchemaError("roundtrip expects a dca or dms file")
+def _roundtrip_command(args, report, kind, obj, extras) -> None:
     if kind == "dca":
         _admit_t_clans(obj)
-    report = CommandReport("roundtrip", str(args.path), digest(payload))
     report.absorb(duality_roundtrip(obj))
-    report.emit(args.format)
-    return 0 if report.ok else 1
 
 
-def _correspondence_command(args) -> int:
-    kind, obj, _, payload = load_path(args.path)
-    report = CommandReport("correspondence", str(args.path), digest(payload))
+def _correspondence_command(args, report, kind, obj, extras) -> None:
     if kind == "dmst":
         rows = correspondence_check(obj)
         for row in rows:
@@ -287,7 +270,7 @@ def _correspondence_command(args) -> int:
         report.info["rows"] = [
             {"condition": r.condition.name, "left": r.left, "right": r.right} for r in rows
         ]
-    elif kind == "dca":
+    else:
         rows = correspondence2(obj)
         for row in rows:
             report.add_check(
@@ -306,10 +289,6 @@ def _correspondence_command(args) -> int:
             }
             for r in rows
         ]
-    else:
-        raise SchemaError("correspondence expects a dmst or dca file")
-    report.emit(args.format)
-    return 0 if report.ok else 1
 
 
 def _generate_command(args) -> int:
@@ -358,15 +337,17 @@ def _generate_command(args) -> int:
     return 0
 
 
-# The commands that read model files: name, help, handler, and whether the
-# command writes model files to --out.
+# The commands that read model files: name, help, the kinds of file the
+# command reads, its body (run by `_file_command`), and whether the command
+# writes model files to --out.
 FILE_COMMANDS = (
-    ("check", "validate a model file", _check_command, False),
-    ("points", "clan inventory of an algebra", _points_command, False),
-    ("represent", "snapshot representation of an algebra", _represent_command, True),
-    ("dualize", "dual space of an algebra, or dual algebra of a space", _dualize_command, True),
-    ("roundtrip", "duality round-trip checks", _roundtrip_command, False),
-    ("correspondence", "time condition / time axiom correspondence", _correspondence_command, False),
+    ("check", "validate a model file", KINDS, _check_command, False),
+    ("points", "clan inventory of an algebra", ("dca",), _points_command, False),
+    ("represent", "snapshot representation of an algebra", ("dca",), _represent_command, True),
+    ("dualize", "dual space of an algebra, or dual algebra of a space", ("dca", "dms"), _dualize_command, True),
+    ("roundtrip", "duality round-trip checks", ("dca", "dms"), _roundtrip_command, False),
+    ("correspondence", "time condition / time axiom correspondence", ("dmst", "dca"), _correspondence_command,
+     False),
 )
 OUT_HELP = f"output directory (default ${OUTPUT_ENV} or .)"
 
@@ -377,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-model toolkit for region-based theories of space and time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, writes in FILE_COMMANDS:
+    for name, help_text, kinds, body, writes in FILE_COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("paths", nargs="+", metavar="path", help="model file(s)")
         if writes:
             p.add_argument("--out", help=OUT_HELP)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=partial(_file_command, kinds, body))
 
     g = sub.add_parser("generate", help="generate model files")
     g.add_argument("--kind", required=True, choices=("adjacency", "time_structure", "dca", "dmst"))
@@ -412,9 +393,6 @@ def main(argv=None) -> int:
         except (SchemaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
-        except (CapabilityError, PreconditionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 1
         except MereotimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 1

@@ -3,6 +3,12 @@
 One structured-text format: UTF-8 JSON with an explicit kind tag and a
 format version.  Relations are sorted pair arrays, sets are sorted index
 arrays, so files diff cleanly and serialization round-trips byte for byte.
+
+Reading is strict: one reader per JSON shape (a size, a pair array, an
+index list), each index a JSON integer, not a boolean, below its declared
+size.  `schemas/modelfile.schema.json` is the one table of fields and
+types; a file it refuses is refused here with the field named, and the
+fuzz gate in `tests/test_fuzz.py` holds `decode` to it.
 """
 
 from __future__ import annotations
@@ -11,12 +17,12 @@ import hashlib
 import json
 from pathlib import Path
 
-from .boolean import FiniteBA
+from .boolean import FiniteBA, atoms_of
 from .category import DcaMorphism, DmsMorphism
 from .contact import PrecontactAlgebra, Relation
 from .dca import DCA
 from .dms import DMSpace, FiniteTopSpace
-from .errors import SchemaError
+from .errors import MereotimeError, SchemaError, ValidationError
 from .snapshot import DMST, FULL_REGION_CAP, TimeStructure, build_dmst, is_full
 
 FORMAT_VERSION = 1
@@ -57,93 +63,63 @@ def digest(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
-def _pairs(relation) -> list[list[int]]:
-    return [list(p) for p in sorted(relation)]
-
-
-def _mask_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _pairs(relation: Relation) -> list[list[int]]:
+    return [[x, y] for x, row in enumerate(relation.rows) for y in atoms_of(row)]
 
 
 def encode(obj, claims=None) -> dict:
     """Model dictionary for any supported structure."""
     if isinstance(obj, Relation):
-        payload = {
-            "kind": "adjacency",
-            "format_version": FORMAT_VERSION,
-            "point_count": obj.size,
-            "pairs": _pairs(obj.pairs),
-        }
+        kind, body = "adjacency", {"point_count": obj.size, "pairs": _pairs(obj)}
         if claims:
-            payload["claims"] = sorted(claims)
-        return payload
-    if isinstance(obj, TimeStructure):
-        return {
-            "kind": "time_structure",
-            "format_version": FORMAT_VERSION,
-            "point_count": obj.point_count,
-            "prec": _pairs(obj.prec),
-        }
-    if isinstance(obj, DCA):
-        return {
-            "kind": "dca",
-            "format_version": FORMAT_VERSION,
+            body["claims"] = sorted(claims)
+    elif isinstance(obj, TimeStructure):
+        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _pairs(obj.relation)}
+    elif isinstance(obj, DCA):
+        kind, body = "dca", {
             "atom_count": obj.base.atom_count,
-            "space_contact": _pairs(obj.space_rel.pairs),
-            "time_contact": _pairs(obj.time_rel.pairs),
-            "precedence": _pairs(obj.prec_rel.pairs),
+            "space_contact": _pairs(obj.space_rel),
+            "time_contact": _pairs(obj.time_rel),
+            "precedence": _pairs(obj.prec_rel),
         }
-    if isinstance(obj, DMST):
-        payload = {
-            "kind": "dmst",
-            "format_version": FORMAT_VERSION,
-            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time.prec)},
+    elif isinstance(obj, DMST):
+        kind, body = "dmst", {
+            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time.relation)},
             "coordinates": [
-                {"atom_count": c.base.atom_count, "contact": _pairs(c.relation.pairs)}
-                for c in obj.coordinates
+                {"atom_count": c.base.atom_count, "contact": _pairs(c.relation)} for c in obj.coordinates
             ],
         }
         if is_full(obj):
-            payload["mode"] = "full"
+            body["mode"] = "full"
         else:
-            payload["mode"] = "custom"
-            payload["regions"] = [[_mask_list(x) for x in region] for region in obj.regions]
-        return payload
-    if isinstance(obj, DMSpace):
-        return {
-            "kind": "dms",
-            "format_version": FORMAT_VERSION,
+            body["mode"] = "custom"
+            body["regions"] = [[list(atoms_of(x)) for x in region] for region in obj.regions]
+    elif isinstance(obj, DMSpace):
+        kind, body = "dms", {
             "point_count": obj.space.point_count,
-            "closed_base": [_mask_list(b) for b in obj.space.closed_base],
-            "space_points": _mask_list(obj.space_points),
-            "time_points": _mask_list(obj.time_points),
-            "prec": _pairs(obj.prec.pairs),
-            "regions": [_mask_list(a) for a in obj.regions],
+            "closed_base": [list(atoms_of(b)) for b in obj.space.closed_base],
+            "space_points": list(atoms_of(obj.space_points)),
+            "time_points": list(atoms_of(obj.time_points)),
+            "prec": _pairs(obj.prec),
+            "regions": [list(atoms_of(a)) for a in obj.regions],
         }
-    if isinstance(obj, DcaMorphism):
-        return {
-            "kind": "morphism",
-            "format_version": FORMAT_VERSION,
+    elif isinstance(obj, DcaMorphism):
+        kind, body = "morphism", {
             "morphism_kind": "dca",
             "dom": encode(obj.dom),
             "cod": encode(obj.cod),
-            "map": [_mask_list(obj(a)) for a in obj.dom.base.elements()],
+            "map": [list(atoms_of(obj(a))) for a in obj.dom.base.elements()],
         }
-    if isinstance(obj, DmsMorphism):
-        return {
-            "kind": "morphism",
-            "format_version": FORMAT_VERSION,
+    elif isinstance(obj, DmsMorphism):
+        kind, body = "morphism", {
             "morphism_kind": "dms",
             "dom": encode(obj.dom),
             "cod": encode(obj.cod),
             "map": list(obj.point_map),
         }
-    raise SchemaError(f"cannot encode {type(obj).__name__}")
+    else:
+        raise SchemaError(f"cannot encode {type(obj).__name__}")
+    return {"kind": kind, "format_version": FORMAT_VERSION, **body}
 
 
 def _require(payload: dict, key: str):
@@ -173,23 +149,39 @@ def _size(payload: dict, key: str, where: str = "", bound: int = RELATION_SIZE_C
     return size
 
 
-def _int_pairs(raw, what: str) -> frozenset[tuple[int, int]]:
-    try:
-        pairs = frozenset((int(x), int(y)) for x, y in raw)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be an array of index pairs") from exc
-    return pairs
+def _index(value, what: str, size: int) -> int:
+    """`value` if it is an index below `size`: a JSON integer, not a boolean.
+
+    The readers of pair arrays and index lists apply the same test inline
+    and call this only to name the failing value.
+    """
+    if type(value) is not int or not 0 <= value < size:
+        raise SchemaError(f"field {what!r} holds {json.dumps(value)}, not an index below {size}")
+    return value
+
+
+def _relation(payload: dict, key: str, size: int, where: str = "") -> Relation:
+    """Relation on `size` points read from a pair array."""
+    what = where + key
+    rows = [0] * size
+    for pair in _field(payload, key, list, where):
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaError(f"field {what!r} holds {json.dumps(pair)}, not a pair")
+        x, y = pair
+        if type(x) is not int or type(y) is not int or not (0 <= x < size and 0 <= y < size):
+            _index(x, what, size)
+            _index(y, what, size)
+        rows[x] |= 1 << y
+    return Relation.from_rows(size, rows)
 
 
 def _mask(raw, what: str, size: int) -> int:
+    """Mask of an index list, each index below `size`."""
     out = 0
-    try:
-        for i in map(int, raw):
-            if not 0 <= i < size:
-                raise SchemaError(f"field {what!r} holds index {i}, out of range for size {size}")
-            out |= 1 << i
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be an array of indices") from exc
+    for i in _typed(raw, list, what):
+        if type(i) is not int or not 0 <= i < size:
+            _index(i, what, size)
+        out |= 1 << i
     return out
 
 
@@ -197,106 +189,90 @@ def decode(payload: dict):
     """Structure named by the payload's kind tag.
 
     Returns (kind, object, extras); extras carries optional fields such as
-    an adjacency file's claims.
+    an adjacency file's claims.  Every field is read to the types of
+    `schemas/modelfile.schema.json`, and every index is also checked
+    against its declared size, so the constructors below fail only where
+    they decide something about the structure.
     """
     if not isinstance(payload, dict):
         raise SchemaError("model file must hold a JSON object")
     kind = _require(payload, "kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    version = _require(payload, "format_version")
+    version = _field(payload, "format_version", int)
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}")
     extras: dict = {}
 
     if kind == "adjacency":
         size = _size(payload, "point_count")
-        pairs = _int_pairs(_require(payload, "pairs"), "pairs")
+        relation = _relation(payload, "pairs", size)
         claims = _typed(payload.get("claims", ["precontact"]), list, "claims")
         if not all(isinstance(claim, str) for claim in claims):
             raise SchemaError("field 'claims' must be an array of strings")
         extras["claims"] = claims
-        return kind, _checked(Relation, size, pairs), extras
+        return kind, relation, extras
     if kind == "time_structure":
         size = _size(payload, "point_count")
-        prec = _int_pairs(_require(payload, "prec"), "prec")
-        return kind, _checked(TimeStructure, size, prec), extras
+        return kind, TimeStructure(size, _relation(payload, "prec", size).pairs), extras
     if kind == "dca":
         n = _size(payload, "atom_count")
-        try:
-            keys = ("space_contact", "time_contact", "precedence")
-            pairs = [_int_pairs(_require(payload, key), key) for key in keys]
-            obj = DCA(FiniteBA(n), *(Relation(n, p) for p in pairs))
-        except Exception as exc:
-            raise SchemaError(f"bad dca payload: {exc}") from exc
-        return kind, obj, extras
+        relations = [_relation(payload, key, n) for key in ("space_contact", "time_contact", "precedence")]
+        return kind, DCA(FiniteBA(n), *relations), extras
     if kind == "dmst":
         time_raw = _field(payload, "time", dict)
-        ts = _checked(
-            TimeStructure,
-            _size(time_raw, "point_count", "time."),
-            _int_pairs(_require(time_raw, "prec"), "time.prec"),
-        )
+        moments = _size(time_raw, "point_count", "time.")
+        ts = TimeStructure(moments, _relation(time_raw, "prec", moments, "time.").pairs)
         coordinates = []
         for i, coord in enumerate(_field(payload, "coordinates", list)):
-            n = _size(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", f"coordinates[{i}].")
-            pairs = _int_pairs(_require(coord, "contact"), "contact")
-            coordinates.append(
-                PrecontactAlgebra(FiniteBA(n), _checked(Relation, n, pairs))
-            )
+            where = f"coordinates[{i}]."
+            n = _size(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", where)
+            coordinates.append(PrecontactAlgebra(FiniteBA(n), _relation(coord, "contact", n, where)))
         mode = payload.get("mode", "full")
         regions = None
-        if mode != "full":
+        if mode != "full" or "regions" in payload:
             listed = _field(payload, "regions", list)
             if len(listed) > FULL_REGION_CAP:
                 raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {FULL_REGION_CAP}")
             widest = max((c.base.atom_count for c in coordinates), default=0)
             regions = [
-                tuple(_mask(x, "region coordinate", widest) for x in _typed(region, list, f"regions[{i}]"))
+                tuple(_mask(x, f"regions[{i}]", widest) for x in _typed(region, list, f"regions[{i}]"))
                 for i, region in enumerate(listed)
             ]
         try:
             model = build_dmst(ts, coordinates, mode=mode, regions=regions)
-        except Exception as exc:
+        except MereotimeError as exc:
             raise SchemaError(f"bad dmst payload: {exc}") from exc
         return kind, model, extras
     if kind == "dms":
         count = _size(payload, "point_count", bound=SPACE_POINT_CAP)
         base = tuple(sorted(_mask(b, "closed_base", count) for b in _field(payload, "closed_base", list)))
         regions = tuple(sorted(_mask(a, "regions", count) for a in _field(payload, "regions", list)))
-        try:
-            space = DMSpace(
-                FiniteTopSpace(count, base),
-                _mask(_require(payload, "space_points"), "space_points", count),
-                _mask(_require(payload, "time_points"), "time_points", count),
-                Relation(count, _int_pairs(_require(payload, "prec"), "prec")),
-                regions,
-            )
-        except Exception as exc:
-            raise SchemaError(f"bad dms payload: {exc}") from exc
+        space = DMSpace(
+            FiniteTopSpace(count, base),
+            _mask(_require(payload, "space_points"), "space_points", count),
+            _mask(_require(payload, "time_points"), "time_points", count),
+            _relation(payload, "prec", count),
+            regions,
+        )
         return kind, space, extras
-    if kind == "morphism":
-        morphism_kind = _require(payload, "morphism_kind")
-        _, dom, _ = decode(_require(payload, "dom"))
-        _, cod, _ = decode(_require(payload, "cod"))
-        raw_map = _require(payload, "map")
-        try:
-            if morphism_kind == "dca":
-                table = tuple(_mask(entry, "map entry", cod.base.atom_count) for entry in raw_map)
-                return kind, DcaMorphism.from_table(dom, cod, table), extras
-            if morphism_kind == "dms":
-                return kind, DmsMorphism(dom, cod, tuple(int(x) for x in raw_map)), extras
-        except Exception as exc:
-            raise SchemaError(f"bad morphism payload: {exc}") from exc
+    # kind == "morphism"
+    morphism_kind = _require(payload, "morphism_kind")
+    if morphism_kind not in ("dca", "dms"):
         raise SchemaError(f"unknown morphism_kind {morphism_kind!r}")
-    raise SchemaError(f"unhandled kind {kind!r}")  # pragma: no cover
-
-
-def _checked(cls, size, pairs):
+    ends = [decode(_require(payload, key)) for key in ("dom", "cod")]
+    if any(end[0] != morphism_kind for end in ends):
+        raise SchemaError(f"a {morphism_kind} morphism needs {morphism_kind} files as dom and cod")
+    (_, dom, _), (_, cod, _) = ends
+    raw_map = _field(payload, "map", list)
     try:
-        return cls(size, pairs)
-    except Exception as exc:
-        raise SchemaError(f"bad {cls.__name__.lower()} payload: {exc}") from exc
+        if morphism_kind == "dca":
+            table = tuple(_mask(entry, "map", cod.base.atom_count) for entry in raw_map)
+            return kind, DcaMorphism.from_table(dom, cod, table), extras
+        point_map = tuple(_index(x, "map", cod.space.point_count) for x in raw_map)
+        return kind, DmsMorphism(dom, cod, point_map), extras
+    except ValidationError as exc:
+        raise SchemaError(f"bad morphism payload: {exc}") from exc
 
 
 def load_path(path) -> tuple[str, object, dict, dict]:
@@ -308,6 +284,9 @@ def load_path(path) -> tuple[str, object, dict, dict]:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:
+        # json.loads refuses integer literals past sys.get_int_max_str_digits().
+        raise SchemaError(f"{path}: holds an integer too long to read") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: nested too deeply to read") from exc
     return kind, obj, extras, payload

@@ -64,11 +64,14 @@ FREE_VARIABLE_AXIOMS = frozenset({UP_DIR, DOWN_DIR, CIRC, DENS})
 # the regions, write the model file, `mereotime check` it; median of three,
 # Python 3.11 on a Xeon core:
 #     regions    list    write    check    file KB
-#       1,024   0.001    0.009    0.017         29
-#       4,096   0.006    0.036    0.075        140
-#      16,384   0.020    0.131    0.265        656
-#      65,536   0.089    0.654    1.386      3,008
-FULL_REGION_CAP = 1 << 16
+#       1,024   0.001    0.008    0.016         29
+#       4,096   0.005    0.032    0.067        140
+#      16,384   0.021    0.154    0.278        656
+#      32,768   0.041    0.321    0.546      1,408
+#      65,536   0.055    0.491    1.340      3,008
+# (The last row was run with the bound at 2^16.)  The bound keeps `check`
+# of a file that lists its regions under 1 s.
+FULL_REGION_CAP = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 import mereotime
 from mereotime.boolean import FiniteBA
+from mereotime.category import DmsMorphism
 from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
@@ -95,6 +96,13 @@ def test_check_garbage_exits_two(tmp_path, capsys):
     binary.write_bytes(b'\xff\xfe{"kind": 1}')
     code, _, err = run(["check", binary], capsys)
     assert code == 2 and str(binary) in err and "not UTF-8 text at byte 0" in err, err
+
+    # json.loads refuses an integer literal past the interpreter's digit limit
+    # (4,300 digits by default) with a ValueError of its own.
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"kind": "adjacency", "format_version": 1, "point_count": ' + "9" * 5000 + ', "pairs": []}')
+    code, _, err = run(["check", long_int], capsys)
+    assert code == 2 and str(long_int) in err and "integer too long" in err, err
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):
@@ -322,21 +330,35 @@ def test_model_round_trip_byte_identical(tmp_path):
 
 
 def test_schema_rejections(tmp_path, capsys):
+    def adjacency(**fields):
+        return {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [], **fields}
+
+    point = dual_space(from_contact_algebra(ONE_ATOM)).space
+    morphism = encode(DmsMorphism.identity(point))
+    # Each case with a text the error must name.  A JSON index is an
+    # integer: strings, floats and booleans are refused, not converted.
     cases = [
-        {"kind": "nonsense", "format_version": 1},
-        {"kind": "dca", "format_version": 99},
-        {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [[0, 5]]},
-        {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": "zap"},
-        {"kind": "dms", "format_version": 1, "point_count": 2, "closed_base": [[0], [1]], "space_points": [0, 1],
-         "time_points": [0, 1], "prec": [[0, 0], [1, 5]], "regions": [[], [0], [1], [0, 1]]},
-        [1, 2, 3],
+        ({"kind": "nonsense", "format_version": 1}, "'nonsense'"),
+        ({"kind": "dca", "format_version": 99}, "format_version 99"),
+        (adjacency(pairs=[[0, 5]]), "'pairs'"),
+        (adjacency(pairs="zap"), "'pairs'"),
+        ({"kind": "dms", "format_version": 1, "point_count": 2, "closed_base": [[0], [1]], "space_points": [0, 1],
+          "time_points": [0, 1], "prec": [[0, 0], [1, 5]], "regions": [[], [0], [1], [0, 1]]}, "'prec'"),
+        ([1, 2, 3], "JSON object"),
+        (adjacency(format_version=True), "'format_version'"),
+        (adjacency(pairs=[["0", 1]]), "'pairs'"),
+        (adjacency(pairs=[[0, 1.7]]), "'pairs'"),
+        (adjacency(pairs=[[True, 1]]), "'pairs'"),
+        (adjacency(pairs=[[0, 1, 1]]), "'pairs'"),
+        ({**encode(point), "space_points": [True]}, "'space_points'"),
+        ({**morphism, "map": ["0"]}, "'map'"),
     ]
-    for i, payload in enumerate(cases):
+    for i, (payload, named) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(payload))
         code, _, err = run(["check", path], capsys)
         assert code == 2, payload
-        assert "error" in err
+        assert err.startswith("error:") and named in err, err
 
 
 def test_mistyped_fields_exit_two_naming_the_field(tmp_path, capsys):

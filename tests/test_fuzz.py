@@ -6,7 +6,10 @@ entry is dropped, a value is retyped, an integer becomes 0, -1 or 2^40 (a
 size out of range), an array gains a huge index, or a value is replaced by
 deeply nested brackets.  Each mutated file goes through every file command
 of `cli.main`; nothing may escape `main`, and each call must finish in
-under 2 s.
+under 2 s.  Where `schemas/modelfile.schema.json` rejects the mutated
+payload, every command must exit 2: `models.decode` reads no file that the
+schema refuses.  Deep nesting must exit 2 without asking the schema, whose
+validator may itself recurse past the limit.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from mereotime.boolean import FiniteBA
 from mereotime.category import DcaMorphism, DmsMorphism
@@ -49,6 +54,9 @@ def _valid_payloads() -> dict[str, dict]:
 
 
 VALID = _valid_payloads()
+SCHEMA = Draft202012Validator(
+    json.loads((Path(__file__).parents[1] / "schemas" / "modelfile.schema.json").read_text(encoding="utf-8"))
+)
 NESTED = "@@nested@@"
 RETYPED = ("x", 1.5, True, None, {}, [], 7, [[0, 1]])
 HUGE = 2**40
@@ -98,6 +106,11 @@ def mutations(draw):
     return name, path, op, draw(arg)
 
 
+def test_valid_payloads_satisfy_the_schema():
+    for name, payload in VALID.items():
+        assert SCHEMA.is_valid(payload), name
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -114,11 +127,18 @@ def workdir(tmp_path_factory):
 # Found by this test: nesting past the recursion limit escaped `main` as a
 # RecursionError from the JSON parser.
 @example(mutation=("adjacency", ("kind",), "nest", 5000))
+# The schema refuses these three, which int() and == would read as 1, as
+# the index pair (0, 1) and as point 1.
+@example(mutation=("adjacency", ("format_version",), "retype", True))
+@example(mutation=("adjacency", ("pairs", 0), "retype", ["0", 1.7]))
+@example(mutation=("dms", ("space_points",), "retype", [True]))
 def test_mutated_files_keep_the_exit_code_contract(workdir, mutation):
     name, path, op, arg = mutation
     model = workdir / "mutated.json"
-    model.write_text(_mutated_text(VALID[name], path, op, arg), encoding="utf-8")
-    for command, _, _, writes in FILE_COMMANDS:
+    text = _mutated_text(VALID[name], path, op, arg)
+    model.write_text(text, encoding="utf-8")
+    refused = op == "nest" or not SCHEMA.is_valid(json.loads(text))
+    for command, _, _, _, writes in FILE_COMMANDS:
         argv = [command, str(model), *(["--out", str(workdir / "out")] if writes else [])]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -126,5 +146,35 @@ def test_mutated_files_keep_the_exit_code_contract(workdir, mutation):
             code = main(argv)
         elapsed = time.perf_counter() - start
         assert code in (0, 1, 2), (command, code)
+        assert code == 2 or not refused, (command, code, out.getvalue())
         assert "Traceback" not in err.getvalue(), (command, err.getvalue())
         assert elapsed < 2, (command, elapsed)
+
+
+# A file of a kind the command does not read: exit 2 with this message, no
+# report and nothing written to --out.  `check` reads every kind.
+REFUSALS = {
+    "points": "points expects a dca file",
+    "represent": "represent expects a dca file",
+    "dualize": "dualize expects a dca or dms file",
+    "roundtrip": "roundtrip expects a dca or dms file",
+    "correspondence": "correspondence expects a dmst or dca file",
+}
+
+
+def test_commands_refuse_the_kinds_they_do_not_read(tmp_path):
+    refused = set()
+    for name, payload in VALID.items():
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        for command, _, kinds, _, writes in FILE_COMMANDS:
+            if payload["kind"] in kinds:
+                continue
+            target = tmp_path / f"out-{command}"
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(model), *(["--out", str(target)] if writes else [])])
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {REFUSALS[command]}\n"), name
+            assert not target.exists(), (command, name)
+            refused.add(command)
+    assert refused == set(REFUSALS)
