@@ -5,19 +5,22 @@ its restriction to atoms (Jonsson-Tarski 1951), so precontact algebras are
 stored in atom normal form: one successor mask per atom (`Relation.rows`).
 Composition, converse and inclusion are word operations on those rows; the
 ordered pairs are derived only for files and tests.  On that form C1-C3''
-hold by construction and every other axiom is decided as one inclusion
-between atom relations (`inclusion_check`), including the compositional
-axioms of a pair of precontacts.  A raw element-level relation satisfies
-C1-C3'' iff it equals the relation its atom pairs span, so it is accepted
-by that one comparison and otherwise rejected with the smallest element
-pair on which the two differ.  Clans and clusters are the grills of the
-cliques of the atom relation.  The exhaustive element-level evaluators that
-certify these decisions live with the tests (`tests/conftest.py`).
+hold by construction, and C4, C5 and CE are decided together in one pass
+over the rows (`check_axioms`): at atom x, one walk over x's successors
+collects those whose rows miss x (C4: R <= R^T) and the join of their rows
+(CE: R.R <= R), and the diagonal bit decides C5 (Id <= R).  The compositional axioms of a pair of precontacts, and the
+interaction axioms of a dynamic algebra, are each one inclusion between
+atom relations of equal size (`inclusion_check`).  A raw element-level
+relation satisfies C1-C3'' iff it equals the relation its atom pairs span,
+so it is accepted by that one comparison and otherwise rejected with the
+smallest element pair on which the two differ.  Clans and clusters are the
+grills of the cliques of the atom relation.  The exhaustive element-level
+evaluators that certify these decisions live with the tests
+(`tests/conftest.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -33,8 +36,9 @@ class Relation:
     """Binary relation on points 0..size-1: rows[x] is the mask of x's successors.
 
     `Relation(size, pairs)` and `Relation.of` build the rows from ordered
-    pairs, `from_rows` takes them as given; `pairs` is derived on demand,
-    for files and tests.  Equal pairs give equal, and hash-equal, relations.
+    pairs, `from_rows` takes them as given; `pairs` is derived afresh on
+    each read, for files and tests, so a relation kept as a cache key holds
+    only its rows.  Equal pairs give equal, and hash-equal, relations.
     """
 
     def __init__(self, size: int, pairs):
@@ -82,7 +86,7 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation(size={self.size}, pairs={sorted(self.pairs)})"
 
-    @cached_property
+    @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x, row in enumerate(self.rows) for y in atoms_of(row))
 
@@ -124,6 +128,7 @@ class Relation:
         return Relation.from_rows(self.size, map(other.forward_image, self.rows))
 
     def subset_of(self, other: "Relation") -> bool:
+        _require_same_size(self, other)
         return _first_missing(self.rows, other.rows) is None
 
     def forward_image(self, a: int) -> int:
@@ -139,9 +144,15 @@ class Relation:
         return meeting(self.rows, a)
 
 
+def _require_same_size(left: Relation, right: Relation) -> None:
+    if left.size != right.size:
+        raise DimensionMismatch(f"compared relations have sizes {left.size} and {right.size}")
+
+
 def _first_missing(left_rows, right_rows):
-    """The smallest pair in `left_rows` but not `right_rows`, as singleton masks."""
-    for x, (left, right) in enumerate(itertools.zip_longest(left_rows, right_rows, fillvalue=0)):
+    """The smallest pair in `left_rows` but not `right_rows`, as singleton
+    masks; the two hold the same number of rows."""
+    for x, (left, right) in enumerate(zip(left_rows, right_rows)):
         missing = left & ~right
         if missing:
             return 1 << x, missing & -missing
@@ -237,18 +248,14 @@ def contact_from_adjacency(space: Relation) -> PrecontactAlgebra:
 
 
 def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
-    """Check left <= right on atom relations.
+    """Check left <= right on atom relations of the same size.
 
     The witness is the smallest atom pair of `left` missing from `right`,
-    as singleton masks.  On atom-generated relations this decides C4
-    (R <= R^T), C5 (Id <= R), CE (R.R <= R), the compositional axioms and
-    the DCA interaction axioms.
+    as singleton masks.  On atom-generated relations this decides the
+    compositional axioms and the DCA interaction axioms.
     """
-    return _row_inclusion(name, left.rows, right.rows)
-
-
-def _row_inclusion(name: str, left_rows, right_rows) -> Check:
-    witness = _first_missing(left_rows, right_rows)
+    _require_same_size(left, right)
+    witness = _first_missing(left.rows, right.rows)
     return Check(name, witness is None, witness)
 
 
@@ -260,23 +267,43 @@ _BY_CONSTRUCTION = tuple(Check(name, True) for name in PRECONTACT_AXIOMS)
 def check_axioms(algebra: PrecontactAlgebra) -> Report:
     """Axiom report for C1, C2, C3', C3'', C4, C5, C5' and CE.
 
-    The relation is in atom normal form, so C1-C3'' hold by construction
-    and the rest are decided as inclusions of atom relations, row by row:
-    C4 as R <= R^T, C5 as Id <= R and CE as R.R <= R.
+    The relation is in atom normal form, so C1-C3'' hold by construction.
+    C4 (R <= R^T), C5 (Id <= R) and CE (R.R <= R) are decided in one pass
+    over the rows: at atom x, one walk over x's successors y collects the
+    y whose row misses x and the join of their rows, x's image under R.R.
+    Each witness is the first failing atom pair in row-major order, as
+    singleton masks (C5' takes the atom alone).
     """
-    r = algebra.relation
-    c5 = _row_inclusion("C5", (1 << x for x in range(r.size)), r.rows)
-    report = Report(subject="precontact axioms")
-    report.extend(
+    rows = algebra.relation.rows
+    c4 = c5 = ce = None
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        image = asymmetric = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            successors = rows[low.bit_length() - 1]
+            image |= successors
+            if not successors & bit:
+                asymmetric |= low
+            rest ^= low
+        if asymmetric and c4 is None:
+            c4 = (bit, asymmetric & -asymmetric)
+        if not row & bit and c5 is None:
+            c5 = (bit, bit)
+        image &= ~row
+        if image and ce is None:
+            ce = (bit, image & -image)
+    return Report(
+        "precontact axioms",
         [
             *_BY_CONSTRUCTION,
-            _row_inclusion("C4", r.rows, r.columns),
-            c5,
-            Check("C5'", c5.holds, c5.witness and c5.witness[:1]),
-            _row_inclusion("CE", map(r.forward_image, r.rows), r.rows),
-        ]
+            Check("C4", c4 is None, c4),
+            Check("C5", c5 is None, c5),
+            Check("C5'", c5 is None, c5 and c5[:1]),
+            Check("CE", ce is None, ce),
+        ],
     )
-    return report
 
 
 def canonical_relation(algebra: PrecontactAlgebra) -> Relation:

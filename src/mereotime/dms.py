@@ -24,10 +24,13 @@ The regular closed sets form a Boolean algebra (RC: join is union, meet
 cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
 subalgebra of it.  Both are finite, so each is the powerset of its atoms:
 one kernel (`_atom_algebra`) finds the atoms and stores time contact, space
-contact and precedence on atom pairs.  S2 is decided on those atoms, and
-the space axioms, the lifting conditions, the extent isomorphism and the
-density map on atoms too; the element-level evaluations are the test
-oracle (`tests/conftest.py`).
+contact and precedence on atom pairs.  When the regions are all of RC, as
+in every canonical dual space, RC's algebra is the dual algebra itself
+(`rc_dca`), so a representation builds and decides one algebra, not two
+equal ones.  S2 is decided on those atoms, and the space axioms, the
+lifting conditions, the extent isomorphism and the density map on atoms
+too; the element-level evaluations are the test oracle
+(`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -412,17 +415,22 @@ class Classification:
 
 @lru_cache(maxsize=None)
 def classify(space: DMSpace) -> Classification:
-    """T0 via injectivity of point traces, DM-compactness via their surjectivity."""
+    """T0 via injectivity of point traces, DM-compactness via their surjectivity.
+
+    Points are grouped by their trace support, so the duplicate pairs, in
+    lexicographic order, cost time linear in the points and the pairs.
+    """
     algebra = dual(space)
     d = algebra.dca
     d.require_valid()
-    traces = {x: algebra.trace_support(x) for x in space.points()}
+    traces = [algebra.trace_support(x) for x in space.points()]
+    by_trace: dict[int, list[int]] = {}
+    for x, support in enumerate(traces):
+        by_trace.setdefault(support, []).append(x)
     duplicates = tuple(
-        (x, y)
-        for x, y in itertools.combinations(space.points(), 2)
-        if traces[x] == traces[y]
+        sorted(pair for group in by_trace.values() for pair in itertools.combinations(group, 2))
     )
-    realized_t = {traces[x] for x in space.points()}
+    realized_t = set(by_trace)
     realized_s = {traces[x] for x in atoms_of(space.space_points)}
     realized_clusters = {traces[x] for x in atoms_of(space.time_points)}
     missing_t = tuple(sorted(set(d.ct_algebra.clique_supports) - realized_t))
@@ -556,8 +564,17 @@ def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
 
 @lru_cache(maxsize=None)
 def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
-    """The full regular-sets algebra of a space as a dynamic algebra."""
-    return _atom_algebra(space, space.space.regular_closed)
+    """The full regular-sets algebra of a space as a dynamic algebra.
+
+    When the regions are all of RC (the space is Dense, as every canonical
+    dual space is), this is the dual algebra itself, so the one algebra is
+    built, validated and decided once for both roles.
+    """
+    rc = space.space.regular_closed
+    if tuple(sorted(space.regions)) == rc:
+        algebra = dual(space)
+        return algebra.dca, algebra.atoms
+    return _atom_algebra(space, rc)
 
 
 def stability_check(space: DMSpace) -> Report:

@@ -15,10 +15,10 @@ import contextlib
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
-from .contact import PrecontactAlgebra, Relation, _first_missing
+from .contact import PrecontactAlgebra, Relation
 from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
 from .reporting import Check
 from .boolean import atoms_of, meeting
@@ -194,16 +194,53 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
     a failure at elements a, b is a failure at some atoms x of a and y of b.
     RS, LS and LIN are the time conditions of the atoms' precedence, and so
     are the universal readings of the four axioms with a free variable p,
-    whose first failing p is the named row of atoms.
+    whose first failing p is the named row of atoms.  REF, TR, IRR and TRI,
+    and CIRC read existentially, are decided in one loop over the atoms x,
+    each at its first failing x: REF at a time successor of x that is no
+    successor, TR at a successor of a successor of x that is no successor,
+    IRR at a successor y of x whose time row lies inside the time row of
+    every atom in time contact with x, and TRI at an atom related to x in
+    none of the three ways.
     """
     t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
     full = (1 << prec.size) - 1
     on_prec = time_condition_failures(prec)
-
-    universal = {
-        REF: _first_missing(t_rows, p_rows),
-        TR: _first_missing(map(prec.forward_image, p_rows), p_rows),
-    }
+    # Atoms with no successor, and atoms with no predecessor.
+    no_rows = full & ~meeting(p_rows, full)
+    no_cols = full & ~meeting(p_cols, full)
+    ref = tr = irr = tri = circ = None
+    for x, (t_row, p_row, p_col) in enumerate(zip(t_rows, p_rows, p_cols)):
+        bit = 1 << x
+        mask = t_row & ~p_row
+        if mask and ref is None:
+            ref = (bit, mask & -mask)
+        mask = full & ~(t_row | p_row | p_col)
+        if mask and tri is None:
+            tri = (bit, mask & -mask)
+        mask = p_row & no_rows
+        if mask and not p_col and circ is None:
+            circ = (bit, mask & -mask)
+        if tr is None or irr is None:
+            common, rest = full, t_row
+            while rest:
+                low = rest & -rest
+                common &= t_rows[low.bit_length() - 1]
+                rest ^= low
+            image = inside = 0
+            rest = p_row
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                image |= p_rows[y]
+                if not t_rows[y] & ~common:
+                    inside |= low
+                rest ^= low
+            image &= ~p_row
+            if image and tr is None:
+                tr = (bit, image & -image)
+            if inside and irr is None:
+                irr = (bit, inside & -inside)
+    universal = {REF: ref, TR: tr, IRR: irr, TRI: tri}
     for cond in (RS, LS, LIN):
         found = on_prec[cond]
         universal[cond] = found and tuple(1 << x for x in found)
@@ -213,26 +250,11 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
     ):
         found = on_prec[cond]
         universal[cond] = found and (1 << found[0], 1 << found[1], lines[found[at]])
-    irr = tri = None
-    for x, (t_row, p_row, p_col) in enumerate(zip(t_rows, p_rows, p_cols)):
-        if irr is None:
-            # IRR fails at a successor y of x whose time row lies inside the
-            # time row of every atom in time contact with x.
-            common = reduce(int.__and__, (t_rows[z] for z in atoms_of(t_row)), full)
-            mask = p_row & ~meeting(t_rows, full & ~common)
-            irr = (1 << x, mask & -mask) if mask else None
-        if tri is None:
-            mask = full & ~(t_row | p_row | p_col)
-            tri = (1 << x, mask & -mask) if mask else None
-    universal[IRR], universal[TRI] = irr, tri
     # Read existentially, a free-variable axiom fails only where both of its
     # rows are empty: never for DENS, whose scope makes x's row nonempty.
-    no_rows, no_cols = full & ~meeting(p_rows, full), full & ~meeting(p_cols, full)
-    existential = {**universal, DENS: None}
+    existential = {**universal, DENS: None, CIRC: circ}
     for cond, empty in ((UP_DIR, no_rows), (DOWN_DIR, no_cols)):
         existential[cond] = (empty & -empty,) * 2 if empty else None
-    circ = ((1 << x, p_rows[x] & no_rows) for x in atoms_of(no_cols))
-    existential[CIRC] = next(((x, ys & -ys) for x, ys in circ if ys), None)
     return universal, existential, on_prec
 
 

@@ -110,6 +110,27 @@ def test_relations_from_equal_pairs_are_equal_whatever_the_constructor():
             Relation.from_rows(2, rows)
 
 
+def test_inclusion_of_relations_of_different_sizes_is_refused():
+    """Inclusion compares rows of equal length, as composition does: a
+    shorter relation is not read as padded with empty rows."""
+    for small, large in ((Relation.empty(2), Relation.total(3)), (Relation.total(3), Relation.identity(2))):
+        with pytest.raises(DimensionMismatch, match="sizes"):
+            small.subset_of(large)
+        with pytest.raises(DimensionMismatch, match="sizes"):
+            inclusion_check("I", small, large)
+        with pytest.raises(DimensionMismatch):
+            small.compose(large)
+
+
+def test_pairs_are_derived_on_each_read():
+    """A relation holds only its size and rows; reading `pairs` leaves
+    nothing cached on it, so cache keys stay the size of their rows."""
+    r = Relation.of(3, {(0, 1), (2, 2)})
+    assert r.pairs == {(0, 1), (2, 2)}
+    assert set(vars(r)) == {"size", "rows"}
+    assert r.pairs is not r.pairs
+
+
 def test_total_adjacency_gives_contact():
     p = contact_from_adjacency(Relation.total(2))
     assert p.related(X, Y)

@@ -26,6 +26,7 @@ from mereotime.boolean import FiniteBA, atoms_of, meeting
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
+    _atom_algebra,
     DMSpace,
     FiniteTopSpace,
     canonical_filter,
@@ -373,6 +374,34 @@ def test_non_t0_space():
     assert shape.duplicate_points == ((0, 1),)
 
 
+def pairwise_duplicates(space):
+    """Duplicate points by definition: every pair x < y with equal traces."""
+    traces = [dual(space).trace_support(x) for x in space.points()]
+    n = space.space.point_count
+    return tuple((x, y) for x in range(n) for y in range(x + 1, n) if traces[x] == traces[y])
+
+
+def test_duplicate_points_match_pairwise_definition(small_dca_corpus):
+    """classify groups points by trace support; its pairs equal the pairwise
+    definition on the corpus duals (T0, no pairs) and on non-T0 spaces whose
+    points share traces in several groups."""
+    spaces = [dual_space(d).space for d in [*small_dca_corpus, *gen.trivial_dcas(3)]]
+    # Four points in two indistinguishable pairs, and five points with a
+    # group of three, interleaved so the groups' pairs must be merged.
+    spaces.append(DMSpace(FiniteTopSpace(4, (0, 5, 10, 15)), 15, 15, Relation.total(4), (0, 5, 10, 15)))
+    spaces.append(
+        DMSpace(FiniteTopSpace(5, (0, 0b01101, 0b10010, 31)), 31, 31, Relation.total(5), (0, 0b01101, 0b10010, 31))
+    )
+    seen_non_t0 = 0
+    for space in spaces:
+        shape = classify(space)
+        assert shape.duplicate_points == pairwise_duplicates(space), space
+        assert shape.is_t0 == (not shape.duplicate_points)
+        seen_non_t0 += not shape.is_t0
+    assert seen_non_t0 == 2
+    assert classify(spaces[-1]).duplicate_points == ((0, 2), (0, 3), (1, 4), (2, 3))
+
+
 def test_dm_compactness_defect_detected():
     result = chain_dual()
     space = result.space
@@ -574,6 +603,29 @@ def test_rc_of_dual_space_equals_region_family(small_dca_corpus):
     for d in small_dca_corpus:
         space = dual_space(d).space
         assert set(space.space.regular_closed) == set(space.regions)
+
+
+def test_rc_algebra_of_a_dense_space_is_its_dual_algebra(small_dca_corpus):
+    """Every canonical dual space has all of RC as its regions, so rc_dca
+    returns the dual algebra itself, equal to RC's own atom algebra; on
+    coarsened regions, which are not all of RC, it builds RC's algebra."""
+    rng = random.Random(4)
+    coarse_seen = 0
+    for d in small_dca_corpus:
+        space = dual_space(d).space
+        full, atoms = rc_dca(space)
+        assert full is dual(space).dca and atoms == dual(space).atoms
+        assert (full, atoms) == _atom_algebra(space, space.space.regular_closed)
+        for _ in range(3):
+            family = coarsened(atoms, rng)
+            if len(family) == len(space.regions):
+                continue
+            coarse = DMSpace(space.space, space.space_points, space.time_points, space.prec, family)
+            built, built_atoms = rc_dca(coarse)
+            assert built is not dual(coarse).dca
+            assert (built, built_atoms) == _atom_algebra(coarse, coarse.space.regular_closed) == (full, atoms)
+            coarse_seen += 1
+    assert coarse_seen
 
 
 def test_time_conditions_lift_between_space_and_dual(small_dca_corpus):
