@@ -8,8 +8,9 @@ general lattice representation is kept.
 Each structure on such an algebra is stored by its generator: a filter by
 its least member, an ideal by its greatest, an ultrafilter by its atom and a
 grill by its atom support.  Member sets are derived views, and a family of
-elements is recognised as a filter, ideal or grill by comparing it with the
-member set of the generator it determines.
+elements is recognised as a filter or an ideal by comparing it with the
+member set of the generator it determines; the recognisers of the other
+member sets are test oracles (`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -262,13 +263,6 @@ def separate(f: Filter, ideal: Ideal) -> Ultrafilter:
     return Ultrafilter(f.algebra, next(atoms_of(eligible)))
 
 
-def extend_to_ultrafilter(f: Filter) -> Ultrafilter:
-    """Every proper filter extends to an ultrafilter."""
-    if not f.is_proper:
-        raise PreconditionError("improper filter cannot extend", witness=0)
-    return separate(f, Ideal.principal(f.algebra, 0))
-
-
 @dataclass(frozen=True)
 class Grill:
     """Grill determined by a nonempty atom support.
@@ -294,20 +288,3 @@ class Grill:
     def contains(self, a: int) -> bool:
         return bool(self.algebra.check(a) & self.support)
 
-
-def grill_from_atoms(algebra: FiniteBA, support) -> Grill:
-    mask = support if isinstance(support, int) else mask_of(support)
-    return Grill(algebra, mask)
-
-
-def is_grill(algebra: FiniteBA, members) -> bool:
-    """A family is a grill iff it is the grill of the atoms whose singletons it holds."""
-    members = frozenset(members)
-    support = grill_support(algebra, members)
-    return support != 0 and members == Grill(algebra, support).members
-
-
-def grill_support(algebra: FiniteBA, members) -> int:
-    """Recover the support of a grill member set: the singletons it contains."""
-    members = frozenset(members)
-    return mask_of(i for i in algebra.atoms() if 1 << i in members)

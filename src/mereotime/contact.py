@@ -106,18 +106,6 @@ class Relation:
         x, y = pair
         return 0 <= x < self.size and 0 <= y < self.size and bool(self.rows[x] >> y & 1)
 
-    def is_reflexive(self) -> bool:
-        return all(row >> x & 1 for x, row in enumerate(self.rows))
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.columns
-
-    def is_transitive(self) -> bool:
-        return all(self.forward_image(row) & ~row == 0 for row in self.rows)
-
-    def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
-
     def converse(self) -> "Relation":
         return Relation.from_rows(self.size, self.columns)
 
@@ -127,10 +115,6 @@ class Relation:
             raise DimensionMismatch("composed relations have different sizes")
         return Relation.from_rows(self.size, map(other.forward_image, self.rows))
 
-    def subset_of(self, other: "Relation") -> bool:
-        _require_same_size(self, other)
-        return _first_missing(self.rows, other.rows) is None
-
     def forward_image(self, a: int) -> int:
         out, rows = 0, self.rows
         while a:
@@ -139,9 +123,13 @@ class Relation:
             a ^= low
         return out
 
-    def possibility_image(self, a: int) -> int:
-        """Points with some successor inside `a` (the modal diamond)."""
-        return meeting(self.rows, a)
+    def pullback(self, masks) -> "Relation":
+        """The relation induced on the point sets `masks`: row i holds the j
+        such that some point of masks[i] relates to some point of masks[j]."""
+        image = self.forward_image
+        out = Relation.__new__(Relation)
+        out.size, out.rows = len(masks), tuple([meeting(masks, image(m)) for m in masks])
+        return out
 
 
 def _require_same_size(left: Relation, right: Relation) -> None:
@@ -162,11 +150,6 @@ def _first_missing(left_rows, right_rows):
 # Adjacency spaces are relations read as point structures; no reflexivity
 # or symmetry is assumed.
 AdjacencySpace = Relation
-
-
-def possibility_image(relation_like, a: int) -> int:
-    rel = relation_like.relation if isinstance(relation_like, PrecontactAlgebra) else relation_like
-    return rel.possibility_image(a)
 
 
 @dataclass(frozen=True)

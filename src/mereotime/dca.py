@@ -8,7 +8,6 @@ relations; element-level relations are reconstructed on demand.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -199,39 +198,6 @@ def clan_structure(d: DCA) -> ClanStructure:
     return ClanStructure(s_clans, t_clans, _time_classes(d), gamma, reach)
 
 
-def extension_of_prec_checks(d: DCA, structure: ClanStructure | None = None) -> list[Check]:
-    """Two-way equivalence for clan precedence on every t-clan pair.
-
-    All ultrafilter pairs related, and some ultrafilter pair related, decided
-    on the atoms of the two clans.
-    """
-    structure = structure or clan_structure(d)
-    rows = d.prec_rel.rows
-    out = []
-    for left, right in itertools.product(structure.t_clans, repeat=2):
-        all_ults = all(rows[x] & right == right for x in atoms_of(left))
-        some_ults = any(rows[x] & right for x in atoms_of(left))
-        out.append(
-            Check(
-                f"prec extension {left:#x}->{right:#x}",
-                all_ults == some_ults,
-                witness=None if all_ults == some_ults else (left, right),
-            )
-        )
-    return out
-
-
-def g_maps(d: DCA, a: int, structure: ClanStructure | None = None) -> dict[str, tuple[int, ...]]:
-    """Clan extents of one element: t-clans, s-clans and clusters containing it."""
-    d.base.check(a)
-    structure = structure or clan_structure(d)
-    return {
-        "g": tuple(s for s in structure.t_clans if s & a),
-        "gs": tuple(s for s in structure.s_clans if s & a),
-        "gclust": tuple(s for s in structure.clusters if s & a),
-    }
-
-
 @dataclass(frozen=True)
 class CanonicalTime:
     structure: TimeStructure
@@ -319,8 +285,7 @@ def coordinate_algebra(d: DCA, cluster_support: int) -> FactorAlgebra:
             "coordinate algebras exist only at clusters", witness=cluster_support
         )
     kept = tuple(atoms_of(cluster_support))
-    bits = [1 << x for x in kept]
-    relation = Relation.from_rows(len(kept), (meeting(bits, d.space_rel.rows[x]) for x in kept))
+    relation = d.space_rel.pullback([1 << x for x in kept])
     return FactorAlgebra(d.cs_algebra, PrecontactAlgebra(FiniteBA(len(kept)), relation), kept)
 
 
@@ -418,15 +383,14 @@ def verify_embedding(d: DCA) -> Report:
         parts = [u[k] for u in image]
         for x, part in enumerate(parts):
             middle_cs[x] |= meeting(parts, f.algebra.relation.forward_image(part))
-    moment_prec = canonical.time.structure.relation
-    middle_b = [meeting(moments, moment_prec.forward_image(m)) for m in moments]
+    middle_b = canonical.time.structure.relation.pullback(moments).rows
     model_time, model_prec = model.atom_relations
     for name, left, middle, on_model in (
         ("Cs respected", d.space_rel.rows, middle_cs, model.space_relation),
         ("Ct respected", d.time_rel.rows, [meeting(moments, m) for m in moments], model_time),
         ("B respected", d.prec_rel.rows, middle_b, model_prec),
     ):
-        right = [meeting(masks, on_model.forward_image(m)) for m in masks]
+        right = on_model.pullback(masks).rows
         witness = first_pair([(p ^ q) | (q ^ r) for p, q, r in zip(left, middle, right)])
         report.add(name, witness is None, witness)
 

@@ -9,10 +9,9 @@ are the down-sets of the specialization preorder, that is the unions of
 point closures; the family is built that way only to enumerate the regular
 closed sets, each the closure of an open set, and is refused unlisted when
 an antichain of w point closures (2^w closed sets) puts it over the bound.
-The dual space of an algebra, and the clan space of a contact algebra, take
-the n atom extents as their closed base: the regions are the joins of the
-extents, and the joins give the same point closures, so a written dual
-space lists n base sets, not 2^n.
+The dual space of an algebra takes the n atom extents as its closed base:
+the regions are the joins of the extents, and the joins give the same
+point closures, so a written dual space lists n base sets, not 2^n.
 
 Before-after on the points is a `contact.Relation`: one successor mask per
 point.  The dual space builds its rows straight from the clan rule (clan x
@@ -40,8 +39,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .boolean import FiniteBA, Filter, additive, atoms_of, joins, mask_of, meeting
-from .contact import PrecontactAlgebra, Relation
+from .boolean import FiniteBA, additive, atoms_of, joins, mask_of, meeting
+from .contact import Relation
 from .dca import (
     DCA,
     _common_successors,
@@ -183,11 +182,6 @@ class DMSpace:
     def precedes(self, a: int, b: int) -> bool:
         return bool(self.prec.forward_image(a) & b)
 
-    def trace(self, x: int) -> frozenset[int]:
-        """The regions containing point x (the point's clan in the dual)."""
-        bit = 1 << x
-        return frozenset(a for a in self.regions if a & bit)
-
     def points(self) -> range:
         return range(self.space.point_count)
 
@@ -195,8 +189,7 @@ class DMSpace:
     def time_structure(self) -> TimeStructure:
         """Before-after restricted to the time points, numbered in ascending order."""
         times = [1 << x for x in atoms_of(self.time_points)]
-        rows = [meeting(times, self.prec.rows[t.bit_length() - 1]) for t in times]
-        return TimeStructure(len(rows), Relation.from_rows(len(rows), rows).pairs)
+        return TimeStructure(len(times), self.prec.pullback(times).pairs)
 
 
 @dataclass(frozen=True)
@@ -261,23 +254,15 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
     # Row i of each relation: the atoms that atom i's point set, its space
     # points, or its successors meet.
     k = len(atoms)
-    space_rows = [meeting(atoms, u & space.space_points) for u in atoms]
-    time_rows = [meeting(atoms, u) for u in atoms]
-    prec_rows = [meeting(atoms, space.prec.forward_image(u)) for u in atoms]
-    relations = (Relation.from_rows(k, rows) for rows in (space_rows, time_rows, prec_rows))
-    return DCA(FiniteBA(k), *relations), tuple(atoms)
+    space_rel = Relation.from_rows(k, [meeting(atoms, u & space.space_points) for u in atoms])
+    time_rel = Relation.from_rows(k, [meeting(atoms, u) for u in atoms])
+    return DCA(FiniteBA(k), space_rel, time_rel, space.prec.pullback(atoms)), tuple(atoms)
 
 
 @lru_cache(maxsize=None)
 def dual(space: DMSpace) -> DmsDual:
     """Dual dynamic algebra over the distinguished region family."""
     return DmsDual(space, *_atom_algebra(space, space.regions))
-
-
-def rho(space: DMSpace, x: int) -> frozenset[int]:
-    if not 0 <= x < space.space.point_count:
-        raise ValidationError(f"point {x} out of range")
-    return space.trace(x)
 
 
 @lru_cache(maxsize=None)
@@ -446,77 +431,6 @@ def classify(space: DMSpace) -> Classification:
     )
 
 
-def canonical_filter(space: DMSpace, region: int) -> Filter:
-    """Filter of distinguished regions containing a regular closed set."""
-    if not space.space.is_regular_closed(region):
-        raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
-    algebra = dual(space)
-    members = frozenset(algebra.mask_of(a) for a in space.regions if region & ~a == 0)
-    return Filter.from_members(algebra.dca.base, members)
-
-
-def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report:
-    """Canonical-filter equivalences for one pair of regular closed sets.
-
-    The filter-level clauses need DM-compactness; without it only the
-    unconditional items are decided.
-    """
-    report = Report(subject="canonical filter characterizations")
-    spc = space.space
-    for label, region in (("A", a_set), ("B", b_set)):
-        if not spc.is_regular_closed(region):
-            raise PreconditionError(f"{label} must be regular closed", witness=region)
-
-    fa = {a for a in space.regions if a_set & ~a == 0}
-    fb = {b for b in space.regions if b_set & ~b == 0}
-    canonical_filter(space, a_set)  # validates filterhood
-    canonical_filter(space, b_set)
-    report.add("F_A is a filter", True)
-
-    witness = next(
-        (
-            (x,)
-            for x in space.points()
-            if (bool(a_set & (1 << x))) != all(a & (1 << x) for a in fa)
-        ),
-        None,
-    )
-    report.add("x in A iff F_A within trace(x)", witness is None, witness)
-
-    proper = a_set != spc.universe
-    bounded = any(a != spc.universe and a_set & ~a == 0 for a in space.regions)
-    report.add("A proper iff bounded by a proper region", proper == bounded)
-
-    compact = classify(space)
-    if not compact.is_dm_compact:
-        raise CapabilityError(
-            "filter-level characterizations need DM-compactness", missing="DM-compact"
-        )
-
-    rel_t = lambda x, y: bool(x & y)
-    rel_s = lambda x, y: bool(x & y & space.space_points)
-    rel_b = space.precedes
-
-    def filter_related(rel):
-        return all(rel(a, b) for a in fa for b in fb)
-
-    t_pointwise = rel_t(a_set, b_set)
-    t_filters = filter_related(rel_t)
-    t_time = bool(a_set & b_set & space.time_points)
-    report.add("time contact: pointwise <=> filters <=> time points", t_pointwise == t_filters == t_time)
-
-    s_pointwise = rel_s(a_set, b_set)
-    s_filters = filter_related(rel_s)
-    report.add("space contact: pointwise <=> filters", s_pointwise == s_filters)
-
-    b_pointwise = rel_b(a_set, b_set)
-    b_filters = filter_related(rel_b)
-    times = space.time_points
-    b_time = bool(space.prec.forward_image(a_set & times) & b_set & times)
-    report.add("precedence: pointwise <=> filters <=> time points", b_pointwise == b_filters == b_time)
-    return report
-
-
 def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
     """Density, co-density and separation of a Boolean subalgebra of RC.
 
@@ -562,6 +476,14 @@ def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
     return out
 
 
+def _require_dm_compact(space: DMSpace, what: str) -> Classification:
+    """The space's classification, or a refusal naming `what` needs DM-compactness."""
+    shape = classify(space)
+    if not shape.is_dm_compact:
+        raise CapabilityError(f"{what} needs DM-compactness", missing="DM-compact")
+    return shape
+
+
 @lru_cache(maxsize=None)
 def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     """The full regular-sets algebra of a space as a dynamic algebra.
@@ -584,9 +506,7 @@ def stability_check(space: DMSpace) -> Report:
     and the axiom-by-axiom lifting equivalence between the two.  The regions
     must form a subalgebra of RC (S2).
     """
-    compact = classify(space)
-    if not compact.is_dm_compact:
-        raise CapabilityError("stability analysis needs DM-compactness", missing="DM-compact")
+    _require_dm_compact(space, "stability analysis")
     validate_dms(space).require("S2")
     report = Report(subject="stable subalgebra")
     report.extend(lifting_conditions(space, space.regions))
@@ -663,18 +583,6 @@ def _extents(points, atom_count: int) -> tuple[int, ...]:
     return tuple(meeting(points, 1 << x) for x in range(atom_count))
 
 
-def contact_clan_space(algebra: PrecontactAlgebra):
-    """Clan space of a static contact algebra with its element extents.
-
-    Returns the topological space whose points are the clans, plus the map
-    sending an element to the mask of clans containing it.
-    """
-    supports = algebra.clique_supports
-    extents = _extents(supports, algebra.base.atom_count)
-    space = FiniteTopSpace(len(supports), tuple(sorted(extents)))
-    return space, supports, additive(extents)
-
-
 def verify_representation_topo(d: DCA) -> Report:
     """Topological representation of a dynamic algebra through its dual space."""
     d.require_valid()
@@ -715,10 +623,10 @@ def verify_representation_topo(d: DCA) -> Report:
             hit |= m
         if witness is None and hit != algebra.dca.base.one:
             witness = (d.base.one,)
-        # Row x of each relation: the atoms y whose images the image of x
-        # relates to.
+        # Each dual relation, pulled back to the atoms' images, is the
+        # algebra's own.
         relations_ok = all(
-            left.rows == tuple(meeting(image, right.forward_image(m)) for m in image)
+            left == right.pullback(image)
             for left, right in (
                 (d.space_rel, algebra.dca.space_rel),
                 (d.time_rel, algebra.dca.time_rel),
@@ -749,9 +657,7 @@ def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
     """One time condition on the time structure versus its axiom in RC."""
     if cond is TimeCondition.IRR:
         raise PreconditionError("irreflexivity has no definability row")
-    compact = classify(space)
-    if not compact.is_dm_compact:
-        raise CapabilityError("topological definability needs DM-compactness", missing="DM-compact")
+    compact = _require_dm_compact(space, "topological definability")
     warning = None
     if cond is TimeCondition.TRI and not compact.is_t0:
         warning = "trichotomy transfer is only guaranteed on T0 spaces"
@@ -767,9 +673,7 @@ def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
 
 def density_check(space: DMSpace) -> Report:
     """Space points are dense, and closure maps RC of the subspace isomorphically."""
-    compact = classify(space)
-    if not compact.is_dm_compact:
-        raise CapabilityError("density analysis needs DM-compactness", missing="DM-compact")
+    _require_dm_compact(space, "density analysis")
     report = Report(subject="space-point density")
     spc = space.space
     report.add(

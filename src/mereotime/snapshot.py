@@ -258,11 +258,6 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
     return universal, existential, on_prec
 
 
-def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
-    """Truth of a free-variable axiom under the universal and existential readings."""
-    return time_axiom_holds(source, cond), time_axiom_holds(source, cond, existential_p=True)
-
-
 Region = tuple[int, ...]
 
 
@@ -362,10 +357,9 @@ class DMST:
         precedes the other iff one of its moments is before one of the
         other's.
         """
-        moments, forward = self._cell_moments, self.time.relation.forward_image
+        moments = self._cell_moments
         time = [meeting(moments, here) for here in moments]
-        prec = [meeting(moments, forward(here)) for here in moments]
-        return Relation.from_rows(len(moments), time), Relation.from_rows(len(moments), prec)
+        return Relation.from_rows(len(moments), time), self.time.relation.pullback(moments)
 
     @cached_property
     def space_relation(self) -> Relation:
@@ -399,13 +393,6 @@ class Regions:
 
     def __eq__(self, other):
         return tuple(self) == tuple(other) if isinstance(other, (Regions, tuple)) else NotImplemented
-
-
-def region_algebra_atoms(model: DMST) -> list[Region]:
-    """Atoms of the region Boolean algebra, its cells, in sorted order: a
-    full model's are one coordinate atom at one moment, moments descending
-    and atoms ascending."""
-    return [_unpack(model.layout, cell) for cell in model.cells]
 
 
 def _layout(coordinates) -> list[tuple[int, int]]:

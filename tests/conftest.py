@@ -19,7 +19,19 @@ from functools import cached_property, lru_cache
 
 import pytest
 
-from mereotime.boolean import FiniteBA, atoms_of, mask_of, meeting, submasks
+from mereotime.boolean import (
+    FiniteBA,
+    Filter,
+    Grill,
+    Ideal,
+    Ultrafilter,
+    additive,
+    atoms_of,
+    mask_of,
+    meeting,
+    separate,
+    submasks,
+)
 from mereotime.contact import (
     CONTACT_AXIOMS,
     PRECONTACT_AXIOMS,
@@ -29,9 +41,9 @@ from mereotime.contact import (
     _first_missing,
 )
 from mereotime.category import DmsMorphism
-from mereotime.dca import canonical_standard_dca, standard_dca, validate_dca
-from mereotime.dms import DMSpace, FiniteTopSpace, dual, dual_space
-from mereotime.errors import ValidationError
+from mereotime.dca import ClanStructure, canonical_standard_dca, clan_structure, standard_dca, validate_dca
+from mereotime.dms import DMSpace, FiniteTopSpace, _extents, classify, dual, dual_space
+from mereotime.errors import CapabilityError, PreconditionError, ValidationError
 from mereotime.reporting import Check, Report
 from mereotime.snapshot import (
     DCA_TIME_AXIOMS,
@@ -40,6 +52,7 @@ from mereotime.snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
+    check_time_axiom,
 )
 from mereotime import generate as gen
 
@@ -1525,6 +1538,158 @@ def element_prec_extension(d, left: int, right: int) -> bool:
     every element meeting `right`."""
     meets = lambda support: [a for a in d.base.elements() if a & support]
     return all(d.precedes(a, b) for a in meets(left) for b in meets(right))
+
+
+# -- lemmas of the paper and helpers that only the tests call ----------------
+
+
+def is_reflexive(rel: Relation) -> bool:
+    return all(row >> x & 1 for x, row in enumerate(rel.rows))
+
+
+def is_symmetric(rel: Relation) -> bool:
+    return rel.rows == rel.columns
+
+
+def is_transitive(rel: Relation) -> bool:
+    return all(rel.forward_image(row) & ~row == 0 for row in rel.rows)
+
+
+def is_equivalence(rel: Relation) -> bool:
+    return is_reflexive(rel) and is_symmetric(rel) and is_transitive(rel)
+
+
+def extend_to_ultrafilter(f: Filter) -> Ultrafilter:
+    """Every proper filter extends to an ultrafilter."""
+    if not f.is_proper:
+        raise PreconditionError("improper filter cannot extend", witness=0)
+    return separate(f, Ideal.principal(f.algebra, 0))
+
+
+def grill_from_atoms(algebra: FiniteBA, support) -> Grill:
+    return Grill(algebra, support if isinstance(support, int) else mask_of(support))
+
+
+def extension_of_prec_checks(d, structure: ClanStructure | None = None) -> list[Check]:
+    """Two-way equivalence for clan precedence on every t-clan pair.
+
+    All ultrafilter pairs related, and some ultrafilter pair related, decided
+    on the atoms of the two clans.
+    """
+    structure = structure or clan_structure(d)
+    rows = d.prec_rel.rows
+    out = []
+    for left, right in itertools.product(structure.t_clans, repeat=2):
+        all_ults = all(rows[x] & right == right for x in atoms_of(left))
+        some_ults = any(rows[x] & right for x in atoms_of(left))
+        out.append(
+            Check(
+                f"prec extension {left:#x}->{right:#x}",
+                all_ults == some_ults,
+                witness=None if all_ults == some_ults else (left, right),
+            )
+        )
+    return out
+
+
+def g_maps(d, a: int, structure: ClanStructure | None = None) -> dict[str, tuple[int, ...]]:
+    """Clan extents of one element: t-clans, s-clans and clusters containing it."""
+    d.base.check(a)
+    structure = structure or clan_structure(d)
+    return {
+        "g": tuple(s for s in structure.t_clans if s & a),
+        "gs": tuple(s for s in structure.s_clans if s & a),
+        "gclust": tuple(s for s in structure.clusters if s & a),
+    }
+
+
+def rho(space: DMSpace, x: int) -> frozenset[int]:
+    """The regions containing point x (the point's clan in the dual)."""
+    if not 0 <= x < space.space.point_count:
+        raise ValidationError(f"point {x} out of range")
+    return frozenset(a for a in space.regions if a >> x & 1)
+
+
+def canonical_filter(space: DMSpace, region: int) -> Filter:
+    """Filter of distinguished regions containing a regular closed set."""
+    if not space.space.is_regular_closed(region):
+        raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
+    algebra = dual(space)
+    members = frozenset(algebra.mask_of(a) for a in space.regions if region & ~a == 0)
+    return Filter.from_members(algebra.dca.base, members)
+
+
+def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report:
+    """Canonical-filter equivalences for one pair of regular closed sets.
+
+    The filter-level clauses need DM-compactness; without it only the
+    unconditional items are decided.
+    """
+    report = Report(subject="canonical filter characterizations")
+    spc = space.space
+    for label, region in (("A", a_set), ("B", b_set)):
+        if not spc.is_regular_closed(region):
+            raise PreconditionError(f"{label} must be regular closed", witness=region)
+
+    fa = {a for a in space.regions if a_set & ~a == 0}
+    fb = {b for b in space.regions if b_set & ~b == 0}
+    canonical_filter(space, a_set)  # validates filterhood
+    canonical_filter(space, b_set)
+    report.add("F_A is a filter", True)
+
+    witness = next(
+        (
+            (x,)
+            for x in space.points()
+            if (bool(a_set & (1 << x))) != all(a & (1 << x) for a in fa)
+        ),
+        None,
+    )
+    report.add("x in A iff F_A within trace(x)", witness is None, witness)
+
+    proper = a_set != spc.universe
+    bounded = any(a != spc.universe and a_set & ~a == 0 for a in space.regions)
+    report.add("A proper iff bounded by a proper region", proper == bounded)
+
+    if not classify(space).is_dm_compact:
+        raise CapabilityError(
+            "filter-level characterizations need DM-compactness", missing="DM-compact"
+        )
+
+    rel_t = lambda x, y: bool(x & y)
+    rel_s = lambda x, y: bool(x & y & space.space_points)
+    rel_b = space.precedes
+
+    def filter_related(rel):
+        return all(rel(a, b) for a in fa for b in fb)
+
+    t_pointwise = rel_t(a_set, b_set)
+    t_filters = filter_related(rel_t)
+    t_time = bool(a_set & b_set & space.time_points)
+    report.add("time contact: pointwise <=> filters <=> time points", t_pointwise == t_filters == t_time)
+
+    s_pointwise = rel_s(a_set, b_set)
+    s_filters = filter_related(rel_s)
+    report.add("space contact: pointwise <=> filters", s_pointwise == s_filters)
+
+    b_pointwise = rel_b(a_set, b_set)
+    b_filters = filter_related(rel_b)
+    times = space.time_points
+    b_time = bool(space.prec.forward_image(a_set & times) & b_set & times)
+    report.add("precedence: pointwise <=> filters <=> time points", b_pointwise == b_filters == b_time)
+    return report
+
+
+def contact_clan_space(algebra: PrecontactAlgebra):
+    """Clan space of a static contact algebra with its element extents.
+
+    Returns the topological space whose points are the clans, plus the map
+    sending an element to the mask of clans containing it.
+    """
+    supports = algebra.clique_supports
+    extents = _extents(supports, algebra.base.atom_count)
+    space = FiniteTopSpace(len(supports), tuple(sorted(extents)))
+    return space, supports, additive(extents)
 
 
 # -- fixtures --------------------------------------------------------------

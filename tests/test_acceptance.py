@@ -31,6 +31,7 @@ from mereotime.contact import (
     clans,
     clusters,
     factor_by_clanset,
+    inclusion_check,
     maximal_clans,
 )
 from mereotime.dca import (
@@ -71,6 +72,9 @@ from conftest import (
     element_time_axiom,
     element_validate_dms,
     interpolation_check,
+    is_reflexive,
+    is_symmetric,
+    is_transitive,
     path_snapshot_dca,
     satisfies_cluster_condition,
 )
@@ -117,9 +121,9 @@ def test_criterion_1_relational_property_sweep():
             algebra = PrecontactAlgebra(base, rel)
             report = check_axioms(algebra)
             assert canonical_relation(algebra) == rel
-            assert report["C4"].holds == rel.is_symmetric(), rel
-            assert report["C5"].holds == rel.is_reflexive(), rel
-            assert report["CE"].holds == rel.is_transitive(), rel
+            assert report["C4"].holds == is_symmetric(rel), rel
+            assert report["C5"].holds == is_reflexive(rel), rel
+            assert report["CE"].holds == is_transitive(rel), rel
             checked += 1
     assert checked == 2 + 16 + 512
     budget.done()
@@ -137,11 +141,11 @@ def test_criterion_2_interpolation_composition_sweep():
             first = interpolation_check(
                 base, "C1C2", premise=p1.related, left=p1.related, right=p2.related
             )
-            assert first.holds == r1.compose(r2).subset_of(r1), (r1, r2)
+            assert first.holds == inclusion_check("C1C2", r1.compose(r2), r1).holds, (r1, r2)
             second = interpolation_check(
                 base, "C2C1", premise=p1.related, left=p2.related, right=p1.related
             )
-            assert second.holds == r2.compose(r1).subset_of(r1), (r1, r2)
+            assert second.holds == inclusion_check("C2C1", r2.compose(r1), r1).holds, (r1, r2)
             pairs_checked += 1
     assert pairs_checked == 256
     budget.done()

@@ -9,18 +9,21 @@ from mereotime.boolean import (
     Ideal,
     Ultrafilter,
     additive,
-    extend_to_ultrafilter,
     filter_sum,
-    grill_from_atoms,
-    grill_support,
-    is_grill,
     joins,
+    mask_of,
     separate,
     ultrafilters,
 )
 from mereotime.errors import DimensionMismatch, PreconditionError, ValidationError
 
-from conftest import is_filter_members, is_grill_members, is_ideal_members
+from conftest import (
+    extend_to_ultrafilter,
+    grill_from_atoms,
+    is_filter_members,
+    is_grill_members,
+    is_ideal_members,
+)
 
 X, Y, Z = 1, 2, 4  # atom masks
 
@@ -208,8 +211,8 @@ def test_grill_round_trip_and_principal_case():
         b = FiniteBA(n)
         for support in b.nonzero_elements():
             g = grill_from_atoms(b, support)
-            assert is_grill(b, g.members)
-            assert grill_support(b, g.members) == support
+            assert is_grill_members(b, g.members)
+            assert mask_of(i for i in b.atoms() if 1 << i in g.members) == support
     b = FiniteBA(2)
     assert grill_from_atoms(b, X).members == Ultrafilter(b, 0).members
     assert grill_from_atoms(b, X | Y).members == set(b.nonzero_elements())
@@ -224,11 +227,10 @@ def test_is_grill_matches_reference_on_all_families():
     for n in (2, 3):
         b = FiniteBA(n)
         elements = list(b.elements())
-        grills = {frozenset(grill_from_atoms(b, s).members) for s in b.nonzero_elements()}
+        grills = {Grill(b, s).members for s in b.nonzero_elements()}
         for bits in range(1 << len(elements)):
             family = frozenset(e for i, e in enumerate(elements) if bits >> i & 1)
             expected = family in grills
-            assert is_grill(b, family) == expected
             assert is_grill_members(b, family) == expected
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mereotime.boolean import FiniteBA
+from mereotime.boolean import FiniteBA, mask_of, meeting
 from mereotime.contact import (
     Clan,
     PrecontactAlgebra,
@@ -17,7 +17,6 @@ from mereotime.contact import (
     factor_by_clanset,
     inclusion_check,
     maximal_clans,
-    possibility_image,
 )
 from mereotime.errors import CapabilityError, DimensionMismatch, PreconditionError, ValidationError
 from mereotime.generate import contact_relations
@@ -28,6 +27,10 @@ from conftest import (
     element_axiom_checks,
     element_canonical,
     interpolation_check,
+    is_equivalence,
+    is_reflexive,
+    is_symmetric,
+    is_transitive,
     pair_compose,
     pair_converse,
     pair_image,
@@ -55,15 +58,26 @@ def alg(n, pairs):
 
 
 def test_row_kernels_match_pair_set_references():
+    properties = {
+        "reflexive": is_reflexive,
+        "symmetric": is_symmetric,
+        "transitive": is_transitive,
+        "equivalence": is_equivalence,
+    }
     sample = list(row_kernel_sample())
     for n, pairs in sample:
         r = Relation(n, pairs)
         assert r.pairs == pairs
         assert r.converse().pairs == pair_converse(pairs)
         for name, expected in pair_properties(n, pairs).items():
-            assert getattr(r, f"is_{name}")() == expected, (n, pairs, name)
-        for a in range(1 << n):
+            assert properties[name](r) == expected, (n, pairs, name)
+        masks = range(1 << n)
+        for a in masks:
             assert r.forward_image(a) == pair_image(pairs, a)
+        # The pullback to every point set: i relates to j iff some point of
+        # mask i relates to some point of mask j.
+        met = [mask_of(j for j in masks if pair_image(pairs, a) & j) for a in masks]
+        assert r.pullback(masks) == Relation.from_rows(len(masks), met), (n, pairs)
 
     # Every pair of relations on up to 2 points, and seeded partners on 3 and 4.
     rng = random.Random(11)
@@ -74,7 +88,6 @@ def test_row_kernels_match_pair_set_references():
     for n, p, q in binary:
         r, s = Relation(n, p), Relation(n, q)
         assert r.compose(s).pairs == pair_compose(p, q), (n, p, q)
-        assert r.subset_of(s) == (p <= q)
         check = inclusion_check("I", r, s)
         assert check.witness == pair_inclusion_witness(p, q) and check.holds == (p <= q)
 
@@ -114,8 +127,6 @@ def test_inclusion_of_relations_of_different_sizes_is_refused():
     """Inclusion compares rows of equal length, as composition does: a
     shorter relation is not read as padded with empty rows."""
     for small, large in ((Relation.empty(2), Relation.total(3)), (Relation.total(3), Relation.identity(2))):
-        with pytest.raises(DimensionMismatch, match="sizes"):
-            small.subset_of(large)
         with pytest.raises(DimensionMismatch, match="sizes"):
             inclusion_check("I", small, large)
         with pytest.raises(DimensionMismatch):
@@ -239,14 +250,14 @@ def test_largest_contact_satisfies_everything_including_ce():
 
 def test_possibility_image():
     rel = Relation.of(2, {(0, 1)})
-    assert possibility_image(rel, 0) == 0
-    assert possibility_image(Relation.identity(3), 5) == 5
-    assert possibility_image(rel, Y) == X
+    assert meeting(rel.rows, 0) == 0
+    assert meeting(Relation.identity(3).rows, 5) == 5
+    assert meeting(rel.rows, Y) == X
     # aCb iff a meets the image of b
     p = contact_from_adjacency(rel)
     for a in p.base.elements():
         for b in p.base.elements():
-            assert p.related(a, b) == bool(a & possibility_image(rel, b))
+            assert p.related(a, b) == bool(a & meeting(rel.rows, b))
 
 
 def test_from_element_relation_normalizes_and_rejects():

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import (
     ElementRC,
+    canonical_filter,
     clan_precedence,
     coarsened,
+    contact_clan_space,
     element_check_s2,
     element_density_check,
     element_extent_checks,
@@ -18,29 +20,27 @@ from conftest import (
     path_snapshot_dca,
     random_region_families,
     rc_law_failures,
+    relation_characterizations,
+    rho,
     time_axiom_fails_at,
 )
 from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA, atoms_of, meeting
+from mereotime.boolean import FiniteBA, Grill, atoms_of, meeting
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
     _atom_algebra,
     DMSpace,
     FiniteTopSpace,
-    canonical_filter,
     check_s2,
     classify,
-    contact_clan_space,
     density_check,
     dual,
     dual_space,
     is_trivial_dms,
     lifting_conditions,
     rc_dca,
-    relation_characterizations,
-    rho,
     stability_check,
     topological_definability,
     validate_dms,
@@ -415,8 +415,10 @@ def test_dm_compactness_defect_detected():
 def test_rho_is_the_membership_trace():
     result = trivial_dual()
     space = result.space
+    algebra = dual(space)
     for x in space.points():
-        assert rho(space, x) == frozenset(a for a in space.regions if a & (1 << x))
+        clan = Grill(algebra.dca.base, algebra.trace_support(x)).members
+        assert rho(space, x) == frozenset(a for a in space.regions if a & (1 << x)) == set(map(algebra.pointset, clan))
 
 
 def test_dual_of_trivial_dms_is_trivial_dca():

@@ -11,14 +11,15 @@ from mereotime.boolean import (
     Ideal,
     atoms_of,
     filter_sum,
-    grill_from_atoms,
-    grill_support,
-    is_grill,
+    mask_of,
+    meeting,
     separate,
 )
 from mereotime.contact import PrecontactAlgebra, Relation, canonical_relation
 from mereotime.errors import PreconditionError
 from mereotime.snapshot import TimeStructure, build_dmst
+
+from conftest import grill_from_atoms, is_grill_members
 
 
 algebras = st.integers(min_value=1, max_value=6).map(FiniteBA)
@@ -80,8 +81,8 @@ def test_grill_round_trip(data):
     if support == 0:
         return
     g = grill_from_atoms(base, support)
-    assert is_grill(base, g.members)
-    assert grill_support(base, g.members) == support
+    assert is_grill_members(base, g.members)
+    assert mask_of(i for i in base.atoms() if 1 << i in g.members) == support
 
 
 @st.composite
@@ -105,7 +106,7 @@ def test_possibility_image_characterizes_contact(rel):
     algebra = PrecontactAlgebra(FiniteBA(rel.size), rel)
     for a in algebra.base.elements():
         for b in algebra.base.elements():
-            assert algebra.related(a, b) == bool(a & rel.possibility_image(b))
+            assert algebra.related(a, b) == bool(a & meeting(rel.rows, b))
 
 
 @st.composite
