@@ -21,8 +21,6 @@ from .contact import _first_missing
 from .dca import DCA, is_trivial
 from .dms import (
     DMSpace,
-    DmsDual,
-    DualSpaceResult,
     _extents,
     check_s2,
     classify,
@@ -252,11 +250,7 @@ def compose(first, second):
     return DcaMorphism(first.dom, second.cod, tuple(map(second, first.images)), second(first.zero))
 
 
-def lower(
-    f: DcaMorphism,
-    dual_dom: DualSpaceResult | None = None,
-    dual_cod: DualSpaceResult | None = None,
-) -> DmsMorphism:
+def lower(f: DcaMorphism) -> DmsMorphism:
     """Contravariant image of an algebra morphism: preimage on t-clans.
 
     For f from A to A' this is a space morphism from the dual of A' to the
@@ -264,19 +258,14 @@ def lower(
     meet the clan's support.
     """
     validate_dca_morphism(f).require()
-    dual_dom = dual_dom or dual_space(f.dom)
-    dual_cod = dual_cod or dual_space(f.cod)
+    dual_dom, dual_cod = dual_space(f.dom), dual_space(f.cod)
     point_map = tuple(
         dual_dom.point_of(meeting(f.images, support)) for support in dual_cod.points
     )
     return DmsMorphism(dual_cod.space, dual_dom.space, point_map)
 
 
-def raise_(
-    theta: DmsMorphism,
-    dual_dom: DmsDual | None = None,
-    dual_cod: DmsDual | None = None,
-) -> DcaMorphism:
+def raise_(theta: DmsMorphism) -> DcaMorphism:
     """Contravariant image of a space morphism: preimage on regions.
 
     For theta from S to S' this is an algebra morphism from the dual of S'
@@ -284,15 +273,14 @@ def raise_(
     S inside its preimage.
     """
     validate_dms_morphism(theta).require()
-    dual_dom = dual_dom or dual(theta.dom)
-    dual_cod = dual_cod or dual(theta.cod)
+    dual_dom, dual_cod = dual(theta.dom), dual(theta.cod)
     images = tuple(dual_dom.mask_of(theta.preimage(atom)) for atom in dual_cod.atoms)
     return DcaMorphism(dual_cod.dca, dual_dom.dca, images)
 
 
-def extent_isomorphism(d: DCA, result: DualSpaceResult | None = None) -> DcaMorphism:
+def extent_isomorphism(d: DCA) -> DcaMorphism:
     """The canonical map of an algebra onto the dual of its dual space."""
-    result = result or dual_space(d)
+    result = dual_space(d)
     algebra = dual(result.space)
     images = tuple(map(algebra.mask_of, _extents(result.points, d.base.atom_count)))
     return DcaMorphism(d, algebra.dca, images)
@@ -313,12 +301,8 @@ def naturality(morphism) -> Report:
     report = Report(subject="naturality")
     if isinstance(morphism, DcaMorphism):
         f = morphism
-        dual_dom = dual_space(f.dom)
-        dual_cod = dual_space(f.cod)
-        lowered = lower(f, dual_dom, dual_cod)
-        raised = raise_(lowered, dual(dual_cod.space), dual(dual_dom.space))
-        g_dom = extent_isomorphism(f.dom, dual_dom)
-        g_cod = extent_isomorphism(f.cod, dual_cod)
+        raised = raise_(lower(f))
+        g_dom, g_cod = extent_isomorphism(f.dom), extent_isomorphism(f.cod)
         witness = next(
             ((1 << x,) for x in f.dom.base.atoms() if raised(g_dom(1 << x)) != g_cod(f(1 << x))),
             None,
@@ -327,12 +311,8 @@ def naturality(morphism) -> Report:
         return report
     if isinstance(morphism, DmsMorphism):
         theta = morphism
-        dual_dom = dual(theta.dom)
-        dual_cod = dual(theta.cod)
-        raised = raise_(theta, dual_dom, dual_cod)
-        lowered = lower(raised, dual_space(dual_cod.dca), dual_space(dual_dom.dca))
-        rho_dom = trace_morphism(theta.dom)
-        rho_cod = trace_morphism(theta.cod)
+        lowered = lower(raise_(theta))
+        rho_dom, rho_cod = trace_morphism(theta.dom), trace_morphism(theta.cod)
         witness = next(
             ((x,) for x in theta.dom.points() if lowered(rho_dom(x)) != rho_cod(theta(x))),
             None,
@@ -439,7 +419,7 @@ def duality_roundtrip(subject) -> Report:
         d.require_valid()
         report = Report(subject="duality round trip (algebra)")
         result = dual_space(d)
-        g = extent_isomorphism(d, result)
+        g = extent_isomorphism(d)
         iso = dca_isomorphism_report(g)
         report.add("extent map is an isomorphism", iso.ok)
 

@@ -84,7 +84,7 @@ class Relation:
         return hash((self.size, self.rows))
 
     def __repr__(self) -> str:
-        return f"Relation(size={self.size}, pairs={sorted(self.pairs)})"
+        return f"{type(self).__name__}(size={self.size}, pairs={sorted(self.pairs)})"
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:

@@ -209,13 +209,10 @@ def canonical_time_structure(d: DCA) -> CanonicalTime:
     """Clusters as moments, clan precedence restricted to them."""
     d.require_valid()
     clusters = _time_classes(d)
-    prec = {
-        (i, j)
-        for i, left in enumerate(clusters)
-        for j, right in enumerate(clusters)
-        if right & ~_common_successors(d, left) == 0
-    }
-    return CanonicalTime(TimeStructure.of(len(clusters), prec), clusters)
+    # Row i: the clusters inside the atoms that every atom of cluster i precedes.
+    reach = [_common_successors(d, left) for left in clusters]
+    rows = [sum(1 << j for j, right in enumerate(clusters) if not right & ~r) for r in reach]
+    return CanonicalTime(TimeStructure.from_rows(len(clusters), rows), clusters)
 
 
 def _tri_with_relation(prec: Relation, same: Relation) -> bool:
@@ -383,7 +380,7 @@ def verify_embedding(d: DCA) -> Report:
         parts = [u[k] for u in image]
         for x, part in enumerate(parts):
             middle_cs[x] |= meeting(parts, f.algebra.relation.forward_image(part))
-    middle_b = canonical.time.structure.relation.pullback(moments).rows
+    middle_b = canonical.time.structure.pullback(moments).rows
     model_time, model_prec = model.atom_relations
     for name, left, middle, on_model in (
         ("Cs respected", d.space_rel.rows, middle_cs, model.space_relation),

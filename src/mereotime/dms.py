@@ -171,17 +171,6 @@ class DMSpace:
             if a & ~universe:
                 raise ValidationError(f"region {a:#x} exceeds the space")
 
-    # Relations of the regular-sets algebra (defined for arbitrary point sets).
-
-    def time_contact(self, a: int, b: int) -> bool:
-        return bool(a & b)
-
-    def space_contact(self, a: int, b: int) -> bool:
-        return bool(a & b & self.space_points)
-
-    def precedes(self, a: int, b: int) -> bool:
-        return bool(self.prec.forward_image(a) & b)
-
     def points(self) -> range:
         return range(self.space.point_count)
 
@@ -189,7 +178,7 @@ class DMSpace:
     def time_structure(self) -> TimeStructure:
         """Before-after restricted to the time points, numbered in ascending order."""
         times = [1 << x for x in atoms_of(self.time_points)]
-        return TimeStructure(len(times), self.prec.pullback(times).pairs)
+        return TimeStructure.from_rows(len(times), self.prec.pullback(times).rows)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def all_relations(size: int):
 
 def all_time_structures(size: int):
     for rel in all_relations(size):
-        yield TimeStructure(size, rel.pairs)
+        yield TimeStructure.from_rows(size, rel.rows)
 
 
 def contact_relations(size: int):

@@ -69,12 +69,13 @@ def _pairs(relation: Relation) -> list[list[int]]:
 
 def encode(obj, claims=None) -> dict:
     """Model dictionary for any supported structure."""
-    if isinstance(obj, Relation):
+    # A time structure is a Relation too: test it first.
+    if isinstance(obj, TimeStructure):
+        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _pairs(obj)}
+    elif isinstance(obj, Relation):
         kind, body = "adjacency", {"point_count": obj.size, "pairs": _pairs(obj)}
         if claims:
             body["claims"] = sorted(claims)
-    elif isinstance(obj, TimeStructure):
-        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _pairs(obj.relation)}
     elif isinstance(obj, DCA):
         kind, body = "dca", {
             "atom_count": obj.base.atom_count,
@@ -84,7 +85,7 @@ def encode(obj, claims=None) -> dict:
         }
     elif isinstance(obj, DMST):
         kind, body = "dmst", {
-            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time.relation)},
+            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time)},
             "coordinates": [
                 {"atom_count": c.base.atom_count, "contact": _pairs(c.relation)} for c in obj.coordinates
             ],
@@ -214,7 +215,7 @@ def decode(payload: dict):
         return kind, relation, extras
     if kind == "time_structure":
         size = _size(payload, "point_count")
-        return kind, TimeStructure(size, _relation(payload, "prec", size).pairs), extras
+        return kind, TimeStructure.from_rows(size, _relation(payload, "prec", size).rows), extras
     if kind == "dca":
         n = _size(payload, "atom_count")
         relations = [_relation(payload, key, n) for key in ("space_contact", "time_contact", "precedence")]
@@ -222,7 +223,7 @@ def decode(payload: dict):
     if kind == "dmst":
         time_raw = _field(payload, "time", dict)
         moments = _size(time_raw, "point_count", "time.")
-        ts = TimeStructure(moments, _relation(time_raw, "prec", moments, "time.").pairs)
+        ts = TimeStructure.from_rows(moments, _relation(time_raw, "prec", moments, "time.").rows)
         coordinates = []
         for i, coord in enumerate(_field(payload, "coordinates", list)):
             where = f"coordinates[{i}]."

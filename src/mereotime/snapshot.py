@@ -1,12 +1,13 @@
 """Time structures and the snapshot construction of dynamic models.
 
 A dynamic model attaches one coordinate contact algebra to every moment of
-a finite time structure; regions are per-moment histories.  The module also
-decides the time conditions of a before-after relation and the region time
-axioms of snapshot models and abstract dynamic algebras: time contact and
-precedence are additive, so each axiom is a first-order condition on the
-atoms of the carrier.  Each kind is decided for all conditions in one walk
-over the rows, in O(n^2) word operations, and cached on the structure.
+a finite time structure, a before-after `Relation` on its moments; regions
+are per-moment histories.  The module also decides the time conditions of a
+before-after relation and the region time axioms of snapshot models and
+abstract dynamic algebras: time contact and precedence are additive, so
+each axiom is a first-order condition on the atoms of the carrier.  Each
+kind is decided for all conditions in one walk over the rows, in O(n^2)
+word operations, and cached on the structure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .contact import PrecontactAlgebra, Relation
-from .errors import CapabilityError, MembershipError, PreconditionError, ValidationError
+from .errors import CapabilityError, DimensionMismatch, MembershipError, PreconditionError, ValidationError
 from .reporting import Check
 from .boolean import atoms_of, meeting
 
@@ -74,34 +75,41 @@ FREE_VARIABLE_AXIOMS = frozenset({UP_DIR, DOWN_DIR, CIRC, DENS})
 FULL_REGION_CAP = 1 << 15
 
 
-@dataclass(frozen=True)
-class TimeStructure:
-    """Finite set of moments 0..point_count-1 with a before-after relation."""
+class TimeStructure(Relation):
+    """Finite set of moments 0..point_count-1 with a before-after relation,
+    stored as that relation's successor rows, one per moment."""
 
-    point_count: int
-    prec: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.point_count < 1:
-            raise ValidationError("time structure needs at least one moment")
-        for i, j in self.prec:
-            if not (0 <= i < self.point_count and 0 <= j < self.point_count):
-                raise ValidationError(f"moment pair ({i},{j}) out of range")
+    def __init__(self, point_count: int, prec):
+        with _moments(point_count):
+            super().__init__(point_count, prec)
 
     @classmethod
-    def of(cls, point_count: int, prec) -> "TimeStructure":
-        return cls(point_count, frozenset((int(i), int(j)) for i, j in prec))
+    def from_rows(cls, point_count: int, rows) -> "TimeStructure":
+        with _moments(point_count):
+            return super().from_rows(point_count, rows)
 
-    @cached_property
-    def relation(self) -> Relation:
-        return Relation(self.point_count, self.prec)
+    @property
+    def point_count(self) -> int:
+        return self.size
+
+    @property
+    def prec(self) -> frozenset[tuple[int, int]]:
+        return self.pairs
 
     @cached_property
     def condition_failures(self) -> dict:
-        return time_condition_failures(self.relation)
+        return time_condition_failures(self)
 
-    def moments(self) -> range:
-        return range(self.point_count)
+
+@contextlib.contextmanager
+def _moments(point_count: int):
+    """Refuse a time structure with no moment or a moment pair out of range."""
+    if point_count < 1:
+        raise ValidationError("time structure needs at least one moment")
+    try:
+        yield
+    except DimensionMismatch as error:
+        raise ValidationError(f"time structure: {error}") from None
 
 
 def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
@@ -341,7 +349,8 @@ class DMST:
 
     def precedes(self, a: Region, b: Region) -> bool:
         self.region_index(a), self.region_index(b)
-        return any(a[m] and b[n] for m, n in self.time.prec)
+        later = sum(1 << n for n, y in enumerate(b) if y)
+        return any(x and row & later for x, row in zip(a, self.time.rows))
 
     @cached_property
     def _cell_moments(self) -> list[int]:
@@ -359,7 +368,7 @@ class DMST:
         """
         moments = self._cell_moments
         time = [meeting(moments, here) for here in moments]
-        return Relation.from_rows(len(moments), time), self.time.relation.pullback(moments)
+        return Relation.from_rows(len(moments), time), self.time.pullback(moments)
 
     @cached_property
     def space_relation(self) -> Relation:

@@ -246,8 +246,8 @@ def pair_properties(n, pairs) -> dict[str, bool]:
 
 def element_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
     """Decide one time condition by pair lookups, with the smallest witness."""
-    t = list(ts.moments())
-    before = lambda i, j: (i, j) in ts.prec
+    t, prec = range(ts.point_count), ts.prec
+    before = lambda i, j: (i, j) in prec
     name = cond.name
 
     def fail(*witness):
@@ -635,6 +635,16 @@ def element_verify_embedding(d) -> Report:
     return report
 
 
+def rc_relations(space: DMSpace) -> dict:
+    """Time contact, space contact and precedence of the regular-sets
+    algebra of a space, on arbitrary point sets."""
+    return {
+        "Ct": lambda a, b: bool(a & b),
+        "Cs": lambda a, b: bool(a & b & space.space_points),
+        "B": lambda a, b: bool(space.prec.forward_image(a) & b),
+    }
+
+
 def element_carrier(source):
     """Elements, complement, nonzero test, time contact and precedence of a
     dynamic algebra, a snapshot model, or the RC algebra of a space."""
@@ -648,8 +658,8 @@ def element_carrier(source):
             lambda a, b: any(a[m] and b[n] for m, n in prec),
         )
     if isinstance(source, DMSpace):
-        rc = ElementRC(source.space)
-        return rc.carrier, rc.compl, bool, source.time_contact, source.precedes
+        rc, rel = ElementRC(source.space), rc_relations(source)
+        return rc.carrier, rc.compl, bool, rel["Ct"], rel["B"]
     one = source.base.one
     return list(source.base.elements()), lambda a: one ^ a, bool, source.time_contact, source.precedes
 
@@ -1228,9 +1238,8 @@ def element_validate_dms(candidate) -> Report:
 
     # prec_rows[i]: the regions that region i precedes; contain[x]: the
     # regions containing point x
-    prec_rows = [
-        sum(1 << j for j, b in enumerate(regions) if candidate.precedes(a, b)) for a in regions
-    ]
+    precedes = rc_relations(candidate)["B"]
+    prec_rows = [sum(1 << j for j, b in enumerate(regions) if precedes(a, b)) for a in regions]
     contain = [
         sum(1 << i for i, a in enumerate(regions) if a >> x & 1) for x in candidate.points()
     ]
@@ -1281,11 +1290,7 @@ def element_lifting_conditions(space, sub_family) -> list[Check]:
     # above[i]: the sub members above carrier[i]; rel_rows[j]: the sub members
     # that sub member j relates to
     above = [sum(1 << j for j, m in enumerate(sub) if a & ~m == 0) for a in carrier]
-    for name, rel in (
-        ("Ct-separation", space.time_contact),
-        ("Cs-separation", space.space_contact),
-        ("B-separation", space.precedes),
-    ):
+    for name, rel in rc_relations(space).items():
         rel_rows = [sum(1 << j for j, w in enumerate(sub) if rel(m, w)) for m in sub]
         witness = next(
             (
@@ -1297,7 +1302,7 @@ def element_lifting_conditions(space, sub_family) -> list[Check]:
             ),
             None,
         )
-        out.append(Check(name, witness is None, witness))
+        out.append(Check(f"{name}-separation", witness is None, witness))
     return out
 
 
@@ -1507,10 +1512,10 @@ class ListedModel:
         self.atoms = element_region_atoms(self)
         count = len(self.atoms)
         pairs = list(itertools.product(range(count), repeat=2))
-        u = self.atoms
+        u, prec = self.atoms, time.prec
         self.frame = (
             Relation.of(count, [(i, j) for i, j in pairs if any(x and y for x, y in zip(u[i], u[j]))]),
-            Relation.of(count, [(i, j) for i, j in pairs if any(u[i][m] and u[j][n] for m, n in time.prec)]),
+            Relation.of(count, [(i, j) for i, j in pairs if any(u[i][m] and u[j][n] for m, n in prec)]),
         )
         self.space = Relation.of(
             count,
@@ -1656,9 +1661,7 @@ def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report
             "filter-level characterizations need DM-compactness", missing="DM-compact"
         )
 
-    rel_t = lambda x, y: bool(x & y)
-    rel_s = lambda x, y: bool(x & y & space.space_points)
-    rel_b = space.precedes
+    rel_t, rel_s, rel_b = rc_relations(space).values()
 
     def filter_related(rel):
         return all(rel(a, b) for a in fa for b in fb)

@@ -20,6 +20,7 @@ from conftest import (
     path_snapshot_dca,
     random_region_families,
     rc_law_failures,
+    rc_relations,
     relation_characterizations,
     rho,
     time_axiom_fails_at,
@@ -802,11 +803,7 @@ def lifting_fails_at(space, sub_family, check) -> bool:
     if check.name == "Co-dense":
         (a,) = check.witness
         return a in rc and a != one and not any(m != one and a & ~m == 0 for m in sub_family)
-    rel = {
-        "Ct-separation": space.time_contact,
-        "Cs-separation": space.space_contact,
-        "B-separation": space.precedes,
-    }[check.name]
+    rel = rc_relations(space)[check.name.removesuffix("-separation")]
     a, b = check.witness
     return (
         a in rc

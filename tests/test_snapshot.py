@@ -9,7 +9,7 @@ from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import standard_dca
 from mereotime.generate import all_relations, all_time_structures
 from mereotime.errors import CapabilityError, MembershipError, PreconditionError, ValidationError
-from mereotime.models import encode
+from mereotime.models import decode, encode
 from mereotime.snapshot import (
     DMST,
     FREE_VARIABLE_AXIOMS,
@@ -54,6 +54,44 @@ def ts(n, pairs):
 
 def full_model(n, pairs, coord=ONE_ATOM):
     return build_dmst(ts(n, pairs), [coord] * n, mode="full")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TimeStructure(0, ()),
+        lambda: TimeStructure.of(0, []),
+        lambda: TimeStructure.from_rows(0, ()),
+        lambda: TimeStructure(2, {(0, 2)}),
+        lambda: TimeStructure.of(2, [(-1, 0)]),
+        lambda: TimeStructure.from_rows(2, (0b100, 0)),
+        lambda: TimeStructure.from_rows(2, (0,)),
+    ],
+)
+def test_time_structure_refuses_no_moment_and_pairs_out_of_range(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_time_structure_from_rows_equals_from_pairs():
+    pairs = {(0, 1), (1, 2), (2, 0), (1, 1)}
+    rows = (0b010, 0b110, 0b001)
+    by_rows, by_pairs = TimeStructure.from_rows(3, rows), TimeStructure.of(3, pairs)
+    assert isinstance(by_rows, TimeStructure) and isinstance(by_rows, Relation)
+    assert by_rows == by_pairs and hash(by_rows) == hash(by_pairs)
+    assert by_rows.prec == pairs and by_rows.point_count == 3
+    assert not hasattr(by_rows, "relation")
+
+
+def test_time_structure_files_round_trip():
+    structures = list(all_time_structures(3))
+    assert len(structures) == 512
+    for t in structures:
+        payload = encode(t)
+        assert payload["kind"] == "time_structure"
+        kind, back, _ = decode(payload)
+        assert kind == "time_structure" and isinstance(back, TimeStructure) and back == t
+    assert encode(Relation(3, structures[-1].prec))["kind"] == "adjacency"
 
 
 def test_time_condition_witnesses():
@@ -144,8 +182,8 @@ def test_one_pass_conditions_match_per_condition_oracle():
     """All conditions of a relation in one pass give each condition's witness."""
     for n in (1, 2, 3):
         for t in all_time_structures(n):
-            expected = {cond: condition_failure(cond, t.relation) for cond in TimeCondition}
-            assert time_condition_failures(t.relation) == expected, t
+            expected = {cond: condition_failure(cond, t) for cond in TimeCondition}
+            assert time_condition_failures(t) == expected, t
             assert t.condition_failures == expected, t
 
 
