@@ -1,20 +1,30 @@
 """Kind-tagged JSON model files and their canonical serialization.
 
 One structured-text format: UTF-8 JSON with an explicit kind tag and a
-format version.  Relations are sorted pair arrays, sets are sorted index
-arrays, so files diff cleanly and serialization round-trips byte for byte.
+format version, written canonically (sorted keys, no spaces), so files diff
+cleanly and serialization round-trips byte for byte.  Version 2, the one
+written, stores a relation on `size` points as its successor rows, one
+mask per point, and every member of a family of point sets (a closed
+base, regions, a dca morphism's images) as one mask; a mask is a canonical
+lowercase hex string ("0", "1d", never "01", "0x1d" or "1D").  The two
+distinguished point sets of a `dms` file, `space_points` and
+`time_points`, stay sorted index lists, and a `dms` morphism's map stays
+one point index per point.  Version 1, still read, stores relations as
+sorted pair arrays and every point set as a sorted index list.
 
-Reading is strict: one reader per JSON shape (a size, a pair array, an
-index list), each index a JSON integer, not a boolean, below its declared
-size.  `schemas/modelfile.schema.json` is the one table of fields and
-types; a file it refuses is refused here with the field named, and the
-fuzz gate in `tests/test_fuzz.py` holds `decode` to it.
+Reading is strict: one reader per JSON shape (a size, a relation, a point
+set), each index a JSON integer, not a boolean, below its declared size,
+and each mask a string in canonical form below 2^size.
+`schemas/modelfile.schema.json` is the one table of fields and types; a
+file it refuses is refused here with the field named, and the fuzz gate in
+`tests/test_fuzz.py` holds `decode` to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from .boolean import FiniteBA, atoms_of
@@ -25,34 +35,44 @@ from .dms import DMSpace, FiniteTopSpace
 from .errors import MereotimeError, SchemaError, ValidationError
 from .snapshot import DMST, FULL_REGION_CAP, TimeStructure, build_dmst, is_full
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
 KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
 # Largest relation size a file may declare (adjacency and time-structure
 # point_count, dca and coordinate atom_count), checked before anything is
-# built.  Seconds for a whole `python -m mereotime.cli check` process on the
-# costliest file of a size, the total relation (all three total for a dca);
-# best of three, Python 3.11 on a 2-core Xeon:
-#     size   KB/rel.   adjacency   time_structure    dca
-#       64        39       0.23         0.24         0.19
-#      128       168       0.19         0.23         0.28
-#      256       730       0.30         0.36         0.57
-#      512     3,033       1.28         1.24         2.78
-# The bound keeps every such check under 1 s.
+# built.  Seconds for a whole `python -m mereotime.cli` process on a version
+# 2 file of the total relation (all three total for a dca): `check` of each
+# kind, and `represent` of the dca; best of three, Python 3.11 on a 2-core
+# Xeon:
+#     size   KB/rel.   adjacency   time_structure    dca   dca represent
+#       64       1.3       0.12         0.11         0.12        0.20
+#      128       4.5       0.12         0.11         0.13        0.30
+#      256        17       0.12         0.15         0.17        0.64
+#      512        67       0.17         0.31         0.41        2.22
+#    1,024       265       0.41         1.03         1.53           -
+# Rows written as pairs made reading the cost (`check` of a 512-size dca
+# took 2.78 s from a 3 MB version 1 file); with rows, `check` would stay
+# under 1 s at 512, but `represent` would not, so the bound stays at 256.
 RELATION_SIZE_CAP = 256
-# Largest `point_count` a dms file may declare, checked before anything is
-# built.  The file lists up to point_count^2 before-after pairs.  Seconds
-# (best of three) and peak MB for a whole `python -m mereotime.cli` process
-# on the dual space of the trivial path algebra on n atoms: 2^n - 1 points,
-# total before-after; `check` stops at the closed-family cap.  Python 3.11
-# on a 2-core Xeon:
-#     points       KB    check   roundtrip   peak MB
-#        127      175     0.60      0.26        41
-#        255      789     0.59      0.34        50
-#        511    3,344     1.19      0.98        97
-#      1,023   13,844     4.04      3.87       328
-# The bound admits the 1,023-point dual of the 10-atom trivial algebra; each
-# doubling of the points quadruples the pairs to read.
-SPACE_POINT_CAP = 1024
+# Largest `point_count` a dms file may declare, and the most t-clans (points
+# of the dual space) `points`, `dualize` and `roundtrip` of a dca file will
+# list; checked before anything is built.  A version 2 file holds
+# point_count rows of point_count/4 hex digits.  Seconds (best of three) and
+# the largest peak MB for whole `python -m mereotime.cli` processes on the
+# dual space of the trivial path algebra on n atoms (2^n - 1 points, total
+# before-after; `check` stops at the closed-family cap) and, for `points`,
+# on the algebra itself; Python 3.11 on a 2-core Xeon:
+#     points       KB    check   roundtrip   dualize   points   peak MB
+#        255       35     0.16      0.17       0.12     0.17       22
+#        511      135     0.17      0.21       0.13     0.13       25
+#      1,023      531     0.12      0.17       0.14     0.12       35
+#      2,047    2,112     0.17      0.34       0.17     0.13       70
+#      4,095    8,418     0.35      1.02       0.34     0.17      200
+# Version 1 files, listing the pairs, took 3.87 s to round-trip at 1,023
+# points (13.8 MB).  The bound admits the 2,047-point dual of the 11-atom
+# trivial algebra and keeps every such process under 1 s; each doubling of
+# the points quadruples the bytes to read.
+SPACE_POINT_CAP = 2048
 
 
 def canonical_dumps(payload: dict) -> str:
@@ -63,53 +83,53 @@ def digest(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
-def _pairs(relation: Relation) -> list[list[int]]:
-    return [[x, y] for x, row in enumerate(relation.rows) for y in atoms_of(row)]
+def _hex(masks) -> list[str]:
+    return [format(mask, "x") for mask in masks]
 
 
 def encode(obj, claims=None) -> dict:
     """Model dictionary for any supported structure."""
     # A time structure is a Relation too: test it first.
     if isinstance(obj, TimeStructure):
-        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _pairs(obj)}
+        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _hex(obj.rows)}
     elif isinstance(obj, Relation):
-        kind, body = "adjacency", {"point_count": obj.size, "pairs": _pairs(obj)}
+        kind, body = "adjacency", {"point_count": obj.size, "pairs": _hex(obj.rows)}
         if claims:
             body["claims"] = sorted(claims)
     elif isinstance(obj, DCA):
         kind, body = "dca", {
             "atom_count": obj.base.atom_count,
-            "space_contact": _pairs(obj.space_rel),
-            "time_contact": _pairs(obj.time_rel),
-            "precedence": _pairs(obj.prec_rel),
+            "space_contact": _hex(obj.space_rel.rows),
+            "time_contact": _hex(obj.time_rel.rows),
+            "precedence": _hex(obj.prec_rel.rows),
         }
     elif isinstance(obj, DMST):
         kind, body = "dmst", {
-            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time)},
+            "time": {"point_count": obj.time.point_count, "prec": _hex(obj.time.rows)},
             "coordinates": [
-                {"atom_count": c.base.atom_count, "contact": _pairs(c.relation)} for c in obj.coordinates
+                {"atom_count": c.base.atom_count, "contact": _hex(c.relation.rows)} for c in obj.coordinates
             ],
         }
         if is_full(obj):
             body["mode"] = "full"
         else:
             body["mode"] = "custom"
-            body["regions"] = [[list(atoms_of(x)) for x in region] for region in obj.regions]
+            body["regions"] = [_hex(region) for region in obj.regions]
     elif isinstance(obj, DMSpace):
         kind, body = "dms", {
             "point_count": obj.space.point_count,
-            "closed_base": [list(atoms_of(b)) for b in obj.space.closed_base],
+            "closed_base": _hex(obj.space.closed_base),
             "space_points": list(atoms_of(obj.space_points)),
             "time_points": list(atoms_of(obj.time_points)),
-            "prec": _pairs(obj.prec),
-            "regions": [list(atoms_of(a)) for a in obj.regions],
+            "prec": _hex(obj.prec.rows),
+            "regions": _hex(obj.regions),
         }
     elif isinstance(obj, DcaMorphism):
         kind, body = "morphism", {
             "morphism_kind": "dca",
             "dom": encode(obj.dom),
             "cod": encode(obj.cod),
-            "map": [list(atoms_of(obj(a))) for a in obj.dom.base.elements()],
+            "map": _hex(map(obj, obj.dom.base.elements())),
         }
     elif isinstance(obj, DmsMorphism):
         kind, body = "morphism", {
@@ -161,11 +181,58 @@ def _index(value, what: str, size: int) -> int:
     return value
 
 
-def _relation(payload: dict, key: str, size: int, where: str = "") -> Relation:
-    """Relation on `size` points read from a pair array."""
-    what = where + key
+_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+
+
+def _hex_masks(values: list, what: str, size: int) -> list[int]:
+    """Masks below 2^size, entry i read from the canonical lowercase hex
+    string `values[i]` of the field `what`.
+
+    Each length is bounded before the string is matched or converted, so a
+    long string costs no more than a short one.
+    """
+    width, masks = (size + 3) // 4, []
+    for i, value in enumerate(values):
+        if type(value) is str and len(value) <= width and _HEX.fullmatch(value):
+            mask = int(value, 16)
+            if not mask >> size:
+                masks.append(mask)
+                continue
+        entry, shown = f"{what}[{i}]", json.dumps(value)
+        if len(shown) > 40:
+            shown = shown[:36] + "..."
+        raise SchemaError(f"field {entry!r} holds {shown}, not a canonical hex mask below 2^{size}")
+    return masks
+
+
+def _index_mask(raw, what: str, size: int) -> int:
+    """Mask of an index list, each index below `size`."""
+    out = 0
+    for i in _typed(raw, list, what):
+        if type(i) is not int or not 0 <= i < size:
+            _index(i, what, size)
+        out |= 1 << i
+    return out
+
+
+def _masks(values: list, what: str, size: int, version: int) -> list[int]:
+    """The point sets below 2^size listed in the field `what`: index lists
+    in version 1, hex masks in version 2."""
+    if version == 1:
+        return [_index_mask(raw, what, size) for raw in values]
+    return _hex_masks(values, what, size)
+
+
+def _relation(payload: dict, key: str, size: int, version: int, where: str = "") -> Relation:
+    """Relation on `size` points in field `key`: a pair array in version 1,
+    its successor rows, one hex mask per point, in version 2."""
+    what, raw = where + key, _field(payload, key, list, where)
+    if version == 2:
+        if len(raw) != size:
+            raise SchemaError(f"field {what!r} has {len(raw)} entries, not one row per point ({size})")
+        return Relation.from_rows(size, _hex_masks(raw, what, size))
     rows = [0] * size
-    for pair in _field(payload, key, list, where):
+    for pair in raw:
         if type(pair) is not list or len(pair) != 2:
             raise SchemaError(f"field {what!r} holds {json.dumps(pair)}, not a pair")
         x, y = pair
@@ -174,16 +241,6 @@ def _relation(payload: dict, key: str, size: int, where: str = "") -> Relation:
             _index(y, what, size)
         rows[x] |= 1 << y
     return Relation.from_rows(size, rows)
-
-
-def _mask(raw, what: str, size: int) -> int:
-    """Mask of an index list, each index below `size`."""
-    out = 0
-    for i in _typed(raw, list, what):
-        if type(i) is not int or not 0 <= i < size:
-            _index(i, what, size)
-        out |= 1 << i
-    return out
 
 
 def decode(payload: dict):
@@ -201,13 +258,13 @@ def decode(payload: dict):
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
     version = _field(payload, "format_version", int)
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise SchemaError(f"unsupported format_version {version!r}")
     extras: dict = {}
 
     if kind == "adjacency":
         size = _size(payload, "point_count")
-        relation = _relation(payload, "pairs", size)
+        relation = _relation(payload, "pairs", size, version)
         claims = _typed(payload.get("claims", ["precontact"]), list, "claims")
         if not all(isinstance(claim, str) for claim in claims):
             raise SchemaError("field 'claims' must be an array of strings")
@@ -215,20 +272,20 @@ def decode(payload: dict):
         return kind, relation, extras
     if kind == "time_structure":
         size = _size(payload, "point_count")
-        return kind, TimeStructure.from_rows(size, _relation(payload, "prec", size).rows), extras
+        return kind, TimeStructure.from_rows(size, _relation(payload, "prec", size, version).rows), extras
     if kind == "dca":
         n = _size(payload, "atom_count")
-        relations = [_relation(payload, key, n) for key in ("space_contact", "time_contact", "precedence")]
+        relations = [_relation(payload, key, n, version) for key in ("space_contact", "time_contact", "precedence")]
         return kind, DCA(FiniteBA(n), *relations), extras
     if kind == "dmst":
         time_raw = _field(payload, "time", dict)
         moments = _size(time_raw, "point_count", "time.")
-        ts = TimeStructure.from_rows(moments, _relation(time_raw, "prec", moments, "time.").rows)
+        ts = TimeStructure.from_rows(moments, _relation(time_raw, "prec", moments, version, "time.").rows)
         coordinates = []
         for i, coord in enumerate(_field(payload, "coordinates", list)):
             where = f"coordinates[{i}]."
             n = _size(_typed(coord, dict, f"coordinates[{i}]"), "atom_count", where)
-            coordinates.append(PrecontactAlgebra(FiniteBA(n), _relation(coord, "contact", n, where)))
+            coordinates.append(PrecontactAlgebra(FiniteBA(n), _relation(coord, "contact", n, version, where)))
         mode = payload.get("mode", "full")
         regions = None
         if mode != "full" or "regions" in payload:
@@ -237,7 +294,7 @@ def decode(payload: dict):
                 raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {FULL_REGION_CAP}")
             widest = max((c.base.atom_count for c in coordinates), default=0)
             regions = [
-                tuple(_mask(x, f"regions[{i}]", widest) for x in _typed(region, list, f"regions[{i}]"))
+                tuple(_masks(_typed(region, list, f"regions[{i}]"), f"regions[{i}]", widest, version))
                 for i, region in enumerate(listed)
             ]
         try:
@@ -247,13 +304,13 @@ def decode(payload: dict):
         return kind, model, extras
     if kind == "dms":
         count = _size(payload, "point_count", bound=SPACE_POINT_CAP)
-        base = tuple(sorted(_mask(b, "closed_base", count) for b in _field(payload, "closed_base", list)))
-        regions = tuple(sorted(_mask(a, "regions", count) for a in _field(payload, "regions", list)))
+        base = tuple(sorted(_masks(_field(payload, "closed_base", list), "closed_base", count, version)))
+        regions = tuple(sorted(_masks(_field(payload, "regions", list), "regions", count, version)))
         space = DMSpace(
             FiniteTopSpace(count, base),
-            _mask(_require(payload, "space_points"), "space_points", count),
-            _mask(_require(payload, "time_points"), "time_points", count),
-            _relation(payload, "prec", count),
+            _index_mask(_require(payload, "space_points"), "space_points", count),
+            _index_mask(_require(payload, "time_points"), "time_points", count),
+            _relation(payload, "prec", count, version),
             regions,
         )
         return kind, space, extras
@@ -268,7 +325,7 @@ def decode(payload: dict):
     raw_map = _field(payload, "map", list)
     try:
         if morphism_kind == "dca":
-            table = tuple(_mask(entry, "map", cod.base.atom_count) for entry in raw_map)
+            table = tuple(_masks(raw_map, "map", cod.base.atom_count, version))
             return kind, DcaMorphism.from_table(dom, cod, table), extras
         point_map = tuple(_index(x, "map", cod.space.point_count) for x in raw_map)
         return kind, DmsMorphism(dom, cod, point_map), extras

@@ -540,8 +540,14 @@ def correspondence_check(model: DMST) -> list[CorrespondenceRow]:
     """
     if not is_rich(model):
         raise PreconditionError("correspondence table requires a rich model")
-    conditions = model.time.condition_failures
-    universal, existential, _ = model.axiom_failures
+    universal, existential, on_cells = model.axiom_failures
+    if sorted(model._cell_moments) == [1 << t for t in range(model.time.size)]:
+        # One cell per moment, as in a full model of one-atom coordinates:
+        # the cells' precedence is the time structure relabelled, and the
+        # time conditions are invariant under relabelling.
+        conditions = on_cells
+    else:
+        conditions = model.time.condition_failures
     rows = []
     for cond in TIME_CONDITIONS:
         right = universal[cond] is None

@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -40,10 +41,11 @@ from mereotime.contact import (
     Relation,
     _first_missing,
 )
-from mereotime.category import DmsMorphism
-from mereotime.dca import ClanStructure, canonical_standard_dca, clan_structure, standard_dca, validate_dca
+from mereotime.category import DcaMorphism, DmsMorphism
+from mereotime.dca import DCA, ClanStructure, canonical_standard_dca, clan_structure, standard_dca, validate_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, _extents, classify, dual, dual_space
 from mereotime.errors import CapabilityError, PreconditionError, ValidationError
+from mereotime.models import canonical_dumps
 from mereotime.reporting import Check, Report
 from mereotime.snapshot import (
     DCA_TIME_AXIOMS,
@@ -53,6 +55,7 @@ from mereotime.snapshot import (
     TimeStructure,
     build_dmst,
     check_time_axiom,
+    is_full,
 )
 from mereotime import generate as gen
 
@@ -1693,6 +1696,74 @@ def contact_clan_space(algebra: PrecontactAlgebra):
     extents = _extents(supports, algebra.base.atom_count)
     space = FiniteTopSpace(len(supports), tuple(sorted(extents)))
     return space, supports, additive(extents)
+
+
+# -- version 1 model files ------------------------------------------------
+
+
+def _pairs(relation: Relation) -> list[list[int]]:
+    return [[x, y] for x, row in enumerate(relation.rows) for y in atoms_of(row)]
+
+
+def encode_v1(obj, claims=None) -> dict:
+    """Model dictionary in format version 1, as `models.encode` wrote it
+    before version 2: relations as sorted pair arrays and every point set as
+    a sorted index list.  The golden fixtures and the version 1 twins of the
+    round-trip and fuzz tests are written with it."""
+    if isinstance(obj, TimeStructure):
+        kind, body = "time_structure", {"point_count": obj.point_count, "prec": _pairs(obj)}
+    elif isinstance(obj, Relation):
+        kind, body = "adjacency", {"point_count": obj.size, "pairs": _pairs(obj)}
+        if claims:
+            body["claims"] = sorted(claims)
+    elif isinstance(obj, DCA):
+        kind, body = "dca", {
+            "atom_count": obj.base.atom_count,
+            "space_contact": _pairs(obj.space_rel),
+            "time_contact": _pairs(obj.time_rel),
+            "precedence": _pairs(obj.prec_rel),
+        }
+    elif isinstance(obj, DMST):
+        kind, body = "dmst", {
+            "time": {"point_count": obj.time.point_count, "prec": _pairs(obj.time)},
+            "coordinates": [
+                {"atom_count": c.base.atom_count, "contact": _pairs(c.relation)} for c in obj.coordinates
+            ],
+        }
+        if is_full(obj):
+            body["mode"] = "full"
+        else:
+            body["mode"] = "custom"
+            body["regions"] = [[list(atoms_of(x)) for x in region] for region in obj.regions]
+    elif isinstance(obj, DMSpace):
+        kind, body = "dms", {
+            "point_count": obj.space.point_count,
+            "closed_base": [list(atoms_of(b)) for b in obj.space.closed_base],
+            "space_points": list(atoms_of(obj.space_points)),
+            "time_points": list(atoms_of(obj.time_points)),
+            "prec": _pairs(obj.prec),
+            "regions": [list(atoms_of(a)) for a in obj.regions],
+        }
+    elif isinstance(obj, DcaMorphism):
+        kind, body = "morphism", {
+            "morphism_kind": "dca",
+            "dom": encode_v1(obj.dom),
+            "cod": encode_v1(obj.cod),
+            "map": [list(atoms_of(obj(a))) for a in obj.dom.base.elements()],
+        }
+    else:
+        kind, body = "morphism", {
+            "morphism_kind": "dms",
+            "dom": encode_v1(obj.dom),
+            "cod": encode_v1(obj.cod),
+            "map": list(obj.point_map),
+        }
+    return {"kind": kind, "format_version": 1, **body}
+
+
+def write_path_v1(path, obj, claims=None) -> None:
+    """Write the canonical text of a version 1 model file."""
+    Path(path).write_text(canonical_dumps(encode_v1(obj, claims=claims)), encoding="utf-8")
 
 
 # -- fixtures --------------------------------------------------------------

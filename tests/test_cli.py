@@ -6,15 +6,25 @@ import sys
 import time
 
 import pytest
+from conftest import encode_v1, write_path_v1
 
 import mereotime
 from mereotime.boolean import FiniteBA
-from mereotime.category import DmsMorphism
+from mereotime.category import DcaMorphism, DmsMorphism
 from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
-from mereotime.models import RELATION_SIZE_CAP, SPACE_POINT_CAP, digest, encode, load_path, write_path
+from mereotime.models import (
+    KINDS,
+    RELATION_SIZE_CAP,
+    SPACE_POINT_CAP,
+    decode,
+    digest,
+    encode,
+    load_path,
+    write_path,
+)
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -196,7 +206,7 @@ def test_full_join_closed_base_files_check_as_their_atom_extent_twins(tmp_path, 
     for d in (from_contact_algebra(path_contact), chain):
         space = dual_space(d).space
         extents = tmp_path / "extents.json"
-        write_path(extents, space)
+        write_path_v1(extents, space)
         payload = json.loads(extents.read_text(encoding="utf-8"))
         assert len(payload["closed_base"]) == d.base.atom_count
         payload["closed_base"] = payload["regions"]
@@ -311,30 +321,55 @@ def test_generate_size_cap(tmp_path, capsys):
 
 
 def test_model_round_trip_byte_identical(tmp_path):
+    """For every kind, a written file decodes to an equal object that
+    re-encodes byte for byte, and its version 1 twin decodes to that object
+    too."""
     ts = TimeStructure.of(2, {(0, 1)})
+    two = PrecontactAlgebra.overlap(FiniteBA(2))
+    path3 = PrecontactAlgebra.from_atom_pairs(FiniteBA(3), {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)})
     model = build_dmst(ts, [ONE_ATOM, ONE_ATOM], mode="full")
+    trivial = from_contact_algebra(path3)
+    space = dual_space(trivial).space
     objects = [
-        Relation.of(2, {(0, 1)}),
-        ts,
-        standard_dca(model),
-        model,
-        dual_space(standard_dca(model)).space,
+        ("adjacency", Relation.of(2, {(0, 1)})),
+        ("time_structure", ts),
+        ("dca", standard_dca(model)),
+        ("dca", trivial),
+        ("dmst", model),
+        ("dmst", build_dmst(ts, [two, path3], mode="rich", regions=[(1, 5)])),
+        ("dms", dual_space(standard_dca(model)).space),
+        ("dms", space),
+        ("morphism", DcaMorphism.identity(trivial)),
+        ("morphism", DmsMorphism.identity(space)),
     ]
-    for obj in objects:
+    kinds = set()
+    for kind, obj in objects:
         path = tmp_path / "model.json"
         write_path(path, obj)
         first = path.read_bytes()
-        _, loaded, _, _ = load_path(path)
+        assert json.loads(first)["format_version"] == 2
+        loaded_kind, loaded, _, _ = load_path(path)
+        assert (loaded_kind, loaded) == (kind, obj)
         write_path(path, loaded)
         assert path.read_bytes() == first
+        assert decode(encode_v1(obj))[:2] == (kind, obj)
+        kinds.add(kind)
+    assert kinds == set(KINDS)
 
 
 def test_schema_rejections(tmp_path, capsys):
     def adjacency(**fields):
         return {"kind": "adjacency", "format_version": 1, "point_count": 2, "pairs": [], **fields}
 
+    def rows(**fields):
+        return {"kind": "adjacency", "format_version": 2, "point_count": 2, "pairs": ["1", "3"], **fields}
+
     point = dual_space(from_contact_algebra(ONE_ATOM)).space
     morphism = encode(DmsMorphism.identity(point))
+    dca_morphism = encode(DcaMorphism.identity(from_contact_algebra(ONE_ATOM)))
+    two = PrecontactAlgebra.overlap(FiniteBA(2))
+    custom = encode(build_dmst(TimeStructure.of(2, {(0, 1)}), [two, two], mode="rich"))
+    assert custom["mode"] == "custom"
     # Each case with a text the error must name.  A JSON index is an
     # integer: strings, floats and booleans are refused, not converted.
     cases = [
@@ -352,6 +387,25 @@ def test_schema_rejections(tmp_path, capsys):
         (adjacency(pairs=[[0, 1, 1]]), "'pairs'"),
         ({**encode(point), "space_points": [True]}, "'space_points'"),
         ({**morphism, "map": ["0"]}, "'map'"),
+        # Version 2: each row and each family member is a canonical
+        # lowercase hex mask below 2^size, and a relation has one row per
+        # point.
+        (rows(pairs=["1", "A"]), "'pairs[1]'"),
+        (rows(pairs=["01", "1"]), "'pairs[0]'"),
+        (rows(pairs=["0x1", "1"]), "'pairs[0]'"),
+        (rows(pairs=["", "1"]), "'pairs[0]'"),
+        (rows(pairs=[1, "1"]), "'pairs[0]'"),
+        (rows(pairs=["1", "4"]), "'pairs[1]'"),
+        (rows(pairs=["1"]), "'pairs'"),
+        (rows(pairs=["1", "1", "1"]), "'pairs'"),
+        (rows(pairs=["f" * 10_000, "1"]), "'pairs[0]'"),
+        (rows(pairs=[[0, 1], [1, 1]]), "'pairs[0]'"),
+        (adjacency(pairs=["1", "1"]), "'pairs'"),
+        ({**encode(point), "closed_base": ["2"]}, "'closed_base[0]'"),
+        ({**encode(point), "regions": ["0", "01"]}, "'regions[1]'"),
+        ({**encode(point), "prec": ["3"]}, "'prec[0]'"),
+        ({**dca_morphism, "map": ["0", "F"]}, "'map[1]'"),
+        ({**custom, "regions": [["0", "0"], ["0", "g"]]}, "'regions[1][1]'"),
     ]
     for i, (payload, named) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
@@ -359,6 +413,7 @@ def test_schema_rejections(tmp_path, capsys):
         code, _, err = run(["check", path], capsys)
         assert code == 2, payload
         assert err.startswith("error:") and named in err, err
+        assert len(err) < 200, err
 
 
 def test_mistyped_fields_exit_two_naming_the_field(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Fuzz gate of the exit-code contract: 0 all checks pass, 1 a check fails,
 2 bad input, for any model file.
 
-Valid payloads of every kind are mutated one place at a time: a key or an
-entry is dropped, a value is retyped, an integer becomes 0, -1 or 2^40 (a
-size out of range), an array gains a huge index, or a value is replaced by
-deeply nested brackets.  Each mutated file goes through every file command
-of `cli.main`; nothing may escape `main`, and each call must finish in
-under 2 s.  Where `schemas/modelfile.schema.json` rejects the mutated
+Valid payloads of every kind, in format versions 1 and 2, are mutated one
+place at a time: a key or an entry is dropped, a value is retyped (among
+others to strings that are not canonical hex masks), an integer becomes 0,
+-1 or 2^40 (a size out of range), an array gains a huge index, or a value
+is replaced by deeply nested brackets.  Each mutated file goes through
+every file command of `cli.main`; nothing may escape `main`, and each call
+must finish in under 2 s.  Where `schemas/modelfile.schema.json` rejects the mutated
 payload, every command must exit 2: `models.decode` reads no file that the
 schema refuses.  Deep nesting must exit 2 without asking the schema, whose
 validator may itself recurse past the limit.
@@ -22,6 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import encode_v1
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
@@ -36,21 +38,27 @@ from mereotime.snapshot import TimeStructure, build_dmst
 
 
 def _valid_payloads() -> dict[str, dict]:
+    """One file of every kind in format version 2, and its version 1 twin."""
     one = PrecontactAlgebra.overlap(FiniteBA(1))
     two = PrecontactAlgebra.overlap(FiniteBA(2))
     ts = TimeStructure.of(2, {(0, 1)})
     trivial = from_contact_algebra(two)
     space = dual_space(trivial).space
-    return {
-        "adjacency": encode(Relation.of(2, {(0, 0), (0, 1), (1, 1)}), claims=["contact"]),
-        "time_structure": encode(ts),
-        "dca": encode(standard_dca(build_dmst(ts, [one, one], mode="full"))),
-        "dmst_full": encode(build_dmst(ts, [one, two], mode="full")),
-        "dmst_custom": encode(build_dmst(ts, [two, two], mode="rich")),
-        "dms": encode(space),
-        "dca_morphism": encode(DcaMorphism.identity(trivial)),
-        "dms_morphism": encode(DmsMorphism.identity(space)),
+    models = {
+        "adjacency": (Relation.of(2, {(0, 0), (0, 1), (1, 1)}), ["contact"]),
+        "time_structure": (ts, None),
+        "dca": (standard_dca(build_dmst(ts, [one, one], mode="full")), None),
+        "dmst_full": (build_dmst(ts, [one, two], mode="full"), None),
+        "dmst_custom": (build_dmst(ts, [two, two], mode="rich"), None),
+        "dms": (space, None),
+        "dca_morphism": (DcaMorphism.identity(trivial), None),
+        "dms_morphism": (DmsMorphism.identity(space), None),
     }
+    out = {}
+    for name, (model, claims) in models.items():
+        out[name] = encode(model, claims=claims)
+        out[f"{name}_v1"] = encode_v1(model, claims=claims)
+    return out
 
 
 VALID = _valid_payloads()
@@ -58,7 +66,7 @@ SCHEMA = Draft202012Validator(
     json.loads((Path(__file__).parents[1] / "schemas" / "modelfile.schema.json").read_text(encoding="utf-8"))
 )
 NESTED = "@@nested@@"
-RETYPED = ("x", 1.5, True, None, {}, [], 7, [[0, 1]])
+RETYPED = ("x", 1.5, True, None, {}, [], 7, [[0, 1]], "01", "F", "0x1", "", "f" * 10_000)
 HUGE = 2**40
 
 
@@ -107,6 +115,7 @@ def mutations(draw):
 
 
 def test_valid_payloads_satisfy_the_schema():
+    assert {payload["format_version"] for payload in VALID.values()} == {1, 2}
     for name, payload in VALID.items():
         assert SCHEMA.is_valid(payload), name
 
@@ -117,7 +126,7 @@ def workdir(tmp_path_factory):
 
 
 @settings(
-    max_examples=120,
+    max_examples=200,
     derandomize=True,
     deadline=None,
     database=None,
@@ -132,6 +141,9 @@ def workdir(tmp_path_factory):
 @example(mutation=("adjacency", ("format_version",), "retype", True))
 @example(mutation=("adjacency", ("pairs", 0), "retype", ["0", 1.7]))
 @example(mutation=("dms", ("space_points",), "retype", [True]))
+# Version 2 masks: not canonical, or longer than the size allows.
+@example(mutation=("dms", ("prec", 0), "retype", "01"))
+@example(mutation=("dca", ("space_contact", 1), "retype", "f" * 10_000))
 def test_mutated_files_keep_the_exit_code_contract(workdir, mutation):
     name, path, op, arg = mutation
     model = workdir / "mutated.json"

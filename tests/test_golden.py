@@ -10,6 +10,10 @@ and witness, and the info block, so a kernel rewrite that changes any
 verdict, witness or the order of the checks fails here byte for byte.
 Written files are named relative to the working directory, so the
 `model_file` paths in the info block do not depend on where the test runs.
+The fixtures are written in format version 1 (`conftest.write_path_v1`), the
+format the digests were recorded on; their version 2 twins, as
+`models.write_path` writes them, must give the same exit codes, checks and
+info.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 
 import pytest
 
+from conftest import write_path_v1
 from mereotime.boolean import FiniteBA
 from mereotime.cli import main
 from mereotime.contact import PrecontactAlgebra, Relation
@@ -129,25 +134,49 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def model_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _model_dir(root, write):
     for name, (model, claims) in _models().items():
-        write_path(root / f"{name}.json", model, claims=claims)
+        write(root / f"{name}.json", model, claims=claims)
     return root
 
 
-def run_case(command: str, name: str, capsys) -> tuple[int, str]:
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return _model_dir(tmp_path_factory.mktemp("golden"), write_path_v1)
+
+
+@pytest.fixture(scope="module")
+def model_dir_v2(tmp_path_factory):
+    return _model_dir(tmp_path_factory.mktemp("golden_v2"), write_path)
+
+
+def run_case(command: str, name: str, capsys) -> tuple[int, dict]:
     args = [command, f"{name}.json", "--format", "json"]
     if command in ("represent", "dualize"):
         args += ["--out", "out"]
     code = main(args)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1, (command, name, lines)
-    return code, json.loads(lines[0])["report_digest"]
+    return code, json.loads(lines[0])
 
 
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
 def test_report_digest_matches_golden(command, name, model_dir, monkeypatch, capsys):
     monkeypatch.chdir(model_dir)
-    assert run_case(command, name, capsys) == GOLDEN[f"{command}-{name}"]
+    code, body = run_case(command, name, capsys)
+    assert (code, body["report_digest"]) == GOLDEN[f"{command}-{name}"]
+
+
+def test_version_2_twins_report_as_the_golden_files(model_dir, model_dir_v2, monkeypatch, capsys):
+    """Each fixture's version 2 twin gives the same exit code, checks and
+    info; only the digests of the input and of the report differ."""
+    for command, name in CASES:
+        seen = []
+        for root in (model_dir, model_dir_v2):
+            monkeypatch.chdir(root)
+            seen.append(run_case(command, name, capsys))
+        (code, body), (code_v2, body_v2) = seen
+        assert code == code_v2 == GOLDEN[f"{command}-{name}"][0], (command, name)
+        assert (body_v2["checks"], body_v2["info"]) == (body["checks"], body["info"]), (command, name)
+        for key in ("input_digest", "report_digest"):
+            assert body_v2[key] != body[key], (command, name, key)

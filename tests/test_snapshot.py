@@ -10,6 +10,7 @@ from mereotime.dca import standard_dca
 from mereotime.generate import all_relations, all_time_structures
 from mereotime.errors import CapabilityError, MembershipError, PreconditionError, ValidationError
 from mereotime.models import decode, encode
+from mereotime import snapshot
 from mereotime.snapshot import (
     DMST,
     FREE_VARIABLE_AXIOMS,
@@ -550,6 +551,27 @@ def test_correspondence_rows_on_selected_structures():
     total = full_model(2, {(0, 0), (0, 1), (1, 0), (1, 1)})
     rows = {r.condition: r for r in correspondence_check(total)}
     assert rows[TimeCondition.REF].left and rows[TimeCondition.REF].right
+
+
+def test_correspondence_decides_the_time_conditions_once(monkeypatch):
+    """On a full model of one-atom coordinates each cell is one moment, so
+    the cells' precedence is the time structure relabelled: one
+    `correspondence_check` decides time conditions once, on the cells, and
+    its rows are those of the time structure's own conditions."""
+    calls = []
+
+    def counted(relation):
+        calls.append(relation)
+        return time_condition_failures(relation)
+
+    monkeypatch.setattr(snapshot, "time_condition_failures", counted)
+    for t in all_time_structures(3):
+        model = build_dmst(t, [ONE_ATOM] * 3, mode="full")
+        before = len(calls)
+        rows = correspondence_check(model)
+        assert len(calls) == before + 1, t
+        conditions = time_condition_failures(TimeStructure.from_rows(3, t.rows))
+        assert [row.left for row in rows] == [conditions[row.condition] is None for row in rows], t
 
 
 def test_correspondence_requires_richness():
