@@ -21,7 +21,6 @@ from .contact import _first_missing
 from .dca import DCA, is_trivial
 from .dms import (
     DMSpace,
-    _extents,
     check_s2,
     classify,
     dual,
@@ -282,18 +281,18 @@ def extent_isomorphism(d: DCA) -> DcaMorphism:
     """The canonical map of an algebra onto the dual of its dual space."""
     result = dual_space(d)
     algebra = dual(result.space)
-    images = tuple(map(algebra.mask_of, _extents(result.points, d.base.atom_count)))
+    images = tuple(map(algebra.mask_of, result.extents))
     return DcaMorphism(d, algebra.dca, images)
 
 
 def trace_morphism(space: DMSpace) -> DmsMorphism:
-    """The canonical map of a space into the dual space of its dual algebra."""
+    """The canonical map of a space into the dual space of its dual algebra, or itself if equal."""
     algebra = dual(space)
     result = dual_space(algebra.dca)
     point_map = tuple(
         result.point_of(algebra.trace_support(x)) for x in space.points()
     )
-    return DmsMorphism(space, result.space, point_map)
+    return DmsMorphism(space, space if result.space == space else result.space, point_map)
 
 
 def naturality(morphism) -> Report:

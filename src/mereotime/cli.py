@@ -30,7 +30,6 @@ from .dca import (
     correspondence2,
     standard_dca,
     t_clan_count,
-    validate_dca,
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
 from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError
@@ -151,7 +150,7 @@ def _check_command(args, report, kind, obj, extras) -> None:
             cond.name: check_time_condition(obj, cond).holds for cond in TIME_CONDITIONS
         }
     elif kind == "dca":
-        report.absorb(validate_dca(obj))
+        report.absorb(obj.report)
     elif kind == "dmst":
         for i, coord in enumerate(obj.coordinates):
             failing = [
@@ -195,7 +194,7 @@ def _admit_t_clans(d) -> None:
 
 
 def _points_command(args, report, kind, obj, extras) -> None:
-    validation = validate_dca(obj)
+    validation = obj.report
     if not validation.ok:
         report.absorb(validation)
         return
@@ -244,7 +243,7 @@ def _dualize_command(args, report, kind, obj, extras) -> None:
             witness = plain(s2.witness)
             raise ValidationError(f"region family is not a Boolean subalgebra: S2 fails (witness {witness})")
         algebra = dual(obj)
-        report.absorb(validate_dca(algebra.dca))
+        report.absorb(algebra.dca.report)
         model, suffix = algebra.dca, ".dual_algebra.json"
     target = _out_dir(args) / (Path(args.path).stem + suffix)
     write_path(target, model)

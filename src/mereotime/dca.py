@@ -4,12 +4,15 @@ A dynamic contact algebra carries a space contact, a time contact and a
 local precedence relation over one finite Boolean algebra.  Relations are
 stored in atom normal form, and the axioms are decided on those atom
 relations; element-level relations are reconstructed on demand.
+
+Results are cached on the structures they describe (`_cached`), and only
+`contact.check_axioms` keeps a value-keyed table: the benchmark reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 from .boolean import FiniteBA, atoms_of, mask_of, meeting
@@ -94,9 +97,22 @@ class DCA:
         self.report.require()
 
 
-@lru_cache(maxsize=None)
+def _cached(fn):
+    """fn(obj), computed once and kept in obj's `__dict__` under fn's name,
+    as `cached_property` keeps its value."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def cached(obj):
+        if key not in obj.__dict__:  # a caught KeyError would chain onto fn's errors
+            obj.__dict__[key] = fn(obj)
+        return obj.__dict__[key]
+
+    return cached
+
+
 def validate_dca(d: DCA) -> Report:
-    """Decision of every defining axiom plus the derived atom facts.
+    """Decision of every defining axiom plus the derived atom facts; `d.report` keeps it.
 
     Verdicts are decided on the stored atom relations: C1-C3'' hold by
     construction, and Cs<=Ct, CtE, CtB, BCt and the contact axioms C4 and
@@ -174,7 +190,6 @@ def t_clan_count(d: DCA) -> int:
     return sum((1 << c.bit_count()) - 1 for c in _time_classes(d))
 
 
-@lru_cache(maxsize=None)
 def clan_structure(d: DCA) -> ClanStructure:
     """Enumerate s-clans, t-clans and clusters with gamma and clan precedence.
 
@@ -204,7 +219,6 @@ class CanonicalTime:
     clusters: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def canonical_time_structure(d: DCA) -> CanonicalTime:
     """Clusters as moments, clan precedence restricted to them."""
     d.require_valid()
@@ -290,7 +304,6 @@ def coordinate_algebra(d: DCA, cluster_support: int) -> FactorAlgebra:
 class CanonicalModel:
     """Full snapshot model extracted from a dynamic algebra."""
 
-    source: DCA
     time: CanonicalTime
     factors: tuple[FactorAlgebra, ...]
     model: DMST
@@ -300,13 +313,13 @@ class CanonicalModel:
         return tuple(f.project(a) for f in self.factors)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def canonical_standard_dca(d: DCA) -> CanonicalModel:
     """Full snapshot model over the canonical time structure."""
     canonical = canonical_time_structure(d)
     factors = tuple(coordinate_algebra(d, support) for support in canonical.clusters)
     model = build_dmst(canonical.structure, [f.algebra for f in factors], mode="full")
-    return CanonicalModel(d, canonical, factors, model)
+    return CanonicalModel(canonical, factors, model)
 
 
 def standard_dca(model: DMST) -> DCA:

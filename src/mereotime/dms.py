@@ -30,6 +30,8 @@ equal ones.  S2 is decided on those atoms, and the space axioms, the
 lifting conditions, the extent isomorphism and the density map on atoms
 too; the element-level evaluations are the test oracle
 (`tests/conftest.py`).
+
+Results are cached on the spaces and algebras they describe (`dca._cached`).
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .boolean import FiniteBA, additive, atoms_of, joins, mask_of, meeting
 from .contact import Relation
 from .dca import (
     DCA,
+    _cached,
     _common_successors,
     _time_classes,
     clan_structure,
-    validate_dca,
 )
 from .errors import CapabilityError, PreconditionError, ValidationError
 from .reporting import Check, Report
@@ -185,7 +187,6 @@ class DMSpace:
 class DmsDual:
     """Dual algebra of a space: its region family as a dynamic algebra."""
 
-    source: DMSpace
     dca: DCA
     atoms: tuple[int, ...]
 
@@ -248,13 +249,16 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
     return DCA(FiniteBA(k), space_rel, time_rel, space.prec.pullback(atoms)), tuple(atoms)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def dual(space: DMSpace) -> DmsDual:
-    """Dual dynamic algebra over the distinguished region family."""
-    return DmsDual(space, *_atom_algebra(space, space.regions))
+    """Dual dynamic algebra over the distinguished region family: the algebra
+    `dual_space` built the space from, if equal, so its cached results are reused."""
+    dca, atoms = _atom_algebra(space, space.regions)
+    source = vars(space).get("_dual_of")
+    return DmsDual(source if dca == source else dca, atoms)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def check_s2(candidate: DMSpace) -> Check:
     """S2: the regions are a subalgebra of RC and a closed base.
 
@@ -309,7 +313,7 @@ def _regular_atoms(space: FiniteTopSpace, atoms) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@_cached
 def validate_dms(candidate: DMSpace) -> Report:
     """Decide the eight space axioms, each with a witness on failure.
 
@@ -340,7 +344,7 @@ def validate_dms(candidate: DMSpace) -> Report:
         return report
 
     algebra = dual(candidate)
-    sub = validate_dca(algebra.dca)
+    sub = algebra.dca.report
     report.add(
         "S6",
         sub.ok,
@@ -387,7 +391,7 @@ class Classification:
     duplicate_points: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
+@_cached
 def classify(space: DMSpace) -> Classification:
     """T0 via injectivity of point traces, DM-compactness via their surjectivity.
 
@@ -473,7 +477,7 @@ def _require_dm_compact(space: DMSpace, what: str) -> Classification:
     return shape
 
 
-@lru_cache(maxsize=None)
+@_cached
 def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     """The full regular-sets algebra of a space as a dynamic algebra.
 
@@ -501,7 +505,7 @@ def stability_check(space: DMSpace) -> Report:
     report.extend(lifting_conditions(space, space.regions))
 
     full, _ = rc_dca(space)
-    full_report = validate_dca(full)
+    full_report = full.report
     report.add(
         "RC(S) is a DCA",
         full_report.ok,
@@ -525,11 +529,11 @@ def stability_check(space: DMSpace) -> Report:
 
 @dataclass(frozen=True)
 class DualSpaceResult:
-    """Canonical space of a dynamic algebra, with its clan bookkeeping."""
+    """Canonical space of a dynamic algebra, its points' clans and its atoms' extents."""
 
-    source: DCA
     space: DMSpace
     points: tuple[int, ...]
+    extents: tuple[int, ...]
 
     @cached_property
     def _point_index(self) -> dict[int, int]:
@@ -544,14 +548,14 @@ class DualSpaceResult:
             ) from None
 
 
-@lru_cache(maxsize=None)
+@_cached
 def dual_space(d: DCA) -> DualSpaceResult:
     """Canonical dynamic mereotopological space of a valid dynamic algebra."""
     d.require_valid()
     structure = clan_structure(d)
     points = structure.t_clans
     index = {support: i for i, support in enumerate(points)}
-    extents = _extents(points, d.base.atom_count)
+    extents = tuple(meeting(points, 1 << x) for x in d.base.atoms())
     result_regions = tuple(sorted(set(joins(extents))))
     xs_mask = mask_of(index[support] for support in structure.s_clans)
     t_mask = mask_of(index[support] for support in structure.clusters)
@@ -564,12 +568,8 @@ def dual_space(d: DCA) -> DualSpaceResult:
     # a closed base of the same topology.
     topo = FiniteTopSpace(len(points), tuple(sorted(extents)))
     space = DMSpace(topo, xs_mask, t_mask, prec, result_regions)
-    return DualSpaceResult(d, space, points)
-
-
-def _extents(points, atom_count: int) -> tuple[int, ...]:
-    """Point mask of the clans, given by their supports, holding each atom."""
-    return tuple(meeting(points, 1 << x) for x in range(atom_count))
+    vars(space)["_dual_of"] = d  # for `dual`
+    return DualSpaceResult(space, points, extents)
 
 
 def verify_representation_topo(d: DCA) -> Report:
@@ -599,9 +599,8 @@ def verify_representation_topo(d: DCA) -> Report:
     # onto the dual's atoms, and all relations are additive, so they are
     # compared on atom pairs.
     algebra = dual(space)
-    extents = _extents(result.points, d.base.atom_count)
-    image = [algebra.mask_of(extent) for extent in extents]
-    lands = all(algebra.pointset(m) == extent for m, extent in zip(image, extents))
+    image = [algebra.mask_of(extent) for extent in result.extents]
+    lands = all(algebra.pointset(m) == extent for m, extent in zip(image, result.extents))
     report.add("extents land in the dual algebra", lands)
     if lands:
         hit, witness = 0, None

@@ -43,7 +43,7 @@ from mereotime.contact import (
 )
 from mereotime.category import DcaMorphism, DmsMorphism
 from mereotime.dca import DCA, ClanStructure, canonical_standard_dca, clan_structure, standard_dca, validate_dca
-from mereotime.dms import DMSpace, FiniteTopSpace, _extents, classify, dual, dual_space
+from mereotime.dms import DMSpace, FiniteTopSpace, classify, dual, dual_space
 from mereotime.errors import CapabilityError, PreconditionError, ValidationError
 from mereotime.models import canonical_dumps
 from mereotime.reporting import Check, Report
@@ -1693,7 +1693,7 @@ def contact_clan_space(algebra: PrecontactAlgebra):
     sending an element to the mask of clans containing it.
     """
     supports = algebra.clique_supports
-    extents = _extents(supports, algebra.base.atom_count)
+    extents = tuple(meeting(supports, 1 << x) for x in algebra.base.atoms())
     space = FiniteTopSpace(len(supports), tuple(sorted(extents)))
     return space, supports, additive(extents)
 

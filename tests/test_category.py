@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     pair_set_t2_failures,
     random_region_families,
 )
+from mereotime import dms as dms_module
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
 from mereotime.category import (
     DcaMorphism,
@@ -36,8 +39,17 @@ from mereotime.category import (
     validate_dms_morphism,
 )
 from mereotime.contact import PrecontactAlgebra, Relation
-from mereotime.dca import DCA, from_contact_algebra, standard_dca
-from mereotime.dms import DMSpace, FiniteTopSpace, check_s2, dual, dual_space
+from mereotime.dca import DCA, from_contact_algebra, standard_dca, verify_embedding
+from mereotime.dms import (
+    DMSpace,
+    FiniteTopSpace,
+    _atom_algebra,
+    check_s2,
+    classify,
+    dual,
+    dual_space,
+    verify_representation_topo,
+)
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
 from mereotime.generate import all_relations, trivial_dcas
 from mereotime.snapshot import TimeStructure, build_dmst
@@ -396,3 +408,57 @@ def test_dms_isomorphism_definitions_agree_on_non_iso():
     report = dms_isomorphism_report(theta)
     if report["is a morphism"].holds and report["bijective on points"].holds:
         assert report["two formulations agree"].holds
+
+
+def _check_and_drop(d):
+    """Run the library's checks on d and its dual space, keeping only weak
+    references to the two."""
+    space = dual_space(d).space
+    assert verify_representation_topo(d).ok
+    assert duality_roundtrip(d).ok and duality_roundtrip(space).ok
+    assert verify_embedding(d).ok
+    assert naturality(DcaMorphism.identity(d)).ok
+    return weakref.ref(d), weakref.ref(space)
+
+
+def test_checked_structures_are_released():
+    """Results are cached on the structures they describe, so no table
+    keeps an algebra or its dual space alive after its caller drops it."""
+    d = trivial_dca(3)
+    refs = _check_and_drop(d)
+    del d
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_round_trip_lands_on_the_structure_it_started_from(small_dca_corpus):
+    """The dual of a dual space is the algebra itself, and the trace map of
+    a space that equals its double dual lands on that space."""
+    corpus = [d for d in [*small_dca_corpus, *trivial_dcas(3)] if d.is_valid]
+    assert corpus
+    for d in corpus:
+        space = dual_space(d).space
+        assert dual(space).dca is d
+        assert d == _atom_algebra(space, space.regions)[0]
+        shape = classify(space)
+        assert shape.is_t0 and shape.is_dm_compact
+        assert trace_morphism(space).cod is space
+        # An equal space that no algebra built, as a model file gives it.
+        loaded = DMSpace(space.space, space.space_points, space.time_points, space.prec, space.regions)
+        assert trace_morphism(loaded).cod is loaded
+
+
+def test_dual_keeps_the_algebra_it_built_when_the_source_differs(monkeypatch):
+    """An algebra recorded by `dual_space` is handed back only when it
+    equals the one built from the regions."""
+    built = dms_module._atom_algebra
+
+    def reversed_prec(space, family):
+        dca, atoms = built(space, family)
+        return DCA(dca.base, dca.space_rel, dca.time_rel, dca.prec_rel.converse()), atoms
+
+    monkeypatch.setattr(dms_module, "_atom_algebra", reversed_prec)
+    d = chain_dca()
+    algebra = dual(dual_space(d).space).dca
+    assert algebra is not d
+    assert algebra.prec_rel == d.prec_rel.converse() != d.prec_rel

@@ -155,7 +155,6 @@ def test_validate_dca_matches_element_oracle():
             assert _counterexample(d, check.name, *check.witness), (d, check)
             counted += 1
     assert counted > 0
-    validate_dca.cache_clear()
 
 
 # The axioms whose counterexamples also refute each atom fact.

@@ -1,11 +1,12 @@
-"""Library code has a caller outside the tests.
+"""Library code has a caller outside the tests, and caches its results on objects.
 
 Every public module-level function and class of the checked modules is
 referenced, as an AST `Name` or `Attribute`, by another module of the
 package or by its own module outside its own definition, or is named in a
 `bench/*.py` file, or is exported in `mereotime.__all__`.  Docstring
 mentions do not count.  Helpers and oracles that only the tests call live
-in `tests/conftest.py`.
+in `tests/conftest.py`.  No function in `src/` keeps a value-keyed cache
+(`lru_cache`, `functools.cache`) beyond the named exceptions.
 """
 
 from __future__ import annotations
@@ -66,3 +67,29 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     offenders = [name for name in unreferenced if name.split(".")[1] not in ALLOWED]
     assert not offenders, f"only the tests reach these; move them to tests/conftest.py: {offenders}"
     assert sorted(name.split(".")[1] for name in unreferenced) == sorted(ALLOWED), "an allowed name has a caller now"
+
+
+# Value-keyed function caches kept in src/, each for one reason.  Every
+# other result is cached on the structure it describes.
+VALUE_CACHES = {
+    "contact.check_axioms": "bench/spans.py counts its misses through cache_info() until ROADMAP item 1",
+}
+
+
+def _value_caches() -> list[str]:
+    """The functions of src/ decorated with `lru_cache` or `functools.cache`."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_results_are_cached_on_objects_not_in_value_keyed_tables():
+    assert sorted(_value_caches()) == sorted(VALUE_CACHES), "cache the result on the structure it describes"
