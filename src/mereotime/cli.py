@@ -32,7 +32,7 @@ from .dca import (
     t_clan_count,
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
-from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError
+from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError, count_text
 from .models import KINDS, SPACE_POINT_CAP, digest, load_path, write_path
 from .reporting import plain
 from .snapshot import (
@@ -190,7 +190,7 @@ def _admit_t_clans(d) -> None:
     d.require_valid()
     count = t_clan_count(d)
     if count > SPACE_POINT_CAP:
-        raise SchemaError(f"dca has {count} t-clans, over the dual space point bound of {SPACE_POINT_CAP}")
+        raise SchemaError(f"dca has {count_text(count)} t-clans, over the dual space point bound of {SPACE_POINT_CAP}")
 
 
 def _points_command(args, report, kind, obj, extras) -> None:

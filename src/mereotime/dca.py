@@ -229,12 +229,6 @@ def canonical_time_structure(d: DCA) -> CanonicalTime:
     return CanonicalTime(TimeStructure.from_rows(len(clusters), rows), clusters)
 
 
-def _tri_with_relation(prec: Relation, same: Relation) -> bool:
-    """Every pair is related by `same` or by `prec` in one direction."""
-    full = (1 << prec.size) - 1
-    return all(s | p | c == full for s, p, c in zip(same.rows, prec.rows, prec.columns))
-
-
 class Correspondence2Row(NamedTuple):
     condition: TimeCondition
     on_ultrafilters: bool
@@ -253,16 +247,14 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
     for it (see `irr_one_directional`).
     """
     on_clusters = canonical_time_structure(d).structure.condition_failures
-    on_ultrafilters = d.axiom_failures[2]  # the time conditions of the precedence
-    rows = []
-    for cond in DCA_TIME_AXIOMS:
-        if cond is TimeCondition.TRI:
-            on_ult = _tri_with_relation(d.prec_rel, d.time_rel)
-        else:
-            on_ult = on_ultrafilters[cond] is None
-        on_regions = time_axiom_holds(d, cond)
-        rows.append(Correspondence2Row(cond, on_ult, on_clusters[cond] is None, on_regions))
-    return rows
+    universal, _, on_prec = d.axiom_failures
+    # The time conditions of the precedence, but TRI: every atom pair is in
+    # time contact or in precedence one way, the region axiom's own kernel.
+    on_ult = {**on_prec, TimeCondition.TRI: universal[TimeCondition.TRI]}
+    return [
+        Correspondence2Row(cond, on_ult[cond] is None, on_clusters[cond] is None, time_axiom_holds(d, cond))
+        for cond in DCA_TIME_AXIOMS
+    ]
 
 
 def irr_one_directional(d: DCA) -> dict[str, bool]:
@@ -291,7 +283,7 @@ def coordinate_algebra(d: DCA, cluster_support: int) -> FactorAlgebra:
     listing the s-clans.
     """
     d.require_valid()
-    if cluster_support not in _time_classes(d):
+    if cluster_support not in d.time_rel.rows:  # a valid Ct's rows are its classes
         raise PreconditionError(
             "coordinate algebras exist only at clusters", witness=cluster_support
         )
@@ -340,14 +332,15 @@ def verify_embedding(d: DCA) -> Report:
 
     Covers the Boolean homomorphism laws, injectivity, preservation and
     reflection of all three relations, and the ten time-axiom equivalences
-    between the algebra and its canonical model.  The embedding h is a
-    coordinate-wise restriction and so preserves joins by construction, and
-    every relation on both sides is additive in each argument; so h is
-    checked on atoms, each relation is compared row by row over the atoms
-    (an atom's image read as a mask over the model's atoms), and each time
-    axiom is decided on the atoms of both sides (the algebra's atom relations,
-    the model's atoms: a coordinate atom at one moment).  A witness is the
-    first failing atom pair in row-major order.
+    between the algebra and its canonical model.  Its moments are the
+    clusters and its coordinate atoms the clusters' atoms, so h, a
+    coordinate-wise restriction, sends each atom to the one coordinate atom
+    that keeps it: each atom's image is read off the factors once, as a mask
+    over the model's cells.  h preserves joins by construction, so the
+    Boolean laws are word operations on the masks; every relation is
+    additive and is compared row by row over the atoms, and each time axiom
+    is decided on the atoms of both sides.  A witness is the first failing
+    atom pair in row-major order.
     """
     d.require_valid()
     canonical = canonical_standard_dca(d)
@@ -355,11 +348,18 @@ def verify_embedding(d: DCA) -> Report:
     base = d.base
     h = canonical.embed
     atoms = [1 << x for x in base.atoms()]
-    # Each atom's image, its projection on every factor, is computed once,
-    # with its mask over the model's atoms and the moments where it is nonzero.
-    image = [h(a) for a in atoms]
-    masks = [model.region_index(u) for u in image]
-    moments = [mask_of(k for k, part in enumerate(u) if part) for u in image]
+    # Coordinate atom i of moment k is the full model's packed bit
+    # layout[k][0] + i; `|=` keeps an atom that two factors keep visible.
+    masks, moments, middle_cs = [0] * len(atoms), [0] * len(atoms), [0] * len(atoms)
+    for k, ((shift, _), f) in enumerate(zip(model.layout, canonical.factors)):
+        kept = f.kept_atoms
+        for i, (x, row) in enumerate(zip(kept, f.algebra.relation.rows)):
+            masks[x] |= 1 << shift + i
+            moments[x] |= 1 << k
+            middle_cs[x] |= mask_of(kept[j] for j in atoms_of(row))
+    covered = twice = 0  # the cells some image holds, and those two images hold
+    for m in masks:
+        covered, twice = covered | m, twice | covered & m
 
     report = Report(subject="snapshot representation")
     report.add("h(0)=0", h(0) == model.zero)
@@ -371,28 +371,20 @@ def verify_embedding(d: DCA) -> Report:
 
     # h preserves joins, and so preserves meets iff distinct atoms have
     # disjoint images.
-    witness = first_pair([meeting(masks, m) & ~a for a, m in zip(atoms, masks)])
+    witness = first_pair([meeting(masks, m) & ~a if m & twice else 0 for a, m in zip(atoms, masks)])
     report.add("h preserves join and meet", witness is None, witness)
-    witness = next((a for a, u in zip(atoms, image) if h(base.one ^ a) != model.compl(u)), None)
-    report.add("h preserves complement", witness is None, (witness,) if witness is not None else None)
+    # h(1 - a) joins the other atoms' images: it is the complement of h(a)
+    # iff the images cover the cells and h(a) meets no other image.
+    whole = covered == (1 << len(model.cells)) - 1
+    witness = next((a for a, m in zip(atoms, masks) if not whole or m & twice), None)
+    report.add("h preserves complement", witness is None, witness and (witness,))
     # An additive h is injective, and reflects the order, iff no atom's
     # image lies below the image of its complement.
-    collapsed = next(
-        (a for a, u in zip(atoms, image) if model.meet(u, h(base.one ^ a)) == u), None
-    )
-    report.add(
-        "h injective",
-        collapsed is None,
-        (base.one ^ collapsed, base.one) if collapsed is not None else None,
-    )
+    collapsed = next((a for a, m in zip(atoms, masks) if not m & ~twice), None)
+    report.add("h injective", collapsed is None, collapsed and (base.one ^ collapsed, base.one))
 
     # Each relation as rows over the atoms: the algebra's own (left), the
     # canonical factors' and moments' (middle), and the model's (right).
-    middle_cs = [0] * len(atoms)
-    for k, f in enumerate(canonical.factors):
-        parts = [u[k] for u in image]
-        for x, part in enumerate(parts):
-            middle_cs[x] |= meeting(parts, f.algebra.relation.forward_image(part))
     middle_b = canonical.time.structure.pullback(moments).rows
     model_time, model_prec = model.atom_relations
     for name, left, middle, on_model in (
@@ -404,11 +396,7 @@ def verify_embedding(d: DCA) -> Report:
         witness = first_pair([(p ^ q) | (q ^ r) for p, q, r in zip(left, middle, right)])
         report.add(name, witness is None, witness)
 
-    report.add(
-        "order respected",
-        collapsed is None,
-        (collapsed, base.one ^ collapsed) if collapsed is not None else None,
-    )
+    report.add("order respected", collapsed is None, collapsed and (collapsed, base.one ^ collapsed))
 
     for cond in DCA_TIME_AXIOMS:
         in_d = time_axiom_holds(d, cond)

@@ -37,6 +37,7 @@ Results are cached on the spaces and algebras they describe (`dca._cached`).
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -249,13 +250,20 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
     return DCA(FiniteBA(k), space_rel, time_rel, space.prec.pullback(atoms)), tuple(atoms)
 
 
-@_cached
 def dual(space: DMSpace) -> DmsDual:
     """Dual dynamic algebra over the distinguished region family: the algebra
-    `dual_space` built the space from, if equal, so its cached results are reused."""
-    dca, atoms = _atom_algebra(space, space.regions)
-    source = vars(space).get("_dual_of")
-    return DmsDual(source if dca == source else dca, atoms)
+    `dual_space` built the space from, while it lives and equals the one
+    built from the regions.  The space holds it weakly, as a strong link back
+    to the algebra that holds the space would make each pair a cycle."""
+    built = _built_dual(space)
+    ref = vars(space).get("_dual_of")
+    source = ref and ref()
+    return DmsDual(source, built.atoms) if source == built.dca else built
+
+
+@_cached
+def _built_dual(space: DMSpace) -> DmsDual:
+    return DmsDual(*_atom_algebra(space, space.regions))
 
 
 @_cached
@@ -477,7 +485,6 @@ def _require_dm_compact(space: DMSpace, what: str) -> Classification:
     return shape
 
 
-@_cached
 def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     """The full regular-sets algebra of a space as a dynamic algebra.
 
@@ -485,11 +492,14 @@ def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
     dual space is), this is the dual algebra itself, so the one algebra is
     built, validated and decided once for both roles.
     """
+    algebra = _rc_unless_regions(space) or dual(space)
+    return algebra.dca, algebra.atoms
+
+
+@_cached
+def _rc_unless_regions(space: DMSpace) -> DmsDual | None:
     rc = space.space.regular_closed
-    if tuple(sorted(space.regions)) == rc:
-        algebra = dual(space)
-        return algebra.dca, algebra.atoms
-    return _atom_algebra(space, rc)
+    return None if tuple(sorted(space.regions)) == rc else DmsDual(*_atom_algebra(space, rc))
 
 
 def stability_check(space: DMSpace) -> Report:
@@ -506,11 +516,7 @@ def stability_check(space: DMSpace) -> Report:
 
     full, _ = rc_dca(space)
     full_report = full.report
-    report.add(
-        "RC(S) is a DCA",
-        full_report.ok,
-        witness=None if full_report.ok else (full_report.failures()[0].name,),
-    )
+    report.add_summary("RC(S) is a DCA", full_report)
 
     sub = dual(space)
     sub_report = sub.dca.report
@@ -568,7 +574,7 @@ def dual_space(d: DCA) -> DualSpaceResult:
     # a closed base of the same topology.
     topo = FiniteTopSpace(len(points), tuple(sorted(extents)))
     space = DMSpace(topo, xs_mask, t_mask, prec, result_regions)
-    vars(space)["_dual_of"] = d  # for `dual`
+    vars(space)["_dual_of"] = weakref.ref(d)  # for `dual`
     return DualSpaceResult(space, points, extents)
 
 
@@ -579,12 +585,7 @@ def verify_representation_topo(d: DCA) -> Report:
     space = result.space
     report = Report(subject="topological representation")
 
-    dms_report = validate_dms(space)
-    report.add(
-        "dual space satisfies S1-S8",
-        dms_report.ok,
-        witness=None if dms_report.ok else (dms_report.failures()[0].name,),
-    )
+    report.add_summary("dual space satisfies S1-S8", validate_dms(space))
     shape = classify(space)
     report.add("dual space is T0", shape.is_t0, tuple(shape.duplicate_points) or None)
     report.add(
@@ -624,12 +625,7 @@ def verify_representation_topo(d: DCA) -> Report:
         report.add("extent map is a Boolean isomorphism", witness is None, witness)
         report.add("extent map preserves and reflects the relations", relations_ok)
 
-    stability = stability_check(space)
-    report.add(
-        "dual subalgebra is stable in RC",
-        stability.ok,
-        witness=None if stability.ok else (stability.failures()[0].name,),
-    )
+    report.add_summary("dual subalgebra is stable in RC", stability_check(space))
 
     full, _ = rc_dca(space)
     report.add("RC of the dual space is a DCA", full.is_valid)

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the form their messages give counts in."""
+
+
+def count_text(count: int) -> str:
+    """A count as a message gives it: in full up to 12 digits, past that as
+    2^k - 1 or 2^k where it is one, or as the power of two it exceeds."""
+    if count < 10**12:
+        return str(count)
+    k = count.bit_length()
+    if count & (count + 1) == 0:
+        return f"2^{k} - 1"
+    return f"2^{k - 1}" if count & (count - 1) == 0 else f"more than 2^{k - 1}"
 
 
 class MereotimeError(Exception):

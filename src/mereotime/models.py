@@ -40,19 +40,19 @@ READ_VERSIONS = (1, 2)
 KINDS = ("adjacency", "time_structure", "dca", "dmst", "dms", "morphism")
 # Largest relation size a file may declare (adjacency and time-structure
 # point_count, dca and coordinate atom_count), checked before anything is
-# built.  Seconds for a whole `python -m mereotime.cli` process on a version
-# 2 file of the total relation (all three total for a dca): `check` of each
-# kind, and `represent` of the dca; best of three, Python 3.11 on a 2-core
-# Xeon:
-#     size   KB/rel.   adjacency   time_structure    dca   dca represent
-#       64       1.3       0.12         0.11         0.12        0.20
-#      128       4.5       0.12         0.11         0.13        0.30
-#      256        17       0.12         0.15         0.17        0.64
-#      512        67       0.17         0.31         0.41        2.22
-#    1,024       265       0.41         1.03         1.53           -
+# built.  Seconds, best of three, for whole `python -m mereotime.cli`
+# processes on version 2 files: `check` of each kind of the total relation
+# (all three total for a dca), and `represent` of that dca and of the chain
+# (identity contacts, strict linear precedence); Python 3.11, 2-core Xeon:
+#     size   KB/rel.   adjacency   time_structure    dca   represent   chain represent
+#       64       1.3       0.12         0.11         0.12      0.12          0.11
+#      128       4.5       0.12         0.11         0.13      0.16          0.14
+#      256        17       0.12         0.15         0.17      0.36          0.24
+#      512        67       0.17         0.31         0.41      1.33          0.73
+#    1,024       265       0.41         1.03         1.53         -             -
 # Rows written as pairs made reading the cost (`check` of a 512-size dca
-# took 2.78 s from a 3 MB version 1 file); with rows, `check` would stay
-# under 1 s at 512, but `represent` would not, so the bound stays at 256.
+# took 2.78 s from a 3 MB version 1 file); with rows, `check` and the chain
+# stay under 1 s at 512, but the total dca's `represent` does not: 256.
 RELATION_SIZE_CAP = 256
 # Largest `point_count` a dms file may declare, and the most t-clans (points
 # of the dual space) `points`, `dualize` and `roundtrip` of a dca file will

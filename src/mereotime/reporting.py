@@ -35,6 +35,11 @@ class Report:
     def extend(self, checks) -> None:
         self.checks.extend(checks)
 
+    def add_summary(self, name: str, other: "Report") -> Check:
+        """A check that holds iff all of `other` does, witnessed by its first failure's name."""
+        failing = other.failures()
+        return self.add(name, not failing, (failing[0].name,) if failing else None)
+
     @property
     def ok(self) -> bool:
         return all(c.holds for c in self.checks)

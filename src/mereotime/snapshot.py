@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .contact import PrecontactAlgebra, Relation
-from .errors import CapabilityError, DimensionMismatch, MembershipError, PreconditionError, ValidationError
+from .errors import CapabilityError, DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
 from .reporting import Check
 from .boolean import atoms_of, meeting
 
@@ -299,7 +299,7 @@ class DMST:
     def _listed(self) -> tuple[Region, ...]:
         """Every region in sorted order: the joins of the cells in binary counting order."""
         if self.region_count > FULL_REGION_CAP:
-            too_many = f"{self.region_count} regions, over the bound of {FULL_REGION_CAP}"
+            too_many = f"{count_text(self.region_count)} regions, over the bound of {FULL_REGION_CAP}"
             raise CapabilityError(f"model too large to list: {too_many}", missing="model within the bound")
         return tuple(_unpack(self.layout, j) for j in _joins(self.cells))
 

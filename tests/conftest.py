@@ -567,33 +567,13 @@ def element_validate_dca(d) -> Report:
     return report
 
 
-def element_verify_embedding(d) -> Report:
-    """The snapshot representation of `d`, checked on every element pair."""
+def embedding_refutations(d) -> dict:
+    """The checks of the snapshot representation that carry a witness, each
+    as the predicate on elements that a failing instance satisfies."""
     d.require_valid()
     canonical = canonical_standard_dca(d)
-    model = canonical.model
-    base = d.base
+    model, base, factors = canonical.model, d.base, canonical.factors
     h = {a: canonical.embed(a) for a in base.elements()}
-    pairs = list(itertools.product(base.elements(), repeat=2))
-
-    report = Report(subject="snapshot representation")
-    report.add("h(0)=0", h[0] == model.zero)
-    report.add("h(1)=1", h[base.one] == model.one)
-    witness = next(
-        (
-            (a, b)
-            for a, b in pairs
-            if h[a | b] != model.join(h[a], h[b]) or h[a & b] != model.meet(h[a], h[b])
-        ),
-        None,
-    )
-    report.add("h preserves join and meet", witness is None, witness)
-    witness = next((a for a in base.elements() if h[base.one ^ a] != model.compl(h[a])), None)
-    report.add("h preserves complement", witness is None, (witness,) if witness is not None else None)
-    witness = next(((a, b) for a, b in pairs if a != b and h[a] == h[b]), None)
-    report.add("h injective", witness is None, witness)
-
-    factors = canonical.factors
 
     def middle_cs(a, b):
         return any(f.algebra.related(f.project(a), f.project(b)) for f in factors)
@@ -607,29 +587,39 @@ def element_verify_embedding(d) -> Report:
             for (i, j) in canonical.time.structure.prec
         )
 
-    for name, left_rel, middle, right_rel in (
-        ("Cs respected", d.space_contact, middle_cs, model.space_contact),
-        ("Ct respected", d.time_contact, middle_ct, model.time_contact),
-        ("B respected", d.precedes, middle_b, model.precedes),
-    ):
-        witness = next(
-            (
-                (a, b)
-                for a, b in pairs
-                if not (left_rel(a, b) == middle(a, b) == right_rel(h[a], h[b]))
-            ),
-            None,
-        )
-        report.add(name, witness is None, witness)
-    witness = next(
-        (
-            (a, b)
-            for a, b in pairs
-            if base.leq(a, b) != all(x & ~y == 0 for x, y in zip(h[a], h[b]))
+    def respected(left_rel, middle, right_rel):
+        return lambda a, b: not (left_rel(a, b) == middle(a, b) == right_rel(h[a], h[b]))
+
+    return {
+        "h preserves join and meet": lambda a, b: (
+            h[a | b] != model.join(h[a], h[b]) or h[a & b] != model.meet(h[a], h[b])
         ),
-        None,
-    )
-    report.add("order respected", witness is None, witness)
+        "h preserves complement": lambda a: h[base.one ^ a] != model.compl(h[a]),
+        "h injective": lambda a, b: a != b and h[a] == h[b],
+        "Cs respected": respected(d.space_contact, middle_cs, model.space_contact),
+        "Ct respected": respected(d.time_contact, middle_ct, model.time_contact),
+        "B respected": respected(d.precedes, middle_b, model.precedes),
+        "order respected": lambda a, b: (
+            base.leq(a, b) != all(x & ~y == 0 for x, y in zip(h[a], h[b]))
+        ),
+    }
+
+
+def element_verify_embedding(d) -> Report:
+    """The snapshot representation of `d`, checked on every element pair."""
+    refutations = embedding_refutations(d)
+    canonical = canonical_standard_dca(d)
+    model = canonical.model
+    base = d.base
+    pairs = list(itertools.product(base.elements(), repeat=2))
+
+    report = Report(subject="snapshot representation")
+    report.add("h(0)=0", canonical.embed(0) == model.zero)
+    report.add("h(1)=1", canonical.embed(base.one) == model.one)
+    for name, refutes in refutations.items():
+        instances = [(a,) for a in base.elements()] if name == "h preserves complement" else pairs
+        witness = next((w for w in instances if refutes(*w)), None)
+        report.add(name, witness is None, witness)
     for cond in DCA_TIME_AXIOMS:
         report.add(
             f"time axiom {cond.region_axiom} preserved",

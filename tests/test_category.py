@@ -431,6 +431,29 @@ def test_checked_structures_are_released():
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_round_trips_are_freed_without_the_cyclic_collector():
+    """A dual space holds the algebra it was built from weakly, so with the
+    cyclic collector off, dropping the algebra frees it and its dual space,
+    and dropping a loaded space frees it and the algebra of its round trip."""
+    gc.collect()
+    gc.disable()
+    try:
+        d = trivial_dca(3)
+        refs = _check_and_drop(d)
+        del d
+        assert [ref() for ref in refs] == [None, None]
+
+        space = dual_space(trivial_dca(3)).space
+        loaded = DMSpace(space.space, space.space_points, space.time_points, space.prec, space.regions)
+        del space
+        assert duality_roundtrip(loaded).ok
+        refs = weakref.ref(loaded), weakref.ref(dual(loaded).dca)
+        del loaded
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_round_trip_lands_on_the_structure_it_started_from(small_dca_corpus):
     """The dual of a dual space is the algebra itself, and the trace map of
     a space that equals its double dual lands on that space."""

@@ -13,8 +13,9 @@ from mereotime.boolean import FiniteBA
 from mereotime.category import DcaMorphism, DmsMorphism
 from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
-from mereotime.dca import from_contact_algebra, standard_dca
+from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
+from mereotime.errors import count_text
 from mereotime.models import (
     KINDS,
     RELATION_SIZE_CAP,
@@ -570,6 +571,36 @@ def test_t_clans_past_the_dual_space_bound_exit_two_before_listing(probe24, tmp_
         code, out, err = timed_run(argv, capsys)
         assert code == 2 and not out, (command, out)
         assert "t-clans" in err and str(count) in err and str(SPACE_POINT_CAP) in err, err
+
+
+def test_counts_past_twelve_digits_are_given_in_short_exact_form_or_bounded():
+    assert [count_text(c) for c in (0, 16_777_215, 10**12 - 1)] == ["0", "16777215", "999999999999"]
+    assert count_text((1 << 256) - 1) == "2^256 - 1"
+    assert count_text(1 << 40) == "2^40"
+    assert count_text((1 << 200) + (1 << 100) - 2) == "more than 2^200"
+
+
+def test_t_clans_of_a_total_algebra_at_the_relation_bound_are_counted_in_short_form(tmp_path, capsys):
+    n = RELATION_SIZE_CAP
+    total = Relation.total(n)
+    path = tmp_path / "total.json"
+    write_path(path, DCA(FiniteBA(n), total, total, total))
+    code, out, err = timed_run(["points", path], capsys)
+    assert code == 2 and not out
+    assert err == f"error: dca has 2^{n} - 1 t-clans, over the dual space point bound of {SPACE_POINT_CAP}\n", err
+
+
+def test_represent_of_a_chain_at_the_relation_bound_takes_under_a_second(tmp_path, capsys):
+    """Identity space and time contact and a strict linear precedence: as
+    many clusters, and moments of the canonical model, as atoms."""
+    n = RELATION_SIZE_CAP
+    identity = Relation.from_rows(n, [1 << x for x in range(n)])
+    later = Relation.from_rows(n, [(1 << n) - (2 << x) for x in range(n)])
+    path = tmp_path / "chain.json"
+    write_path(path, DCA(FiniteBA(n), identity, identity, later))
+    code, out, _ = timed_run(["represent", path, "--out", tmp_path, "--format", "json"], capsys)
+    assert code == 0, out
+    assert len(load_path(tmp_path / "chain.canonical.json")[1].coordinates) == n
 
 
 def test_dualize_refuses_an_oversized_closed_family_from_its_count(tmp_path, capsys):

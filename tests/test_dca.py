@@ -1,12 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from mereotime.boolean import FiniteBA
-from mereotime.contact import Clan, PrecontactAlgebra, factor_by_clanset
+from mereotime.contact import Clan, FactorAlgebra, PrecontactAlgebra, Relation, factor_by_clanset
 from mereotime.dca import (
     DCA,
+    CanonicalModel,
     canonical_standard_dca,
     canonical_time_structure,
     clan_structure,
@@ -25,6 +27,7 @@ from mereotime.dms import dual_space
 from mereotime.errors import PreconditionError
 from mereotime.snapshot import (
     DCA_TIME_AXIOMS,
+    DMST,
     FREE_VARIABLE_AXIOMS,
     TIME_CONDITIONS,
     TimeCondition,
@@ -41,6 +44,7 @@ from conftest import (
     element_time_axiom,
     element_validate_dca,
     element_verify_embedding,
+    embedding_refutations,
     extension_of_prec_checks,
     g_maps,
     is_equivalence,
@@ -192,6 +196,67 @@ def test_verify_embedding_matches_element_oracle(small_dca_corpus):
         assert [(c.name, c.holds, c.witness) for c in verify_embedding(d).checks] == [
             (c.name, c.holds, c.witness) for c in expected.checks
         ]
+
+
+def _corrupted_models(canonical):
+    """Canonical models with one planted fault each: a coordinate pair
+    dropped (every pair in turn), the time structure reversed or emptied,
+    and a factor's last atom dropped, from the factor alone or from the factor and
+    the model built on it."""
+    model, factors = canonical.model, canonical.factors
+    for k, coordinate in enumerate(model.coordinates):
+        for i, j in sorted(coordinate.relation.pairs):
+            rows = list(coordinate.relation.rows)
+            rows[i] &= ~(1 << j)
+            dropped = PrecontactAlgebra(coordinate.base, Relation.from_rows(len(rows), rows))
+            coordinates = (*model.coordinates[:k], dropped, *model.coordinates[k + 1 :])
+            yield CanonicalModel(canonical.time, factors, DMST(model.time, coordinates, model.cells))
+    for rows in (model.time.converse().rows, [0] * model.time.size):
+        time = TimeStructure.from_rows(model.time.size, rows)
+        yield CanonicalModel(canonical.time, factors, DMST(time, model.coordinates, model.cells))
+    for k, f in enumerate(factors):
+        kept = f.kept_atoms[:-1]
+        if kept:
+            relation = f.algebra.relation.pullback([1 << i for i in range(len(kept))])
+            short = FactorAlgebra(f.source, PrecontactAlgebra(FiniteBA(len(kept)), relation), kept)
+            shorter = (*factors[:k], short, *factors[k + 1 :])
+            yield CanonicalModel(canonical.time, shorter, model)
+            rebuilt = build_dmst(model.time, [g.algebra for g in shorter], mode="full")
+            yield CanonicalModel(canonical.time, shorter, rebuilt)
+
+
+def test_verify_embedding_fails_as_the_element_oracle_on_corrupted_models(small_dca_corpus):
+    """On a planted faulty canonical model, every check's verdict is the
+    oracle's, and every failing witness refutes its check by the oracle's
+    definition."""
+    failed = Counter()
+    for d in [*small_dca_corpus, *gen.trivial_dcas(3)]:
+        for corrupted in _corrupted_models(canonical_standard_dca(d)):
+            planted = DCA(d.base, d.space_rel, d.time_rel, d.prec_rel)
+            planted.__dict__["canonical_standard_dca"] = corrupted
+            report = verify_embedding(planted)
+            expected = element_verify_embedding(planted)
+            assert [(c.name, c.holds) for c in report.checks] == [(c.name, c.holds) for c in expected.checks]
+            refutations = embedding_refutations(planted)
+            for check in report.failures():
+                failed[check.name] += 1
+                if check.name in refutations:
+                    assert refutations[check.name](*check.witness), check
+                else:
+                    assert check.witness is None, check
+    # Every check that a canonical model built from factors can fail is
+    # reached; distinct atoms keep distinct coordinate atoms, so the images
+    # stay disjoint and h(0) = 0.
+    assert set(failed) >= {
+        "h(1)=1",
+        "h preserves complement",
+        "h injective",
+        "Cs respected",
+        "Ct respected",
+        "B respected",
+        "order respected",
+    }, failed
+    assert any(name.startswith("time axiom") for name in failed), failed
 
 
 def test_clan_structure_of_trivial_dca():

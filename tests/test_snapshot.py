@@ -362,6 +362,9 @@ def test_regions_are_listed_only_up_to_the_bound():
             listing()
         assert str(1 << 17) in str(err.value) and str(FULL_REGION_CAP) in str(err.value)
     assert encode(m)["mode"] == "full"
+    # Past twelve digits the count is given as the power of two it is.
+    with pytest.raises(CapabilityError, match=r"model too large to list: 2\^64 regions, over the bound"):
+        list(full_model(64, set()).regions)
 
 
 def test_custom_model_missing_mixed_vector_is_not_rich():
