@@ -325,21 +325,23 @@ def _maximal_cliques(size: int, relation: Relation) -> list[int]:
     """
     neighbors = [relation.rows[v] & ~(1 << v) for v in range(size)]
     out: list[int] = []
-
-    def expand(clique: int, candidates: int, excluded: int) -> None:
-        if candidates == 0 and excluded == 0:
-            out.append(clique)
-            return
-        pool = candidates | excluded
-        pivot = max(atoms_of(pool), key=lambda v: (candidates & neighbors[v]).bit_count())
-        for v in atoms_of(candidates & ~neighbors[pivot]):
-            bit = 1 << v
-            expand(clique | bit, candidates & neighbors[v], excluded & neighbors[v])
-            candidates &= ~bit
-            excluded |= bit
-
-    expand(0, (1 << size) - 1, 0)
+    _expand(neighbors, out, 0, (1 << size) - 1, 0)
     return [c for c in out if c]
+
+
+def _expand(neighbors, out: list[int], clique: int, candidates: int, excluded: int) -> None:
+    """Append to `out` the maximal cliques that grow `clique` by `candidates`
+    and avoid `excluded`."""
+    if candidates == 0 and excluded == 0:
+        out.append(clique)
+        return
+    pool = candidates | excluded
+    pivot = max(atoms_of(pool), key=lambda v: (candidates & neighbors[v]).bit_count())
+    for v in atoms_of(candidates & ~neighbors[pivot]):
+        bit = 1 << v
+        _expand(neighbors, out, clique | bit, candidates & neighbors[v], excluded & neighbors[v])
+        candidates &= ~bit
+        excluded |= bit
 
 
 def _cliques(rows) -> tuple[int, ...]:
@@ -350,18 +352,19 @@ def _cliques(rows) -> tuple[int, ...]:
     lexicographic order of their atom tuples.
     """
     out: list[int] = []
-    append = out.append
-
-    def extend(clique: int, candidates: int) -> None:
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            grown = clique | low
-            append(grown)
-            extend(grown, candidates & rows[low.bit_length() - 1])
-
-    extend(0, (1 << len(rows)) - 1)
+    _extend(rows, out.append, 0, (1 << len(rows)) - 1)
     return tuple(out)
+
+
+def _extend(rows, append, clique: int, candidates: int) -> None:
+    """Pass to `append`, in lexicographic order, every clique that adds to
+    `clique` a nonempty clique of `candidates`."""
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        grown = clique | low
+        append(grown)
+        _extend(rows, append, grown, candidates & rows[low.bit_length() - 1])
 
 
 def clans(algebra: PrecontactAlgebra) -> list[Clan]:

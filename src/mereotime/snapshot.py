@@ -5,9 +5,11 @@ a finite time structure, a before-after `Relation` on its moments; regions
 are per-moment histories.  The module also decides the time conditions of a
 before-after relation and the region time axioms of snapshot models and
 abstract dynamic algebras: time contact and precedence are additive, so
-each axiom is a first-order condition on the atoms of the carrier.  Each
-kind is decided for all conditions in one walk over the rows, in O(n^2)
-word operations, and cached on the structure.
+each axiom is a first-order condition on the atoms of the carrier.  All
+axioms, and all time conditions of the atoms' precedence, are decided in one
+walk over the atom rows of a frame, in O(n^2) word operations, and cached on
+the structure; the time conditions of a before-after relation are that walk
+on the frame whose time contact is the identity.
 """
 
 from __future__ import annotations
@@ -120,46 +122,9 @@ def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
 
 def time_condition_failures(relation: Relation) -> dict[TimeCondition, tuple | None]:
     """First failing instance of every time condition, as moments, in
-    lexicographic order (None where it holds).
-
-    One walk over the moments: at moment i the moments j failing a
-    two-place condition form one mask of O(t) word operations, such as
-    the moments outside the predecessors of i's successors (UP_DIR) or
-    outside the successors of its predecessors (DOWN_DIR).
-    """
-    rows, cols, full = relation.rows, relation.columns, (1 << relation.size) - 1
-
-    def images(mask: int) -> tuple[int, int]:  # successors and predecessors
-        after = before = 0
-        while mask:
-            low = mask & -mask
-            y = low.bit_length() - 1
-            after, before = after | rows[y], before | cols[y]
-            mask ^= low
-        return after, before
-
-    out = dict.fromkeys(TIME_CONDITIONS)
-    for i, (row, col) in enumerate(zip(rows, cols)):
-        bit = 1 << i
-        (after_after, after_before), (before_after, before_before) = images(row), images(col)
-        singles = ((RS, not row), (LS, not col), (REF, not row & bit), (IRR, row & bit))
-        for cond, fails in singles:
-            if fails and out[cond] is None:
-                out[cond] = (i,)
-        for cond, mask in (
-            (UP_DIR, full & ~after_before),
-            (DOWN_DIR, full & ~before_after),
-            (CIRC, row & ~before_before),
-            (DENS, row & ~after_after),
-            (LIN, full & ~(row | col)),
-            (TRI, full & ~(row | col | bit)),
-        ):
-            if mask and out[cond] is None:
-                out[cond] = (i, _index(mask))
-        if after_after & ~row and out[TR] is None:
-            j = next(j for j in atoms_of(row) if rows[j] & ~row)
-            out[TR] = (i, j, _index(rows[j] & ~row))
-    return out
+    lexicographic order (None where it holds): the walk of
+    `time_axiom_failures` on the identity frame."""
+    return time_axiom_failures(Relation.identity(relation.size), relation)[2]
 
 
 def _index(mask: int) -> int:
@@ -195,60 +160,85 @@ def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -
 def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dict]:
     """First failing instance of every region axiom on an atom frame, as
     atom masks, under the universal and the existential reading of p, and
-    of every time condition on the atoms' precedence, which decides several.
+    of every time condition on the atoms' precedence, as atoms, in
+    lexicographic order.
 
     For additive relations each axiom is a first-order condition on atoms
     (xTy, xPy), and its first failing element instance is a pair of atoms:
     a failure at elements a, b is a failure at some atoms x of a and y of b.
-    RS, LS and LIN are the time conditions of the atoms' precedence, and so
-    are the universal readings of the four axioms with a free variable p,
-    whose first failing p is the named row of atoms.  REF, TR, IRR and TRI,
-    and CIRC read existentially, are decided in one loop over the atoms x,
-    each at its first failing x: REF at a time successor of x that is no
-    successor, TR at a successor of a successor of x that is no successor,
-    IRR at a successor y of x whose time row lies inside the time row of
-    every atom in time contact with x, and TRI at an atom related to x in
-    none of the three ways.
+    Everything is decided in one walk over the atoms x, in O(n^2) word
+    operations: one pass over x's successors y collects their successors,
+    their predecessors and the y whose time row lies inside the meet of the
+    time rows of x's time successors, and one pass over x's predecessors
+    collects their successors and predecessors.  At x the atoms failing a
+    two-place condition then form one mask, such as the atoms outside the
+    predecessors of x's successors (UP_DIR).  RS, LS and LIN are the time
+    conditions of the atoms' precedence, and so are the universal readings
+    of the four axioms with a free variable p, whose first failing p is the
+    named row of atoms.  REF fails at a time successor of x that is no
+    successor, TR at a successor of a successor that is no successor, IRR at
+    a successor y of x whose time row lies inside the time row of every atom
+    in time contact with x, TRI at an atom related to x in none of the three
+    ways, and CIRC, read existentially, at a successor with no successor of
+    an x with no predecessor.
     """
     t_rows, p_rows, p_cols = time.rows, prec.rows, prec.columns
     full = (1 << prec.size) - 1
-    on_prec = time_condition_failures(prec)
     # Atoms with no successor, and atoms with no predecessor.
     no_rows = full & ~meeting(p_rows, full)
     no_cols = full & ~meeting(p_cols, full)
-    ref = tr = irr = tri = circ = None
+    on_prec = dict.fromkeys(TIME_CONDITIONS)
+    on_atoms = dict.fromkeys((REF, TR, IRR, TRI, CIRC))  # CIRC read existentially
     for x, (t_row, p_row, p_col) in enumerate(zip(t_rows, p_rows, p_cols)):
         bit = 1 << x
-        mask = t_row & ~p_row
-        if mask and ref is None:
-            ref = (bit, mask & -mask)
-        mask = full & ~(t_row | p_row | p_col)
-        if mask and tri is None:
-            tri = (bit, mask & -mask)
-        mask = p_row & no_rows
-        if mask and not p_col and circ is None:
-            circ = (bit, mask & -mask)
-        if tr is None or irr is None:
-            common, rest = full, t_row
-            while rest:
-                low = rest & -rest
-                common &= t_rows[low.bit_length() - 1]
-                rest ^= low
-            image = inside = 0
-            rest = p_row
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                image |= p_rows[y]
-                if not t_rows[y] & ~common:
-                    inside |= low
-                rest ^= low
-            image &= ~p_row
-            if image and tr is None:
-                tr = (bit, image & -image)
-            if inside and irr is None:
-                irr = (bit, inside & -inside)
-    universal = {REF: ref, TR: tr, IRR: irr, TRI: tri}
+        common, rest = full, t_row
+        while rest:
+            low = rest & -rest
+            common &= t_rows[low.bit_length() - 1]
+            rest ^= low
+        after_after = after_before = inside = 0
+        rest = p_row
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            after_after, after_before = after_after | p_rows[y], after_before | p_cols[y]
+            if not t_rows[y] & ~common:
+                inside |= low
+            rest ^= low
+        before_after = before_before = 0
+        rest = p_col
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            before_after, before_before = before_after | p_rows[y], before_before | p_cols[y]
+            rest ^= low
+        for cond, fails in ((RS, not p_row), (LS, not p_col), (REF, not p_row & bit), (IRR, p_row & bit)):
+            if fails and on_prec[cond] is None:
+                on_prec[cond] = (x,)
+        for cond, mask in (
+            (UP_DIR, full & ~after_before),
+            (DOWN_DIR, full & ~before_after),
+            (CIRC, p_row & ~before_before),
+            (DENS, p_row & ~after_after),
+            (LIN, full & ~(p_row | p_col)),
+            (TRI, full & ~(p_row | p_col | bit)),
+        ):
+            if mask and on_prec[cond] is None:
+                on_prec[cond] = (x, _index(mask))
+        later = after_after & ~p_row
+        if later and on_prec[TR] is None:
+            y = next(y for y in atoms_of(p_row) if p_rows[y] & ~p_row)
+            on_prec[TR] = (x, y, _index(p_rows[y] & ~p_row))
+        for cond, mask in (
+            (REF, t_row & ~p_row),
+            (TR, later),
+            (IRR, inside),
+            (TRI, full & ~(t_row | p_row | p_col)),
+            (CIRC, 0 if p_col else p_row & no_rows),
+        ):
+            if mask and on_atoms[cond] is None:
+                on_atoms[cond] = (bit, mask & -mask)
+    universal = {cond: on_atoms[cond] for cond in (REF, TR, IRR, TRI)}
     for cond in (RS, LS, LIN):
         found = on_prec[cond]
         universal[cond] = found and tuple(1 << x for x in found)
@@ -260,7 +250,7 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
         universal[cond] = found and (1 << found[0], 1 << found[1], lines[found[at]])
     # Read existentially, a free-variable axiom fails only where both of its
     # rows are empty: never for DENS, whose scope makes x's row nonempty.
-    existential = {**universal, DENS: None, CIRC: circ}
+    existential = {**universal, DENS: None, CIRC: on_atoms[CIRC]}
     for cond, empty in ((UP_DIR, no_rows), (DOWN_DIR, no_cols)):
         existential[cond] = (empty & -empty,) * 2 if empty else None
     return universal, existential, on_prec
@@ -360,22 +350,26 @@ class DMST:
 
     @cached_property
     def atom_relations(self) -> tuple[Relation, Relation]:
-        """Time contact and precedence on the region atoms, the cells.
+        """Time contact and precedence on the region atoms, the cells: the
+        identity and the before-after relation on the moments, pulled back
+        to the moments each cell meets.
 
         Two atoms are in time contact iff they share a moment, and one
         precedes the other iff one of its moments is before one of the
         other's.
         """
         moments = self._cell_moments
-        time = [meeting(moments, here) for here in moments]
-        return Relation.from_rows(len(moments), time), self.time.pullback(moments)
+        return Relation.identity(self.time.size).pullback(moments), self.time.pullback(moments)
 
     @cached_property
     def space_relation(self) -> Relation:
-        """Space contact on the region atoms: some coordinate relates their parts."""
-        parts = list(zip(self.layout, self.coordinates))
-        reach = [sum(c.relation.forward_image(cell >> at & top) << at for (at, top), c in parts) for cell in self.cells]
-        return Relation.from_rows(len(self.cells), (meeting(self.cells, r) for r in reach))
+        """Space contact on the region atoms: the coordinate relations laid
+        on the packed bits (bit `layout[k][0] + i` carries coordinate k's
+        row i) and pulled back to the cells, so two atoms are in contact iff
+        some coordinate relates their parts."""
+        parts = zip(reversed(self.layout), reversed(self.coordinates))
+        laid = [row << at for (at, _), c in parts for row in c.relation.rows]
+        return Relation.from_rows(len(laid), laid).pullback(self.cells)
 
     @cached_property
     def axiom_failures(self) -> tuple[dict, dict, dict]:

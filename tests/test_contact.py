@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -360,6 +361,24 @@ def test_clans_match_brute_force_on_contact_sweep(contact_sweep_3):
     for p in [*contact_sweep_3, *four]:
         assert [c.support for c in clans(p)] == brute_clans(p)
         assert p.clique_supports == tuple(brute_clans(p))
+
+
+def test_clique_walks_leave_nothing_for_the_cyclic_collector():
+    """Both clique walks recurse through module-level helpers, not through
+    closures that refer to themselves, so with the cyclic collector off a
+    walk frees everything it made."""
+    pairs = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            p = alg(3, pairs)
+            assert [c.support for c in clans(p)] == [X, X | Y, Y, Z]
+            assert [c.support for c in maximal_clans(p)] == [X | Y, Z]
+        del p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_clans_require_contact_axioms():

@@ -6,7 +6,8 @@ package or by its own module outside its own definition, or is named in a
 `bench/*.py` file, or is exported in `mereotime.__all__`.  Docstring
 mentions do not count.  Helpers and oracles that only the tests call live
 in `tests/conftest.py`.  No function in `src/` keeps a value-keyed cache
-(`lru_cache`, `functools.cache`) beyond the named exceptions.
+(`lru_cache`, `functools.cache`) beyond the named exceptions, and none
+recurses through a nested function that calls itself.
 """
 
 from __future__ import annotations
@@ -93,3 +94,26 @@ def _value_caches() -> list[str]:
 
 def test_results_are_cached_on_objects_not_in_value_keyed_tables():
     assert sorted(_value_caches()) == sorted(VALUE_CACHES), "cache the result on the structure it describes"
+
+
+def _recursive_closures() -> list[str]:
+    """The functions of src/ that define a nested function calling itself by name."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                calls = (sub.func for sub in ast.walk(inner) if isinstance(sub, ast.Call))
+                if any(isinstance(f, ast.Name) and f.id == inner.name for f in calls):
+                    out.append(f"{path.stem}.{outer.name}")
+    return out
+
+
+def test_no_function_recurses_through_a_nested_closure():
+    """A nested function that calls itself holds its own closure cell, so
+    every call of the outer function leaves a reference cycle for the
+    cyclic collector; recurse through a module-level helper instead."""
+    assert _recursive_closures() == [], "make the recursive closure a module-level function"

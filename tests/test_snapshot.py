@@ -179,13 +179,23 @@ def test_time_conditions_match_pair_lookup_oracle():
             assert check_time_condition(t, cond) == element_time_condition(t, cond), (t, cond)
 
 
+def _condition_structures():
+    """Every time structure on at most three moments, then 400 seeded ones
+    on four and five moments."""
+    for n in (1, 2, 3):
+        yield from all_time_structures(n)
+    rng = random.Random(27)
+    for _ in range(400):
+        n = rng.randint(4, 5)
+        yield TimeStructure.from_rows(n, _seeded_relation(rng, n).rows)
+
+
 def test_one_pass_conditions_match_per_condition_oracle():
     """All conditions of a relation in one pass give each condition's witness."""
-    for n in (1, 2, 3):
-        for t in all_time_structures(n):
-            expected = {cond: condition_failure(cond, t) for cond in TimeCondition}
-            assert time_condition_failures(t) == expected, t
-            assert t.condition_failures == expected, t
+    for t in _condition_structures():
+        expected = {cond: condition_failure(cond, t) for cond in TimeCondition}
+        assert time_condition_failures(t) == expected, t
+        assert t.condition_failures == expected, t
 
 
 def _seeded_relation(rng, n) -> Relation:
@@ -303,14 +313,21 @@ def oracle_time_structures(moments):
     return structures if moments < 3 else random.Random(moments).sample(structures, 24)
 
 
+def path_contact(base: FiniteBA) -> PrecontactAlgebra:
+    """Atom i touches atoms i-1, i and i+1."""
+    atoms = range(base.atom_count)
+    return PrecontactAlgebra.from_atom_pairs(base, ((i, j) for i in atoms for j in atoms if abs(i - j) <= 1))
+
+
 def test_models_match_the_listed_universe_oracle():
-    """Full, rich and custom models, decided on their cells, against the same
-    models held as listed regions: the listing, its size, fullness,
-    richness, the atoms and their three relations, membership and index, and
-    every time-axiom witness."""
+    """Full, rich and custom models with overlap and with path-contact
+    coordinates, decided on their cells, against the same models held as
+    listed regions: the listing, its size, fullness, richness, the atoms and
+    their three relations, membership and index, and every time-axiom
+    witness."""
     models = 0
-    for shape in FAMILY_SHAPES:
-        coordinates = [PrecontactAlgebra.overlap(FiniteBA(k)) for k in shape]
+    for shape, contact in itertools.product(FAMILY_SHAPES, (PrecontactAlgebra.overlap, path_contact)):
+        coordinates = [contact(FiniteBA(k)) for k in shape]
         vectors = list(itertools.product(*(c.base.elements() for c in coordinates)))
         chain = ts(len(shape), {(i, i + 1) for i in range(len(shape) - 1)})
         cases = [(t, "full", None) for t in oracle_time_structures(len(shape))]
@@ -559,15 +576,15 @@ def test_correspondence_rows_on_selected_structures():
 def test_correspondence_decides_the_time_conditions_once(monkeypatch):
     """On a full model of one-atom coordinates each cell is one moment, so
     the cells' precedence is the time structure relabelled: one
-    `correspondence_check` decides time conditions once, on the cells, and
-    its rows are those of the time structure's own conditions."""
+    `correspondence_check` walks one frame, the cells', and its rows are
+    those of the time structure's own conditions."""
     calls = []
 
-    def counted(relation):
-        calls.append(relation)
-        return time_condition_failures(relation)
+    def counted(time, prec):
+        calls.append(prec)
+        return time_axiom_failures(time, prec)
 
-    monkeypatch.setattr(snapshot, "time_condition_failures", counted)
+    monkeypatch.setattr(snapshot, "time_axiom_failures", counted)
     for t in all_time_structures(3):
         model = build_dmst(t, [ONE_ATOM] * 3, mode="full")
         before = len(calls)
