@@ -1,12 +1,15 @@
-"""Command-line interface: ingestion, verification commands and generators.
+"""Command-line interface: a renderer of library results.
 
 Every file command runs one pipeline, `_file_command`: load the model file,
 refuse a kind the command does not read (`FILE_COMMANDS` lists the kinds
-each command reads), fill a fresh report with the command's body and emit
-it.
+each command reads), fill a fresh `CommandReport`, a `reporting.Report` of
+the library's own checks, with the command's body and emit it; the text
+view prints the JSON entries.  `correspondence` reads one table per kind of
+file, and `generate` reads `generate.EXHAUSTIVE` and `generate.SEEDED`.
 
 Exit codes: 0 all checks passed, 1 some check or capability failed,
-2 unreadable or schema-invalid input.
+2 unreadable or schema-invalid input, or a question past a named size
+bound: the points or regions of a dual space, or an exhaustive listing.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import generate as gen
@@ -30,11 +35,12 @@ from .dca import (
     correspondence2,
     standard_dca,
     t_clan_count,
+    verify_embedding,
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
 from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError, count_text
-from .models import KINDS, SPACE_POINT_CAP, digest, load_path, write_path
-from .reporting import plain
+from .models import KINDS, SPACE_POINT_CAP, SPACE_REGION_CAP, digest, load_path, write_path
+from .reporting import Report, plain
 from .snapshot import (
     TIME_CONDITIONS,
     check_time_condition,
@@ -53,38 +59,31 @@ def _out_dir(args) -> Path:
     return path
 
 
-class CommandReport:
+class CommandReport(Report):
+    """The report of one file command on one file; `subject` is the command."""
+
     def __init__(self, command: str, source: str, input_digest: str):
-        self.command = command
+        super().__init__(command)
         self.source = source
         self.input_digest = input_digest
-        self.checks: list[dict] = []
         self.info: dict = {}
         self.started = time.perf_counter()
 
-    def add_check(self, name: str, holds: bool, witness=None, note=None) -> None:
-        entry = {"name": name, "holds": bool(holds)}
-        if witness is not None:
-            entry["witness"] = plain(witness)
-        if note is not None:
-            entry["note"] = note
-        self.checks.append(entry)
-
-    def absorb(self, report) -> None:
-        for c in report.checks:
-            self.add_check(c.name, c.holds, c.witness, c.note)
-
-    @property
-    def ok(self) -> bool:
-        return all(c["holds"] for c in self.checks)
-
     def payload(self) -> dict:
+        checks = []
+        for c in self.checks:
+            entry = {"name": c.name, "holds": bool(c.holds)}
+            if c.witness is not None:
+                entry["witness"] = plain(c.witness)
+            if c.note is not None:
+                entry["note"] = c.note
+            checks.append(entry)
         body = {
-            "command": self.command,
+            "command": self.subject,
             "input": self.source,
             "input_digest": self.input_digest,
             "ok": self.ok,
-            "checks": self.checks,
+            "checks": checks,
             "info": self.info,
         }
         body["report_digest"] = digest(
@@ -98,8 +97,8 @@ class CommandReport:
         if fmt == "json":
             print(json.dumps(body, sort_keys=True))
             return
-        print(f"== {self.command} {self.source}")
-        for check in self.checks:
+        print(f"== {self.subject} {self.source}")
+        for check in body["checks"]:
             mark = "PASS" if check["holds"] else "FAIL"
             extra = ""
             if "witness" in check:
@@ -109,7 +108,7 @@ class CommandReport:
             print(f"{mark}  {check['name']}{extra}")
         for key, value in self.info.items():
             print(f"{key}: {json.dumps(value, sort_keys=True)}")
-        print(f"result: {'ok' if self.ok else 'FAILED'}")
+        print(f"result: {'ok' if body['ok'] else 'FAILED'}")
 
 
 def _claim_axioms(claims) -> list[str]:
@@ -137,68 +136,63 @@ def _file_command(kinds, body, args) -> int:
 
 def _check_command(args, report, kind, obj, extras) -> None:
     if kind == "adjacency":
-        algebra = contact_from_adjacency(obj)
-        table = algebra.axiom_report
+        table = contact_from_adjacency(obj).axiom_report
         for name in _claim_axioms(extras["claims"]):
             if name not in table:
                 raise SchemaError(f"unknown claim {name!r}")
-            check = table[name]
-            report.add_check(name, check.holds, check.witness)
+            report.checks.append(table[name])
         report.info["axioms"] = {c.name: c.holds for c in table.checks}
     elif kind == "time_structure":
         report.info["conditions"] = {
             cond.name: check_time_condition(obj, cond).holds for cond in TIME_CONDITIONS
         }
     elif kind == "dca":
-        report.absorb(obj.report)
+        report.extend(obj.report.checks)
     elif kind == "dmst":
         for i, coord in enumerate(obj.coordinates):
-            failing = [
-                c for c in coord.axiom_report.checks if c.name in CONTACT_AXIOMS and not c.holds
-            ]
-            report.add_check(
-                f"coordinate {i} is a contact algebra",
-                not failing,
-                failing[0].witness if failing else None,
-                note=failing[0].name if failing else None,
-            )
+            failing = coord.axiom_report.first_failure(*CONTACT_AXIOMS)
+            witness, note = (None, None) if failing is None else (failing.witness, failing.name)
+            report.add(f"coordinate {i} is a contact algebra", failing is None, witness, note)
         rich = is_rich(obj)
         report.info["rich"] = rich
         report.info["full"] = is_full(obj)
         report.info["regions"] = obj.region_count
         if rich:
-            report.absorb(standard_dca(obj).report)
+            report.extend(standard_dca(obj).report.checks)
         else:
             report.info["note"] = "model is not rich; induced algebra not required to validate"
     elif kind == "dms":
         space_report = validate_dms(obj)
-        report.absorb(space_report)
+        report.extend(space_report.checks)
         if space_report.ok:
             shape = classify(obj)
             report.info["T0"] = shape.is_t0
             report.info["DM_compact"] = shape.is_dm_compact
     elif kind == "morphism":
-        if isinstance(obj, DcaMorphism):
-            report.absorb(validate_dca_morphism(obj))
-        else:
-            report.absorb(validate_dms_morphism(obj))
+        validate = validate_dca_morphism if isinstance(obj, DcaMorphism) else validate_dms_morphism
+        report.extend(validate(obj).checks)
 
 
-def _admit_t_clans(d) -> None:
-    """Refuse a valid algebra whose t-clans, its dual space's points, are
-    over the `dms` file bound, before listing any."""
+def _admit_dual_space(d, regions: bool = True) -> None:
+    """Refuse a valid algebra whose dual space is over the `dms` file bounds,
+    before listing any of it: its t-clans, the points, and, unless `regions`
+    is false, its 2^n regions, the joins of its n atoms' extents."""
     d.require_valid()
     count = t_clan_count(d)
     if count > SPACE_POINT_CAP:
         raise SchemaError(f"dca has {count_text(count)} t-clans, over the dual space point bound of {SPACE_POINT_CAP}")
+    count = 1 << d.base.atom_count
+    if regions and count > SPACE_REGION_CAP:
+        too_many = f"{count_text(count)} regions, over the dual space region bound of {SPACE_REGION_CAP}"
+        raise SchemaError(f"dca has {too_many}")
 
 
 def _points_command(args, report, kind, obj, extras) -> None:
     validation = obj.report
     if not validation.ok:
-        report.absorb(validation)
+        report.extend(validation.checks)
         return
-    _admit_t_clans(obj)
+    _admit_dual_space(obj, regions=False)
     structure = clan_structure(obj)
     canonical = canonical_time_structure(obj)
     report.info["ultrafilters"] = [[x] for x in obj.base.atoms()]
@@ -222,9 +216,7 @@ def _points_command(args, report, kind, obj, extras) -> None:
 
 
 def _represent_command(args, report, kind, obj, extras) -> None:
-    from .dca import verify_embedding
-
-    report.absorb(verify_embedding(obj))
+    report.extend(verify_embedding(obj).checks)
     canonical = canonical_standard_dca(obj)
     target = _out_dir(args) / (Path(args.path).stem + ".canonical.json")
     write_path(target, canonical.model)
@@ -233,9 +225,9 @@ def _represent_command(args, report, kind, obj, extras) -> None:
 
 def _dualize_command(args, report, kind, obj, extras) -> None:
     if kind == "dca":
-        _admit_t_clans(obj)
+        _admit_dual_space(obj)
         result = dual_space(obj)
-        report.absorb(validate_dms(result.space))
+        report.extend(validate_dms(result.space).checks)
         model, suffix = result.space, ".dual.json"
     else:
         s2 = check_s2(obj)
@@ -243,7 +235,7 @@ def _dualize_command(args, report, kind, obj, extras) -> None:
             witness = plain(s2.witness)
             raise ValidationError(f"region family is not a Boolean subalgebra: S2 fails (witness {witness})")
         algebra = dual(obj)
-        report.absorb(algebra.dca.report)
+        report.extend(algebra.dca.report.checks)
         model, suffix = algebra.dca, ".dual_algebra.json"
     target = _out_dir(args) / (Path(args.path).stem + suffix)
     write_path(target, model)
@@ -252,85 +244,51 @@ def _dualize_command(args, report, kind, obj, extras) -> None:
 
 def _roundtrip_command(args, report, kind, obj, extras) -> None:
     if kind == "dca":
-        _admit_t_clans(obj)
-    report.absorb(duality_roundtrip(obj))
+        _admit_dual_space(obj)
+    report.extend(duality_roundtrip(obj).checks)
 
 
 def _correspondence_command(args, report, kind, obj, extras) -> None:
-    if kind == "dmst":
-        rows = correspondence_check(obj)
-        for row in rows:
-            report.add_check(
-                f"{row.condition.name} matches {row.condition.region_axiom}",
-                row.agree,
-                witness=(row.left, row.right) if not row.agree else None,
-                note=row.note,
-            )
-        report.info["rows"] = [
-            {"condition": r.condition.name, "left": r.left, "right": r.right} for r in rows
-        ]
-    else:
-        rows = correspondence2(obj)
-        for row in rows:
-            report.add_check(
-                f"{row.condition.name} three-way",
-                row.agree,
-                witness=(row.on_ultrafilters, row.on_clusters, row.on_regions)
-                if not row.agree
-                else None,
-            )
-        report.info["rows"] = [
-            {
-                "condition": r.condition.name,
-                "ultrafilters": r.on_ultrafilters,
-                "clusters": r.on_clusters,
-                "regions": r.on_regions,
-            }
-            for r in rows
-        ]
+    # Per kind: the correspondence table, the name of a row's check, and the
+    # info columns with the row fields they show; a disagreeing row is
+    # witnessed by its columns.  Built per call, so that the tables are
+    # called through this module's names, which a tracer may rebind.
+    table, name, columns = {
+        "dmst": (
+            correspondence_check,
+            lambda c: f"{c.name} matches {c.region_axiom}",
+            {"left": "left", "right": "right"},
+        ),
+        "dca": (
+            correspondence2,
+            lambda c: f"{c.name} three-way",
+            {"ultrafilters": "on_ultrafilters", "clusters": "on_clusters", "regions": "on_regions"},
+        ),
+    }[kind]
+    shown = attrgetter(*columns.values())
+    report.info["rows"] = []
+    for row in table(obj):
+        values = shown(row)
+        report.add(name(row.condition), row.agree, None if row.agree else values, getattr(row, "note", None))
+        report.info["rows"].append({"condition": row.condition.name, **dict(zip(columns, values))})
 
 
 def _generate_command(args) -> int:
     try:
-        gen.check_size(args.kind, args.size)
+        gen.check_size(args.kind, args.size, args.exhaustive)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(args)
-    written = []
-
-    def emit(name: str, obj, claims=None):
-        target = out / f"{name}.json"
-        write_path(target, obj, claims=claims)
-        written.append(str(target))
-
     if args.exhaustive:
-        if args.kind == "adjacency":
-            for i, rel in enumerate(gen.all_relations(args.size)):
-                emit(f"adjacency_s{args.size}_{i:04d}", rel)
-        elif args.kind == "time_structure":
-            for i, ts in enumerate(gen.all_time_structures(args.size)):
-                emit(f"time_structure_s{args.size}_{i:04d}", ts)
-        else:
-            print("error: exhaustive generation covers adjacency and time_structure", file=sys.stderr)
-            return 2
+        tagged = ((f"{i:04d}", obj) for i, obj in enumerate(gen.EXHAUSTIVE[args.kind](args.size)))
     else:
-        import random
-
-        rng = random.Random(args.seed)
-        if args.kind == "adjacency":
-            n = args.size
-            rows = [sum(1 << y for y in range(n) if rng.random() < 0.5) for _ in range(n)]
-            emit(f"adjacency_s{n}_seed{args.seed}", gen.Relation.from_rows(n, rows))
-        elif args.kind == "time_structure":
-            emit(
-                f"time_structure_s{args.size}_seed{args.seed}",
-                gen.seeded_time_structure(rng, args.size),
-            )
-        elif args.kind == "dca":
-            emit(f"dca_s{args.size}_seed{args.seed}", gen.seeded_dca(args.seed, args.size))
-        elif args.kind == "dmst":
-            emit(f"dmst_s{args.size}_seed{args.seed}", gen.seeded_model(rng, args.size))
+        tagged = [(f"seed{args.seed}", gen.SEEDED[args.kind](random.Random(args.seed), args.size))]
+    written = []
+    for tag, obj in tagged:
+        target = out / f"{args.kind}_s{args.size}_{tag}.json"
+        write_path(target, obj)
+        written.append(str(target))
     for path in written:
         print(path)
     return 0
@@ -366,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=partial(_file_command, kinds, body))
 
     g = sub.add_parser("generate", help="generate model files")
-    g.add_argument("--kind", required=True, choices=("adjacency", "time_structure", "dca", "dmst"))
+    g.add_argument("--kind", required=True, choices=tuple(gen.SEEDED))
     g.add_argument("--size", required=True, type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--exhaustive", action="store_true")

@@ -150,11 +150,9 @@ def from_contact_algebra(ca: PrecontactAlgebra) -> DCA:
     Space contact is the given contact, time contact relates all nonzero
     pairs, and precedence coincides with time contact.
     """
-    failing = [c for c in ca.axiom_report.checks if c.name in CONTACT_AXIOMS and not c.holds]
-    if failing:
-        raise PreconditionError(
-            f"not a contact algebra: {failing[0].name} fails", witness=failing[0].witness
-        )
+    failing = ca.axiom_report.first_failure(*CONTACT_AXIOMS)
+    if failing is not None:
+        raise PreconditionError(f"not a contact algebra: {failing.name} fails", witness=failing.witness)
     n = ca.base.atom_count
     total = Relation.total(n)
     return DCA(ca.base, ca.relation, total, total)

@@ -352,12 +352,8 @@ def validate_dms(candidate: DMSpace) -> Report:
         return report
 
     algebra = dual(candidate)
-    sub = algebra.dca.report
-    report.add(
-        "S6",
-        sub.ok,
-        witness=None if sub.ok else (sub.failures()[0].name, sub.failures()[0].witness),
-    )
+    failing = algebra.dca.report.first_failure()
+    report.add("S6", failing is None, None if failing is None else (failing.name, failing.witness))
 
     # Precedence is additive and every region is a join of dual atoms, so
     # (x, y) must be in prec iff every atom containing x precedes every atom
@@ -373,7 +369,7 @@ def validate_dms(candidate: DMSpace) -> Report:
             break
     report.add("S7", s7_witness is None, s7_witness)
 
-    if sub.ok:
+    if failing is None:
         cluster_supports = set(_time_classes(algebra.dca))
         s8_witness = next(
             (

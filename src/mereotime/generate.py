@@ -1,9 +1,9 @@
 """Deterministic generators for structures at desk scale.
 
-Exhaustive sweeps enumerate every relation up to the size caps; seeded
-generation is reproducible under a fixed seed.  Dynamic algebras are seeded
-through the snapshot construction: a random full model's induced algebra is
-always valid.
+Exhaustive sweeps enumerate every relation of a size; seeded generation is
+reproducible under a fixed seed.  Dynamic algebras are seeded through the
+snapshot construction: a random full model's induced algebra is always
+valid.
 """
 
 from __future__ import annotations
@@ -21,10 +21,17 @@ ATOM_CAP = 6
 TIME_CAP = 4
 
 
-def check_size(kind: str, size: int) -> None:
+def check_size(kind: str, size: int, exhaustive: bool) -> None:
+    """Refuse a size out of bounds for `kind`, and an exhaustive listing of a
+    kind `EXHAUSTIVE` lacks or of the 2^(n^2) relations of size n > `TIME_CAP`."""
     cap = TIME_CAP if kind in ("time_structure", "dca", "dmst") else ATOM_CAP
     if not 1 <= size <= cap:
         raise PreconditionError(f"size {size} out of bounds for {kind} (1..{cap})")
+    if exhaustive and kind not in EXHAUSTIVE:
+        raise PreconditionError(f"exhaustive generation covers {' and '.join(EXHAUSTIVE)}")
+    if exhaustive and size > TIME_CAP:
+        too_many = f"2^{size * size} relations, over the bound of 2^{TIME_CAP * TIME_CAP} (size {TIME_CAP})"
+        raise PreconditionError(f"exhaustive {kind} generation of size {size} lists {too_many}")
 
 
 def all_relations(size: int):
@@ -73,14 +80,13 @@ def seeded_contact(rng: random.Random, atoms: int) -> PrecontactAlgebra:
     return PrecontactAlgebra(FiniteBA(atoms), Relation(atoms, frozenset(pairs)))
 
 
+def seeded_relation(rng: random.Random, size: int) -> Relation:
+    """Each pair related with probability 1/2, drawn row by row."""
+    return Relation.from_rows(size, [sum(1 << y for y in range(size) if rng.random() < 0.5) for _ in range(size)])
+
+
 def seeded_time_structure(rng: random.Random, moments: int) -> TimeStructure:
-    pairs = {
-        (i, j)
-        for i in range(moments)
-        for j in range(moments)
-        if rng.random() < 0.5
-    }
-    return TimeStructure(moments, frozenset(pairs))
+    return TimeStructure.from_rows(moments, seeded_relation(rng, moments).rows)
 
 
 def seeded_model(rng: random.Random, moments: int) -> DMST:
@@ -96,8 +102,7 @@ def seeded_model(rng: random.Random, moments: int) -> DMST:
     return build_dmst(ts, coordinates, mode="full")
 
 
-def seeded_dca(seed: int, moments: int) -> DCA:
-    rng = random.Random(seed)
+def seeded_dca(rng: random.Random, moments: int) -> DCA:
     return standard_dca(seeded_model(rng, moments))
 
 
@@ -105,4 +110,15 @@ def dca_corpus(count: int, max_moments: int = 3, seed: int = 0):
     """`count` seeded snapshot algebras cycling over the moment counts."""
     for i in range(count):
         moments = 1 + (i % max_moments)
-        yield seeded_dca(seed + i, moments)
+        yield seeded_dca(random.Random(seed + i), moments)
+
+
+# The generators `mereotime generate` reads, per kind: every structure of a
+# size in a fixed order, and one structure of a size drawn from a seeded rng.
+EXHAUSTIVE = {"adjacency": all_relations, "time_structure": all_time_structures}
+SEEDED = {
+    "adjacency": seeded_relation,
+    "time_structure": seeded_time_structure,
+    "dca": seeded_dca,
+    "dmst": seeded_model,
+}

@@ -73,6 +73,24 @@ RELATION_SIZE_CAP = 256
 # trivial algebra and keeps every such process under 1 s; each doubling of
 # the points quadruples the bytes to read.
 SPACE_POINT_CAP = 2048
+# Most regions a dms file may list, and the most regions (2^n for n atoms)
+# `dualize` and `roundtrip` of a dca file will list for its dual space;
+# checked with the t-clans, before anything is listed.  Seconds (best of
+# three) and the larger peak MB for whole `python -m mereotime.cli`
+# processes on the chain on n atoms (identity space and time contact,
+# strict linear precedence: n t-clans); Python 3.11 on a 2-core Xeon:
+#     atoms      regions   roundtrip   dualize   peak MB
+#        16       65,536      0.28       0.36        40
+#        17      131,072      0.35       0.41        59
+#        18      262,144      0.42       0.45*       70
+#        19      524,288      0.82       0.82*      144
+#        20    1,048,576      1.35       1.45*      220
+#        21    2,097,152      2.77       2.71*      516
+# (* exits 1 at the closed-family bound.)  At 24 atoms both commands end in
+# a MemoryError under a 1 GB address-space limit.  The bound keeps
+# `roundtrip` of a chain under 1 s; the trivial algebras stop at the point
+# bound (11 atoms) first.
+SPACE_REGION_CAP = 1 << 19
 
 
 def canonical_dumps(payload: dict) -> str:
@@ -159,6 +177,14 @@ def _typed(value, expected: type, what: str):
 
 def _field(payload: dict, key: str, expected: type, where: str = ""):
     return _typed(_require(payload, key), expected, where + key)
+
+
+def _regions(payload: dict, bound: int) -> list:
+    """The `regions` array, refused past `bound` entries before any is read."""
+    listed = _field(payload, "regions", list)
+    if len(listed) > bound:
+        raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {bound}")
+    return listed
 
 
 def _size(payload: dict, key: str, where: str = "", bound: int = RELATION_SIZE_CAP) -> int:
@@ -289,9 +315,7 @@ def decode(payload: dict):
         mode = payload.get("mode", "full")
         regions = None
         if mode != "full" or "regions" in payload:
-            listed = _field(payload, "regions", list)
-            if len(listed) > FULL_REGION_CAP:
-                raise SchemaError(f"field 'regions' lists {len(listed)} regions, over the bound of {FULL_REGION_CAP}")
+            listed = _regions(payload, FULL_REGION_CAP)
             widest = max((c.base.atom_count for c in coordinates), default=0)
             regions = [
                 tuple(_masks(_typed(region, list, f"regions[{i}]"), f"regions[{i}]", widest, version))
@@ -305,7 +329,7 @@ def decode(payload: dict):
     if kind == "dms":
         count = _size(payload, "point_count", bound=SPACE_POINT_CAP)
         base = tuple(sorted(_masks(_field(payload, "closed_base", list), "closed_base", count, version)))
-        regions = tuple(sorted(_masks(_field(payload, "regions", list), "regions", count, version)))
+        regions = tuple(sorted(_masks(_regions(payload, SPACE_REGION_CAP), "regions", count, version)))
         space = DMSpace(
             FiniteTopSpace(count, base),
             _index_mask(_require(payload, "space_points"), "space_points", count),

@@ -37,8 +37,8 @@ class Report:
 
     def add_summary(self, name: str, other: "Report") -> Check:
         """A check that holds iff all of `other` does, witnessed by its first failure's name."""
-        failing = other.failures()
-        return self.add(name, not failing, (failing[0].name,) if failing else None)
+        failing = other.first_failure()
+        return self.add(name, failing is None, None if failing is None else (failing.name,))
 
     @property
     def ok(self) -> bool:
@@ -46,6 +46,11 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.holds]
+
+    def first_failure(self, *names: str) -> Check | None:
+        """The first failing check among `names` (all checks if none are named), or None."""
+        wanted = set(names)
+        return next((c for c in self.checks if not c.holds and (not wanted or c.name in wanted)), None)
 
     def __getitem__(self, name: str) -> Check:
         for c in self.checks:
@@ -61,14 +66,13 @@ class Report:
 
         With no names, every check must hold.
         """
-        wanted = set(names)
-        for c in self.checks:
-            if (not wanted or c.name in wanted) and not c.holds:
-                raise CapabilityError(
-                    f"{self.subject}: required property {c.name} fails"
-                    + (f" (witness {c.witness!r})" if c.witness is not None else ""),
-                    missing=c.name,
-                )
+        c = self.first_failure(*names)
+        if c is not None:
+            raise CapabilityError(
+                f"{self.subject}: required property {c.name} fails"
+                + (f" (witness {c.witness!r})" if c.witness is not None else ""),
+                missing=c.name,
+            )
 
 
 def plain(value):

@@ -9,23 +9,26 @@ import pytest
 from conftest import encode_v1, write_path_v1
 
 import mereotime
+from mereotime import cli
 from mereotime.boolean import FiniteBA
 from mereotime.category import DcaMorphism, DmsMorphism
-from mereotime.cli import FILE_COMMANDS, PARSER, build_parser, main
+from mereotime.cli import FILE_COMMANDS, PARSER, CommandReport, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
-from mereotime.errors import count_text
+from mereotime.errors import CapabilityError, count_text
 from mereotime.models import (
     KINDS,
     RELATION_SIZE_CAP,
     SPACE_POINT_CAP,
+    SPACE_REGION_CAP,
     decode,
     digest,
     encode,
     load_path,
     write_path,
 )
+from mereotime.reporting import Report
 from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -321,6 +324,26 @@ def test_generate_size_cap(tmp_path, capsys):
     assert "out of bounds" in err
 
 
+def test_exhaustive_generation_past_size_four_exits_two_writing_nothing(tmp_path, capsys, monkeypatch):
+    """Adjacency relations of size 5 and 6 are within the atom cap, but
+    listing all 2^25 or 2^36 of them is refused before any file is written."""
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("generate wrote a file")
+
+    monkeypatch.setattr(cli, "write_path", unreachable)
+    for size in (5, 6):
+        out_dir = tmp_path / f"s{size}"
+        argv = ["generate", "--kind", "adjacency", "--size", size, "--exhaustive", "--out", out_dir]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out
+        assert err == (
+            f"error: exhaustive adjacency generation of size {size} lists 2^{size * size} relations,"
+            " over the bound of 2^16 (size 4)\n"
+        ), err
+        assert not out_dir.exists()
+
+
 def test_model_round_trip_byte_identical(tmp_path):
     """For every kind, a written file decodes to an equal object that
     re-encodes byte for byte, and its version 1 twin decodes to that object
@@ -509,24 +532,34 @@ def test_rich_models_past_the_region_bound_are_checked_on_their_cells(tmp_path, 
 
 
 def test_region_lists_past_the_bound_exit_two_naming_it(tmp_path, capsys):
+    """A custom dmst model and a dms file each list one region more than
+    their bound."""
     count = FULL_REGION_CAP + 1
-    path = tmp_path / "listed.json"
-    path.write_text(
-        json.dumps(
-            {
-                "kind": "dmst",
-                "format_version": 1,
-                "time": {"point_count": 1, "prec": []},
-                "coordinates": [{"atom_count": 1, "contact": [[0, 0]]}],
-                "mode": "custom",
-                "regions": [[[]], [[0]]] * (count // 2) + [[[0]]],
-            }
-        )
-    )
-    code, _, err = timed_run(["check", path], capsys)
-    assert code == 2
-    line = err.strip()
-    assert line.startswith("error:") and str(count) in line and str(FULL_REGION_CAP) in line, line
+    dmst = {
+        "kind": "dmst",
+        "format_version": 1,
+        "time": {"point_count": 1, "prec": []},
+        "coordinates": [{"atom_count": 1, "contact": [[0, 0]]}],
+        "mode": "custom",
+        "regions": [[[]], [[0]]] * (count // 2) + [[[0]]],
+    }
+    dms = {
+        "kind": "dms",
+        "format_version": 2,
+        "point_count": 1,
+        "closed_base": [],
+        "space_points": [0],
+        "time_points": [0],
+        "prec": ["1"],
+        "regions": ["0"] * (SPACE_REGION_CAP + 1),
+    }
+    for payload, bound in ((dmst, FULL_REGION_CAP), (dms, SPACE_REGION_CAP)):
+        path = tmp_path / f"{payload['kind']}.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = timed_run(["check", path], capsys)
+        assert code == 2 and not out
+        count = len(payload["regions"])
+        assert err == f"error: field 'regions' lists {count} regions, over the bound of {bound}\n", err
 
 
 @pytest.fixture()
@@ -573,6 +606,62 @@ def test_t_clans_past_the_dual_space_bound_exit_two_before_listing(probe24, tmp_
         assert "t-clans" in err and str(count) in err and str(SPACE_POINT_CAP) in err, err
 
 
+def _chain_dca(n: int) -> DCA:
+    """Identity space and time contact and a strict linear precedence: n
+    t-clans and 2^n regions."""
+    identity = Relation.from_rows(n, [1 << x for x in range(n)])
+    later = Relation.from_rows(n, [(1 << n) - (2 << x) for x in range(n)])
+    return DCA(FiniteBA(n), identity, identity, later)
+
+
+def test_dual_space_regions_past_the_bound_exit_two_before_listing(tmp_path, capsys, monkeypatch):
+    """A chain's n t-clans are within the point bound, but its dual space
+    has 2^n regions: at 16 atoms both commands succeed, and past the region
+    bound they exit 2 before the dual space is built."""
+    path = tmp_path / "chain16.json"
+    write_path(path, _chain_dca(16))
+    for command in ("dualize", "roundtrip"):
+        code, out, _ = timed_run([command, path, *(["--out", tmp_path] if command == "dualize" else [])], capsys)
+        assert code == 0, (command, out)
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the dual space was built")
+
+    monkeypatch.setattr(cli, "dual_space", unreachable)
+    monkeypatch.setattr(cli, "duality_roundtrip", unreachable)
+    for n, count in ((24, "16777216"), (RELATION_SIZE_CAP, "2^256")):
+        path = tmp_path / f"chain{n}.json"
+        write_path(path, _chain_dca(n))
+        for command in ("dualize", "roundtrip"):
+            start = time.perf_counter()
+            code, out, err = run([command, path, *(["--out", tmp_path] if command == "dualize" else [])], capsys)
+            assert time.perf_counter() - start < 0.5, (n, command)
+            assert code == 2 and not out, (n, command, out)
+            bound = f"over the dual space region bound of {SPACE_REGION_CAP}"
+            assert err == f"error: dca has {count} regions, {bound}\n", err
+
+
+def test_command_reports_are_reports_of_library_checks(trivial_dca_file):
+    _, d, _, payload = load_path(trivial_dca_file)
+    report = CommandReport("check", str(trivial_dca_file), digest(payload))
+    report.extend(d.report.checks)
+    assert isinstance(report, Report) and report.checks == d.report.checks
+    entries = report.payload()["checks"]
+    assert [(e["name"], e["holds"]) for e in entries] == [(c.name, c.holds) for c in d.report.checks]
+
+
+def test_first_failure_names_the_first_failing_check_among_the_names():
+    report = Report(subject="probe")
+    report.add("A", True)
+    report.add("B", False, (1,))
+    report.add("C", False, (2,), note="second")
+    assert report.first_failure() == report["B"]
+    assert report.first_failure("C", "A") == report["C"]
+    assert report.first_failure("A") is None
+    with pytest.raises(CapabilityError, match="required property C fails"):
+        report.require("A", "C")
+
+
 def test_counts_past_twelve_digits_are_given_in_short_exact_form_or_bounded():
     assert [count_text(c) for c in (0, 16_777_215, 10**12 - 1)] == ["0", "16777215", "999999999999"]
     assert count_text((1 << 256) - 1) == "2^256 - 1"
@@ -594,10 +683,8 @@ def test_represent_of_a_chain_at_the_relation_bound_takes_under_a_second(tmp_pat
     """Identity space and time contact and a strict linear precedence: as
     many clusters, and moments of the canonical model, as atoms."""
     n = RELATION_SIZE_CAP
-    identity = Relation.from_rows(n, [1 << x for x in range(n)])
-    later = Relation.from_rows(n, [(1 << n) - (2 << x) for x in range(n)])
     path = tmp_path / "chain.json"
-    write_path(path, DCA(FiniteBA(n), identity, identity, later))
+    write_path(path, _chain_dca(n))
     code, out, _ = timed_run(["represent", path, "--out", tmp_path, "--format", "json"], capsys)
     assert code == 0, out
     assert len(load_path(tmp_path / "chain.canonical.json")[1].coordinates) == n
