@@ -150,7 +150,7 @@ def _check_command(args, report, kind, obj, extras) -> None:
         report.extend(obj.report.checks)
     elif kind == "dmst":
         for i, coord in enumerate(obj.coordinates):
-            failing = coord.axiom_report.first_failure(*CONTACT_AXIOMS)
+            failing = coord.contact_failure
             witness, note = (None, None) if failing is None else (failing.witness, failing.name)
             report.add(f"coordinate {i} is a contact algebra", failing is None, witness, note)
         rich = is_rich(obj)

@@ -216,8 +216,15 @@ class PrecontactAlgebra:
         self.require_contact()
         return _cliques(self.relation.rows)
 
+    @cached_property
+    def contact_failure(self) -> Check | None:
+        """The first failing contact axiom (C1-C5), or None: read from the
+        axiom report once per algebra."""
+        return self.axiom_report.first_failure(*CONTACT_AXIOMS)
+
     def require_contact(self) -> None:
-        self.axiom_report.require(*CONTACT_AXIOMS)
+        if self.contact_failure is not None:
+            self.axiom_report.require(*CONTACT_AXIOMS)
 
     def require_ce(self) -> None:
         self.axiom_report.require(*CONTACT_AXIOMS, "CE")

@@ -150,7 +150,7 @@ def from_contact_algebra(ca: PrecontactAlgebra) -> DCA:
     Space contact is the given contact, time contact relates all nonzero
     pairs, and precedence coincides with time contact.
     """
-    failing = ca.axiom_report.first_failure(*CONTACT_AXIOMS)
+    failing = ca.contact_failure
     if failing is not None:
         raise PreconditionError(f"not a contact algebra: {failing.name} fails", witness=failing.witness)
     n = ca.base.atom_count

@@ -49,8 +49,10 @@ class Report:
 
     def first_failure(self, *names: str) -> Check | None:
         """The first failing check among `names` (all checks if none are named), or None."""
-        wanted = set(names)
-        return next((c for c in self.checks if not c.holds and (not wanted or c.name in wanted)), None)
+        for c in self.checks:
+            if not c.holds and (not names or c.name in names):
+                return c
+        return None
 
     def __getitem__(self, name: str) -> Check:
         for c in self.checks:

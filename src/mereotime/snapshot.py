@@ -7,9 +7,11 @@ before-after relation and the region time axioms of snapshot models and
 abstract dynamic algebras: time contact and precedence are additive, so
 each axiom is a first-order condition on the atoms of the carrier.  All
 axioms, and all time conditions of the atoms' precedence, are decided in one
-walk over the atom rows of a frame, in O(n^2) word operations, and cached on
-the structure; the time conditions of a before-after relation are that walk
-on the frame whose time contact is the identity.
+walk over the atom rows of a frame, in O(n^2) word operations, that keeps
+one slot per condition and stops computing a condition's mask once its
+slot holds a failure; the result is cached on the structure.  The time
+conditions of a before-after relation are that walk on the frame whose time
+contact is the identity.
 """
 
 from __future__ import annotations
@@ -82,13 +84,21 @@ class TimeStructure(Relation):
     stored as that relation's successor rows, one per moment."""
 
     def __init__(self, point_count: int, prec):
-        with _moments(point_count):
+        if point_count < 1:
+            raise ValidationError("time structure needs at least one moment")
+        try:
             super().__init__(point_count, prec)
+        except DimensionMismatch as error:
+            raise ValidationError(f"time structure: {error}") from None
 
     @classmethod
     def from_rows(cls, point_count: int, rows) -> "TimeStructure":
-        with _moments(point_count):
+        if point_count < 1:
+            raise ValidationError("time structure needs at least one moment")
+        try:
             return super().from_rows(point_count, rows)
+        except DimensionMismatch as error:
+            raise ValidationError(f"time structure: {error}") from None
 
     @property
     def point_count(self) -> int:
@@ -101,17 +111,6 @@ class TimeStructure(Relation):
     @cached_property
     def condition_failures(self) -> dict:
         return time_condition_failures(self)
-
-
-@contextlib.contextmanager
-def _moments(point_count: int):
-    """Refuse a time structure with no moment or a moment pair out of range."""
-    if point_count < 1:
-        raise ValidationError("time structure needs at least one moment")
-    try:
-        yield
-    except DimensionMismatch as error:
-        raise ValidationError(f"time structure: {error}") from None
 
 
 def check_time_condition(ts: TimeStructure, cond: TimeCondition) -> Check:
@@ -172,7 +171,10 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
     time rows of x's time successors, and one pass over x's predecessors
     collects their successors and predecessors.  At x the atoms failing a
     two-place condition then form one mask, such as the atoms outside the
-    predecessors of x's successors (UP_DIR).  RS, LS and LIN are the time
+    predecessors of x's successors (UP_DIR).  Each condition keeps one
+    local slot, its first failure, and its mask at x is computed only while
+    that slot is empty; the three tables are built from the slots once,
+    after the walk.  RS, LS and LIN are the time
     conditions of the atoms' precedence, and so are the universal readings
     of the four axioms with a free variable p, whose first failing p is the
     named row of atoms.  REF fails at a time successor of x that is no
@@ -187,11 +189,15 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
     # Atoms with no successor, and atoms with no predecessor.
     no_rows = full & ~meeting(p_rows, full)
     no_cols = full & ~meeting(p_cols, full)
-    on_prec = dict.fromkeys(TIME_CONDITIONS)
-    on_atoms = dict.fromkeys((REF, TR, IRR, TRI, CIRC))  # CIRC read existentially
+    # First failures of the conditions on the precedence, and (`_at`) of the
+    # axioms read on the atoms, CIRC existentially.
+    rs = ls = up = down = circ = dens = ref = irr = lin = tri = tr = None
+    ref_at = tr_at = irr_at = tri_at = circ_at = None
     for x, (t_row, p_row, p_col) in enumerate(zip(t_rows, p_rows, p_cols)):
         bit = 1 << x
-        common, rest = full, t_row
+        # IRR's mask on the atoms, `inside`, and the meet of the time rows of
+        # x's time successors that it needs, only while its slot is empty.
+        common, rest = full, t_row if irr_at is None else 0
         while rest:
             low = rest & -rest
             common &= t_rows[low.bit_length() - 1]
@@ -202,7 +208,7 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
             low = rest & -rest
             y = low.bit_length() - 1
             after_after, after_before = after_after | p_rows[y], after_before | p_cols[y]
-            if not t_rows[y] & ~common:
+            if irr_at is None and not t_rows[y] & ~common:
                 inside |= low
             rest ^= low
         before_after = before_before = 0
@@ -212,47 +218,65 @@ def time_axiom_failures(time: Relation, prec: Relation) -> tuple[dict, dict, dic
             y = low.bit_length() - 1
             before_after, before_before = before_after | p_rows[y], before_before | p_cols[y]
             rest ^= low
-        for cond, fails in ((RS, not p_row), (LS, not p_col), (REF, not p_row & bit), (IRR, p_row & bit)):
-            if fails and on_prec[cond] is None:
-                on_prec[cond] = (x,)
-        for cond, mask in (
-            (UP_DIR, full & ~after_before),
-            (DOWN_DIR, full & ~before_after),
-            (CIRC, p_row & ~before_before),
-            (DENS, p_row & ~after_after),
-            (LIN, full & ~(p_row | p_col)),
-            (TRI, full & ~(p_row | p_col | bit)),
-        ):
-            if mask and on_prec[cond] is None:
-                on_prec[cond] = (x, _index(mask))
+        if rs is None and not p_row:
+            rs = (x,)
+        if ls is None and not p_col:
+            ls = (x,)
+        if ref is None and not p_row & bit:
+            ref = (x,)
+        if irr is None and p_row & bit:
+            irr = (x,)
+        if up is None and (mask := full & ~after_before):
+            up = (x, _index(mask))
+        if down is None and (mask := full & ~before_after):
+            down = (x, _index(mask))
+        if circ is None and (mask := p_row & ~before_before):
+            circ = (x, _index(mask))
+        if dens is None and (mask := p_row & ~after_after):
+            dens = (x, _index(mask))
+        if lin is None and (mask := full & ~(p_row | p_col)):
+            lin = (x, _index(mask))
+        if tri is None and (mask := full & ~(p_row | p_col | bit)):
+            tri = (x, _index(mask))
         later = after_after & ~p_row
-        if later and on_prec[TR] is None:
-            y = next(y for y in atoms_of(p_row) if p_rows[y] & ~p_row)
-            on_prec[TR] = (x, y, _index(p_rows[y] & ~p_row))
-        for cond, mask in (
-            (REF, t_row & ~p_row),
-            (TR, later),
-            (IRR, inside),
-            (TRI, full & ~(t_row | p_row | p_col)),
-            (CIRC, 0 if p_col else p_row & no_rows),
-        ):
-            if mask and on_atoms[cond] is None:
-                on_atoms[cond] = (bit, mask & -mask)
-    universal = {cond: on_atoms[cond] for cond in (REF, TR, IRR, TRI)}
-    for cond in (RS, LS, LIN):
-        found = on_prec[cond]
-        universal[cond] = found and tuple(1 << x for x in found)
-    # The first failing p: the row of y, or the column of y or of x.
-    for cond, lines, at in (
-        (UP_DIR, p_rows, 1), (DOWN_DIR, p_cols, 1), (CIRC, p_cols, 0), (DENS, p_cols, 1)
-    ):
-        found = on_prec[cond]
-        universal[cond] = found and (1 << found[0], 1 << found[1], lines[found[at]])
+        if later:
+            if tr is None:
+                y = next(y for y in atoms_of(p_row) if p_rows[y] & ~p_row)
+                tr = (x, y, _index(p_rows[y] & ~p_row))
+            if tr_at is None:
+                tr_at = (bit, later & -later)
+        if ref_at is None and (mask := t_row & ~p_row):
+            ref_at = (bit, mask & -mask)
+        if irr_at is None and inside:
+            irr_at = (bit, inside & -inside)
+        if tri_at is None and (mask := full & ~(t_row | p_row | p_col)):
+            tri_at = (bit, mask & -mask)
+        if circ_at is None and not p_col and (mask := p_row & no_rows):
+            circ_at = (bit, mask & -mask)
+    on_prec = {
+        RS: rs, LS: ls, UP_DIR: up, DOWN_DIR: down, CIRC: circ, DENS: dens,
+        REF: ref, IRR: irr, LIN: lin, TRI: tri, TR: tr,
+    }
+    universal = {
+        REF: ref_at, TR: tr_at, IRR: irr_at, TRI: tri_at,
+        RS: rs and (1 << rs[0],),
+        LS: ls and (1 << ls[0],),
+        LIN: lin and (1 << lin[0], 1 << lin[1]),
+        # The first failing p: the row of y, or the column of y or of x.
+        UP_DIR: up and (1 << up[0], 1 << up[1], p_rows[up[1]]),
+        DOWN_DIR: down and (1 << down[0], 1 << down[1], p_cols[down[1]]),
+        CIRC: circ and (1 << circ[0], 1 << circ[1], p_cols[circ[0]]),
+        DENS: dens and (1 << dens[0], 1 << dens[1], p_cols[dens[1]]),
+    }
     # Read existentially, a free-variable axiom fails only where both of its
     # rows are empty: never for DENS, whose scope makes x's row nonempty.
-    existential = {**universal, DENS: None, CIRC: on_atoms[CIRC]}
-    for cond, empty in ((UP_DIR, no_rows), (DOWN_DIR, no_cols)):
-        existential[cond] = (empty & -empty,) * 2 if empty else None
+    existential = {
+        **universal,
+        DENS: None,
+        CIRC: circ_at,
+        UP_DIR: (no_rows & -no_rows,) * 2 if no_rows else None,
+        DOWN_DIR: (no_cols & -no_cols,) * 2 if no_cols else None,
+    }
     return universal, existential, on_prec
 
 

@@ -33,8 +33,8 @@ from mereotime.cli import FILE_COMMANDS, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import dual_space
-from mereotime.models import encode
-from mereotime.snapshot import TimeStructure, build_dmst
+from mereotime.models import SPACE_REGION_CAP, encode
+from mereotime.snapshot import FULL_REGION_CAP, TimeStructure, build_dmst
 
 
 def _valid_payloads() -> dict[str, dict]:
@@ -118,6 +118,22 @@ def test_valid_payloads_satisfy_the_schema():
     assert {payload["format_version"] for payload in VALID.values()} == {1, 2}
     for name, payload in VALID.items():
         assert SCHEMA.is_valid(payload), name
+
+
+def test_schema_bounds_regions_as_decode_does():
+    """The four `regions` arrays of the schema carry the bounds that
+    `models.decode` applies: a dmst file's listed regions, and a dms file's."""
+    bounds = {
+        (version, branch["properties"]["kind"]["const"]): branch["properties"]["regions"]["maxItems"]
+        for version in ("version1", "version2")
+        for branch in SCHEMA.schema["$defs"][version]["oneOf"]
+        if "regions" in branch["properties"]
+    }
+    assert bounds == {
+        (version, kind): cap
+        for version in ("version1", "version2")
+        for kind, cap in (("dmst", FULL_REGION_CAP), ("dms", SPACE_REGION_CAP))
+    }
 
 
 @pytest.fixture(scope="module")

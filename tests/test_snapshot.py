@@ -10,6 +10,7 @@ from mereotime.dca import standard_dca
 from mereotime.generate import all_relations, all_time_structures
 from mereotime.errors import CapabilityError, MembershipError, PreconditionError, ValidationError
 from mereotime.models import decode, encode
+from mereotime.reporting import Report
 from mereotime import snapshot
 from mereotime.snapshot import (
     DMST,
@@ -206,11 +207,17 @@ def _seeded_relation(rng, n) -> Relation:
 
 
 def _atom_frames():
-    """Every (time, prec) frame on at most two atoms, then 5,000 seeded
-    frames on three to five atoms."""
+    """Every (time, prec) frame on at most two atoms; every frame on three
+    atoms whose time relation is an equivalence (5 partitions x 512
+    precedences), the shape of a DCA's clusters and of the identity frame;
+    then 5,000 seeded frames on three to five atoms."""
     for n in (1, 2):
         relations = list(all_relations(n))
         yield from itertools.product(relations, relations)
+    precedences = list(all_relations(3))
+    for blocks in ((0b001, 0b010, 0b100), (0b011, 0b100), (0b101, 0b010), (0b001, 0b110), (0b111,)):
+        time = Relation.from_rows(3, (next(b for b in blocks if b >> x & 1) for x in range(3)))
+        yield from ((time, prec) for prec in precedences)
     rng = random.Random(14)
     for _ in range(5000):
         n = rng.randint(3, 5)
@@ -223,6 +230,7 @@ def test_one_pass_axioms_match_per_condition_oracle():
     seen = collections.Counter()
     for time, prec in _atom_frames():
         failures = time_axiom_failures(time, prec)
+        assert failures[2] == {cond: condition_failure(cond, prec) for cond in TimeCondition}, (time, prec)
         for existential in (False, True):
             for cond in TimeCondition:
                 expected = atom_failure(cond, existential, time, prec)
@@ -234,6 +242,23 @@ def test_one_pass_axioms_match_per_condition_oracle():
             # first precedence row nonempty.
             outcomes = (True,) if existential and cond is TimeCondition.DENS else (True, False)
             assert all(seen[cond, existential, holds] for holds in outcomes), (cond, existential)
+
+
+def test_coordinates_shared_by_moments_read_their_axiom_report_once(monkeypatch):
+    """`build_dmst` decides a coordinate's contact verdict once per
+    algebra, however many moments share it and however often it is built."""
+    coordinate = PrecontactAlgebra.overlap(FiniteBA(2))
+    report, first_failure, reads = coordinate.axiom_report, Report.first_failure, []
+
+    def counted(self, *names):
+        if self is report:
+            reads.append(names)
+        return first_failure(self, *names)
+
+    monkeypatch.setattr(Report, "first_failure", counted)
+    for k in (1, 3, 4):
+        build_dmst(ts(k, set()), [coordinate] * k, mode="full")
+    assert len(reads) == 1
 
 
 def test_build_full_model_region_count():
