@@ -14,10 +14,9 @@ and points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .boolean import additive, atoms_of, meeting
-from .contact import _first_missing
+from .contact import _first_missing, cached_attribute
 from .dca import DCA, is_trivial
 from .dms import (
     DMSpace,
@@ -105,7 +104,7 @@ class DmsMorphism:
     def identity(cls, s: DMSpace) -> "DmsMorphism":
         return cls(s, s, tuple(s.points()))
 
-    @cached_property
+    @cached_attribute
     def preimage(self):
         """preimage(region): the points mapped into `region`, a union of fibres."""
         fibres = [0] * self.cod.space.point_count
@@ -113,12 +112,12 @@ class DmsMorphism:
             fibres[y] |= 1 << x
         return additive(fibres)
 
-    @cached_property
+    @cached_attribute
     def _image(self):
         """_image(region): the points that `region`'s points map to."""
         return additive([1 << y for y in self.point_map])
 
-    @cached_property
+    @cached_attribute
     def _pulled_successors(self) -> tuple[int, ...]:
         """Row x: the points mapped to successors of x's image; one preimage per distinct row."""
         rows = self.cod.prec.rows

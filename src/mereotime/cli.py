@@ -1,11 +1,17 @@
 """Command-line interface: a renderer of library results.
 
-Every file command runs one pipeline, `_file_command`: load the model file,
-refuse a kind the command does not read (`FILE_COMMANDS` lists the kinds
-each command reads), fill a fresh `CommandReport`, a `reporting.Report` of
-the library's own checks, with the command's body and emit it; the text
-view prints the JSON entries.  `correspondence` reads one table per kind of
-file, and `generate` reads `generate.EXHAUSTIVE` and `generate.SEEDED`.
+Each step from argv to stdout runs once.  `main` hands a known command's
+arguments straight to that command's own parser (`PARSER.commands`); no
+command, an unknown one or a top-level option goes through `PARSER`, which
+also reports arguments no parser knows.  Every file command then runs one
+pipeline, `_file_command`: load the model file, refuse a kind the command
+does not read (`FILE_COMMANDS` lists the kinds each command reads), fill a
+fresh `CommandReport`, a `reporting.Report` of the library's own checks,
+with the command's body and emit it.  With `--format json` the report is
+one line of canonical JSON, as in model files, assembled from its members'
+canonical texts, which `report_digest` covers too; the text view prints the
+same entries.  `correspondence` reads one table per kind of file, and
+`generate` reads `generate.EXHAUSTIVE` and `generate.SEEDED`.
 
 Exit codes: 0 all checks passed, 1 some check or capability failed,
 2 unreadable or schema-invalid input, or a question past a named size
@@ -21,6 +27,7 @@ import random
 import sys
 import time
 from functools import partial
+from hashlib import sha256
 from operator import attrgetter
 from pathlib import Path
 
@@ -39,7 +46,7 @@ from .dca import (
 )
 from .dms import check_s2, classify, dual, dual_space, validate_dms
 from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError, count_text
-from .models import KINDS, SPACE_POINT_CAP, SPACE_REGION_CAP, digest, load_path, write_path
+from .models import CANONICAL, KINDS, SPACE_POINT_CAP, SPACE_REGION_CAP, digest, load_path, write_path
 from .reporting import Report, plain
 from .snapshot import (
     TIME_CONDITIONS,
@@ -59,6 +66,10 @@ def _out_dir(args) -> Path:
     return path
 
 
+# The report members `report_digest` covers, in canonical (sorted) order.
+_DIGESTED = ("checks", "command", "info", "input_digest")
+
+
 class CommandReport(Report):
     """The report of one file command on one file; `subject` is the command."""
 
@@ -70,6 +81,7 @@ class CommandReport(Report):
         self.started = time.perf_counter()
 
     def payload(self) -> dict:
+        """The report's JSON members, without its digest and elapsed time."""
         checks = []
         for c in self.checks:
             entry = {"name": c.name, "holds": bool(c.holds)}
@@ -78,24 +90,32 @@ class CommandReport(Report):
             if c.note is not None:
                 entry["note"] = c.note
             checks.append(entry)
-        body = {
+        return {
+            "checks": checks,
             "command": self.subject,
+            "info": self.info,
             "input": self.source,
             "input_digest": self.input_digest,
             "ok": self.ok,
-            "checks": checks,
-            "info": self.info,
         }
-        body["report_digest"] = digest(
-            {k: body[k] for k in ("command", "input_digest", "checks", "info")}
-        )
-        body["elapsed_ms"] = round((time.perf_counter() - self.started) * 1000, 3)
-        return body
+
+    def _json(self, body: dict) -> str:
+        """The report as canonical JSON, as in model files, each member encoded once.
+
+        `report_digest` is `models.digest` of the command, input digest,
+        checks and info: the sha256 of their canonical object and a newline,
+        assembled from the same member texts as the output.
+        """
+        text = {key: CANONICAL.encode(value) for key, value in body.items()}
+        covered = "{" + ",".join(f'"{key}":{text[key]}' for key in _DIGESTED) + "}\n"
+        text["report_digest"] = '"' + sha256(covered.encode("utf-8")).hexdigest() + '"'
+        text["elapsed_ms"] = CANONICAL.encode(round((time.perf_counter() - self.started) * 1000, 3))
+        return "{" + ",".join(f'"{key}":{text[key]}' for key in sorted(text)) + "}"
 
     def emit(self, fmt: str) -> None:
         body = self.payload()
         if fmt == "json":
-            print(json.dumps(body, sort_keys=True))
+            print(self._json(body))
             return
         print(f"== {self.subject} {self.source}")
         for check in body["checks"]:
@@ -310,6 +330,8 @@ OUT_HELP = f"output directory (default ${OUTPUT_ENV} or .)"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `mereotime` parser; its `commands` table maps each command's name
+    to the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="mereotime",
         description="Finite-model toolkit for region-based theories of space and time.",
@@ -321,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         if writes:
             p.add_argument("--out", help=OUT_HELP)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(handler=partial(_file_command, kinds, body))
+        p.set_defaults(command=name, handler=partial(_file_command, kinds, body))
 
     g = sub.add_parser("generate", help="generate model files")
     g.add_argument("--kind", required=True, choices=tuple(gen.SEEDED))
@@ -329,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--exhaustive", action="store_true")
     g.add_argument("--out", help=OUT_HELP)
-    g.set_defaults(handler=_generate_command)
+    g.set_defaults(command="generate", handler=_generate_command)
+    parser.commands = dict(sub.choices)
     return parser
 
 
@@ -337,8 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` once: a known command's arguments by that command's own
+    parser, anything else (no command, an unknown one, top-level options) by
+    `PARSER`.  Arguments no parser knows are reported by `PARSER`, as its
+    own parse of a command's arguments reports them."""
+    parser = PARSER.commands.get(argv[0]) if argv else None
+    if parser is None:
+        return PARSER.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv[1:])
+    if unknown:
+        PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     paths = getattr(args, "paths", None)
     worst = 0
     # inputs are independent; they are processed in input order

@@ -17,12 +17,16 @@ smallest element pair on which the two differ.  Clans and clusters are the
 grills of the cliques of the atom relation.  The exhaustive element-level
 evaluators that certify these decisions live with the tests
 (`tests/conftest.py`).
+
+Derived results are cached on the structures they describe: an attribute
+through `cached_attribute`, a module function of one structure through
+`_cached`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 
 from .boolean import FiniteBA, Grill, atoms_of, mask_of, meeting, submasks
 from .errors import DimensionMismatch, PreconditionError, ValidationError
@@ -30,6 +34,43 @@ from .reporting import Check, Report
 
 PRECONTACT_AXIOMS = ("C1", "C2", "C3'", "C3''")
 CONTACT_AXIOMS = PRECONTACT_AXIOMS + ("C4", "C5")
+
+
+class cached_attribute:
+    """An attribute computed by `func` on its first read and kept in the
+    instance's `__dict__` under its name, where every later read finds it
+    without reaching this descriptor.  Unlike `functools.cached_property`
+    on Python 3.11, a first read takes no lock: two threads reading it at
+    once may each compute the value, and one of the equal values is kept.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _cached(fn):
+    """fn(obj), computed once and kept in obj's `__dict__` under fn's name,
+    as `cached_attribute` keeps an attribute."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def cached(obj):
+        if key not in obj.__dict__:  # a caught KeyError would chain onto fn's errors
+            obj.__dict__[key] = fn(obj)
+        return obj.__dict__[key]
+
+    return cached
 
 
 class Relation:
@@ -90,7 +131,7 @@ class Relation:
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x, row in enumerate(self.rows) for y in atoms_of(row))
 
-    @cached_property
+    @cached_attribute
     def columns(self) -> tuple[int, ...]:
         """columns[y] is the mask of predecessors of y."""
         cols = [0] * self.size
@@ -206,17 +247,17 @@ class PrecontactAlgebra:
         self.base.check(b)
         return bool(self.relation.forward_image(a) & b)
 
-    @cached_property
+    @cached_attribute
     def axiom_report(self) -> Report:
         return check_axioms(self)
 
-    @cached_property
+    @cached_attribute
     def clique_supports(self) -> tuple[int, ...]:
         """Atom supports of the clans, lexicographic by atoms (`clans`)."""
         self.require_contact()
         return _cliques(self.relation.rows)
 
-    @cached_property
+    @cached_attribute
     def contact_failure(self) -> Check | None:
         """The first failing contact axiom (C1-C5), or None: read from the
         axiom report once per algebra."""
@@ -245,7 +286,12 @@ def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
     compositional axioms and the DCA interaction axioms.
     """
     _require_same_size(left, right)
-    witness = _first_missing(left.rows, right.rows)
+    return _included(name, left.rows, right.rows)
+
+
+def _included(name: str, left_rows, right_rows) -> Check:
+    """`inclusion_check` on the rows of two relations of one size."""
+    witness = _first_missing(left_rows, right_rows)
     return Check(name, witness is None, witness)
 
 

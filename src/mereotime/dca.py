@@ -5,14 +5,14 @@ local precedence relation over one finite Boolean algebra.  Relations are
 stored in atom normal form, and the axioms are decided on those atom
 relations; element-level relations are reconstructed on demand.
 
-Results are cached on the structures they describe (`_cached`), and only
-`contact.check_axioms` keeps a value-keyed table: the benchmark reads it.
+Results are cached on the structures they describe (`contact._cached`),
+and only `contact.check_axioms` keeps a value-keyed table: the benchmark
+reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
 from typing import NamedTuple
 
 from .boolean import FiniteBA, atoms_of, mask_of, meeting
@@ -22,7 +22,9 @@ from .contact import (
     FactorAlgebra,
     PrecontactAlgebra,
     Relation,
-    inclusion_check,
+    _cached,
+    _included,
+    cached_attribute,
 )
 from .errors import PreconditionError, ValidationError
 from .reporting import Check, Report
@@ -73,19 +75,19 @@ class DCA:
     def precedes(self, a: int, b: int) -> bool:
         return bool(self.prec_rel.forward_image(self.base.check(a)) & self.base.check(b))
 
-    @cached_property
+    @cached_attribute
     def cs_algebra(self) -> PrecontactAlgebra:
         return PrecontactAlgebra(self.base, self.space_rel)
 
-    @cached_property
+    @cached_attribute
     def ct_algebra(self) -> PrecontactAlgebra:
         return PrecontactAlgebra(self.base, self.time_rel)
 
-    @cached_property
+    @cached_attribute
     def report(self) -> Report:
         return validate_dca(self)
 
-    @cached_property
+    @cached_attribute
     def axiom_failures(self) -> tuple[dict, dict, dict]:
         return time_axiom_failures(self.time_rel, self.prec_rel)
 
@@ -97,18 +99,8 @@ class DCA:
         self.report.require()
 
 
-def _cached(fn):
-    """fn(obj), computed once and kept in obj's `__dict__` under fn's name,
-    as `cached_property` keeps its value."""
-    key = fn.__name__
-
-    @wraps(fn)
-    def cached(obj):
-        if key not in obj.__dict__:  # a caught KeyError would chain onto fn's errors
-            obj.__dict__[key] = fn(obj)
-        return obj.__dict__[key]
-
-    return cached
+# Checks are immutable, so every report shares these.
+_PRECEDENCE_AXIOMS = tuple(Check(f"B:{name}", True) for name in PRECONTACT_AXIOMS)
 
 
 def validate_dca(d: DCA) -> Report:
@@ -117,31 +109,38 @@ def validate_dca(d: DCA) -> Report:
     Verdicts are decided on the stored atom relations: C1-C3'' hold by
     construction, and Cs<=Ct, CtE, CtB, BCt and the contact axioms C4 and
     C5 are each one inclusion of atom relations, whose witness is the
-    smallest missing atom pair as singleton masks.
+    smallest missing atom pair as singleton masks.  The rows of Rt.prec,
+    prec.Rt and Rt.prec.Rt are each composed once.
     """
-    report = Report(subject="dynamic contact algebra")
-    rs, rt, pr = d.space_rel, d.time_rel, d.prec_rel
-    ct_axioms = d.ct_algebra.axiom_report
-    for prefix, axioms in (("Cs", d.cs_algebra.axiom_report), ("Ct", ct_axioms)):
-        for name in CONTACT_AXIOMS:
-            check = axioms[name]
-            report.add(f"{prefix}:{name}", check.holds, check.witness)
-    inclusion = inclusion_check("Cs<=Ct", rs, rt)
-    cte = ct_axioms["CE"]
-    report.extend([inclusion, Check("CtE", cte.holds, cte.witness)])
-
-    report.extend([Check(f"B:{name}", True) for name in PRECONTACT_AXIOMS])
-    ctb = inclusion_check("CtB", rt.compose(pr), pr)
-    bct = inclusion_check("BCt", pr.compose(rt), pr)
-    report.extend([ctb, bct])
-
-    fact1 = next((c for c in (ct_axioms["C4"], ct_axioms["C5"], cte) if not c.holds), cte)
-    report.add("fact1:Rt equivalence", fact1.holds, fact1.witness)
-    report.add("fact2:Rt.prec<=prec", ctb.holds, ctb.witness)
-    report.add("fact3:prec.Rt<=prec", bct.holds, bct.witness)
-    report.extend([inclusion_check("fact4:Rt.prec.Rt<=prec", rt.compose(pr).compose(rt), pr)])
-    report.add("fact5:Rs<=Rt", inclusion.holds, inclusion.witness)
-    return report
+    rs, rt, pr = d.space_rel.rows, d.time_rel.rows, d.prec_rel.rows
+    rt_image, pr_image = d.time_rel.forward_image, d.prec_rel.forward_image
+    rt_pr = [pr_image(row) for row in rt]
+    pr_rt = [rt_image(row) for row in pr]
+    rt_pr_rt = [rt_image(row) for row in rt_pr]
+    cs = {c.name: c for c in d.cs_algebra.axiom_report.checks}
+    ct = {c.name: c for c in d.ct_algebra.axiom_report.checks}
+    inclusion = _included("Cs<=Ct", rs, rt)
+    ctb = _included("CtB", rt_pr, pr)
+    bct = _included("BCt", pr_rt, pr)
+    cte = ct["CE"]
+    fact1 = next((c for c in (ct["C4"], ct["C5"], cte) if not c.holds), cte)
+    return Report(
+        "dynamic contact algebra",
+        [
+            *(Check(f"Cs:{name}", cs[name].holds, cs[name].witness) for name in CONTACT_AXIOMS),
+            *(Check(f"Ct:{name}", ct[name].holds, ct[name].witness) for name in CONTACT_AXIOMS),
+            inclusion,
+            Check("CtE", cte.holds, cte.witness),
+            *_PRECEDENCE_AXIOMS,
+            ctb,
+            bct,
+            Check("fact1:Rt equivalence", fact1.holds, fact1.witness),
+            Check("fact2:Rt.prec<=prec", ctb.holds, ctb.witness),
+            Check("fact3:prec.Rt<=prec", bct.holds, bct.witness),
+            _included("fact4:Rt.prec.Rt<=prec", rt_pr_rt, pr),
+            Check("fact5:Rs<=Rt", inclusion.holds, inclusion.witness),
+        ],
+    )
 
 
 def from_contact_algebra(ca: PrecontactAlgebra) -> DCA:

@@ -31,7 +31,7 @@ lifting conditions, the extent isomorphism and the density map on atoms
 too; the element-level evaluations are the test oracle
 (`tests/conftest.py`).
 
-Results are cached on the spaces and algebras they describe (`dca._cached`).
+Results are cached on the spaces and algebras they describe (`contact._cached`).
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ import itertools
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .boolean import FiniteBA, additive, atoms_of, joins, mask_of, meeting
-from .contact import Relation
+from .contact import Relation, _cached, cached_attribute
 from .dca import (
     DCA,
-    _cached,
     _common_successors,
     _time_classes,
     clan_structure,
@@ -80,7 +78,7 @@ class FiniteTopSpace:
     def universe(self) -> int:
         return (1 << self.point_count) - 1
 
-    @cached_property
+    @cached_attribute
     def _down(self) -> tuple[int, ...]:
         """_down[y]: closure of point y, the down-set of y in the specialization order.
 
@@ -94,7 +92,7 @@ class FiniteTopSpace:
                 down[y] &= b
         return tuple(down)
 
-    @cached_property
+    @cached_attribute
     def closure(self):
         """closure(a): the union of the point closures of a's points.
 
@@ -112,7 +110,7 @@ class FiniteTopSpace:
     def is_regular_closed(self, a: int) -> bool:
         return self.closure(self.interior(a)) == a
 
-    @cached_property
+    @cached_attribute
     def closed_family(self) -> frozenset[int]:
         """All closed sets: the unions of point closures.
 
@@ -141,7 +139,7 @@ class FiniteTopSpace:
                         refuse(str(len(family)))
         return frozenset(family)
 
-    @cached_property
+    @cached_attribute
     def regular_closed(self) -> tuple[int, ...]:
         """All regular closed sets, ascending by mask: cl(U) for every open U."""
         closure, universe = self.closure, self.universe
@@ -177,7 +175,7 @@ class DMSpace:
     def points(self) -> range:
         return range(self.space.point_count)
 
-    @cached_property
+    @cached_attribute
     def time_structure(self) -> TimeStructure:
         """Before-after restricted to the time points, numbered in ascending order."""
         times = [1 << x for x in atoms_of(self.time_points)]
@@ -537,7 +535,7 @@ class DualSpaceResult:
     points: tuple[int, ...]
     extents: tuple[int, ...]
 
-    @cached_property
+    @cached_attribute
     def _point_index(self) -> dict[int, int]:
         return {support: i for i, support in enumerate(self.points)}
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from pathlib import Path
 
 from .boolean import FiniteBA, atoms_of
 from .category import DcaMorphism, DmsMorphism
@@ -93,8 +92,13 @@ SPACE_POINT_CAP = 2048
 SPACE_REGION_CAP = 1 << 19
 
 
+# The one canonical encoder (sorted keys, no spaces) of files, digests and
+# command reports.
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return CANONICAL.encode(payload) + "\n"
 
 
 def digest(payload: dict) -> str:
@@ -360,7 +364,8 @@ def decode(payload: dict):
 def load_path(path) -> tuple[str, object, dict, dict]:
     """Parse a model file: kind, object, extras and the raw payload."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            payload = json.load(file)
         kind, obj, extras = decode(payload)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
@@ -377,5 +382,6 @@ def load_path(path) -> tuple[str, object, dict, dict]:
 def write_path(path, obj, claims=None) -> str:
     """Write a model's canonical text; return its digest, equal to `digest` of the payload."""
     text = canonical_dumps(encode(obj, claims=claims))
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -20,10 +20,9 @@ import contextlib
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
-from .contact import PrecontactAlgebra, Relation
+from .contact import PrecontactAlgebra, Relation, cached_attribute
 from .errors import CapabilityError, DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
 from .reporting import Check
 from .boolean import atoms_of, meeting
@@ -108,7 +107,7 @@ class TimeStructure(Relation):
     def prec(self) -> frozenset[tuple[int, int]]:
         return self.pairs
 
-    @cached_property
+    @cached_attribute
     def condition_failures(self) -> dict:
         return time_condition_failures(self)
 
@@ -297,7 +296,7 @@ class DMST:
         if len(self.coordinates) != self.time.point_count:
             raise ValidationError("one coordinate algebra per moment required")
 
-    @cached_property
+    @cached_attribute
     def layout(self) -> list[tuple[int, int]]:
         return _layout(self.coordinates)
 
@@ -309,7 +308,7 @@ class DMST:
     def regions(self) -> "Regions":
         return Regions(self)
 
-    @cached_property
+    @cached_attribute
     def _listed(self) -> tuple[Region, ...]:
         """Every region in sorted order: the joins of the cells in binary counting order."""
         if self.region_count > FULL_REGION_CAP:
@@ -366,13 +365,13 @@ class DMST:
         later = sum(1 << n for n, y in enumerate(b) if y)
         return any(x and row & later for x, row in zip(a, self.time.rows))
 
-    @cached_property
+    @cached_attribute
     def _cell_moments(self) -> list[int]:
         """The moments each cell meets, as a mask."""
         blocks = [top << shift for shift, top in self.layout]
         return [meeting(blocks, cell) for cell in self.cells]
 
-    @cached_property
+    @cached_attribute
     def atom_relations(self) -> tuple[Relation, Relation]:
         """Time contact and precedence on the region atoms, the cells: the
         identity and the before-after relation on the moments, pulled back
@@ -385,7 +384,7 @@ class DMST:
         moments = self._cell_moments
         return Relation.identity(self.time.size).pullback(moments), self.time.pullback(moments)
 
-    @cached_property
+    @cached_attribute
     def space_relation(self) -> Relation:
         """Space contact on the region atoms: the coordinate relations laid
         on the packed bits (bit `layout[k][0] + i` carries coordinate k's
@@ -395,7 +394,7 @@ class DMST:
         laid = [row << at for (at, _), c in parts for row in c.relation.rows]
         return Relation.from_rows(len(laid), laid).pullback(self.cells)
 
-    @cached_property
+    @cached_attribute
     def axiom_failures(self) -> tuple[dict, dict, dict]:
         return time_axiom_failures(*self.atom_relations)
 

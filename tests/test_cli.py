@@ -22,6 +22,7 @@ from mereotime.models import (
     RELATION_SIZE_CAP,
     SPACE_POINT_CAP,
     SPACE_REGION_CAP,
+    canonical_dumps,
     decode,
     digest,
     encode,
@@ -868,6 +869,70 @@ def test_help_matches_a_freshly_built_parser(command, capsys):
     fresh = _exit_output(lambda: build_parser().parse_args(argv), capsys)
     assert shared == fresh
     assert shared[0] == 0 and shared[1].startswith("usage: mereotime")
+
+
+def _usage_cases(command: str) -> list[list[str]]:
+    """`--help`, no path (no required options for `generate`), an unknown
+    option and an invalid `--format`."""
+    given = ["--kind", "dca", "--size", "1"] if command == "generate" else ["model.json"]
+    return [[command, "--help"], [command], [command, *given, "--bogus"], [command, *given, "--format", "xml"]]
+
+
+@pytest.mark.parametrize("command", [c[0] for c in FILE_COMMANDS] + ["generate"])
+def test_dispatch_to_a_command_parser_matches_the_top_level_parse(command, capsys):
+    """`main` hands a command's arguments to that command's own parser; what
+    a usage error prints and its exit code are those of `PARSER.parse_args`."""
+    for argv in _usage_cases(command):
+        through_main = _exit_output(lambda: main(argv), capsys)
+        through_parser = _exit_output(lambda: PARSER.parse_args(argv), capsys)
+        assert through_main == through_parser, argv
+        assert through_main[0] == (0 if "--help" in argv else 2), argv
+    assert set(PARSER.commands) == {c[0] for c in FILE_COMMANDS} | {"generate"}
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nonsense", "x"], ["--bogus", "check", "x"]])
+def test_argv_without_a_known_command_goes_through_the_top_level_parser(argv, capsys):
+    through_main = _exit_output(lambda: main(argv), capsys)
+    assert through_main == _exit_output(lambda: PARSER.parse_args(argv), capsys)
+    assert through_main[0] == (0 if argv == ["--help"] else 2)
+
+
+def test_main_without_argv_reads_sys_argv(trivial_dca_file, capsys, monkeypatch):
+    argv = ["check", str(trivial_dca_file), "--format", "json"]
+    given = run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["mereotime", *argv])
+    code = main()
+    out = capsys.readouterr()
+    read = code, out.out, out.err
+    for seen in (given, read):
+        assert seen[0] == 0 and seen[2] == ""
+    body, body_read = (json.loads(seen[1]) for seen in (given, read))
+    body.pop("elapsed_ms"), body_read.pop("elapsed_ms")
+    assert body_read == body
+    monkeypatch.setattr(sys, "argv", ["mereotime", "check"])
+    assert _exit_output(main, capsys) == _exit_output(lambda: PARSER.parse_args(["check"]), capsys)
+
+
+def test_json_reports_are_canonical_and_digest_their_members(tmp_path, monkeypatch, capsys):
+    """Every golden case, in both file versions: the report line is canonical
+    JSON, as in model files, and its digest is `models.digest` of its
+    command, input digest, checks and info."""
+    from test_golden import CASES, _model_dir
+
+    for version, write in ((1, write_path_v1), (2, write_path)):
+        root = tmp_path / f"v{version}"
+        root.mkdir()
+        monkeypatch.chdir(_model_dir(root, write))
+        for command, name in CASES:
+            argv = [command, f"{name}.json", "--format", "json"]
+            if command in ("represent", "dualize"):
+                argv += ["--out", "out"]
+            _, out, _ = run(argv, capsys)
+            line, = out.splitlines()
+            body = json.loads(line)
+            assert line + "\n" == canonical_dumps(body), (version, command, name)
+            covered = {key: body[key] for key in ("command", "input_digest", "checks", "info")}
+            assert body["report_digest"] == digest(covered), (version, command, name)
 
 
 def test_usage_error_leaves_the_parser_reusable(trivial_dca_file, capsys):

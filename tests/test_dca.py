@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from mereotime import contact
 from mereotime.boolean import FiniteBA
 from mereotime.contact import Clan, FactorAlgebra, PrecontactAlgebra, Relation, factor_by_clanset
 from mereotime.dca import (
@@ -159,6 +160,29 @@ def test_validate_dca_matches_element_oracle():
             assert _counterexample(d, check.name, *check.witness), (d, check)
             counted += 1
     assert counted > 0
+
+
+def test_validate_dca_composes_on_rows_and_reads_two_axiom_reports(monkeypatch):
+    """One validation builds no `Relation` by composition and decides the
+    contact axioms at most once for each of its two contacts."""
+    calls = Counter()
+    compose, check_axioms = Relation.compose, contact.check_axioms
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(Relation, "compose", counted("compose", compose))
+    monkeypatch.setattr(contact, "check_axioms", counted("check_axioms", check_axioms))
+    corpus = list(gen.dca_corpus(300, 5, seed=3)) + list(itertools.islice(_dca_triples(), 0, None, 50))
+    for d in corpus:
+        calls.clear()
+        report = validate_dca(DCA(d.base, d.space_rel, d.time_rel, d.prec_rel))
+        assert len(report.checks) == 25
+        assert calls["compose"] == 0 and calls["check_axioms"] <= 2, (d, calls)
 
 
 # The axioms whose counterexamples also refute each atom fact.
