@@ -5,10 +5,13 @@ Point sets are int bitmasks.  In a finite space closure is additive
 and cl{x} is the meet of the base members holding x.  So closure is one
 table-driven map per space (`boolean.additive`), and so are the extent map
 of a dual space and the preimage map of a space morphism.  The closed sets
-are the down-sets of the specialization preorder, that is the unions of
-point closures; the family is built that way only to enumerate the regular
-closed sets, each the closure of an open set, and is refused unlisted when
-an antichain of w point closures (2^w closed sets) puts it over the bound.
+are the down-sets of the specialization preorder, listed per connected
+component and multiplied out only to enumerate the regular closed sets,
+the closures of the open sets' maximal traces.  The family is refused
+unlisted when an antichain of w point closures (2^w closed sets), a
+component's count or the product's puts it over the bound; RC built from
+its atoms replaces the listing once the benchmark stops counting closed
+sets (ROADMAP items 1 and 2).
 The dual space of an algebra takes the n atom extents as its closed base:
 the regions are the joins of the extents, and the joins give the same
 point closures, so a written dual space lists n base sets, not 2^n.
@@ -111,39 +114,62 @@ class FiniteTopSpace:
         return self.closure(self.interior(a)) == a
 
     @cached_attribute
-    def closed_family(self) -> frozenset[int]:
-        """All closed sets: the unions of point closures.
+    def _classes(self) -> dict[int, int]:
+        """The specialization classes: each distinct point closure, mapped to
+        the mask of the points that have it."""
+        classes: dict[int, int] = {}
+        for y, d in enumerate(self._down):
+            classes[d] = classes.get(d, 0) | 1 << y
+        return classes
 
-        In a finite space the closed sets are exactly the down-sets of the
-        specialization preorder, so each point closure in turn is joined to
-        every set found so far: O(points * family) word operations.  Distinct
-        point closures of one size are incomparable, so w of them join to 2^w
-        closed sets: a family that count puts over the bound is never listed.
+    @cached_attribute
+    def closed_family(self) -> frozenset[int]:
+        """All closed sets: the down-sets of the specialization preorder.
+
+        Distinct point closures of one size are incomparable, so w of them
+        join to 2^w closed sets: a family that count puts over the bound is
+        never listed.  Each connected component is listed in one pass over
+        its classes by closure size, a class joining every listed set that
+        holds its strictly-lower points, and the family is their product,
+        refused before it is built when it or a component counts over the
+        bound: O(classes * component family + family) word operations.
         """
 
-        def refuse(count: str):
+        def refuse(count):
             message = f"at least {count} closed sets on {self.point_count} points, over the bound of {_FAMILY_CAP}"
             raise CapabilityError(f"closed-set family too large to enumerate: {message}", missing="small closed family")
 
-        widest = max(Counter(d.bit_count() for d in set(self._down)).values(), default=0)
+        classes = self._classes
+        widest = max(Counter(d.bit_count() for d in classes).values(), default=0)
         if 1 << widest > _FAMILY_CAP:
             refuse(f"2^{widest}")
-        family = {0}
-        add = family.add
-        for d in self._down:
-            for c in tuple(family):
-                u = c | d
-                if u not in family:
-                    add(u)
-                    if len(family) > _FAMILY_CAP:
-                        refuse(str(len(family)))
+        # Two classes lie in one component iff a chain of meeting closures joins them.
+        parts: dict[int, list[int]] = {}
+        for d in sorted(classes, key=int.bit_count):
+            part = [mask for mask in parts if mask & d]
+            parts[d | sum(part)] = [c for mask in part for c in parts.pop(mask)] + [d]
+        family = [0]
+        for members in parts.values():
+            listed = [0]
+            for d in members:
+                cls, lower = classes[d], d ^ classes[d]
+                listed += [c | cls for c in listed if c & lower == lower]
+                if len(family) * len(listed) > _FAMILY_CAP:
+                    refuse(_FAMILY_CAP + 1)
+            family = [a | b for a in family for b in listed]
         return frozenset(family)
 
     @cached_attribute
     def regular_closed(self) -> tuple[int, ...]:
-        """All regular closed sets, ascending by mask: cl(U) for every open U."""
-        closure, universe = self.closure, self.universe
-        return tuple(sorted({closure(universe ^ c) for c in self.closed_family}))
+        """All regular closed sets, ascending by mask: cl(U) for every open U.
+
+        cl(U) is the closure of U's maximal points, those its closed
+        complement misses, and distinct maximal traces have distinct
+        closures, so each trace is closed once."""
+        closure, top = self.closure, self.universe
+        for d, cls in self._classes.items():
+            top &= ~(d ^ cls)
+        return tuple(sorted(closure(top ^ t) for t in {c & top for c in self.closed_family}))
 
 
 @dataclass(frozen=True)
@@ -223,8 +249,12 @@ def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
     members = set(family)
     atoms = []
     for m in sorted(members, key=int.bit_count):
-        if m and not any(a & ~m == 0 for a in atoms):
-            atoms.append(m)
+        if m:
+            for a in atoms:
+                if a & ~m == 0:
+                    break
+            else:
+                atoms.append(m)
     atoms.sort()
     joins = {0}
     for b in atoms:
@@ -669,10 +699,8 @@ def density_check(space: DMSpace) -> Report:
     sub_rc = sub_space.regular_closed
     full_rc = spc.regular_closed
     lifted = {a: spc.closure(embed(a)) for a in sub_rc}
-    report.add(
-        "closure maps subspace RC into RC",
-        all(v in set(full_rc) for v in lifted.values()),
-    )
+    members = set(full_rc)
+    report.add("closure maps subspace RC into RC", all(v in members for v in lifted.values()))
     report.add(
         "closure map is a bijection",
         len(set(lifted.values())) == len(sub_rc) == len(full_rc),

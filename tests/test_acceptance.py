@@ -392,6 +392,24 @@ def test_representation_on_thirty_point_dual_space():
     budget.done()
 
 
+def test_representation_on_thirty_three_point_dual_space():
+    d = path_snapshot_dca((4, 4, 2))
+    budget = Budget("verify_representation_topo, (4,4,2) snapshot algebra", 0.25)
+    assert verify_representation_topo(d).ok
+    assert dual_space(d).space.space.point_count == 33
+    budget.done()
+
+
+def test_closed_family_refusal_on_thirty_seven_point_dual_space():
+    """The (4,4,3) dual has 529,891 closed sets; its components count them
+    over the bound before the family is built."""
+    d = path_snapshot_dca((4, 4, 3))
+    budget = Budget("verify_representation_topo refused, (4,4,3) snapshot algebra", 0.05)
+    with pytest.raises(CapabilityError, match="at least 200001 closed sets on 37 points, over the bound of 200000"):
+        verify_representation_topo(d)
+    budget.done()
+
+
 def test_s2_on_511_point_dual_space():
     n = 9
     path = PrecontactAlgebra.from_atom_pairs(

@@ -27,7 +27,7 @@ from conftest import (
 )
 from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA, Grill, atoms_of, meeting
+from mereotime.boolean import FiniteBA, Grill, atoms_of, mask_of, meeting
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
@@ -248,6 +248,81 @@ def test_closed_family_refuses_exactly_the_families_over_the_cap(small_dca_corpu
             else:
                 listed += 1
     assert early and listed, (early, listed)
+
+
+def random_closed_bases(rng, count):
+    """Closed bases on 0-8 points.  The points of one cell lie in the same
+    members, so a cell of two or more points repeats a point closure (the
+    space is not T0).  Every member is drawn inside one part of the cells,
+    and most bases hold the parts themselves, so the parts split the
+    specialization preorder into components."""
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        cells = rng.randint(max(n - 3, 1), max(n, 1))
+        cell_of = [rng.randrange(cells) for _ in range(n)]
+        part_count = rng.randint(1, 5)
+        part_of = [rng.randrange(part_count) for _ in range(cells)]
+        parts = sorted({mask_of(c for c in range(cells) if part_of[c] == p) for p in part_of})
+        members = [rng.getrandbits(cells) & rng.choice(parts) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.7:
+            members += parts
+        yield n, tuple(mask_of(x for x in range(n) if m >> cell_of[x] & 1) for m in members)
+
+
+def preorder_components(n, closures) -> int:
+    """Connected components of the points, x and y joined when one lies in
+    the other's closure."""
+    seen = count = 0
+    for y in range(n):
+        if seen >> y & 1:
+            continue
+        count += 1
+        frontier = 1 << y
+        while frontier:
+            seen |= frontier
+            reached = 0
+            for x in atoms_of(frontier):
+                reached |= closures[x] | mask_of(z for z in range(n) if closures[z] >> x & 1)
+            frontier = reached & ~seen
+    return count
+
+
+def test_closed_family_and_regular_closed_match_brute_force_on_random_bases(small_dca_corpus):
+    """The per-component listing is the brute-force family, and RC is the
+    sorted closures of all open sets, on random bases (non-T0 ones and ones
+    of three or more components among them) and on the corpus duals."""
+    rng = random.Random(31)
+    spaces = [FiniteTopSpace(n, base) for n, base in random_closed_bases(rng, 2000)]
+    spaces += [dual_space(d).space.space for d in small_dca_corpus]
+    non_t0 = split = 0
+    for space in spaces:
+        family = brute_closed_family(space)
+        assert space.closed_family == family, space
+        expected = {space.closure(space.universe ^ c) for c in family}
+        assert space.regular_closed == tuple(sorted(expected)), space
+        n = space.point_count
+        closures = [min((c for c in family if c >> y & 1), key=int.bit_count) for y in range(n)]
+        non_t0 += len(set(closures)) < n
+        split += preorder_components(n, closures) >= 3
+    assert non_t0 >= 200 and split >= 200, (non_t0, split)
+
+
+def test_closed_family_refuses_a_product_over_the_cap_with_the_listing_message(monkeypatch):
+    """Three two-point chains: each component has three closed sets and the
+    family 27.  Every bound the components pass but the product exceeds
+    gives the text of a listing that stops one set past the bound."""
+    space = FiniteTopSpace(6, (0b000001, 0b000011, 0b000100, 0b001100, 0b010000, 0b110000))
+    assert len(brute_closed_family(space)) == 27
+    for cap in range(8, 27):
+        monkeypatch.setattr(dms_module, "_FAMILY_CAP", cap)
+        with pytest.raises(CapabilityError) as err:
+            FiniteTopSpace(space.point_count, space.closed_base).closed_family
+        assert str(err.value) == (
+            f"closed-set family too large to enumerate: at least {cap + 1} closed sets on 6 points, over the bound of {cap}"
+        )
+        assert err.value.missing == "small closed family"
+    monkeypatch.setattr(dms_module, "_FAMILY_CAP", 27)
+    assert len(FiniteTopSpace(space.point_count, space.closed_base).closed_family) == 27
 
 
 def test_atom_extent_base_gives_the_topology_of_all_joins(small_dca_corpus):
