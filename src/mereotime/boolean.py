@@ -11,6 +11,9 @@ grill by its atom support.  Member sets are derived views, and a family of
 elements is recognised as a filter or an ideal by comparing it with the
 member set of the generator it determines; the recognisers of the other
 member sets are test oracles (`tests/conftest.py`).
+
+A finite Boolean algebra of sets, a model's regions or a space's, is held by
+its atoms as a `SetAlgebra`, which indexes and tests members without a listing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .errors import DimensionMismatch, PreconditionError, ValidationError
+from .errors import DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
 
 
 def atoms_of(mask: int):
@@ -52,6 +55,72 @@ def joins(masks) -> list[int]:
     for m in masks:
         out += [j | m for j in out]
     return out
+
+
+class SetAlgebra(tuple):
+    """A finite Boolean algebra of sets held by its atoms (Sikorski 1964):
+    member a is the join of the atoms that a selects, as in `joins`.  The
+    joins are distinct; atoms may share points, as regular closed ones do."""
+
+    def join(self, index: int) -> int:
+        """The member at `index`: the join of the atoms it selects."""
+        if not 0 <= index < 1 << len(self):
+            raise MembershipError(f"no member at index {index}: the algebra has {count_text(1 << len(self))} members")
+        out = 0
+        for i in atoms_of(index):
+            out |= self[i]
+        return out
+
+    def index(self, mask: int) -> int:
+        """The atoms inside `mask`, those missing its complement: its index if it is a member."""
+        return (1 << len(self)) - 1 ^ meeting(self, ~mask)
+
+    def holds(self, mask: int) -> bool:
+        return self.join(self.index(mask)) == mask
+
+    @classmethod
+    def cut(cls, top: int, generators) -> "SetAlgebra":
+        """The algebra `generators` span inside `top`: the nonempty cells they
+        cut out of it, in the order of the cuts; O(generators x cells)."""
+        cells = [top] if top else []
+        for g in generators:
+            cells = [part for cell in cells for part in (cell & g, cell & ~g) if part]
+        return cls(cells)
+
+    @classmethod
+    def of_family(cls, family) -> "SetAlgebra":
+        """The atoms of a family that is a Boolean algebra under union: its
+        minimal nonzero members, ascending by mask.  The family is Boolean
+        iff the 2^k joins of its k atoms are pairwise distinct and are exactly
+        its members.  Otherwise the error's witness is a member and an atom
+        whose join escapes, a member that is no join of atoms, or the member
+        and atom counts when atom joins collide.  The distinct joins stay
+        inside the family, so the work is O(k * family)."""
+        members = set(family)
+        atoms = []
+        for m in sorted(members, key=int.bit_count):
+            if m:
+                for a in atoms:
+                    if a & ~m == 0:
+                        break
+                else:
+                    atoms.append(m)
+        atoms.sort()
+        spanned = {0}
+        for b in atoms:
+            escaped = min((a for a in spanned if a | b not in members), default=None)
+            if escaped is not None:
+                raise ValidationError(
+                    "region family is not a Boolean subalgebra", witness=(escaped, b, "join escapes")
+                )
+            spanned |= {a | b for a in spanned}
+        extra = members - spanned
+        if extra or len(members) != 1 << len(atoms):
+            raise ValidationError(
+                "region family is not a Boolean subalgebra",
+                witness=(min(extra), "not a join of atoms") if extra else (len(members), len(atoms)),
+            )
+        return cls(atoms)
 
 
 def additive(images):

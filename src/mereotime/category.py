@@ -225,12 +225,12 @@ def _preimage_verdicts(theta: DmsMorphism) -> tuple[bool, bool]:
     """
     if not (check_s2(theta.dom).holds and check_s2(theta.cod).holds):
         return False, False
-    dual_dom = dual(theta.dom)
+    atoms = dual(theta.dom).atoms
     preimages = [theta.preimage(atom) for atom in dual(theta.cod).atoms]
-    supports = [dual_dom.mask_of(p) for p in preimages]
-    if any(dual_dom.pointset(m) != p for m, p in zip(supports, preimages)):
+    supports = list(map(atoms.index, preimages))
+    if any(atoms.join(m) != p for m, p in zip(supports, preimages)):
         return False, False
-    return True, sum(m.bit_count() for m in supports) == len(dual_dom.atoms)
+    return True, sum(m.bit_count() for m in supports) == len(atoms)
 
 
 def compose(first, second):
@@ -272,7 +272,7 @@ def raise_(theta: DmsMorphism) -> DcaMorphism:
     """
     validate_dms_morphism(theta).require()
     dual_dom, dual_cod = dual(theta.dom), dual(theta.cod)
-    images = tuple(dual_dom.mask_of(theta.preimage(atom)) for atom in dual_cod.atoms)
+    images = tuple(dual_dom.atoms.index(theta.preimage(atom)) for atom in dual_cod.atoms)
     return DcaMorphism(dual_cod.dca, dual_dom.dca, images)
 
 
@@ -280,7 +280,7 @@ def extent_isomorphism(d: DCA) -> DcaMorphism:
     """The canonical map of an algebra onto the dual of its dual space."""
     result = dual_space(d)
     algebra = dual(result.space)
-    images = tuple(map(algebra.mask_of, result.extents))
+    images = tuple(map(algebra.atoms.index, result.extents))
     return DcaMorphism(d, algebra.dca, images)
 
 

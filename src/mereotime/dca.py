@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .boolean import FiniteBA, atoms_of, mask_of, meeting
+from .boolean import FiniteBA, SetAlgebra, atoms_of, mask_of, meeting
 from .contact import (
     CONTACT_AXIOMS,
     PRECONTACT_AXIOMS,
@@ -213,16 +213,15 @@ def clan_structure(d: DCA) -> ClanStructure:
 @dataclass(frozen=True)
 class CanonicalTime:
     structure: TimeStructure
-    clusters: tuple[int, ...]
+    clusters: SetAlgebra
 
 
 def canonical_time_structure(d: DCA) -> CanonicalTime:
     """Clusters as moments, clan precedence restricted to them."""
     d.require_valid()
-    clusters = _time_classes(d)
+    clusters = SetAlgebra(_time_classes(d))
     # Row i: the clusters inside the atoms that every atom of cluster i precedes.
-    reach = [_common_successors(d, left) for left in clusters]
-    rows = [sum(1 << j for j, right in enumerate(clusters) if not right & ~r) for r in reach]
+    rows = [clusters.index(_common_successors(d, left)) for left in clusters]
     return CanonicalTime(TimeStructure.from_rows(len(clusters), rows), clusters)
 
 

@@ -24,15 +24,15 @@ list the ordered pairs.
 
 The regular closed sets form a Boolean algebra (RC: join is union, meet
 cl(int(a ∩ b)), complement cl(U ∖ a)), and a space's region family is a
-subalgebra of it.  Both are finite, so each is the powerset of its atoms:
-one kernel (`_atom_algebra`) finds the atoms and stores time contact, space
-contact and precedence on atom pairs.  When the regions are all of RC, as
-in every canonical dual space, RC's algebra is the dual algebra itself
-(`rc_dca`), so a representation builds and decides one algebra, not two
-equal ones.  S2 is decided on those atoms, and the space axioms, the
-lifting conditions, the extent isomorphism and the density map on atoms
-too; the element-level evaluations are the test oracle
-(`tests/conftest.py`).
+subalgebra of it.  Both are finite, so each is a `boolean.SetAlgebra`, the
+powerset of its atoms (`SetAlgebra.of_family` finds them), and
+`_atom_algebra` stores time contact, space contact and precedence on atom
+pairs.  When the regions are all of RC, as in every canonical dual space,
+RC's algebra is the dual algebra itself (`rc_dca`), so a representation
+builds and decides one algebra, not two equal ones.  S2 is decided on those
+atoms, and the space axioms, the lifting conditions, the extent isomorphism
+and the density map on atoms too; the element-level evaluations are the
+test oracle (`tests/conftest.py`).
 
 Results are cached on the spaces and algebras they describe (`contact._cached`).
 """
@@ -43,8 +43,9 @@ import itertools
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .boolean import FiniteBA, additive, atoms_of, joins, mask_of, meeting
+from .boolean import FiniteBA, SetAlgebra, additive, atoms_of, joins, mask_of, meeting
 from .contact import Relation, _cached, cached_attribute
 from .dca import (
     DCA,
@@ -208,74 +209,26 @@ class DMSpace:
         return TimeStructure.from_rows(len(times), self.prec.pullback(times).rows)
 
 
-@dataclass(frozen=True)
-class DmsDual:
+class DmsDual(NamedTuple):
     """Dual algebra of a space: its region family as a dynamic algebra."""
 
     dca: DCA
-    atoms: tuple[int, ...]
-
-    def pointset(self, mask: int) -> int:
-        return _pointset(self.atoms, mask)
-
-    def mask_of(self, region: int) -> int:
-        """The atoms inside `region`: its mask if it is a region, since the
-        regions are the distinct joins of the atoms (`_atom_algebra`)."""
-        return mask_of(i for i, atom in enumerate(self.atoms) if atom & ~region == 0)
+    atoms: SetAlgebra
 
     def trace_support(self, x: int) -> int:
         """Atom support of the point's clan in the dual algebra."""
         return meeting(self.atoms, 1 << x)
 
 
-def _pointset(atoms, mask: int) -> int:
-    """Join of the atoms, given as point sets, that `mask` selects."""
-    out = 0
-    for i in atoms_of(mask):
-        out |= atoms[i]
-    return out
-
-
-def _atom_algebra(space: DMSpace, family) -> tuple[DCA, tuple[int, ...]]:
-    """A Boolean family of point sets as a dynamic algebra on its atoms.
-
-    The atoms are the minimal nonzero members, ascending by mask.  The family
-    is a Boolean algebra under union iff the 2^k joins of its k atoms are
-    pairwise distinct and are exactly its members.  Otherwise the error's
-    witness is a member and an atom whose join escapes, a member that is no
-    join of atoms, or the member and atom counts when atom joins collide.
-    The distinct joins stay inside the family, so the work is O(k * family).
-    """
-    members = set(family)
-    atoms = []
-    for m in sorted(members, key=int.bit_count):
-        if m:
-            for a in atoms:
-                if a & ~m == 0:
-                    break
-            else:
-                atoms.append(m)
-    atoms.sort()
-    joins = {0}
-    for b in atoms:
-        escaped = min((a for a in joins if a | b not in members), default=None)
-        if escaped is not None:
-            raise ValidationError(
-                "region family is not a Boolean subalgebra", witness=(escaped, b, "join escapes")
-            )
-        joins |= {a | b for a in joins}
-    extra = members - joins
-    if extra or len(members) != 1 << len(atoms):
-        raise ValidationError(
-            "region family is not a Boolean subalgebra",
-            witness=(min(extra), "not a join of atoms") if extra else (len(members), len(atoms)),
-        )
-    # Row i of each relation: the atoms that atom i's point set, its space
-    # points, or its successors meet.
+def _atom_algebra(space: DMSpace, family) -> tuple[DCA, SetAlgebra]:
+    """A Boolean family of point sets as a dynamic algebra on its atoms
+    (`SetAlgebra.of_family`): row i of each relation holds the atoms that
+    atom i's point set, its space points, or its successors meet."""
+    atoms = SetAlgebra.of_family(family)
     k = len(atoms)
     space_rel = Relation.from_rows(k, [meeting(atoms, u & space.space_points) for u in atoms])
     time_rel = Relation.from_rows(k, [meeting(atoms, u) for u in atoms])
-    return DCA(FiniteBA(k), space_rel, time_rel, space.prec.pullback(atoms)), tuple(atoms)
+    return DCA(FiniteBA(k), space_rel, time_rel, space.prec.pullback(atoms)), atoms
 
 
 def dual(space: DMSpace) -> DmsDual:
@@ -391,7 +344,7 @@ def validate_dms(candidate: DMSpace) -> Report:
     s7_witness = None
     for x, row in enumerate(candidate.prec.rows):
         reach = _common_successors(algebra.dca, algebra.trace_support(x))
-        wrong = row ^ universe ^ algebra.pointset(one ^ reach)
+        wrong = row ^ universe ^ algebra.atoms.join(one ^ reach)
         if wrong:
             s7_witness = (x, (wrong & -wrong).bit_length() - 1)
             break
@@ -471,15 +424,16 @@ def lifting_conditions(space: DMSpace, sub_family) -> list[Check]:
     _, atoms = rc_dca(space)
     sub = set(sub_family)
     up = [min((m for m in sub if x & ~m == 0), key=int.bit_count) for x in atoms]
+    shared = Counter(up)  # up(compl x) = 1 iff another atom shares up(x), a sub atom
     out = []
     witness = next(((x,) for x in atoms if x not in sub), None)
     out.append(Check("Dense", witness is None, witness))
     everything = (1 << len(atoms)) - 1
     witness = next(
         (
-            (_pointset(atoms, everything ^ (1 << i)),)
-            for i in range(len(atoms))
-            if _pointset(up, everything ^ (1 << i)) == space.space.universe
+            (atoms.join(everything ^ (1 << i)),)
+            for i, u in enumerate(up)
+            if shared[u] > 1
         ),
         None,
     )
@@ -509,15 +463,14 @@ def _require_dm_compact(space: DMSpace, what: str) -> Classification:
     return shape
 
 
-def rc_dca(space: DMSpace) -> tuple[DCA, tuple[int, ...]]:
+def rc_dca(space: DMSpace) -> DmsDual:
     """The full regular-sets algebra of a space as a dynamic algebra.
 
     When the regions are all of RC (the space is Dense, as every canonical
     dual space is), this is the dual algebra itself, so the one algebra is
     built, validated and decided once for both roles.
     """
-    algebra = _rc_unless_regions(space) or dual(space)
-    return algebra.dca, algebra.atoms
+    return _rc_unless_regions(space) or dual(space)
 
 
 @_cached
@@ -563,7 +516,7 @@ class DualSpaceResult:
 
     space: DMSpace
     points: tuple[int, ...]
-    extents: tuple[int, ...]
+    extents: SetAlgebra
 
     @cached_attribute
     def _point_index(self) -> dict[int, int]:
@@ -585,14 +538,14 @@ def dual_space(d: DCA) -> DualSpaceResult:
     structure = clan_structure(d)
     points = structure.t_clans
     index = {support: i for i, support in enumerate(points)}
-    extents = tuple(meeting(points, 1 << x) for x in d.base.atoms())
+    extents = SetAlgebra(meeting(points, 1 << x) for x in d.base.atoms())
     result_regions = tuple(sorted(set(joins(extents))))
     xs_mask = mask_of(index[support] for support in structure.s_clans)
     t_mask = mask_of(index[support] for support in structure.clusters)
     # Clan x precedes clan y iff y lies inside reach[x], that is iff y holds
     # no atom outside it: one row per distinct reach value.
     universe, one = (1 << len(points)) - 1, d.base.one
-    rows = {reach: universe ^ _pointset(extents, one ^ reach) for reach in set(structure.reach)}
+    rows = {reach: universe ^ extents.join(one ^ reach) for reach in set(structure.reach)}
     prec = Relation.from_rows(len(points), (rows[reach] for reach in structure.reach))
     # The regions are the joins of the atom extents, so the n extents are
     # a closed base of the same topology.
@@ -624,8 +577,8 @@ def verify_representation_topo(d: DCA) -> Report:
     # onto the dual's atoms, and all relations are additive, so they are
     # compared on atom pairs.
     algebra = dual(space)
-    image = [algebra.mask_of(extent) for extent in result.extents]
-    lands = all(algebra.pointset(m) == extent for m, extent in zip(image, result.extents))
+    image = [algebra.atoms.index(extent) for extent in result.extents]
+    lands = all(algebra.atoms.join(m) == extent for m, extent in zip(image, result.extents))
     report.add("extents land in the dual algebra", lands)
     if lands:
         hit, witness = 0, None

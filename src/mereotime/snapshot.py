@@ -11,7 +11,8 @@ walk over the atom rows of a frame, in O(n^2) word operations, that keeps
 one slot per condition and stops computing a condition's mask once its
 slot holds a failure; the result is cached on the structure.  The time
 conditions of a before-after relation are that walk on the frame whose time
-contact is the identity.
+contact is the identity.  A model's regions are the `boolean.SetAlgebra` of
+its cells: counted, indexed and tested on the cells, listed only on demand.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from .contact import PrecontactAlgebra, Relation, cached_attribute
 from .errors import CapabilityError, DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
 from .reporting import Check
-from .boolean import atoms_of, meeting
+from .boolean import SetAlgebra, atoms_of, joins, meeting
 
 
 class TimeCondition(enum.Enum):
@@ -285,16 +286,17 @@ Region = tuple[int, ...]
 @dataclass(frozen=True)
 class DMST:
     """Dynamic model of space and time over snapshots.  Its region algebra is
-    the powerset of its `cells` (Sikorski 1964), packed regions (`_layout`)
-    that partition the top, kept in the order of the region atoms they are."""
+    the `SetAlgebra` of its `cells`, packed regions (`_layout`) that partition
+    the top, kept in the order of the region atoms they are."""
 
     time: TimeStructure
     coordinates: tuple[PrecontactAlgebra, ...]
-    cells: tuple[int, ...]
+    cells: SetAlgebra
 
     def __post_init__(self):
         if len(self.coordinates) != self.time.point_count:
             raise ValidationError("one coordinate algebra per moment required")
+        object.__setattr__(self, "cells", SetAlgebra(self.cells))
 
     @cached_attribute
     def layout(self) -> list[tuple[int, int]]:
@@ -314,7 +316,7 @@ class DMST:
         if self.region_count > FULL_REGION_CAP:
             too_many = f"{count_text(self.region_count)} regions, over the bound of {FULL_REGION_CAP}"
             raise CapabilityError(f"model too large to list: {too_many}", missing="model within the bound")
-        return tuple(_unpack(self.layout, j) for j in _joins(self.cells))
+        return tuple(_unpack(self.layout, j) for j in joins(self.cells))
 
     def region_index(self, a: Region) -> int:
         """Position of a region, a vector of coordinate elements that splits
@@ -324,13 +326,13 @@ class DMST:
             shaped = _unpack(self.layout, packed) == tuple(a)
         except TypeError:
             shaped = False
-        if shaped and all(packed & cell in (0, cell) for cell in self.cells):
-            return sum(1 << i for i, cell in enumerate(self.cells) if packed & cell)
+        if shaped and self.cells.holds(packed):
+            return self.cells.index(packed)
         raise MembershipError(f"region {a!r} does not belong to this model")
 
     def region(self, index: int) -> Region:
         """The region at `index` in the sorted listing: the join of the cells it selects."""
-        return _unpack(self.layout, sum(cell for i, cell in enumerate(self.cells) if index >> i & 1))
+        return _unpack(self.layout, self.cells.join(index))
 
     @property
     def zero(self) -> Region:
@@ -418,7 +420,9 @@ class Regions:
         return iter(self.model._listed)
 
     def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, (Regions, tuple)) else NotImplemented
+        if isinstance(other, Regions):
+            return (self.model.layout, self.model.cells) == (other.model.layout, other.model.cells)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
 
 def _layout(coordinates) -> list[tuple[int, int]]:
@@ -438,29 +442,6 @@ def _unpack(layout, packed: int) -> Region:
     return tuple([packed >> shift & top for shift, top in layout])
 
 
-def _cells(layout, generators) -> list[int]:
-    """The nonempty cells that the packed `generators` cut out of the top.
-
-    A finite Boolean algebra generated by sets is the powerset of the cells
-    they cut out (Sikorski 1964), so the algebra the generators span is the
-    joins of these cells.  O(generators x cells) word operations.
-    """
-    cells = [sum(top << shift for shift, top in layout)]
-    for g in generators:
-        cells = [part for cell in cells for part in (cell & g, cell & ~g) if part]
-    return cells
-
-
-def _joins(cells):
-    """The join of every subset of `cells`, lazily, in binary counting order."""
-    joins = [0]
-    yield 0
-    for cell in cells:
-        more = [j | cell for j in joins]
-        yield from more
-        joins += more
-
-
 def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None) -> DMST:
     """Assemble a dynamic model from the cells of its region algebra.
 
@@ -470,8 +451,8 @@ def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None)
     (the top at one moment, zero elsewhere) and any seeds passed in
     `regions`: the cells they cut out.
     mode "custom": exactly `regions`, which must be Boolean-closed, that is
-    hold every join of the cells the regions cut out; the first missing join
-    is reported in the validation error.
+    hold every join of the cells the regions cut out; the first missing join,
+    the first index the regions' sorted indices skip, is the error's witness.
     No region is listed: a full model costs O(cells), a rich or custom one
     O(cells) per region passed in.
     """
@@ -481,39 +462,36 @@ def build_dmst(ts: TimeStructure, coordinates, mode: str = "full", regions=None)
     if mode == "full":
         # The cells are the coordinate atoms: every bit of a packed region.
         atoms = sum(c.base.atom_count for c in coordinates)
-        return DMST(ts, coordinates, tuple(1 << x for x in range(atoms)))
+        return DMST(ts, coordinates, [1 << x for x in range(atoms)])
     layout = _layout(coordinates)
+    blocks = [top << shift for shift, top in layout]
     if mode == "rich":
         seeds = [tuple(r) for r in regions] if regions else []
-        for r in seeds:
-            _check_region_shape(coordinates, r)
-        blocks = [top << shift for shift, top in layout]
-        cells = _cells(layout, blocks + [_pack(layout, r) for r in seeds])
+        cells = SetAlgebra.cut(sum(blocks), blocks + _packed(coordinates, layout, seeds))
     elif mode == "custom":
         if not regions:
             raise ValidationError("custom mode requires an explicit region list")
-        universe = sorted({tuple(r) for r in regions})
-        for r in universe:
-            _check_region_shape(coordinates, r)
-        packed = [_pack(layout, r) for r in universe]
-        cells = _cells(layout, packed)
+        packed = _packed(coordinates, layout, sorted({tuple(r) for r in regions}))
+        cells = SetAlgebra.cut(sum(blocks), packed)
         if 1 << len(cells) != len(packed):
-            members = set(packed)
-            missing = next(j for j in _joins(cells) if j not in members)
+            indices = sorted(map(cells.index, packed))
+            missing = next((i for i, j in enumerate(indices) if i != j), len(indices))
             raise ValidationError(
                 "custom region set is not closed under the Boolean operations",
-                witness=_unpack(layout, missing),
+                witness=_unpack(layout, cells.join(missing)),
             )
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return DMST(ts, coordinates, tuple(sorted(cells)))
+    return DMST(ts, coordinates, sorted(cells))
 
 
-def _check_region_shape(coordinates, region: Region) -> None:
-    if len(region) != len(coordinates):
-        raise ValidationError(f"region {region!r} has wrong length")
-    for c, x in zip(coordinates, region):
-        c.base.check(x)
+def _packed(coordinates, layout, regions) -> list[int]:
+    for region in regions:
+        if len(region) != len(coordinates):
+            raise ValidationError(f"region {region!r} has wrong length")
+        for c, x in zip(coordinates, region):
+            c.base.check(x)
+    return [_pack(layout, r) for r in regions]
 
 
 def is_rich(model: DMST) -> bool:

@@ -950,7 +950,7 @@ class TableMorphism:
 def region_masks(space) -> dict[int, int]:
     """The dual algebra's element for each of its point sets, by listing them all."""
     algebra = dual(space)
-    return {algebra.pointset(m): m for m in algebra.dca.base.elements()}
+    return {algebra.atoms.join(m): m for m in algebra.dca.base.elements()}
 
 
 def element_compose(first, second) -> TableMorphism:
@@ -975,7 +975,7 @@ def element_raise(theta) -> TableMorphism:
     masks = region_masks(theta.dom)
     algebra = dual(theta.cod)
     table = tuple(
-        masks[theta.preimage(algebra.pointset(m))] for m in algebra.dca.base.elements()
+        masks[theta.preimage(algebra.atoms.join(m))] for m in algebra.dca.base.elements()
     )
     return TableMorphism(algebra.dca, dual(theta.dom).dca, table)
 
@@ -1613,7 +1613,7 @@ def canonical_filter(space: DMSpace, region: int) -> Filter:
     if not space.space.is_regular_closed(region):
         raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
     algebra = dual(space)
-    members = frozenset(algebra.mask_of(a) for a in space.regions if region & ~a == 0)
+    members = frozenset(algebra.atoms.index(a) for a in space.regions if region & ~a == 0)
     return Filter.from_members(algebra.dca.base, members)
 
 

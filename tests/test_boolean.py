@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from mereotime.boolean import (
     Filter,
     Grill,
     Ideal,
+    SetAlgebra,
     Ultrafilter,
     additive,
     filter_sum,
@@ -15,7 +17,7 @@ from mereotime.boolean import (
     separate,
     ultrafilters,
 )
-from mereotime.errors import DimensionMismatch, PreconditionError, ValidationError
+from mereotime.errors import DimensionMismatch, MembershipError, PreconditionError, ValidationError
 
 from conftest import (
     extend_to_ultrafilter,
@@ -286,3 +288,83 @@ def test_joins_lists_the_join_of_every_subset():
     images = [0b0011, 0b0110, 0b1000]
     assert joins(images) == [union_of_images(images, a) for a in range(8)]
     assert joins([]) == [0]
+
+
+def minimal_members(family) -> list[int]:
+    """The nonzero members with no other nonzero member inside, ascending."""
+    return sorted(m for m in family if m and not any(a and a != m and a & ~m == 0 for a in family))
+
+
+def family_witness(family):
+    """The witness of the three rules of `SetAlgebra.of_family`, read off
+    every subset join of the minimal members; None for a Boolean family."""
+    members = set(family)
+    atoms = minimal_members(members)
+    for i, b in enumerate(atoms):
+        earlier = {union_of_images(atoms[:i], s) for s in range(1 << i)}
+        escaped = sorted(a for a in earlier if a | b not in members)
+        if escaped:
+            return (escaped[0], b, "join escapes")
+    stray = members - {union_of_images(atoms, s) for s in range(1 << len(atoms))}
+    if stray:
+        return (min(stray), "not a join of atoms")
+    return None if len(members) == 1 << len(atoms) else (len(members), len(atoms))
+
+
+def test_of_family_matches_the_witness_rules_on_every_family_over_three_points():
+    kinds = []
+    for bits in range(1 << 8):
+        family = [m for m in range(8) if bits >> m & 1]
+        witness = family_witness(family)
+        if witness is None:
+            atoms = SetAlgebra.of_family(family)
+            assert list(atoms) == minimal_members(family) and sorted(joins(atoms)) == family, family
+            kinds.append("Boolean")
+        else:
+            with pytest.raises(ValidationError, match="^region family is not a Boolean subalgebra$") as err:
+                SetAlgebra.of_family(family)
+            assert err.value.witness == witness, family
+            kinds.append(witness[-1] if isinstance(witness[-1], str) else "counts")
+    # Every kind of verdict occurs, and Boolean families whose atoms share points pass.
+    assert set(kinds) == {"Boolean", "join escapes", "not a join of atoms", "counts"}
+    assert SetAlgebra.of_family([0, 0b011, 0b110, 0b111]) == (0b011, 0b110)
+
+
+def element_closure(top: int, generators) -> set[int]:
+    """Zero, `top` and the generators closed under union and complement in `top`, by fixpoint."""
+    family = {0, top, *(g & top for g in generators)}
+    while True:
+        more = {a | b for a in family for b in family} | {top ^ a for a in family}
+        if more <= family:
+            return family
+        family |= more
+
+
+def test_cut_spans_the_element_level_closure_of_every_short_generator_list():
+    top = 0b1111
+    for count in range(4):
+        for generators in itertools.product(range(16), repeat=count):
+            cells = SetAlgebra.cut(top, generators)
+            closure = element_closure(top, generators)
+            # The joins of the cells are the closure, each once, and the cells its atoms.
+            assert sorted(joins(cells)) == sorted(closure), generators
+            assert sorted(cells) == minimal_members(closure), generators
+    assert SetAlgebra.cut(0, [0b1]) == ()
+
+
+def test_join_index_and_holds_agree_with_the_listing_of_joins():
+    algebras = [
+        SetAlgebra(()),
+        SetAlgebra.cut(0b11111, [0b00110, 0b01100]),
+        # Atoms sharing points, as regular closed atoms share their boundaries.
+        SetAlgebra((0b00011, 0b01110, 0b11000)),
+    ]
+    for atoms in algebras:
+        listed = joins(atoms)
+        for i, member in enumerate(listed):
+            assert (atoms.join(i), atoms.index(member), atoms.holds(member)) == (member, i, True)
+        for mask in range(1 << 5):
+            assert atoms.holds(mask) == (mask in listed), (atoms, mask)
+        for index in (-1, len(listed), 2 * len(listed) + 3):
+            with pytest.raises(MembershipError, match=f"no member at index {index}: the algebra has {len(listed)} members"):
+                atoms.join(index)

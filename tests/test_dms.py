@@ -27,7 +27,7 @@ from conftest import (
 )
 from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA, Grill, atoms_of, mask_of, meeting
+from mereotime.boolean import FiniteBA, Grill, atoms_of, joins, mask_of, meeting
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
@@ -47,7 +47,7 @@ from mereotime.dms import (
     validate_dms,
     verify_representation_topo,
 )
-from mereotime.errors import CapabilityError, ValidationError
+from mereotime.errors import CapabilityError, MembershipError, ValidationError
 from mereotime.models import decode, encode
 from mereotime.snapshot import (
     FREE_VARIABLE_AXIOMS,
@@ -488,13 +488,24 @@ def test_dm_compactness_defect_detected():
     assert shape.unrealized_clusters
 
 
+def test_dual_atoms_index_the_regions_and_refuse_an_index_outside_them():
+    space = trivial_dual(3).space
+    atoms = dual(space).atoms
+    count = len(space.regions)
+    assert count == 1 << len(atoms) and sorted(joins(atoms)) == sorted(space.regions)
+    assert [atoms.index(atoms.join(i)) for i in range(count)] == list(range(count))
+    for index in (count, -1, 2 * count + 1):
+        with pytest.raises(MembershipError, match=f"^no member at index {index}: the algebra has {count} members$"):
+            atoms.join(index)
+
+
 def test_rho_is_the_membership_trace():
     result = trivial_dual()
     space = result.space
     algebra = dual(space)
     for x in space.points():
         clan = Grill(algebra.dca.base, algebra.trace_support(x)).members
-        assert rho(space, x) == frozenset(a for a in space.regions if a & (1 << x)) == set(map(algebra.pointset, clan))
+        assert rho(space, x) == frozenset(a for a in space.regions if a & (1 << x)) == set(map(algebra.atoms.join, clan))
 
 
 def test_dual_of_trivial_dms_is_trivial_dca():

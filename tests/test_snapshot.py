@@ -304,6 +304,25 @@ def region_families(coordinates):
         yield list(element_boolean_closure(coordinates, sample))
 
 
+def first_missing_join(coordinates, members):
+    """The first join of the cells, in binary counting order, missing from
+    `members`: the cells as vectors, cut out of the top by each member in
+    turn, with each cell split into its meet with the member and the rest."""
+    tops = tuple(c.base.one for c in coordinates)
+    cells = [tops]
+    for g in members:
+        parts = ((tuple(x & y for x, y in zip(cell, g)), tuple(x & ~y for x, y in zip(cell, g))) for cell in cells)
+        cells = [part for pair in parts for part in pair if any(part)]
+    for index in range(1 << len(cells)):
+        join = tuple(0 for _ in tops)
+        for i, cell in enumerate(cells):
+            if index >> i & 1:
+                join = tuple(x | y for x, y in zip(join, cell))
+        if join not in members:
+            return join
+    return None
+
+
 def test_region_families_match_element_oracle():
     cases = closed = 0
     for shape in FAMILY_SHAPES:
@@ -325,6 +344,7 @@ def test_region_families_match_element_oracle():
                 witness = err.value.witness
                 assert witness not in members, (shape, family)
                 assert witness in element_boolean_closure(coordinates, members), (shape, family)
+                assert witness == first_missing_join(coordinates, members), (shape, family)
             for m in models:
                 assert [m.region(1 << i) for i in range(len(m.cells))] == element_region_atoms(m), (shape, family)
                 assert is_rich(m) == element_is_rich(m), (shape, family)
@@ -389,6 +409,32 @@ def test_models_match_the_listed_universe_oracle():
                     assert check_time_axiom(m, cond, existential).witness == witness, (t, mode, cond)
             models += 1
     assert models > 300
+
+
+def test_region_refuses_an_index_outside_the_listing():
+    # Two one-atom moments: four regions, indexed 0..3.
+    m = full_model(2, set())
+    assert [m.region(i) for i in range(4)] == list(m.regions)
+    for index in (4, -1, 7):
+        with pytest.raises(MembershipError, match=f"^no member at index {index}: the algebra has 4 members$"):
+            m.region(index)
+
+
+def test_region_views_compare_on_layout_and_cells_without_listing():
+    # Sixteen one-atom moments: 2^16 regions on each side, past the bound.
+    m, n = full_model(16, set()), full_model(16, {(0, 1)})
+    assert m.region_count > FULL_REGION_CAP
+    assert m.regions == n.regions
+    # Eight two-atom moments: the same 2^16 regions count and cells, another layout.
+    assert m.regions != full_model(8, set(), TWO_ATOM).regions
+    # Under the bound, views compare as their listings do.
+    small = [
+        full_model(2, set()), full_model(2, {(0, 1)}), full_model(1, set(), TWO_ATOM),
+        build_dmst(ts(2, set()), [TWO_ATOM] * 2, mode="rich"), full_model(2, set(), TWO_ATOM),
+    ]
+    for a, b in itertools.product(small, repeat=2):
+        assert (a.regions == b.regions) == (tuple(a.regions) == tuple(b.regions)), (a, b)
+    assert small[0].regions == tuple(small[0].regions)
 
 
 def test_regions_are_listed_only_up_to_the_bound():
