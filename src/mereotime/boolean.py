@@ -13,7 +13,8 @@ member set of the generator it determines; the recognisers of the other
 member sets are test oracles (`tests/conftest.py`).
 
 A finite Boolean algebra of sets, a model's regions or a space's, is held by
-its atoms as a `SetAlgebra`, which indexes and tests members without a listing.
+its atoms as a `SetAlgebra`, which indexes and tests members without a listing
+and lists each point's trace, the atoms that hold it, once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,29 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
+
+
+class cached_attribute:
+    """An attribute computed by `func` on its first read and kept in the
+    instance's `__dict__` under its name, where every later read finds it
+    without reaching this descriptor.  Unlike `functools.cached_property`
+    on Python 3.11, a first read takes no lock: two threads reading it at
+    once may each compute the value, and one of the equal values is kept.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def atoms_of(mask: int):
@@ -78,6 +102,16 @@ class SetAlgebra(tuple):
     def holds(self, mask: int) -> bool:
         return self.join(self.index(mask)) == mask
 
+    @cached_attribute
+    def traces(self) -> tuple[int, ...]:
+        """traces[x]: the atoms that hold point x, as a mask, for each point up
+        to the last one an atom holds; one pass over the atoms' points."""
+        out = [0] * max(self, default=0).bit_length()
+        for i, atom in enumerate(self):
+            for x in atoms_of(atom):
+                out[x] |= 1 << i
+        return tuple(out)
+
     @classmethod
     def cut(cls, top: int, generators) -> "SetAlgebra":
         """The algebra `generators` span inside `top`: the nonempty cells they
@@ -124,20 +158,18 @@ class SetAlgebra(tuple):
 
 
 def additive(images):
-    """The union-preserving map sending bit i to `images[i]`.
-
-    Each 8-bit chunk of the argument indexes one table of the joins of its
-    eight images, so a call costs one lookup per chunk; bits beyond the
-    images are ignored.
-    """
-    padded = (*images, *[0] * (-len(images) % 8))
-    tables = [joins(padded[i : i + 8]) for i in range(0, len(padded), 8)]
+    """The union-preserving map sending bit i to `images[i]`: a call joins
+    the images of the argument's set bits, one step per bit; bits beyond
+    the images are ignored."""
+    images = tuple(images)
+    inside = (1 << len(images)) - 1
 
     def image(mask: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[mask & 0xFF]
-            mask >>= 8
+        out, mask = 0, mask & inside
+        while mask:
+            low = mask & -mask
+            out |= images[low.bit_length() - 1]
+            mask ^= low
         return out
 
     return image

@@ -28,35 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
-from .boolean import FiniteBA, Grill, atoms_of, mask_of, meeting, submasks
+from .boolean import FiniteBA, Grill, atoms_of, cached_attribute, mask_of, meeting, submasks
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .reporting import Check, Report
 
 PRECONTACT_AXIOMS = ("C1", "C2", "C3'", "C3''")
 CONTACT_AXIOMS = PRECONTACT_AXIOMS + ("C4", "C5")
-
-
-class cached_attribute:
-    """An attribute computed by `func` on its first read and kept in the
-    instance's `__dict__` under its name, where every later read finds it
-    without reaching this descriptor.  Unlike `functools.cached_property`
-    on Python 3.11, a first read takes no lock: two threads reading it at
-    once may each compute the value, and one of the equal values is kept.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 def _cached(fn):

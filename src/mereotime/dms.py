@@ -3,8 +3,8 @@
 Point sets are int bitmasks.  In a finite space closure is additive
 (Alexandrov 1937): cl(A) is the union of the point closures cl{x}, x in A,
 and cl{x} is the meet of the base members holding x.  So closure is one
-table-driven map per space (`boolean.additive`), and so are the extent map
-of a dual space and the preimage map of a space morphism.  The closed sets
+union-preserving map per space (`boolean.additive`), and so is the preimage
+map of a space morphism.  The closed sets
 are the down-sets of the specialization preorder, listed per connected
 component and multiplied out only to enumerate the regular closed sets,
 the closures of the open sets' maximal traces.  The family is refused
@@ -14,7 +14,10 @@ its atoms replaces the listing once the benchmark stops counting closed
 sets (ROADMAP items 1 and 2).
 The dual space of an algebra takes the n atom extents as its closed base:
 the regions are the joins of the extents, and the joins give the same
-point closures, so a written dual space lists n base sets, not 2^n.
+point closures, so a written dual space lists n base sets, not 2^n.  Its
+2^n joins are distinct, so the sorted extents are the region atoms, and the
+dual algebra is built on them as they are; only a space read from a file
+has its atoms found by `SetAlgebra.of_family`.
 
 Before-after on the points is a `contact.Relation`: one successor mask per
 point.  The dual space builds its rows straight from the clan rule (clan x
@@ -31,8 +34,10 @@ pairs.  When the regions are all of RC, as in every canonical dual space,
 RC's algebra is the dual algebra itself (`rc_dca`), so a representation
 builds and decides one algebra, not two equal ones.  S2 is decided on those
 atoms, and the space axioms, the lifting conditions, the extent isomorphism
-and the density map on atoms too; the element-level evaluations are the
-test oracle (`tests/conftest.py`).
+and the density map on atoms too; each point's trace, the atoms that hold
+it, is listed once per algebra (`SetAlgebra.traces`) for S7, S8,
+`classify` and the trace map.  The element-level evaluations are the test
+oracle (`tests/conftest.py`).
 
 Results are cached on the spaces and algebras they describe (`contact._cached`).
 """
@@ -101,7 +106,7 @@ class FiniteTopSpace:
         """closure(a): the union of the point closures of a's points.
 
         Closure is additive in a finite space (Alexandrov 1937), so it is
-        one table-driven map, built once per space.
+        one union-preserving map over the point closures.
         """
         return additive(self._down)
 
@@ -216,15 +221,17 @@ class DmsDual(NamedTuple):
     atoms: SetAlgebra
 
     def trace_support(self, x: int) -> int:
-        """Atom support of the point's clan in the dual algebra."""
-        return meeting(self.atoms, 1 << x)
+        """Atom support of the point's clan in the dual algebra: its trace."""
+        traces = self.atoms.traces
+        return traces[x] if x < len(traces) else 0
 
 
 def _atom_algebra(space: DMSpace, family) -> tuple[DCA, SetAlgebra]:
-    """A Boolean family of point sets as a dynamic algebra on its atoms
-    (`SetAlgebra.of_family`): row i of each relation holds the atoms that
-    atom i's point set, its space points, or its successors meet."""
-    atoms = SetAlgebra.of_family(family)
+    """A Boolean family of point sets, or its atoms as a `SetAlgebra`, as a
+    dynamic algebra on its atoms (`SetAlgebra.of_family` finds them): row i
+    of each relation holds the atoms that atom i's point set, its space
+    points, or its successors meet."""
+    atoms = family if isinstance(family, SetAlgebra) else SetAlgebra.of_family(family)
     k = len(atoms)
     space_rel = Relation.from_rows(k, [meeting(atoms, u & space.space_points) for u in atoms])
     time_rel = Relation.from_rows(k, [meeting(atoms, u) for u in atoms])
@@ -244,7 +251,9 @@ def dual(space: DMSpace) -> DmsDual:
 
 @_cached
 def _built_dual(space: DMSpace) -> DmsDual:
-    return DmsDual(*_atom_algebra(space, space.regions))
+    """The algebra built from the regions, on the atoms `dual_space` handed
+    over when it built the space, else on those `of_family` finds."""
+    return DmsDual(*_atom_algebra(space, vars(space).get("_region_atoms", space.regions)))
 
 
 @_cached
@@ -316,14 +325,7 @@ def validate_dms(candidate: DMSpace) -> Report:
     report.extend([s2])
 
     report.add("S3", candidate.space_points != 0 and candidate.time_points != 0)
-    s4_witness = next(
-        (
-            (a,)
-            for a in space.regular_closed
-            if a and not a & candidate.space_points
-        ),
-        None,
-    )
+    s4_witness = next(((a,) for a in space.regular_closed if a and not a & candidate.space_points), None)
     report.add("S4", s4_witness is None, s4_witness)
     report.add("S5", True)  # structural, enforced at construction
 
@@ -353,12 +355,7 @@ def validate_dms(candidate: DMSpace) -> Report:
     if failing is None:
         cluster_supports = set(_time_classes(algebra.dca))
         s8_witness = next(
-            (
-                (x,)
-                for x in atoms_of(candidate.time_points)
-                if algebra.trace_support(x) not in cluster_supports
-            ),
-            None,
+            ((x,) for x in atoms_of(candidate.time_points) if algebra.trace_support(x) not in cluster_supports), None
         )
         report.add("S8", s8_witness is None, s8_witness)
     else:
@@ -386,13 +383,11 @@ def classify(space: DMSpace) -> Classification:
     algebra = dual(space)
     d = algebra.dca
     d.require_valid()
-    traces = [algebra.trace_support(x) for x in space.points()]
+    traces = list(map(algebra.trace_support, space.points()))
     by_trace: dict[int, list[int]] = {}
     for x, support in enumerate(traces):
         by_trace.setdefault(support, []).append(x)
-    duplicates = tuple(
-        sorted(pair for group in by_trace.values() for pair in itertools.combinations(group, 2))
-    )
+    duplicates = tuple(sorted(pair for group in by_trace.values() for pair in itertools.combinations(group, 2)))
     realized_t = set(by_trace)
     realized_s = {traces[x] for x in atoms_of(space.space_points)}
     realized_clusters = {traces[x] for x in atoms_of(space.time_points)}
@@ -539,7 +534,8 @@ def dual_space(d: DCA) -> DualSpaceResult:
     points = structure.t_clans
     index = {support: i for i, support in enumerate(points)}
     extents = SetAlgebra(meeting(points, 1 << x) for x in d.base.atoms())
-    result_regions = tuple(sorted(set(joins(extents))))
+    listed = joins(extents)
+    result_regions = tuple(sorted(set(listed)))
     xs_mask = mask_of(index[support] for support in structure.s_clans)
     t_mask = mask_of(index[support] for support in structure.clusters)
     # Clan x precedes clan y iff y lies inside reach[x], that is iff y holds
@@ -552,7 +548,18 @@ def dual_space(d: DCA) -> DualSpaceResult:
     topo = FiniteTopSpace(len(points), tuple(sorted(extents)))
     space = DMSpace(topo, xs_mask, t_mask, prec, result_regions)
     vars(space)["_dual_of"] = weakref.ref(d)  # for `dual`
+    if len(result_regions) == len(listed):
+        # The 2^n joins are distinct, so the extents are the regions' atoms,
+        # those `of_family` would find: `_built_dual` takes them as they are.
+        vars(space)["_region_atoms"] = SetAlgebra(sorted(extents))
     return DualSpaceResult(space, points, extents)
+
+
+def extent_images(d: DCA) -> tuple[int, ...]:
+    """The extent map on atoms: each atom's extent in the dual space, as the
+    index of the atoms of the space's dual algebra inside it."""
+    result = dual_space(d)
+    return tuple(map(dual(result.space).atoms.index, result.extents))
 
 
 def verify_representation_topo(d: DCA) -> Report:
@@ -565,19 +572,15 @@ def verify_representation_topo(d: DCA) -> Report:
     report.add_summary("dual space satisfies S1-S8", validate_dms(space))
     shape = classify(space)
     report.add("dual space is T0", shape.is_t0, tuple(shape.duplicate_points) or None)
-    report.add(
-        "dual space is DM-compact",
-        shape.is_dm_compact,
-        (shape.unrealized_t_clans + shape.unrealized_s_clans + shape.unrealized_clusters)
-        or None,
-    )
+    unrealized = shape.unrealized_t_clans + shape.unrealized_s_clans + shape.unrealized_clusters
+    report.add("dual space is DM-compact", shape.is_dm_compact, unrealized or None)
 
     # The extent map is additive and the dual family is closed under joins,
     # so the map is a Boolean isomorphism iff it sends the atoms bijectively
     # onto the dual's atoms, and all relations are additive, so they are
     # compared on atom pairs.
     algebra = dual(space)
-    image = [algebra.atoms.index(extent) for extent in result.extents]
+    image = extent_images(d)
     lands = all(algebra.atoms.join(m) == extent for m, extent in zip(image, result.extents))
     report.add("extents land in the dual algebra", lands)
     if lands:
@@ -589,16 +592,9 @@ def verify_representation_topo(d: DCA) -> Report:
             hit |= m
         if witness is None and hit != algebra.dca.base.one:
             witness = (d.base.one,)
-        # Each dual relation, pulled back to the atoms' images, is the
-        # algebra's own.
-        relations_ok = all(
-            left == right.pullback(image)
-            for left, right in (
-                (d.space_rel, algebra.dca.space_rel),
-                (d.time_rel, algebra.dca.time_rel),
-                (d.prec_rel, algebra.dca.prec_rel),
-            )
-        )
+        # Each dual relation, pulled back to the atoms' images, is the algebra's own.
+        pulled = [r.pullback(image) for r in (algebra.dca.space_rel, algebra.dca.time_rel, algebra.dca.prec_rel)]
+        relations_ok = pulled == [d.space_rel, d.time_rel, d.prec_rel]
         report.add("extent map is a Boolean isomorphism", witness is None, witness)
         report.add("extent map preserves and reflects the relations", relations_ok)
 

@@ -422,7 +422,10 @@ class Regions:
     def __eq__(self, other):
         if isinstance(other, Regions):
             return (self.model.layout, self.model.cells) == (other.model.layout, other.model.cells)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        if not isinstance(other, tuple):
+            return NotImplemented
+        # Lengths first; then region by region, so nothing is listed.
+        return len(self) == len(other) and all(self.model.region(i) == r for i, r in enumerate(other))
 
 
 def _layout(coordinates) -> list[tuple[int, int]]:

@@ -260,7 +260,7 @@ def test_ultrafilters_are_exactly_singleton_grills():
             assert (members in ultra) == (support.bit_count() == 1)
 
 
-# Sizes on both sides of the 8-bit chunks of the additive kernel.
+# Sizes on both sides of byte boundaries.
 CHUNK_SIZES = (1, 7, 8, 9, 16, 17, 33)
 
 

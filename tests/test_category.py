@@ -51,7 +51,7 @@ from mereotime.dms import (
     verify_representation_topo,
 )
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
-from mereotime.generate import all_relations, trivial_dcas
+from mereotime.generate import all_relations, dca_corpus, trivial_dcas
 from mereotime.snapshot import TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))
@@ -393,21 +393,59 @@ def test_isomorphism_transfer():
 
 
 def test_dms_isomorphism_definitions_agree_on_non_iso():
-    # a valid morphism that is bijective but not an isomorphism
-    d = chain_dca()
-    space = dual_space(d).space
-    swapped = DMSpace(
-        space.space,
-        space.space_points,
-        space.time_points,
-        space.prec.converse(),
-        space.regions,
-    )
-    # mapping the chain onto its reversal preserves nothing directional
-    theta = DmsMorphism(space, swapped, (1, 0))
+    # The identity from the discrete two-point space, whose regions are all
+    # four point sets, onto the indiscrete one, whose regions are 0 and the
+    # top: a bijective morphism whose inverse is none.
+    unordered = Relation.empty(2)
+    discrete = DMSpace(FiniteTopSpace(2, (1, 2)), 0b11, 0b11, unordered, (0, 1, 2, 3))
+    indiscrete = DMSpace(FiniteTopSpace(2, ()), 0b11, 0b11, unordered, (0, 3))
+    assert check_s2(discrete).holds and check_s2(indiscrete).holds
+    report = dms_isomorphism_report(DmsMorphism(discrete, indiscrete, (0, 1)))
+    assert report["is a morphism"].holds and report["bijective on points"].holds
+    assert report["reflects space points"].holds and report["reflects before-after"].holds
+    assert not report["maps the algebra onto the algebra"].holds
+    assert not report["inverse is a morphism"].holds
+    assert report["two formulations agree"].holds and not report.ok
+    # The chain's dual space onto itself with total before-after: the
+    # converse of t2 fails, and the inverse is no morphism.
+    space = dual_space(chain_dca()).space
+    wider = DMSpace(space.space, space.space_points, space.time_points, Relation.total(2), space.regions)
+    theta = DmsMorphism(space, wider, (0, 1))
     report = dms_isomorphism_report(theta)
-    if report["is a morphism"].holds and report["bijective on points"].holds:
-        assert report["two formulations agree"].holds
+    assert report["is a morphism"].holds and report["bijective on points"].holds
+    assert report["reflects space points"].holds and not report["reflects before-after"].holds
+    assert not report["inverse is a morphism"].holds
+    assert report["two formulations agree"].holds
+
+
+def test_maps_onto_is_decided_on_region_atoms_as_on_all_regions():
+    """Over every point permutation of the corpus duals on at most five
+    points, a permutation maps the regions onto the regions iff it maps the
+    region atoms onto them, and the report's verdict is the region-level one."""
+    spaces = [dual_space(d).space for d in [*dca_corpus(40, 3, seed=5), *trivial_dcas(4)]]
+    small = [space for space in spaces if space.space.point_count <= 5]
+    verdicts = Counter()
+    for space in small:
+        atoms, regions = dual(space).atoms, set(space.regions)
+        for perm in itertools.permutations(space.points()):
+            theta = DmsMorphism(space, space, perm)
+            onto = set(map(theta._image, space.regions)) == regions
+            assert (sorted(map(theta._image, atoms)) == sorted(atoms)) == onto
+            report = dms_isomorphism_report(theta)
+            if "maps the algebra onto the algebra" in report:
+                assert report["maps the algebra onto the algebra"].holds == onto
+            verdicts[onto, "maps the algebra onto the algebra" in report] += 1
+    assert set(verdicts) == {(True, True), (False, False), (True, False)}, verdicts
+
+
+def test_maps_onto_scans_the_regions_when_they_are_no_boolean_family():
+    # 0, {p} and the top on two points: {p} is not regular closed, and the
+    # family has no atoms to decide on.
+    space = DMSpace(FiniteTopSpace(2, (1, 3)), 0b11, 0b11, Relation.empty(2), (0, 1, 3))
+    with pytest.raises(ValidationError):
+        dual(space)
+    report = dms_isomorphism_report(DmsMorphism.identity(space))
+    assert report["maps the algebra onto the algebra"].holds and report.ok
 
 
 def _check_and_drop(d):

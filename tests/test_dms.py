@@ -27,7 +27,7 @@ from conftest import (
 )
 from mereotime import dca as dca_module, dms as dms_module
 from mereotime import generate as gen
-from mereotime.boolean import FiniteBA, Grill, atoms_of, joins, mask_of, meeting
+from mereotime.boolean import FiniteBA, Grill, SetAlgebra, atoms_of, joins, mask_of, meeting
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import from_contact_algebra, standard_dca
 from mereotime.dms import (
@@ -497,6 +497,46 @@ def test_dual_atoms_index_the_regions_and_refuse_an_index_outside_them():
     for index in (count, -1, 2 * count + 1):
         with pytest.raises(MembershipError, match=f"^no member at index {index}: the algebra has {count} members$"):
             atoms.join(index)
+
+
+def _corpus_duals():
+    return [dual_space(d).space for d in [*gen.dca_corpus(40, 3, seed=5), *gen.trivial_dcas(4)]]
+
+
+def test_dual_space_hands_over_the_atoms_of_family_finds():
+    """A dual space's 2^n regions are the distinct joins of its n extents,
+    so its dual algebra is built on the sorted extents, the atoms that
+    `SetAlgebra.of_family` finds; a space loaded from a file finds them."""
+    for space in _corpus_duals():
+        handed = vars(space)["_region_atoms"]
+        assert handed == SetAlgebra.of_family(space.regions) and dual(space).atoms is handed
+        loaded = DMSpace(space.space, space.space_points, space.time_points, space.prec, space.regions)
+        assert "_region_atoms" not in vars(loaded) and dual(loaded) == dual(space)
+
+
+def test_each_point_trace_is_the_atoms_that_meet_it():
+    """The traces listed once per dual algebra are the atoms that hold each
+    point, on dual spaces, spaces loaded from files, coarsened spaces and
+    random region families, points outside every atom included."""
+    rng = random.Random(7)
+    spaces = []
+    for space in _corpus_duals():
+        atoms = dual(space).atoms
+        loaded = DMSpace(space.space, space.space_points, space.time_points, space.prec, space.regions)
+        coarse = DMSpace(space.space, space.space_points, space.time_points, space.prec, coarsened(atoms, rng))
+        spaces += [space, loaded, coarse]
+    spaces += random_region_families(rng, 300)
+    uncovered = 0
+    for space in spaces:
+        try:
+            algebra = dual(space)
+        except ValidationError:
+            continue
+        for x in space.points():
+            assert algebra.trace_support(x) == meeting(algebra.atoms, 1 << x), (space, x)
+            uncovered += not algebra.trace_support(x)
+        assert list(algebra.atoms.traces) == [meeting(algebra.atoms, 1 << x) for x in range(len(algebra.atoms.traces))]
+    assert uncovered
 
 
 def test_rho_is_the_membership_trace():

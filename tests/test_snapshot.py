@@ -437,6 +437,22 @@ def test_region_views_compare_on_layout_and_cells_without_listing():
     assert small[0].regions == tuple(small[0].regions)
 
 
+def test_region_views_compare_with_tuples_without_listing():
+    # Sixteen one-atom moments: 2^16 regions, past the bound.
+    m = full_model(16, set())
+    assert m.region_count > FULL_REGION_CAP
+    assert m.regions != () and [m.regions].index(m.regions) == 0
+    with pytest.raises(ValueError):
+        [m.regions].index(())
+    # Equal lengths are compared region by region, up to the first difference.
+    assert m.regions != (m.zero,) * m.region_count
+    assert m.regions != (m.zero, m.one)
+    small = full_model(2, set())
+    listing = tuple(small.regions)
+    assert small.regions == listing and small.regions != listing[:-1] + (listing[0],)
+    assert small.regions != [*listing] and small.regions != listing[::-1]
+
+
 def test_regions_are_listed_only_up_to_the_bound():
     # Seventeen one-atom moments: 2^17 regions, counted and tested on cells.
     m = full_model(17, set())
