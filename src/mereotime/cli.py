@@ -1,17 +1,17 @@
 """Command-line interface: a renderer of library results.
 
-Each step from argv to stdout runs once.  `main` hands a known command's
-arguments straight to that command's own parser (`PARSER.commands`); no
-command, an unknown one or a top-level option goes through `PARSER`, which
-also reports arguments no parser knows.  Every file command then runs one
-pipeline, `_file_command`: load the model file, refuse a kind the command
-does not read (`FILE_COMMANDS` lists the kinds each command reads), fill a
-fresh `CommandReport`, a `reporting.Report` of the library's own checks,
-with the command's body and emit it.  With `--format json` the report is
-one line of canonical JSON, as in model files, assembled from its members'
-canonical texts, which `report_digest` covers too; the text view prints the
-same entries.  `correspondence` reads one table per kind of file, and
-`generate` reads `generate.EXHAUSTIVE` and `generate.SEEDED`.
+Each step from argv to stdout runs once.  `main` reads a well-formed file
+command straight from `COMMAND_TABLE` (see `_parse`) and any other argv,
+help and usage errors too, by `PARSER.parse_args`, to the same namespace.
+Every file command runs one pipeline, `_file_command`: load the model file,
+refuse a kind the command does not read (`FILE_COMMANDS` lists the kinds
+each command reads), fill a fresh `CommandReport`, a `reporting.Report` of
+the library's own checks, with the command's body and emit it.  With
+`--format json` the report is one line of canonical JSON, as in model
+files, assembled from its members' canonical texts, which `report_digest`
+covers too; the text view prints the same entries.  `correspondence` reads
+one table per kind of file, and `generate` reads `generate.EXHAUSTIVE` and
+`generate.SEEDED`.
 
 Exit codes: 0 all checks passed, 1 some check or capability failed,
 2 unreadable or schema-invalid input, or a question past a named size
@@ -189,8 +189,12 @@ def _check_command(args, report, kind, obj, extras) -> None:
             report.info["T0"] = shape.is_t0
             report.info["DM_compact"] = shape.is_dm_compact
     elif kind == "morphism":
-        validate = validate_dca_morphism if isinstance(obj, DcaMorphism) else validate_dms_morphism
-        report.extend(validate(obj).checks)
+        # Each end's own verdict first: a map between invalid structures is no morphism.
+        dca = isinstance(obj, DcaMorphism)
+        name = "is a DCA" if dca else "satisfies S1-S8"
+        for end, side in (("dom", obj.dom), ("cod", obj.cod)):
+            report.add_summary(f"{end} {name}", side.report if dca else validate_dms(side))
+        report.extend((validate_dca_morphism if dca else validate_dms_morphism)(obj).checks)
 
 
 def _admit_dual_space(d, regions: bool = True) -> None:
@@ -327,11 +331,15 @@ FILE_COMMANDS = (
      False),
 )
 OUT_HELP = f"output directory (default ${OUTPUT_ENV} or .)"
+# Each file command's handler, shared by `PARSER` and `_parse`, and its options with their defaults.
+COMMAND_TABLE = {
+    name: (partial(_file_command, kinds, body), {"--format": "text", **({"--out": None} if writes else {})})
+    for name, _, kinds, body, writes in FILE_COMMANDS
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The `mereotime` parser; its `commands` table maps each command's name
-    to the command's own parser."""
+    """The `mereotime` parser."""
     parser = argparse.ArgumentParser(
         prog="mereotime",
         description="Finite-model toolkit for region-based theories of space and time.",
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         if writes:
             p.add_argument("--out", help=OUT_HELP)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(command=name, handler=partial(_file_command, kinds, body))
+        p.set_defaults(command=name, handler=COMMAND_TABLE[name][0])
 
     g = sub.add_parser("generate", help="generate model files")
     g.add_argument("--kind", required=True, choices=tuple(gen.SEEDED))
@@ -352,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--exhaustive", action="store_true")
     g.add_argument("--out", help=OUT_HELP)
     g.set_defaults(command="generate", handler=_generate_command)
-    parser.commands = dict(sub.choices)
     return parser
 
 
@@ -361,17 +368,25 @@ PARSER = build_parser()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse `argv` once: a known command's arguments by that command's own
-    parser, anything else (no command, an unknown one, top-level options) by
-    `PARSER`.  Arguments no parser knows are reported by `PARSER`, as its
-    own parse of a command's arguments reports them."""
-    parser = PARSER.commands.get(argv[0]) if argv else None
-    if parser is None:
-        return PARSER.parse_args(argv)
-    args, unknown = parser.parse_known_args(argv[1:])
-    if unknown:
-        PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return args
+    """Parse `argv` once: a file command from `COMMAND_TABLE` if it is one unbroken
+    run of paths with `--format text|json` and, where it writes, `--out` pairs
+    around it, no path or value starting with "-"; anything else by `PARSER`."""
+    if argv and argv[0] in COMMAND_TABLE:
+        handler, options = COMMAND_TABLE[argv[0]]
+        options, paths, end, i = dict(options), [], None, 1
+        while i < len(argv):
+            token, value = argv[i], argv[i + 1] if i + 1 < len(argv) else "-"
+            if not token.startswith("-") and end in (None, i):
+                paths.append(token)
+                end = i = i + 1
+            elif token in options and not value.startswith("-") and (token == "--out" or value in ("text", "json")):
+                options[token], i = value, i + 2
+            else:
+                break
+        if paths and i == len(argv):
+            return argparse.Namespace(command=argv[0], paths=paths, handler=handler,
+                                      **{option[2:]: value for option, value in options.items()})
+    return PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -92,9 +92,9 @@ SPACE_POINT_CAP = 2048
 SPACE_REGION_CAP = 1 << 19
 
 
-# The one canonical encoder (sorted keys, no spaces) of files, digests and
-# command reports.
-CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The one canonical encoder (sorted keys, no spaces) of files, digests and command
+# reports.  Every payload is a tree, built here or parsed from JSON, so it skips the cycle check.
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_dumps(payload: dict) -> str:

@@ -1,9 +1,13 @@
+import importlib
+import itertools
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import encode_v1, write_path_v1
@@ -12,7 +16,7 @@ import mereotime
 from mereotime import cli
 from mereotime.boolean import FiniteBA
 from mereotime.category import DcaMorphism, DmsMorphism
-from mereotime.cli import FILE_COMMANDS, PARSER, CommandReport, build_parser, main
+from mereotime.cli import COMMAND_TABLE, FILE_COMMANDS, PARSER, CommandReport, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
@@ -821,6 +825,20 @@ def test_check_morphism_file(trivial_dca_file, tmp_path, capsys):
     assert "FAIL  f2:reflects Cs" in out
 
 
+def test_check_of_a_morphism_judges_its_ends(tmp_path, capsys):
+    # {p} is not regular closed on two points with closed base ({p}, top), so
+    # S2 fails on both ends, though the identity passes t1-t4.
+    space = DMSpace(FiniteTopSpace(2, (1, 3)), 0b11, 0b11, Relation.empty(2), (0, 1, 3))
+    path = tmp_path / "identity.json"
+    write_path(path, DmsMorphism.identity(space))
+    code, out, _ = run(["check", path, "--format", "json"], capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    for end in ("dom", "cod"):
+        assert checks[f"{end} satisfies S1-S8"] == {"name": f"{end} satisfies S1-S8", "holds": False, "witness": ["S2"]}
+    assert all(checks[name]["holds"] for name in checks if name.startswith("t"))
+
+
 def test_multiple_paths_aggregate_exit_codes(trivial_dca_file, tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("nope")
@@ -880,14 +898,64 @@ def _usage_cases(command: str) -> list[list[str]]:
 
 @pytest.mark.parametrize("command", [c[0] for c in FILE_COMMANDS] + ["generate"])
 def test_dispatch_to_a_command_parser_matches_the_top_level_parse(command, capsys):
-    """`main` hands a command's arguments to that command's own parser; what
-    a usage error prints and its exit code are those of `PARSER.parse_args`."""
+    """`main` reads well-formed file commands from `COMMAND_TABLE`; what a
+    usage error prints and its exit code are those of `PARSER.parse_args`."""
     for argv in _usage_cases(command):
         through_main = _exit_output(lambda: main(argv), capsys)
         through_parser = _exit_output(lambda: PARSER.parse_args(argv), capsys)
         assert through_main == through_parser, argv
         assert through_main[0] == (0 if "--help" in argv else 2), argv
-    assert set(PARSER.commands) == {c[0] for c in FILE_COMMANDS} | {"generate"}
+    assert set(COMMAND_TABLE) == {c[0] for c in FILE_COMMANDS}
+
+
+# Paths, option names and values, abbreviations, `=` forms, help, a
+# negative number and the end-of-options marker.
+ALPHABET = ("a.json", "b.json", "--format", "json", "text", "xml", "--out", "d", "-h", "--form", "--format=json",
+            "-1", "--")
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace `parse(argv)` returns, or its exit code and output."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", [c[0] for c in FILE_COMMANDS])
+def test_direct_reading_matches_the_parser(command, capsys):
+    """Every argv of up to three tokens over `ALPHABET` after a file command,
+    and runs of paths broken or flanked by options: `main`'s parse and
+    `PARSER.parse_args` give the same namespace, or the same exit code and
+    output."""
+    longer = (("a.json", "--format", "json", "b.json"), ("--format", "json", "a.json", "b.json", "--format", "text"),
+              ("--out", "d", "a.json", "--out", "d", "b.json"), ("--out", "d", "a.json", "b.json", "--out", "e"))
+    read = 0
+    for rest in itertools.chain(*(itertools.product(ALPHABET, repeat=n) for n in range(4)), longer):
+        argv = [command, *rest]
+        through_main = _parse_outcome(cli._parse, argv, capsys)
+        assert through_main == _parse_outcome(PARSER.parse_args, argv, capsys), argv
+        read += isinstance(through_main, dict)
+    assert read > 0
+
+
+def test_workload_argv_is_read_without_argparse(tmp_path, monkeypatch):
+    """The benchmark's `represent` and `dualize` operations run well-formed
+    argv, which `main` reads without `PARSER`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS
+
+    names = ("boolean", "contact", "snapshot", "dca", "dms", "category", "models", "generate", "cli")
+    m = {name: importlib.import_module(f"mereotime.{name}") for name in names}
+    for name in ("represent", "dualize"):
+        workload = WORKLOADS[name]()
+        workload.generate(m, tmp_path / name, random.Random(0))
+        argvs = [[str(a) for a in op.call.args[1]] for op in workload.round(m)]
+        expected = [PARSER.parse_args(argv) for argv in argvs]
+        with monkeypatch.context() as patch:
+            patch.setattr(PARSER, "parse_args", lambda argv: pytest.fail(f"parse_args({argv})"))
+            assert [cli._parse(argv) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["nonsense", "x"], ["--bogus", "check", "x"]])
