@@ -6,7 +6,7 @@ spaces, certifying the representation and duality theorems on concrete
 finite instances.
 """
 
-from .boolean import FiniteBA, Filter, Grill, Ideal, Ultrafilter, filter_sum, separate, ultrafilters
+from .boolean import FiniteBA, Grill
 from .contact import (
     AdjacencySpace,
     Clan,
@@ -14,11 +14,9 @@ from .contact import (
     Relation,
     canonical_relation,
     check_axioms,
-    check_compositional,
     clans,
     clusters,
     contact_from_adjacency,
-    factor_by_clanset,
     maximal_clans,
 )
 from .dca import (
@@ -37,7 +35,6 @@ from .dms import (
     DMSpace,
     FiniteTopSpace,
     classify,
-    density_check,
     dual,
     dual_space,
     is_trivial_dms,
@@ -62,10 +59,8 @@ from .snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
     check_time_condition,
     correspondence_check,
-    dynamic_relations,
     is_rich,
     time_axiom_holds,
 )

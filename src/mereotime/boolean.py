@@ -5,12 +5,11 @@ to the element.  0 is the bottom element, the full mask the top.  Every
 finite Boolean algebra is isomorphic to such a powerset algebra, so no more
 general lattice representation is kept.
 
-Each structure on such an algebra is stored by its generator: a filter by
-its least member, an ideal by its greatest, an ultrafilter by its atom and a
-grill by its atom support.  Member sets are derived views, and a family of
-elements is recognised as a filter or an ideal by comparing it with the
-member set of the generator it determines; the recognisers of the other
-member sets are test oracles (`tests/conftest.py`).
+A finite filter is principal, so it is its least member, a mask, and an
+ultrafilter is its atom.  A grill, and so a clan or cluster of a contact
+algebra, is stored by its atom support; its member set is a derived view.
+The recognisers of filter, ideal and grill member sets are test oracles
+(`tests/conftest.py`).
 
 A finite Boolean algebra of sets, a model's regions or a space's, is held by
 its atoms as a `SetAlgebra`, which indexes and tests members without a listing
@@ -20,10 +19,8 @@ and lists each point's trace, the atoms that hold it, once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 
-from .errors import DimensionMismatch, MembershipError, PreconditionError, ValidationError, count_text
+from .errors import DimensionMismatch, MembershipError, ValidationError, count_text
 
 
 class cached_attribute:
@@ -175,16 +172,6 @@ def additive(images):
     return image
 
 
-def submasks(mask: int):
-    """All submasks of `mask` including 0 and `mask` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 @dataclass(frozen=True)
 class FiniteBA:
     """Powerset algebra over atoms 0..atom_count-1."""
@@ -244,124 +231,6 @@ class FiniteBA:
 
     def leq(self, a: int, b: int) -> bool:
         return self.check(a) & ~self.check(b) == 0
-
-
-def _spanned(candidate, members, what: str):
-    """`candidate` if its member set is `members`, else a witness in the difference."""
-    stray = candidate.members ^ members
-    if stray:
-        raise ValidationError(f"members are not {what}", witness=min(stray))
-    return candidate
-
-
-@dataclass(frozen=True)
-class Filter:
-    """Filter stored by its least member; a least member 0 makes it improper.
-
-    In a finite algebra every filter is principal over the meet of its
-    members, so the member set is derived from that generator.
-    """
-
-    algebra: FiniteBA
-    minimum: int
-
-    def __post_init__(self):
-        self.algebra.check(self.minimum)
-
-    @classmethod
-    def principal(cls, algebra: FiniteBA, generator: int) -> "Filter":
-        return cls(algebra, generator)
-
-    @classmethod
-    def from_members(cls, algebra: FiniteBA, members) -> "Filter":
-        """The filter with this member set: the up-set of the members' meet."""
-        members = frozenset(members)
-        return _spanned(cls(algebra, reduce(and_, members, algebra.one)), members, "the up-set of their meet")
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.minimum | b for b in submasks(self.algebra.one ^ self.minimum))
-
-    @property
-    def is_proper(self) -> bool:
-        return self.minimum != 0
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """Ideal stored by its greatest member; the member set is its down-set."""
-
-    algebra: FiniteBA
-    maximum: int
-
-    def __post_init__(self):
-        self.algebra.check(self.maximum)
-
-    @classmethod
-    def principal(cls, algebra: FiniteBA, generator: int) -> "Ideal":
-        return cls(algebra, generator)
-
-    @classmethod
-    def from_members(cls, algebra: FiniteBA, members) -> "Ideal":
-        """The ideal with this member set: the down-set of the members' join."""
-        members = frozenset(members)
-        join = reduce(or_, members, 0) & algebra.one
-        return _spanned(cls(algebra, join), members, "the down-set of their join")
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(submasks(self.maximum))
-
-    @property
-    def is_proper(self) -> bool:
-        return self.maximum != self.algebra.one
-
-
-@dataclass(frozen=True)
-class Ultrafilter:
-    """In a finite algebra every ultrafilter is principal over one atom."""
-
-    algebra: FiniteBA
-    atom: int
-
-    def __post_init__(self):
-        self.algebra.atom_mask(self.atom)
-
-    @property
-    def members(self) -> frozenset[int]:
-        return Grill(self.algebra, 1 << self.atom).members
-
-    def contains(self, a: int) -> bool:
-        return bool(self.algebra.check(a) & (1 << self.atom))
-
-
-def ultrafilters(algebra: FiniteBA) -> list[Ultrafilter]:
-    """All ultrafilters, one per atom, in ascending atom order."""
-    return [Ultrafilter(algebra, i) for i in algebra.atoms()]
-
-
-def filter_sum(f: Filter, g: Filter) -> Filter:
-    """Smallest filter containing both: principal over the meet of the generators.
-
-    The result is improper exactly when some a in f has its complement in g.
-    """
-    if f.algebra != g.algebra:
-        raise DimensionMismatch("filters live in different algebras")
-    return Filter(f.algebra, f.minimum & g.minimum)
-
-
-def separate(f: Filter, ideal: Ideal) -> Ultrafilter:
-    """Ultrafilter extending `f` and disjoint from `ideal`.
-
-    Deterministic: returns the lowest atom of min(F) outside max(I).  The two
-    meet iff min(F) <= max(I), and min(F) is then their smallest common member.
-    """
-    if f.algebra != ideal.algebra:
-        raise DimensionMismatch("filter and ideal live in different algebras")
-    eligible = f.minimum & ~ideal.maximum
-    if eligible == 0:
-        raise PreconditionError("filter and ideal intersect", witness=f.minimum)
-    return Ultrafilter(f.algebra, next(atoms_of(eligible)))
 
 
 @dataclass(frozen=True)

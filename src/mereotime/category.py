@@ -9,8 +9,7 @@ are additive, so each joins the images of a set's points
 (`boolean.additive`), and an isomorphism maps regions onto regions iff it
 maps region atoms onto region atoms.
 The two functors act by preimage.  Two homomorphisms first differ at an
-atom, so the naturality equations and functor laws are compared on atoms
-and points.
+atom, so the naturality equations are compared on atoms and points.
 """
 
 from __future__ import annotations
@@ -307,25 +306,6 @@ def naturality(morphism) -> Report:
         report.add("double dual of traces", witness is None, witness)
         return report
     raise ValidationError("naturality expects a morphism")
-
-
-def functor_laws(first, second) -> Report:
-    """Composition is reversed by the contravariant functors."""
-    report = Report(subject="functor laws")
-    composite = compose(first, second)
-    if isinstance(first, DcaMorphism):
-        left = lower(composite)
-        right = compose(lower(second), lower(first))
-        report.add("lower reverses composition", left.point_map == right.point_map)
-        lowered = lower(DcaMorphism.identity(first.dom))
-        report.add("lower preserves identity", lowered == DmsMorphism.identity(lowered.dom))
-    else:
-        left = raise_(composite)
-        right = compose(raise_(second), raise_(first))
-        report.add("raise reverses composition", left == right)
-        raised = raise_(DmsMorphism.identity(first.dom))
-        report.add("raise preserves identity", raised == DcaMorphism.identity(raised.dom))
-    return report
 
 
 def dca_isomorphism_report(f: DcaMorphism) -> Report:

@@ -9,9 +9,12 @@ each command reads), fill a fresh `CommandReport`, a `reporting.Report` of
 the library's own checks, with the command's body and emit it.  With
 `--format json` the report is one line of canonical JSON, as in model
 files, assembled from its members' canonical texts, which `report_digest`
-covers too; the text view prints the same entries.  `correspondence` reads
-one table per kind of file, and `generate` reads `generate.EXHAUSTIVE` and
-`generate.SEEDED`.
+covers too; the text view prints the same entries.  `check` of a morphism
+file judges its ends, then the morphism, then, if all of that holds,
+naturality.  `correspondence` reads one table per kind of file: the
+time-condition rows of a snapshot model, the three readings of each time
+axiom of an algebra, and the definability rows of a space once the space
+passes S1-S8.  `generate` reads `generate.EXHAUSTIVE` and `generate.SEEDED`.
 
 Exit codes: 0 all checks passed, 1 some check or capability failed,
 2 unreadable or schema-invalid input, or a question past a named size
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from . import generate as gen
 from .boolean import atoms_of
-from .category import DcaMorphism, duality_roundtrip, validate_dca_morphism, validate_dms_morphism
+from .category import DcaMorphism, duality_roundtrip, naturality, validate_dca_morphism, validate_dms_morphism
 from .contact import CONTACT_AXIOMS, PRECONTACT_AXIOMS, contact_from_adjacency
 from .dca import (
     canonical_standard_dca,
@@ -44,11 +47,12 @@ from .dca import (
     t_clan_count,
     verify_embedding,
 )
-from .dms import check_s2, classify, dual, dual_space, validate_dms
+from .dms import check_s2, classify, dual, dual_space, topological_definability, validate_dms
 from .errors import MereotimeError, PreconditionError, SchemaError, ValidationError, count_text
 from .models import CANONICAL, KINDS, SPACE_POINT_CAP, SPACE_REGION_CAP, digest, load_path, write_path
 from .reporting import Report, plain
 from .snapshot import (
+    DCA_TIME_AXIOMS,
     TIME_CONDITIONS,
     check_time_condition,
     correspondence_check,
@@ -195,6 +199,12 @@ def _check_command(args, report, kind, obj, extras) -> None:
         for end, side in (("dom", obj.dom), ("cod", obj.cod)):
             report.add_summary(f"{end} {name}", side.report if dca else validate_dms(side))
         report.extend((validate_dca_morphism if dca else validate_dms_morphism)(obj).checks)
+        if report.ok:
+            if dca:
+                # Naturality builds each end's dual space, within the bounds `roundtrip` keeps.
+                _admit_dual_space(obj.dom)
+                _admit_dual_space(obj.cod)
+            report.extend(naturality(obj).checks)
 
 
 def _admit_dual_space(d, regions: bool = True) -> None:
@@ -273,6 +283,12 @@ def _roundtrip_command(args, report, kind, obj, extras) -> None:
 
 
 def _correspondence_command(args, report, kind, obj, extras) -> None:
+    if kind == "dms":
+        # The rows presuppose a space: judge it first, as `check` does.
+        space_report = validate_dms(obj)
+        if not space_report.ok:
+            report.extend(space_report.checks)
+            return
     # Per kind: the correspondence table, the name of a row's check, and the
     # info columns with the row fields they show; a disagreeing row is
     # witnessed by its columns.  Built per call, so that the tables are
@@ -287,6 +303,11 @@ def _correspondence_command(args, report, kind, obj, extras) -> None:
             correspondence2,
             lambda c: f"{c.name} three-way",
             {"ultrafilters": "on_ultrafilters", "clusters": "on_clusters", "regions": "on_regions"},
+        ),
+        "dms": (
+            lambda space: [topological_definability(space, cond) for cond in DCA_TIME_AXIOMS],
+            lambda c: f"{c.name} matches {c.region_axiom} in RC",
+            {"time_structure": "on_time_structure", "rc_axiom": "on_rc_axiom"},
         ),
     }[kind]
     shown = attrgetter(*columns.values())
@@ -327,8 +348,8 @@ FILE_COMMANDS = (
     ("represent", "snapshot representation of an algebra", ("dca",), _represent_command, True),
     ("dualize", "dual space of an algebra, or dual algebra of a space", ("dca", "dms"), _dualize_command, True),
     ("roundtrip", "duality round-trip checks", ("dca", "dms"), _roundtrip_command, False),
-    ("correspondence", "time condition / time axiom correspondence", ("dmst", "dca"), _correspondence_command,
-     False),
+    ("correspondence", "time condition / time axiom correspondence", ("dmst", "dca", "dms"),
+     _correspondence_command, False),
 )
 OUT_HELP = f"output directory (default ${OUTPUT_ENV} or .)"
 # Each file command's handler, shared by `PARSER` and `_parse`, and its options with their defaults.

@@ -8,9 +8,10 @@ ordered pairs are derived only for files and tests.  On that form C1-C3''
 hold by construction, and C4, C5 and CE are decided together in one pass
 over the rows (`check_axioms`): at atom x, one walk over x's successors
 collects those whose rows miss x (C4: R <= R^T) and the join of their rows
-(CE: R.R <= R), and the diagonal bit decides C5 (Id <= R).  The compositional axioms of a pair of precontacts, and the
-interaction axioms of a dynamic algebra, are each one inclusion between
-atom relations of equal size (`inclusion_check`).  A raw element-level
+(CE: R.R <= R), and the diagonal bit decides C5 (Id <= R).  The
+interaction axioms of a dynamic algebra, the compositional axioms CtB and
+BCt among them, are each one inclusion between the rows of atom relations
+of equal size (`_included`).  A raw element-level
 relation satisfies C1-C3'' iff it equals the relation its atom pairs span,
 so it is accepted by that one comparison and otherwise rejected with the
 smallest element pair on which the two differ.  Clans and clusters are the
@@ -28,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
-from .boolean import FiniteBA, Grill, atoms_of, cached_attribute, mask_of, meeting, submasks
-from .errors import DimensionMismatch, PreconditionError, ValidationError
+from .boolean import FiniteBA, Grill, atoms_of, cached_attribute, meeting
+from .errors import DimensionMismatch, ValidationError
 from .reporting import Check, Report
 
 PRECONTACT_AXIOMS = ("C1", "C2", "C3'", "C3''")
@@ -150,11 +151,6 @@ class Relation:
         return out
 
 
-def _require_same_size(left: Relation, right: Relation) -> None:
-    if left.size != right.size:
-        raise DimensionMismatch(f"compared relations have sizes {left.size} and {right.size}")
-
-
 def _first_missing(left_rows, right_rows):
     """The smallest pair in `left_rows` but not `right_rows`, as singleton
     masks; the two hold the same number of rows."""
@@ -255,19 +251,13 @@ def contact_from_adjacency(space: Relation) -> PrecontactAlgebra:
     return PrecontactAlgebra(FiniteBA(space.size), space)
 
 
-def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
-    """Check left <= right on atom relations of the same size.
+def _included(name: str, left_rows, right_rows) -> Check:
+    """Check left <= right on the rows of two atom relations of one size.
 
     The witness is the smallest atom pair of `left` missing from `right`,
-    as singleton masks.  On atom-generated relations this decides the
-    compositional axioms and the DCA interaction axioms.
+    as singleton masks.  On atom-generated relations this decides the DCA
+    interaction axioms.
     """
-    _require_same_size(left, right)
-    return _included(name, left.rows, right.rows)
-
-
-def _included(name: str, left_rows, right_rows) -> Check:
-    """`inclusion_check` on the rows of two relations of one size."""
     witness = _first_missing(left_rows, right_rows)
     return Check(name, witness is None, witness)
 
@@ -325,22 +315,6 @@ def canonical_relation(algebra: PrecontactAlgebra) -> Relation:
     In atom normal form these are exactly the stored pairs.
     """
     return algebra.relation
-
-
-def check_compositional(first: PrecontactAlgebra, second: PrecontactAlgebra) -> Report:
-    """Both compositional axioms for a pair of precontacts sharing a base.
-
-    `first` plays C_R and `second` plays C_S.  On additive relations the
-    interpolation axioms C_RC_S and C_SC_R are the inclusions R.S <= S and
-    S.R <= S of the atom relations, and their first failing element pair is
-    the smallest failing atom pair, as singleton masks.
-    """
-    if first.base != second.base:
-        raise DimensionMismatch("compositional axioms need a common base algebra")
-    r, s = first.relation, second.relation
-    report = Report(subject="compositional axioms")
-    report.extend([inclusion_check("C_RC_S", r.compose(s), s), inclusion_check("C_SC_R", s.compose(r), s)])
-    return report
 
 
 # A clan is named by its atom support, a clique of the atom relation; its
@@ -431,37 +405,3 @@ class FactorAlgebra:
 
     def project(self, a: int) -> int:
         return meeting([1 << atom for atom in self.kept_atoms], self.source.base.check(a))
-
-    def kernel(self) -> frozenset[int]:
-        """The ideal of elements collapsed to zero."""
-        return frozenset(submasks(self.source.base.one & ~mask_of(self.kept_atoms)))
-
-
-def factor_by_clanset(algebra: PrecontactAlgebra, selection) -> FactorAlgebra:
-    """Factor contact algebra determined by a nonempty set of clans.
-
-    The quotient contact holds between classes iff some selected clan
-    contains members of both.
-    """
-    algebra.require_contact()
-    selection = list(selection)
-    if not selection:
-        raise PreconditionError("factor requires a nonempty set of clans")
-    valid_supports = {c.support for c in clans(algebra)}
-    for clan in selection:
-        if clan.algebra != algebra.base or clan.support not in valid_supports:
-            raise ValidationError(
-                "selection contains a non-clan", witness=(getattr(clan, "support", clan),)
-            )
-    kept_mask = 0
-    for clan in selection:
-        kept_mask |= clan.support
-    kept = tuple(atoms_of(kept_mask))
-    bits = [1 << atom for atom in kept]
-    rows = [0] * len(kept)
-    for clan in selection:
-        local = meeting(bits, clan.support)
-        for i in atoms_of(local):
-            rows[i] |= local
-    quotient = PrecontactAlgebra(FiniteBA(len(kept)), Relation.from_rows(len(kept), rows))
-    return FactorAlgebra(algebra, quotient, kept)

@@ -239,8 +239,9 @@ class Correspondence2Row(NamedTuple):
 def correspondence2(d: DCA) -> list[Correspondence2Row]:
     """Three formulations of each time axiom, which must agree on valid DCAs.
 
-    Irreflexivity is omitted: only the one-directional check is available
-    for it (see `irr_one_directional`).
+    Irreflexivity is omitted: of its correspondence only the forward
+    implication, from irreflexive ultrafilter precedence to the (irr)
+    axiom, is a theorem.
     """
     on_clusters = canonical_time_structure(d).structure.condition_failures
     universal, _, on_prec = d.axiom_failures
@@ -251,23 +252,6 @@ def correspondence2(d: DCA) -> list[Correspondence2Row]:
         Correspondence2Row(cond, on_ult[cond] is None, on_clusters[cond] is None, time_axiom_holds(d, cond))
         for cond in DCA_TIME_AXIOMS
     ]
-
-
-def irr_one_directional(d: DCA) -> dict[str, bool]:
-    """Irreflexivity of the ultrafilter precedence versus the (irr) axiom.
-
-    Only the forward implication is a theorem; the converse is recorded
-    without being asserted.
-    """
-    d.require_valid()
-    ult_irr = not any(row >> x & 1 for x, row in enumerate(d.prec_rel.rows))
-    region_irr = time_axiom_holds(d, TimeCondition.IRR)
-    return {
-        "ultrafilter_irr": ult_irr,
-        "region_irr": region_irr,
-        "forward_holds": (not ult_irr) or region_irr,
-        "converse_gap": region_irr and not ult_irr,
-    }
 
 
 def coordinate_algebra(d: DCA, cluster_support: int) -> FactorAlgebra:

@@ -33,8 +33,8 @@ powerset of its atoms (`SetAlgebra.of_family` finds them), and
 pairs.  When the regions are all of RC, as in every canonical dual space,
 RC's algebra is the dual algebra itself (`rc_dca`), so a representation
 builds and decides one algebra, not two equal ones.  S2 is decided on those
-atoms, and the space axioms, the lifting conditions, the extent isomorphism
-and the density map on atoms too; each point's trace, the atoms that hold
+atoms, and the space axioms, the lifting conditions and the extent
+isomorphism on atoms too; each point's trace, the atoms that hold
 it, is listed once per algebra (`SetAlgebra.traces`) for S7, S8,
 `classify` and the trace map.  The element-level evaluations are the test
 oracle (`tests/conftest.py`).
@@ -610,61 +610,30 @@ def verify_representation_topo(d: DCA) -> Report:
     return report
 
 
-def topological_definability(space: DMSpace, cond: TimeCondition) -> dict:
+class DefinabilityRow(NamedTuple):
+    """One time condition on a space's time structure versus its axiom in RC,
+    with a note where the transfer is not guaranteed."""
+
+    condition: TimeCondition
+    on_time_structure: bool
+    on_rc_axiom: bool
+    note: str | None
+
+    @property
+    def agree(self) -> bool:
+        return self.on_time_structure == self.on_rc_axiom
+
+
+def topological_definability(space: DMSpace, cond: TimeCondition) -> DefinabilityRow:
     """One time condition on the time structure versus its axiom in RC."""
     if cond is TimeCondition.IRR:
         raise PreconditionError("irreflexivity has no definability row")
     compact = _require_dm_compact(space, "topological definability")
-    warning = None
+    note = None
     if cond is TimeCondition.TRI and not compact.is_t0:
-        warning = "trichotomy transfer is only guaranteed on T0 spaces"
-    on_structure = check_time_condition(space.time_structure, cond).holds
+        note = "trichotomy transfer is only guaranteed on T0 spaces"
     on_rc = time_axiom_holds(rc_dca(space)[0], cond)
-    return {
-        "on_time_structure": on_structure,
-        "on_rc_axiom": on_rc,
-        "agree": on_structure == on_rc,
-        "warning": warning,
-    }
-
-
-def density_check(space: DMSpace) -> Report:
-    """Space points are dense, and closure maps RC of the subspace isomorphically."""
-    _require_dm_compact(space, "density analysis")
-    report = Report(subject="space-point density")
-    spc = space.space
-    report.add(
-        "closure of space points is everything",
-        spc.closure(space.space_points) == spc.universe,
-    )
-
-    # Restriction to the space points and its inverse are additive.
-    inside = {x: i for i, x in enumerate(atoms_of(space.space_points))}
-    restrict = additive([1 << inside[x] if x in inside else 0 for x in space.points()])
-    embed = additive([1 << x for x in inside])
-    sub_space = FiniteTopSpace(
-        len(inside), tuple(sorted({restrict(b) for b in spc.closed_base}))
-    )
-    sub_rc = sub_space.regular_closed
-    full_rc = spc.regular_closed
-    lifted = {a: spc.closure(embed(a)) for a in sub_rc}
-    members = set(full_rc)
-    report.add("closure maps subspace RC into RC", all(v in members for v in lifted.values()))
-    report.add(
-        "closure map is a bijection",
-        len(set(lifted.values())) == len(sub_rc) == len(full_rc),
-    )
-    round_trip = all(restrict(lifted[a]) == a for a in sub_rc)
-    back = all(lifted.get(restrict(b)) == b for b in full_rc)
-    report.add("restriction inverts closure", round_trip and back)
-    # Closure and embedding are additive, so the map preserves joins; only
-    # the regular-closed complements are compared, one element at a time.
-    hom = all(
-        lifted[sub_space.closure(sub_space.universe ^ a)] == spc.closure(spc.universe ^ lifted[a])
-        for a in sub_rc
-    )
-    report.add("closure map is a Boolean homomorphism", hom)
-    return report
+    return DefinabilityRow(cond, check_time_condition(space.time_structure, cond).holds, on_rc, note)
 
 
 def is_trivial_dms(space: DMSpace) -> bool:

@@ -106,13 +106,6 @@ def seeded_dca(rng: random.Random, moments: int) -> DCA:
     return standard_dca(seeded_model(rng, moments))
 
 
-def dca_corpus(count: int, max_moments: int = 3, seed: int = 0):
-    """`count` seeded snapshot algebras cycling over the moment counts."""
-    for i in range(count):
-        moments = 1 + (i % max_moments)
-        yield seeded_dca(random.Random(seed + i), moments)
-
-
 # The generators `mereotime generate` reads, per kind: every structure of a
 # size in a fixed order, and one structure of a size drawn from a seeded rng.
 EXHAUSTIVE = {"adjacency": all_relations, "time_structure": all_time_structures}

@@ -131,28 +131,17 @@ def _index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -> Check:
-    """Decide one region-level time axiom on a dynamic algebra or model.
+def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -> bool:
+    """Whether one region-level time axiom holds on a dynamic algebra or model.
 
     Time contact and precedence are additive, so each axiom is decided on
     the atoms of the carrier: a DCA's stored atom relations, or a model's
     region atoms (`time_axiom_failures`, cached on the source).  The four
     axioms displaying a free variable p are read with p universally
     quantified; `existential_p=True` decides the alternative reading for
-    comparison.  A witness is the first failing instance, as elements of
-    the carrier (singleton masks or atom regions, and p as the join of a
-    row of atoms).
+    comparison.  The first failing instance, on atoms, is the source's
+    `axiom_failures` entry; the tests read it as elements of the carrier.
     """
-    witness = source.axiom_failures[existential_p][cond]
-    if witness is None:
-        return Check(cond.region_axiom, True)
-    if isinstance(source, DMST):
-        witness = tuple(map(source.region, witness))
-    return Check(cond.region_axiom, False, witness=witness)
-
-
-def time_axiom_holds(source, cond: TimeCondition, existential_p: bool = False) -> bool:
-    """The verdict of `check_time_axiom`, without building its witness."""
     return source.axiom_failures[existential_p][cond] is None
 
 
@@ -506,15 +495,6 @@ def is_rich(model: DMST) -> bool:
 def is_full(model: DMST) -> bool:
     """Every cell is one coordinate atom at one moment."""
     return len(model.cells) == sum(c.base.atom_count for c in model.coordinates)
-
-
-def dynamic_relations(model: DMST, a: Region, b: Region) -> dict[str, bool]:
-    """Space contact, time contact and local precedence for one region pair."""
-    return {
-        "Cs": model.space_contact(a, b),
-        "Ct": model.time_contact(a, b),
-        "B": model.precedes(a, b),
-    }
 
 
 class CorrespondenceRow(NamedTuple):

@@ -22,29 +22,27 @@ import pytest
 
 from mereotime.boolean import (
     FiniteBA,
-    Filter,
     Grill,
-    Ideal,
-    Ultrafilter,
     additive,
     atoms_of,
     mask_of,
     meeting,
-    separate,
-    submasks,
 )
 from mereotime.contact import (
     CONTACT_AXIOMS,
     PRECONTACT_AXIOMS,
     Clan,
+    FactorAlgebra,
     PrecontactAlgebra,
     Relation,
     _first_missing,
+    _included,
+    clans,
 )
-from mereotime.category import DcaMorphism, DmsMorphism
+from mereotime.category import DcaMorphism, DmsMorphism, compose, lower, raise_
 from mereotime.dca import DCA, ClanStructure, canonical_standard_dca, clan_structure, standard_dca, validate_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, classify, dual, dual_space
-from mereotime.errors import CapabilityError, PreconditionError, ValidationError
+from mereotime.errors import CapabilityError, DimensionMismatch, PreconditionError, ValidationError
 from mereotime.models import canonical_dumps
 from mereotime.reporting import Check, Report
 from mereotime.snapshot import (
@@ -54,8 +52,8 @@ from mereotime.snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
     is_full,
+    time_axiom_holds,
 )
 from mereotime import generate as gen
 
@@ -155,6 +153,16 @@ def clan_precedence(d) -> frozenset[tuple[int, int]]:
     )
 
 
+def submasks(mask: int):
+    """All submasks of `mask` including 0 and `mask` itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 def is_filter_members(base, members) -> bool:
     """The filter laws: holds 1, upward closed and closed under meets."""
     members = set(members)
@@ -235,6 +243,14 @@ def pair_inclusion_witness(left, right):
         return None
     x, y = min(missing)
     return 1 << x, 1 << y
+
+
+def inclusion_check(name: str, left: Relation, right: Relation) -> Check:
+    """left <= right on atom relations of one size, decided on their rows as
+    the DCA interaction axioms are (`contact._included`)."""
+    if left.size != right.size:
+        raise DimensionMismatch(f"compared relations have sizes {left.size} and {right.size}")
+    return _included(name, left.rows, right.rows)
 
 
 def pair_properties(n, pairs) -> dict[str, bool]:
@@ -828,8 +844,8 @@ def _lowest_missing(cover: int, ones: int) -> int:
 
 def reading_comparison(source, cond: TimeCondition) -> tuple[bool, bool]:
     """Truth of a free-variable axiom under the universal and existential readings."""
-    universal = check_time_axiom(source, cond, existential_p=False).holds
-    existential = check_time_axiom(source, cond, existential_p=True).holds
+    universal = time_axiom_holds(source, cond, existential_p=False)
+    existential = time_axiom_holds(source, cond, existential_p=True)
     return universal, existential
 
 
@@ -1557,11 +1573,101 @@ def is_equivalence(rel: Relation) -> bool:
     return is_reflexive(rel) and is_symmetric(rel) and is_transitive(rel)
 
 
-def extend_to_ultrafilter(f: Filter) -> Ultrafilter:
-    """Every proper filter extends to an ultrafilter."""
-    if not f.is_proper:
+def principal_filter(base: FiniteBA, generator: int) -> frozenset[int]:
+    """The up-set of `generator`: the member set of the finite filter whose
+    least member it is."""
+    return frozenset(a for a in base.elements() if generator & ~a == 0)
+
+
+def extend_to_ultrafilter(base: FiniteBA, generator: int) -> int:
+    """Every proper filter, given by its least member, extends to an
+    ultrafilter: the one of the lowest atom below that member."""
+    if base.check(generator) == 0:
         raise PreconditionError("improper filter cannot extend", witness=0)
-    return separate(f, Ideal.principal(f.algebra, 0))
+    return next(atoms_of(generator))
+
+
+def dca_corpus(count: int, max_moments: int = 3, seed: int = 0):
+    """`count` seeded snapshot algebras cycling over the moment counts."""
+    for i in range(count):
+        moments = 1 + (i % max_moments)
+        yield gen.seeded_dca(random.Random(seed + i), moments)
+
+
+def check_time_axiom(source, cond: TimeCondition, existential_p: bool = False) -> Check:
+    """One region-level time axiom on a dynamic algebra or model, as a check:
+    the source's first failing instance, read as elements of the carrier
+    (singleton masks or atom regions, and p as the join of a row of atoms)."""
+    witness = source.axiom_failures[existential_p][cond]
+    if witness is None:
+        return Check(cond.region_axiom, True)
+    if isinstance(source, DMST):
+        witness = tuple(map(source.region, witness))
+    return Check(cond.region_axiom, False, witness=witness)
+
+
+def irr_one_directional(d) -> dict[str, bool]:
+    """Irreflexivity of the ultrafilter precedence versus the (irr) axiom.
+
+    Only the forward implication is a theorem; the converse is recorded
+    without being asserted.
+    """
+    d.require_valid()
+    ult_irr = not any(row >> x & 1 for x, row in enumerate(d.prec_rel.rows))
+    region_irr = time_axiom_holds(d, TimeCondition.IRR)
+    return {
+        "ultrafilter_irr": ult_irr,
+        "region_irr": region_irr,
+        "forward_holds": (not ult_irr) or region_irr,
+        "converse_gap": region_irr and not ult_irr,
+    }
+
+
+def factor_by_clanset(algebra: PrecontactAlgebra, selection) -> FactorAlgebra:
+    """Factor contact algebra determined by a nonempty set of clans.
+
+    The quotient contact holds between classes iff some selected clan
+    contains members of both.
+    """
+    algebra.require_contact()
+    selection = list(selection)
+    if not selection:
+        raise PreconditionError("factor requires a nonempty set of clans")
+    valid_supports = {c.support for c in clans(algebra)}
+    for clan in selection:
+        if clan.algebra != algebra.base or clan.support not in valid_supports:
+            raise ValidationError("selection contains a non-clan", witness=(getattr(clan, "support", clan),))
+    kept_mask = 0
+    for clan in selection:
+        kept_mask |= clan.support
+    kept = tuple(atoms_of(kept_mask))
+    bits = [1 << atom for atom in kept]
+    rows = [0] * len(kept)
+    for clan in selection:
+        local = meeting(bits, clan.support)
+        for i in atoms_of(local):
+            rows[i] |= local
+    quotient = PrecontactAlgebra(FiniteBA(len(kept)), Relation.from_rows(len(kept), rows))
+    return FactorAlgebra(algebra, quotient, kept)
+
+
+def functor_laws(first, second) -> Report:
+    """Composition is reversed by the contravariant functors."""
+    report = Report(subject="functor laws")
+    composite = compose(first, second)
+    if isinstance(first, DcaMorphism):
+        left = lower(composite)
+        right = compose(lower(second), lower(first))
+        report.add("lower reverses composition", left.point_map == right.point_map)
+        lowered = lower(DcaMorphism.identity(first.dom))
+        report.add("lower preserves identity", lowered == DmsMorphism.identity(lowered.dom))
+    else:
+        left = raise_(composite)
+        right = compose(raise_(second), raise_(first))
+        report.add("raise reverses composition", left == right)
+        raised = raise_(DmsMorphism.identity(first.dom))
+        report.add("raise preserves identity", raised == DcaMorphism.identity(raised.dom))
+    return report
 
 
 def grill_from_atoms(algebra: FiniteBA, support) -> Grill:
@@ -1608,13 +1714,17 @@ def rho(space: DMSpace, x: int) -> frozenset[int]:
     return frozenset(a for a in space.regions if a >> x & 1)
 
 
-def canonical_filter(space: DMSpace, region: int) -> Filter:
-    """Filter of distinguished regions containing a regular closed set."""
+def canonical_filter(space: DMSpace, region: int) -> int:
+    """Filter of distinguished regions containing a regular closed set, as
+    its least member, an element of the dual algebra."""
     if not space.space.is_regular_closed(region):
         raise PreconditionError("canonical filters are defined for regular closed sets", witness=region)
     algebra = dual(space)
-    members = frozenset(algebra.atoms.index(a) for a in space.regions if region & ~a == 0)
-    return Filter.from_members(algebra.dca.base, members)
+    base = algebra.dca.base
+    members = {algebra.atoms.index(a) for a in space.regions if region & ~a == 0}
+    if not is_filter_members(base, members):
+        raise ValidationError("the regions containing a set are not a filter", witness=region)
+    return min(members, key=int.bit_count)
 
 
 def relation_characterizations(space: DMSpace, a_set: int, b_set: int) -> Report:
@@ -1762,7 +1872,7 @@ def write_path_v1(path, obj, claims=None) -> None:
 @pytest.fixture(scope="session")
 def small_dca_corpus():
     """A handful of valid algebras of both flavors, enough for spot checks."""
-    corpus = list(gen.dca_corpus(6, max_moments=3, seed=3))
+    corpus = list(dca_corpus(6, max_moments=3, seed=3))
     corpus.extend(list(gen.trivial_dcas(2)))
     return corpus
 

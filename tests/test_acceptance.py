@@ -18,7 +18,6 @@ from mereotime.category import (
     dca_isomorphism_report,
     duality_roundtrip,
     extent_isomorphism,
-    functor_laws,
     lower,
     naturality,
     validate_dca_morphism,
@@ -30,8 +29,6 @@ from mereotime.contact import (
     check_axioms,
     clans,
     clusters,
-    factor_by_clanset,
-    inclusion_check,
     maximal_clans,
 )
 from mereotime.dca import (
@@ -63,14 +60,18 @@ from mereotime.snapshot import (
     TIME_CONDITIONS,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
     correspondence_check,
 )
 from conftest import (
     brute_clans,
+    check_time_axiom,
+    dca_corpus,
     element_lifting_conditions,
     element_time_axiom,
     element_validate_dms,
+    factor_by_clanset,
+    functor_laws,
+    inclusion_check,
     interpolation_check,
     is_reflexive,
     is_symmetric,
@@ -97,7 +98,7 @@ class Budget:
 @pytest.fixture(scope="module")
 def corpus():
     """100 seeded snapshot algebras plus every trivial algebra on <=3 atoms."""
-    seeded = list(gen.dca_corpus(100, max_moments=3, seed=0))
+    seeded = list(dca_corpus(100, max_moments=3, seed=0))
     trivial = list(gen.trivial_dcas(3))
     return seeded + trivial
 

@@ -5,17 +5,11 @@ import pytest
 
 from mereotime.boolean import (
     FiniteBA,
-    Filter,
     Grill,
-    Ideal,
     SetAlgebra,
-    Ultrafilter,
     additive,
-    filter_sum,
     joins,
     mask_of,
-    separate,
-    ultrafilters,
 )
 from mereotime.errors import DimensionMismatch, MembershipError, PreconditionError, ValidationError
 
@@ -25,6 +19,8 @@ from conftest import (
     is_filter_members,
     is_grill_members,
     is_ideal_members,
+    principal_filter,
+    submasks,
 )
 
 X, Y, Z = 1, 2, 4  # atom masks
@@ -59,45 +55,39 @@ def test_dimension_errors():
 
 
 def test_ultrafilters_single_atom():
-    out = ultrafilters(FiniteBA(1))
-    assert len(out) == 1
-    assert out[0].members == {1}
+    b = FiniteBA(1)
+    assert Grill(b, 1).members == principal_filter(b, 1) == {1}
 
 
 def test_ultrafilters_are_principal_per_atom():
+    """The ultrafilter of an atom is the singleton grill of that atom."""
     b = FiniteBA(3)
-    out = ultrafilters(b)
-    assert [u.atom for u in out] == [0, 1, 2]
-    for u in out:
-        assert u.members == {a for a in b.elements() if a & (1 << u.atom)}
+    for i in b.atoms():
+        members = Grill(b, 1 << i).members
+        assert members == principal_filter(b, 1 << i) == {a for a in b.elements() if a & (1 << i)}
+        assert is_filter_members(b, members)
 
 
 def test_ultrafilter_membership_table():
     b = FiniteBA(2)
-    u0 = Ultrafilter(b, 0)
+    u0 = Grill(b, X)
     assert u0.contains(X) and u0.contains(X | Y)
     assert not u0.contains(0) and not u0.contains(Y)
 
 
 def test_filter_validation_catches_gaps():
     b = FiniteBA(2)
-    with pytest.raises(ValidationError) as err:
-        Filter.from_members(b, {b.one, X, Y})  # X & Y = 0 missing
-    assert err.value.witness == 0
-    with pytest.raises(ValidationError) as err:
-        Filter.from_members(b, {X})  # missing 1
-    assert err.value.witness == b.one
-    with pytest.raises(ValidationError) as err:
-        Ideal.from_members(b, {0, X | Y})  # not downward closed
-    assert err.value.witness == X
-    assert Filter.from_members(b, {X, b.one}) == Filter.principal(b, X)
-    assert Ideal.from_members(b, {0, Y}) == Ideal.principal(b, Y)
+    assert not is_filter_members(b, {b.one, X, Y})  # X & Y = 0 missing
+    assert not is_filter_members(b, {X})  # missing 1
+    assert not is_ideal_members(b, {0, X | Y})  # not downward closed
+    assert is_filter_members(b, {X, b.one}) and {X, b.one} == principal_filter(b, X)
+    assert is_ideal_members(b, {0, Y})
 
 
-def test_filters_and_ideals_from_members_match_their_laws_on_all_families():
-    """`from_members` against the direct laws, on every family of elements
-    over three atoms; a rejection names the smallest element on which the
-    family and the up-set of its meet (down-set of its join) differ."""
+def test_filters_and_ideals_are_the_up_and_down_sets_of_their_generators():
+    """A finite filter is the up-set of its least member and an ideal the
+    down-set of its greatest: the direct laws hold on exactly those
+    families, over every family of elements over three atoms."""
     b = FiniteBA(3)
     elements = list(b.elements())
     counts = {"filter": 0, "ideal": 0}
@@ -106,106 +96,23 @@ def test_filters_and_ideals_from_members_match_their_laws_on_all_families():
         meet, join = b.one, 0
         for a in family:
             meet, join = meet & a, join | a
-        for name, build, law, generated in (
-            ("filter", Filter.from_members, is_filter_members, Filter(b, meet)),
-            ("ideal", Ideal.from_members, is_ideal_members, Ideal(b, join)),
+        for name, law, generated in (
+            ("filter", is_filter_members, principal_filter(b, meet)),
+            ("ideal", is_ideal_members, frozenset(submasks(join))),
         ):
-            try:
-                built = build(b, family)
-            except ValidationError as err:
-                assert not law(b, family), (name, family)
-                assert err.witness == min(family ^ generated.members), (name, family)
-                continue
-            assert law(b, family), (name, family)
-            assert built == generated and built.members == family
-            counts[name] += 1
+            assert law(b, family) == (family == generated), (name, family)
+            counts[name] += law(b, family)
     # one filter and one ideal per generator
     assert counts == {"filter": 8, "ideal": 8}
-
-
-def test_filter_sum_principal_example():
-    b = FiniteBA(3)
-    f = Filter.principal(b, X | Y)
-    g = Filter.principal(b, Y | Z)
-    total = filter_sum(f, g)
-    # oracle: enumerate all pairwise meets directly
-    assert total.members == {a & c for a in f.members for c in g.members}
-    assert total == Filter.principal(b, Y)
-    assert total.is_proper
-
-
-def test_filter_sum_improper_flag():
-    b = FiniteBA(2)
-    total = filter_sum(Filter.principal(b, X), Filter.principal(b, Y))
-    assert not total.is_proper
-    assert 0 in total.members
-
-
-def test_filter_sum_idempotent():
-    b = FiniteBA(3)
-    for g in b.elements():
-        f = Filter.principal(b, g)
-        assert filter_sum(f, f) == f
-
-
-def test_filter_sum_is_smallest_containing_filter():
-    b = FiniteBA(3)
-    for gen_f in b.nonzero_elements():
-        for gen_g in b.nonzero_elements():
-            f, g = Filter.principal(b, gen_f), Filter.principal(b, gen_g)
-            total = filter_sum(f, g)
-            assert f.members <= total.members and g.members <= total.members
-            # any principal filter containing both contains the sum
-            for other_gen in b.elements():
-                other = Filter.principal(b, other_gen)
-                if f.members <= other.members and g.members <= other.members:
-                    assert total.members <= other.members
-
-
-def test_separate_examples():
-    b2 = FiniteBA(2)
-    u = separate(Filter.principal(b2, X), Ideal.principal(b2, Y))
-    assert u.atom == 0
-
-    b3 = FiniteBA(3)
-    u = separate(Filter.principal(b3, X | Y), Ideal.principal(b3, Z))
-    assert u.atom == 0  # lowest eligible index among {x, y}
-
-
-def test_separate_precondition_carries_witness():
-    b = FiniteBA(2)
-    f = Filter.principal(b, X)
-    ideal = Ideal.principal(b, X | Y)
-    with pytest.raises(PreconditionError) as err:
-        separate(f, ideal)
-    assert err.value.witness in f.members & ideal.members
-
-
-def test_separate_exhaustive_small():
-    b = FiniteBA(3)
-    for gen_f in b.nonzero_elements():
-        f = Filter.principal(b, gen_f)
-        for gen_i in b.elements():
-            ideal = Ideal.principal(b, gen_i)
-            if f.members & ideal.members:
-                with pytest.raises(PreconditionError):
-                    separate(f, ideal)
-                continue
-            u = separate(f, ideal)
-            assert f.members <= u.members
-            assert not (u.members & ideal.members)
-            eligible = [x for x in b.atoms() if gen_f & (1 << x) and not gen_i & (1 << x)]
-            assert u.atom == min(eligible)
 
 
 def test_every_proper_filter_extends_to_ultrafilter():
     b = FiniteBA(4)
     for gen_f in b.nonzero_elements():
-        f = Filter.principal(b, gen_f)
-        u = extend_to_ultrafilter(f)
-        assert f.members <= u.members
+        atom = extend_to_ultrafilter(b, gen_f)
+        assert principal_filter(b, gen_f) <= Grill(b, 1 << atom).members
     with pytest.raises(PreconditionError):
-        extend_to_ultrafilter(Filter.principal(b, 0))
+        extend_to_ultrafilter(b, 0)
 
 
 def test_grill_round_trip_and_principal_case():
@@ -216,7 +123,7 @@ def test_grill_round_trip_and_principal_case():
             assert is_grill_members(b, g.members)
             assert mask_of(i for i in b.atoms() if 1 << i in g.members) == support
     b = FiniteBA(2)
-    assert grill_from_atoms(b, X).members == Ultrafilter(b, 0).members
+    assert grill_from_atoms(b, X).members == principal_filter(b, X)
     assert grill_from_atoms(b, X | Y).members == set(b.nonzero_elements())
 
 
@@ -238,26 +145,23 @@ def test_is_grill_matches_reference_on_all_families():
 
 def test_ultrafilters_are_maximal_proper_filters():
     b = FiniteBA(3)
-    ultra = [u.members for u in ultrafilters(b)]
+    ultra = [Grill(b, 1 << i).members for i in b.atoms()]
     for members in ultra:
-        assert Filter.from_members(b, members).members == members  # filter laws hold
+        assert is_filter_members(b, members)  # filter laws hold
         assert 0 not in members
     # no proper filter strictly contains an ultrafilter
-    for gen in b.elements():
-        f = Filter.principal(b, gen)
-        if not f.is_proper:
-            continue
+    for gen in b.nonzero_elements():
         for members in ultra:
-            assert not members < f.members
+            assert not members < principal_filter(b, gen)
 
 
 def test_ultrafilters_are_exactly_singleton_grills():
+    """The grills that are filters are the grills of one atom."""
     for n in range(1, 5):
         b = FiniteBA(n)
-        ultra = {frozenset(u.members) for u in ultrafilters(b)}
         for support in b.nonzero_elements():
-            members = frozenset(grill_from_atoms(b, support).members)
-            assert (members in ultra) == (support.bit_count() == 1)
+            members = grill_from_atoms(b, support).members
+            assert is_filter_members(b, members) == (support.bit_count() == 1)
 
 
 # Sizes on both sides of byte boundaries.

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    TableMorphism,
+    dca_corpus,
     element_compose,
     element_dca_isomorphism_report,
     element_extent_isomorphism,
@@ -16,9 +16,11 @@ from conftest import (
     element_naturality,
     element_validate_dca_morphism,
     element_validate_dms_morphism,
+    functor_laws,
     pair_set_reflects_prec,
     pair_set_t2_failures,
     random_region_families,
+    TableMorphism,
 )
 from mereotime import dms as dms_module
 from mereotime.boolean import FiniteBA, atoms_of, mask_of
@@ -30,7 +32,6 @@ from mereotime.category import (
     dms_isomorphism_report,
     duality_roundtrip,
     extent_isomorphism,
-    functor_laws,
     lower,
     naturality,
     raise_,
@@ -51,7 +52,7 @@ from mereotime.dms import (
     verify_representation_topo,
 )
 from mereotime.errors import CapabilityError, CompositionError, ValidationError
-from mereotime.generate import all_relations, dca_corpus, trivial_dcas
+from mereotime.generate import all_relations, trivial_dcas
 from mereotime.snapshot import TimeStructure, build_dmst
 
 ONE_ATOM = PrecontactAlgebra.overlap(FiniteBA(1))

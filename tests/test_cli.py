@@ -10,15 +10,22 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import encode_v1, write_path_v1
+from conftest import TableMorphism, dca_corpus, element_naturality, encode_v1, write_path_v1
 
 import mereotime
 from mereotime import cli
 from mereotime.boolean import FiniteBA
-from mereotime.category import DcaMorphism, DmsMorphism
+from mereotime.category import (
+    DcaMorphism,
+    DmsMorphism,
+    naturality,
+    trace_morphism,
+    validate_dca_morphism,
+    validate_dms_morphism,
+)
 from mereotime.cli import COMMAND_TABLE, FILE_COMMANDS, PARSER, CommandReport, build_parser, main
 from mereotime.contact import PrecontactAlgebra, Relation
-from mereotime.dca import DCA, from_contact_algebra, standard_dca
+from mereotime.dca import DCA, correspondence2, from_contact_algebra, standard_dca
 from mereotime.dms import DMSpace, FiniteTopSpace, dual_space
 from mereotime.errors import CapabilityError, count_text
 from mereotime.models import (
@@ -279,6 +286,84 @@ def test_correspondence_command(tmp_path, capsys):
     write_path(d_path, standard_dca(model))
     code, out, _ = run(["correspondence", d_path], capsys)
     assert code == 0
+
+
+def _json_report(args, capsys) -> tuple[int, dict]:
+    code = main([*map(str, args), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_correspondence_of_dual_spaces_matches_the_region_axioms(tmp_path, capsys):
+    """The definability rows of the dual space of each corpus algebra: both
+    columns equal the algebra's own verdict on the region axiom, 400 rows."""
+    rows = 0
+    for i, d in enumerate(dca_corpus(40, 3, seed=5)):
+        path = tmp_path / f"dual{i}.json"
+        write_path(path, dual_space(d).space)
+        code, body = _json_report(["correspondence", path], capsys)
+        assert code == 0, body
+        expected = {row.condition.name: row.on_regions for row in correspondence2(d)}
+        shown = {row["condition"]: (row["time_structure"], row["rc_axiom"]) for row in body["info"]["rows"]}
+        assert shown == {name: (holds, holds) for name, holds in expected.items()}, i
+        rows += len(shown)
+    assert rows == 400
+
+
+def test_correspondence_of_a_space_judges_it_first(tmp_path, capsys):
+    """A space failing S1-S8 reports those checks and no rows; a valid space
+    that is not DM-compact is refused with the capability error."""
+    space = dual_space(from_contact_algebra(PrecontactAlgebra.overlap(FiniteBA(2)))).space
+    coarse = DMSpace(space.space, space.space_points, space.time_points, space.prec, (0, space.space.universe))
+    write_path(tmp_path / "coarse.json", coarse)
+    code, body = _json_report(["correspondence", tmp_path / "coarse.json"], capsys)
+    assert code == 1 and body["info"] == {}
+    assert [c["name"] for c in body["checks"]] == [f"S{i}" for i in range(1, 9)]
+    # The dual of a two-moment chain with one time point left: S1-S8 hold,
+    # and a cluster is no longer realized.
+    chain = dual_space(standard_dca(build_dmst(TimeStructure.of(2, {(0, 1)}), [ONE_ATOM, ONE_ATOM], mode="full")))
+    space = chain.space
+    lone = DMSpace(space.space, space.space_points, space.time_points & -space.time_points, space.prec, space.regions)
+    write_path(tmp_path / "lone.json", lone)
+    code, body = _json_report(["check", tmp_path / "lone.json"], capsys)
+    assert code == 0 and body["info"]["DM_compact"] is False
+    code, out, err = run(["correspondence", tmp_path / "lone.json"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: topological definability needs DM-compactness\n"
+
+
+def test_check_of_a_morphism_reports_naturality_as_the_element_oracle(small_dca_corpus, tmp_path, capsys):
+    """Every join-preserving table between corpus algebras of at most two
+    atoms: a morphism's report ends with the element-level naturality check,
+    and a map that is no morphism gets none.  Space identities, trace maps
+    and point shifts of dual spaces report the library's naturality."""
+    small = [d for d in small_dca_corpus if d.base.atom_count <= 2]
+    maps = []
+    for dom, cod in itertools.product(small, repeat=2):
+        for table in itertools.product(cod.base.elements(), repeat=dom.base.size):
+            f = DcaMorphism.from_table(dom, cod, table)
+            if f.join_failure is None:
+                maps.append(f)
+    duals = [dual_space(d).space for d in small_dca_corpus]
+    maps += [DmsMorphism.identity(s) for s in duals] + [trace_morphism(s) for s in duals]
+    maps += [DmsMorphism(s, s, (*range(1, len(s.points())), 0)) for s in duals]
+    reported = 0
+    for i, f in enumerate(maps):
+        path = tmp_path / f"morphism{i}.json"
+        write_path(path, f)
+        code, body = _json_report(["check", path], capsys)
+        dca = isinstance(f, DcaMorphism)
+        holds = (validate_dca_morphism if dca else validate_dms_morphism)(f).ok
+        expected = (element_naturality(TableMorphism.of(f)) if dca else naturality(f)).checks if holds else []
+        last = body["checks"][-1]
+        shown = [last] if last["name"].startswith("double dual") else []
+        assert shown == [{"holds": c.holds, "name": c.name, **_witness(c)} for c in expected], f
+        assert code == (0 if holds and expected[0].holds else 1), f
+        reported += bool(shown)
+    assert 10 < reported < len(maps), (reported, len(maps))
+
+
+def _witness(check) -> dict:
+    return {} if check.witness is None else {"witness": list(check.witness)}
 
 
 def test_generate_exhaustive_time_structures(tmp_path, capsys):
@@ -644,6 +729,25 @@ def test_dual_space_regions_past_the_bound_exit_two_before_listing(tmp_path, cap
             assert code == 2 and not out, (n, command, out)
             bound = f"over the dual space region bound of {SPACE_REGION_CAP}"
             assert err == f"error: dca has {count} regions, {bound}\n", err
+
+
+def test_check_of_a_morphism_refuses_ends_past_the_dual_space_bound(tmp_path, capsys, monkeypatch):
+    """Naturality builds the dual space of each end of an algebra morphism,
+    so `check` holds the ends to the bounds `roundtrip` keeps, after the
+    morphism checks and before any dual space is built."""
+    path = tmp_path / "chain5.json"
+    write_path(path, DcaMorphism.identity(_chain_dca(5)))
+    code, body = _json_report(["check", path], capsys)
+    assert code == 0 and body["checks"][-1]["name"] == "double dual of extents"
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the dual space was built")
+
+    monkeypatch.setattr(cli, "naturality", unreachable)
+    monkeypatch.setattr(cli, "SPACE_REGION_CAP", 16)
+    code, out, err = run(["check", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dca has 32 regions, over the dual space region bound of 16\n"
 
 
 def test_command_reports_are_reports_of_library_checks(trivial_dca_file):

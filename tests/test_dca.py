@@ -6,7 +6,7 @@ import pytest
 
 from mereotime import contact
 from mereotime.boolean import FiniteBA
-from mereotime.contact import Clan, FactorAlgebra, PrecontactAlgebra, Relation, factor_by_clanset
+from mereotime.contact import Clan, FactorAlgebra, PrecontactAlgebra, Relation
 from mereotime.dca import (
     DCA,
     CanonicalModel,
@@ -16,7 +16,6 @@ from mereotime.dca import (
     coordinate_algebra,
     correspondence2,
     from_contact_algebra,
-    irr_one_directional,
     is_trivial,
     standard_dca,
     t_clan_count,
@@ -34,20 +33,23 @@ from mereotime.snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
 )
 
 from conftest import (
     all_atom_relations,
     brute_clans,
+    check_time_axiom,
     clan_precedence,
+    dca_corpus,
     element_prec_extension,
     element_time_axiom,
     element_validate_dca,
     element_verify_embedding,
     embedding_refutations,
     extension_of_prec_checks,
+    factor_by_clanset,
     g_maps,
+    irr_one_directional,
     is_equivalence,
     pair_compose,
     slow_c4,
@@ -177,7 +179,7 @@ def test_validate_dca_composes_on_rows_and_reads_two_axiom_reports(monkeypatch):
 
     monkeypatch.setattr(Relation, "compose", counted("compose", compose))
     monkeypatch.setattr(contact, "check_axioms", counted("check_axioms", check_axioms))
-    corpus = list(gen.dca_corpus(300, 5, seed=3)) + list(itertools.islice(_dca_triples(), 0, None, 50))
+    corpus = list(dca_corpus(300, 5, seed=3)) + list(itertools.islice(_dca_triples(), 0, None, 50))
     for d in corpus:
         calls.clear()
         report = validate_dca(DCA(d.base, d.space_rel, d.time_rel, d.prec_rel))
@@ -337,7 +339,7 @@ def test_clan_structure_keeps_the_lexicographic_order(small_dca_corpus):
 
 
 def test_t_clan_count_is_read_off_the_time_classes(small_dca_corpus):
-    for d in [*small_dca_corpus, *gen.trivial_dcas(4), *gen.dca_corpus(100, 3, seed=0)]:
+    for d in [*small_dca_corpus, *gen.trivial_dcas(4), *dca_corpus(100, 3, seed=0)]:
         assert t_clan_count(d) == len(clan_structure(d).t_clans), d
 
 

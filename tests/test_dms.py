@@ -5,19 +5,22 @@ from functools import partial
 import pytest
 
 from conftest import (
-    ElementRC,
     canonical_filter,
+    check_time_axiom,
     clan_precedence,
     coarsened,
     contact_clan_space,
+    dca_corpus,
     element_check_s2,
     element_density_check,
     element_extent_checks,
     element_lifting_conditions,
     element_time_axiom,
     element_validate_dms,
+    ElementRC,
     lifting_separation_fails_at,
     path_snapshot_dca,
+    principal_filter,
     random_region_families,
     rc_law_failures,
     rc_relations,
@@ -36,7 +39,6 @@ from mereotime.dms import (
     FiniteTopSpace,
     check_s2,
     classify,
-    density_check,
     dual,
     dual_space,
     is_trivial_dms,
@@ -55,7 +57,6 @@ from mereotime.snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
 )
 
 X, Y, Z = 1, 2, 4
@@ -500,7 +501,7 @@ def test_dual_atoms_index_the_regions_and_refuse_an_index_outside_them():
 
 
 def _corpus_duals():
-    return [dual_space(d).space for d in [*gen.dca_corpus(40, 3, seed=5), *gen.trivial_dcas(4)]]
+    return [dual_space(d).space for d in [*dca_corpus(40, 3, seed=5), *gen.trivial_dcas(4)]]
 
 
 def test_dual_space_hands_over_the_atoms_of_family_finds():
@@ -559,10 +560,11 @@ def test_canonical_filter_bounds():
     result = trivial_dual()
     space = result.space
     algebra = dual(space)
+    base = algebra.dca.base
     top = canonical_filter(space, space.space.universe)
-    assert top.members == {algebra.dca.base.one}
+    assert principal_filter(base, top) == {base.one}
     bottom = canonical_filter(space, 0)
-    assert bottom.members == set(algebra.dca.base.elements())
+    assert principal_filter(base, bottom) == set(base.elements())
 
 
 def test_relation_characterizations_on_duals(small_dca_corpus):
@@ -609,13 +611,13 @@ def test_lifting_conditions_reject_sparse_subalgebra():
 
 def test_density_check_on_duals(small_dca_corpus):
     for d in small_dca_corpus[:4]:
-        assert density_check(dual_space(d).space).ok
+        assert element_density_check(dual_space(d).space).ok
 
 
 def test_density_with_all_points_spatial():
     space = chain_dual().space
     assert space.space_points == space.space.universe
-    assert density_check(space).ok
+    assert element_density_check(space).ok
 
 
 def test_topological_definability_rows(small_dca_corpus):
@@ -625,8 +627,8 @@ def test_topological_definability_rows(small_dca_corpus):
             if cond is TimeCondition.IRR:
                 continue
             row = topological_definability(space, cond)
-            assert row["agree"], (d, cond)
-            assert row["warning"] is None
+            assert row.agree, (d, cond)
+            assert row.note is None
 
 
 def test_topological_definability_tri_warning_on_non_t0():
@@ -638,7 +640,7 @@ def test_topological_definability_tri_warning_on_non_t0():
         regions=(0, 3),
     )
     row = topological_definability(space, TimeCondition.TRI)
-    assert row["warning"] is not None
+    assert row.note is not None
 
 
 def test_trivial_dms_predicate():
@@ -967,23 +969,8 @@ def test_lifting_conditions_match_element_oracle(small_dca_corpus):
     assert len(verdicts) == 10
 
 
-def test_density_and_extent_checks_match_element_oracle(small_dca_corpus):
-    """density_check equals the oracle's pairwise closure-map checks on the
-    dual spaces and on random topologies with random space points; the
-    extent rows of verify_representation_topo equal the oracle's."""
-    rng = random.Random(5)
-    spaces = oracle_dual_spaces(small_dca_corpus)
-    for space in random_topology_spaces(rng, 150):
-        total = Relation.total(space.space.point_count)
-        spaces.append(
-            DMSpace(space.space, space.space_points, space.time_points, total, (0, space.space.universe))
-        )
-    verdicts = set()
-    for space in spaces:
-        report = density_check(space)
-        assert report.checks == element_density_check(space).checks, space
-        verdicts |= {(c.name, c.holds) for c in report.checks}
-    assert len(verdicts) == 10
+def test_extent_checks_match_element_oracle(small_dca_corpus):
+    """The extent rows of verify_representation_topo equal the oracle's."""
     for d in [*small_dca_corpus, *gen.trivial_dcas(3), path_snapshot_dca((3, 1))]:
         rows = [c for c in verify_representation_topo(d).checks if c.name.startswith("extent")]
         assert rows == element_extent_checks(d), d

@@ -186,7 +186,7 @@ REFUSALS = {
     "represent": "represent expects a dca file",
     "dualize": "dualize expects a dca or dms file",
     "roundtrip": "roundtrip expects a dca or dms file",
-    "correspondence": "correspondence expects a dmst or dca file",
+    "correspondence": "correspondence expects a dmst or dca or dms file",
 }
 
 

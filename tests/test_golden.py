@@ -17,7 +17,9 @@ info.  Two more records pin what the digests do not cover: the `--format
 text` output of each case, and every file `generate` writes for each kind
 at seed 7 and sizes 1 to 3, and exhaustively at size 2.  All three records
 were taken before the command-line reports became `reporting.Report`s and
-`generate` read its generator tables.
+`generate` read its generator tables, except those of the `check` of the
+identity morphism files and of the `correspondence` of the `dms` files,
+taken when those commands began to report naturality and definability.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pytest
 
 from conftest import write_path_v1
 from mereotime.boolean import FiniteBA
+from mereotime.category import DcaMorphism, DmsMorphism
 from mereotime.cli import main
 from mereotime.contact import PrecontactAlgebra, Relation
 from mereotime.dca import DCA, from_contact_algebra, standard_dca
@@ -70,6 +73,8 @@ def _models() -> dict[str, tuple]:
         "dmst_rich": (build_dmst(chain, [_path(2), _path(2)], mode="rich", regions=[(1, 2)]), None),
         "dms_dual": (space, None),
         "dms_coarse": (coarse, None),
+        "morphism_dca": (DcaMorphism.identity(snapshot), None),
+        "morphism_dms": (DmsMorphism.identity(space), None),
     }
 
 
@@ -85,6 +90,8 @@ CASES = (
     ("check", "dmst_rich"),
     ("check", "dms_dual"),
     ("check", "dms_coarse"),
+    ("check", "morphism_dca"),
+    ("check", "morphism_dms"),
     ("points", "dca_snapshot"),
     ("points", "dca_trivial"),
     ("points", "dca_broken"),
@@ -96,6 +103,8 @@ CASES = (
     ("correspondence", "dca_snapshot"),
     ("correspondence", "dca_trivial"),
     ("correspondence", "dca_cycle"),
+    ("correspondence", "dms_dual"),
+    ("correspondence", "dms_coarse"),
     ("dualize", "dca_snapshot"),
     ("dualize", "dca_trivial"),
     ("dualize", "dms_dual"),
@@ -118,6 +127,8 @@ GOLDEN = {
     'check-dmst_rich': (0, '05c013417d15509daa67623ed0ad4a53d8ebaeaeb705074d6272144b206360d4'),
     'check-dms_dual': (0, 'd2f240dbb0bff6b646bb9ab8c6ed0810ebb61036d4979d411934cbefe61e3ea9'),
     'check-dms_coarse': (1, '7da907f6ab82fbdb03fe70c933d06b9b27b828ba8996090951e44d4f94698db6'),
+    'check-morphism_dca': (0, '4ece72bec7197f479dbad70aa9e4341e86b819f3bbd305a757f578ac569c6682'),
+    'check-morphism_dms': (0, '27d5a0924f8847c4fa98ba209bcda953f0d99ba68d718dd514627e0609c5291b'),
     'points-dca_snapshot': (0, '3505d05e83bebe48804f143b0b2da03384cf27963e7f76a508ab23f8333ea214'),
     'points-dca_trivial': (0, '48e48a55130697840a5b5f96c7ad1569c645eecf718086944816f14619c25473'),
     'points-dca_broken': (1, '1f77aedb2fad0af3a1725170365c4cc7071cdbe172bcdf87c26c37c5216bcbb8'),
@@ -129,6 +140,8 @@ GOLDEN = {
     'correspondence-dca_snapshot': (0, '79d237a820d1acd493f19f9da1a035fc0229041f978e77e16d0d8e62768b2197'),
     'correspondence-dca_trivial': (0, '0cb7acb447aa84f026f298e95b7482227745f7a22724d95ca143a94723360abc'),
     'correspondence-dca_cycle': (0, '90a076e631e76dedb258e25f13623355fa633b4a2d89d1cb58f1d5b06c8ea219'),
+    'correspondence-dms_dual': (0, 'e46fad769d5a0253c6a13d4732617b7cfbd216986369c6d1da6d5deac1d2d420'),
+    'correspondence-dms_coarse': (1, '8c5bffe8bc797e48783e4e556e4d210f0ec849ebe71cdd53910f5d9fb69e80e7'),
     'dualize-dca_snapshot': (0, '92f8cc44d9c040b312636a770749088ff676afc9f565d850c478ea8c61335800'),
     'dualize-dca_trivial': (0, '4815f5d07f482d0471e1e812ddda00d59510196876b4f5b7b46a584e5eadc421'),
     'dualize-dms_dual': (0, 'cd51c7caba13b0cc1276734b6402f8d167445fa4d76bbc727e2cc05fc94eb2fd'),
@@ -200,6 +213,8 @@ GOLDEN_TEXT = {
     'check-dmst_rich': '47e0f904f50f70b8bd724ab5d5f16c6d7c06ac3d3cc61df78d1aab8600897209',
     'check-dms_dual': '74ca024f6beca1a4be9b39cf1008ad05093c1f084ac5bce25fd8cca941721c00',
     'check-dms_coarse': 'ff607b92205e6d7c7034ead3e220f675c21262f4d0d8d92ef11f1d4c0da73cd8',
+    'check-morphism_dca': '39d3849c5d20409a5eed12c250b6b24aa5b42a0e35169eae4162ce0bcb344bf7',
+    'check-morphism_dms': 'dad0abe99a3352caf8a5af199a50d788f5498940ff0f0c12917338c550b09a74',
     'points-dca_snapshot': 'e77e1990050ca39ac4a77c66b8131408eab03cee004e44294454448da89a4275',
     'points-dca_trivial': 'd3f69440099ac07a5e2e87273ef54862ba8fac8ca36fe9a743d9700b158a47da',
     'points-dca_broken': 'f94a10b7b3ac6bf55af510611b428395d96f33992e15f2206c64639f17ca8856',
@@ -211,6 +226,8 @@ GOLDEN_TEXT = {
     'correspondence-dca_snapshot': '1970d646f3c7a75b2438be43018dbfad7ed9cd5ac2eee7e54e9e033478121c49',
     'correspondence-dca_trivial': 'd74ed0eee71f878306d7d68e6470b075c823f95e171fc1dc0a643e50885792d0',
     'correspondence-dca_cycle': '2559ef3974d27a1233c9ddb9d656c96a277dd578b67b900b54640db96430cd41',
+    'correspondence-dms_dual': '928e716e952aca513778ed86569b7e4ec2e6f87fdb59bafe38ba91d212237c63',
+    'correspondence-dms_coarse': '6c137d7a0788cdae038fdb87b2ff7d3ecf70cbd335ac618eef658a9713b00158',
     'dualize-dca_snapshot': '7c56561c18deb18c2313949ab2acf57f786c45cad807bfcbb971286133ca010b',
     'dualize-dca_trivial': 'ff5e11c5d3d8a3a279709dc4fe15b15f38dee0918604dbd571d7f4d318a26e5b',
     'dualize-dms_dual': '8ce0374d319d78c6ed25d0898fdd405382ec7398d069090d20c4fbde67b1daad',

@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from mereotime.boolean import (
     FiniteBA,
-    Filter,
-    Ideal,
     atoms_of,
-    filter_sum,
     mask_of,
     meeting,
-    separate,
 )
 from mereotime.contact import PrecontactAlgebra, Relation, canonical_relation
-from mereotime.errors import PreconditionError
 from mereotime.snapshot import TimeStructure, build_dmst
 
 from conftest import grill_from_atoms, is_grill_members
@@ -44,35 +39,6 @@ def test_boolean_identities(data):
     assert base.compl(base.compl(a)) == a
     assert base.compl(base.join(a, b)) == base.meet(base.compl(a), base.compl(b))
     assert base.diff(a, b) == base.meet(a, base.compl(b))
-
-
-@given(algebra_with_elements(count=2))
-def test_principal_filter_sum_meets_generators(data):
-    base, f_gen, g_gen = data
-    f, g = Filter.principal(base, f_gen), Filter.principal(base, g_gen)
-    total = filter_sum(f, g)
-    assert total == Filter.principal(base, f_gen & g_gen)
-    assert total.is_proper == (f_gen & g_gen != 0)
-
-
-@given(algebra_with_elements(count=2))
-def test_separate_returns_lowest_eligible_atom(data):
-    base, f_gen, i_gen = data
-    if f_gen == 0:
-        return
-    f = Filter.principal(base, f_gen)
-    ideal = Ideal.principal(base, i_gen)
-    eligible = [x for x in base.atoms() if f_gen & (1 << x) and not i_gen & (1 << x)]
-    if f.members & ideal.members:
-        try:
-            separate(f, ideal)
-            assert False, "expected a precondition error"
-        except PreconditionError:
-            return
-    u = separate(f, ideal)
-    assert u.atom == min(eligible)
-    assert f.members <= u.members
-    assert not (u.members & ideal.members)
 
 
 @given(algebra_with_elements(count=1))

@@ -19,10 +19,8 @@ from mereotime.snapshot import (
     TimeCondition,
     TimeStructure,
     build_dmst,
-    check_time_axiom,
     check_time_condition,
     correspondence_check,
-    dynamic_relations,
     is_full,
     is_rich,
     time_axiom_failures,
@@ -32,6 +30,7 @@ from mereotime.snapshot import (
 
 from conftest import (
     atom_failure,
+    check_time_axiom,
     condition_failure,
     element_boolean_closure,
     element_closure_defect,
@@ -479,15 +478,18 @@ def test_custom_model_missing_mixed_vector_is_not_rich():
 
 def test_dynamic_relations_examples():
     m = full_model(2, {(0, 1)})
+
+    def relations(a, b):
+        return {"Cs": m.space_contact(a, b), "Ct": m.time_contact(a, b), "B": m.precedes(a, b)}
+
     a, b = (1, 0), (0, 1)
-    rel = dynamic_relations(m, a, b)
-    assert rel == {"Cs": False, "Ct": False, "B": True}
-    assert dynamic_relations(m, b, a)["B"] is False
+    assert relations(a, b) == {"Cs": False, "Ct": False, "B": True}
+    assert relations(b, a)["B"] is False
 
     one = m.one
-    assert dynamic_relations(m, one, one)["Cs"] is True
+    assert relations(one, one)["Cs"] is True
     zero = m.zero
-    assert dynamic_relations(m, zero, b) == {"Cs": False, "Ct": False, "B": False}
+    assert relations(zero, b) == {"Cs": False, "Ct": False, "B": False}
 
 
 def test_foreign_region_rejected():
